@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .corpus import atomic_writer
 from .errors import DatasetError
 
 DEFAULT_LEARNING_RATE = 0.1
@@ -220,6 +221,7 @@ def evaluate(
 
 
 def save_model(model: LogisticModel, path: str | os.PathLike[str]) -> None:
+    """Write the model as JSON, atomically (see ``corpus.atomic_writer``)."""
     document = {
         "kind": "logistic-location-classifier",
         "dim": model.dim,
@@ -229,7 +231,7 @@ def save_model(model: LogisticModel, path: str | os.PathLike[str]) -> None:
         "trained_on": model.trained_on,
         "hyperparams": model.hyperparams,
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_writer(path) as handle:
         json.dump(document, handle)
         handle.write("\n")
 

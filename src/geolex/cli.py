@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -51,6 +49,10 @@ STAGE_EXIT_CODES = {
 }
 
 PIPELINE_STAGES = ("ingest", "train", "classify", "link", "coords", "report")
+
+# Definitions embedded per provider call in classify: bounds peak memory
+# to one chunk of vectors instead of one per entry.
+CLASSIFY_CHUNK = 1024
 
 # Command-line dest -> config field.
 _FLAG_FIELDS = {
@@ -195,14 +197,9 @@ def _embed_definitions(provider, texts: list[str], stage: str) -> list:
 
 
 def _atomic_write_text(path: str, text: str, stage: str) -> None:
-    target = Path(path)
     try:
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=target.name + ".", suffix=".tmp", dir=target.parent or Path(".")
-        )
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with corpus.atomic_writer(path) as handle:
             handle.write(text)
-        os.replace(tmp_name, target)
     except OSError as err:
         raise _fail(stage, err) from err
 
@@ -263,6 +260,15 @@ def stage_train(config: PipelineConfig) -> RunSummary:
     )
 
 
+def _classify_chunk(model, provider, chunk: list[corpus.Entry]) -> int:
+    """Set ``is_location`` on every entry of ``chunk``; returns how many
+    are locations.  The chunk's vectors are freed on return."""
+    vectors = _embed_definitions(provider, [e.definition for e in chunk], "classify")
+    for entry, vector in zip(chunk, vectors):
+        entry.is_location = classifier.classify(model, vector)
+    return sum(entry.is_location for entry in chunk)
+
+
 def stage_classify(config: PipelineConfig) -> RunSummary:
     started = time.perf_counter()
     entries = _load_entries(config.dataset, "classify")
@@ -273,11 +279,10 @@ def stage_classify(config: PipelineConfig) -> RunSummary:
             "classify",
             f"model expects {model.dim}-dim vectors, provider yields {provider.dim}",
         )
-    vectors = _embed_definitions(provider, [e.definition for e in entries], "classify")
-    located = 0
-    for entry, vector in zip(entries, vectors):
-        entry.is_location = classifier.classify(model, vector)
-        located += entry.is_location
+    located = sum(
+        _classify_chunk(model, provider, entries[start : start + CLASSIFY_CHUNK])
+        for start in range(0, len(entries), CLASSIFY_CHUNK)
+    )
     _save_entries(entries, config.dataset, "classify")
     ratios = {"location_fraction": located / len(entries)} if entries else {}
     return RunSummary(
@@ -388,6 +393,10 @@ def stage_report(config: PipelineConfig) -> RunSummary:
     places = []
     try:
         for entry in entries:
+            # Only an explicit False excludes: entries linked without a
+            # stored classification keep is_location None.
+            if entry.is_location is False:
+                continue
             if entry.qid is None or entry.lat is None or entry.lon is None:
                 continue
             places.append(

@@ -17,13 +17,14 @@ definition, never the full text.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import IO, Iterable, Iterator
 
 from .errors import DatasetError
 
@@ -329,33 +330,42 @@ def load_dataset(path: str | os.PathLike[str]) -> list[Entry]:
     return list(iter_dataset(path))
 
 
-def save_dataset(entries: Iterable[Entry], path: str | os.PathLike[str]) -> int:
-    """Write entries as JSON lines, atomically.
+@contextlib.contextmanager
+def atomic_writer(path: str | os.PathLike[str]) -> Iterator[IO[str]]:
+    """Open a UTF-8 text handle whose content replaces ``path`` whole.
 
-    The file appears complete or not at all: content goes to a
-    temporary file in the same directory, then replaces the target.
-    Returns the number of entries written.
+    Writes go to a temporary ``*.tmp`` file in the same directory,
+    which replaces the target only when the ``with`` block completes.
+    On any error the temporary file is removed and the target is left
+    as it was.
     """
     path = Path(path)
-    seen: set[str] = set()
-    count = 0
     fd, tmp_name = tempfile.mkstemp(
         prefix=path.name + ".", suffix=".tmp", dir=path.parent or Path(".")
     )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            for entry in entries:
-                if entry.id in seen:
-                    raise DatasetError(f"duplicate entry id {entry.id!r}")
-                seen.add(entry.id)
-                handle.write(json.dumps(entry_to_record(entry), ensure_ascii=False))
-                handle.write("\n")
-                count += 1
+            yield handle
         os.replace(tmp_name, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp_name)
-        except OSError:
-            pass
         raise
+
+
+def save_dataset(entries: Iterable[Entry], path: str | os.PathLike[str]) -> int:
+    """Write entries as JSON lines, atomically (see ``atomic_writer``).
+
+    Returns the number of entries written.
+    """
+    seen: set[str] = set()
+    count = 0
+    with atomic_writer(path) as handle:
+        for entry in entries:
+            if entry.id in seen:
+                raise DatasetError(f"duplicate entry id {entry.id!r}")
+            seen.add(entry.id)
+            handle.write(json.dumps(entry_to_record(entry), ensure_ascii=False))
+            handle.write("\n")
+            count += 1
     return count

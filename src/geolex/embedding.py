@@ -86,6 +86,12 @@ class HashedTrigramEmbedder:
     with FNV-1a into one of ``dim`` buckets.  Bucket weights are
     occurrence counts; the vector is L2-normalized.  No per-run seed
     anywhere, so the same text gives the same vector in any process.
+
+    Each distinct trigram is hashed once per embedder: a trigram →
+    bucket table fills on first sight and is never evicted, so it grows
+    with the number of distinct trigrams seen.  Threads may share an
+    embedder; two threads filling the same trigram store the same
+    bucket, so the race is harmless.
     """
 
     name = "trigram"
@@ -94,6 +100,7 @@ class HashedTrigramEmbedder:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
+        self._buckets: dict[str, int] = {}
 
     @staticmethod
     def normalize_text(text: str) -> str:
@@ -102,15 +109,35 @@ class HashedTrigramEmbedder:
     def bucket(self, trigram: str) -> int:
         return fnv1a_64(trigram.encode("utf-8")) % self.dim
 
-    def embed(self, text: str) -> np.ndarray:
-        vector = np.zeros(self.dim, dtype=np.float64)
+    def _bucket_ids(self, text: str) -> list[int]:
+        """Bucket of every trigram of ``text``, in order."""
         normalized = self.normalize_text(text)
-        for i in range(len(normalized) - 2):
-            vector[self.bucket(normalized[i : i + 3])] += 1.0
-        return l2_normalize(vector)
+        trigrams = [normalized[i : i + 3] for i in range(len(normalized) - 2)]
+        table = self._buckets
+        try:
+            return list(map(table.__getitem__, trigrams))
+        except KeyError:
+            for trigram in set(trigrams).difference(table):
+                table[trigram] = self.bucket(trigram)
+            return list(map(table.__getitem__, trigrams))
+
+    def embed(self, text: str) -> np.ndarray:
+        return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: Iterable[str]) -> list[np.ndarray]:
-        return [self.embed(text) for text in texts]
+        """One vector per text: the rows of a single ``(n, dim)`` matrix."""
+        texts = list(texts)
+        matrix = np.zeros((len(texts), self.dim), dtype=np.float64)
+        for row, text in zip(matrix, texts):
+            row[:] = np.bincount(self._bucket_ids(text), minlength=self.dim)
+        # sqrt(row . row) is how np.linalg.norm (so l2_normalize) takes a
+        # vector's norm, and with integer counts every sum of squares is
+        # exact anyway.  Row by row, no squared copy of the matrix is
+        # made.  All-zero rows divide by 1 and stay zero.
+        norms = np.sqrt([row.dot(row) for row in matrix])
+        norms[norms == 0.0] = 1.0
+        matrix /= norms[:, None]
+        return list(matrix)
 
 
 def _http_post_json(url: str, payload: bytes, timeout: float) -> bytes:

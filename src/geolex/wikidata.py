@@ -171,10 +171,12 @@ class UrllibTransport:
         self.timeout = timeout
         self.rate_limiter = rate_limiter or RateLimiter()
         self.request_count = 0
+        self._count_lock = threading.Lock()
 
     def send(self, request: HttpRequest) -> bytes:
         self.rate_limiter.wait()
-        self.request_count += 1
+        with self._count_lock:
+            self.request_count += 1
         headers = dict(request.headers)
         headers.setdefault("User-Agent", self.user_agent)
         http_request = urllib.request.Request(
@@ -256,9 +258,11 @@ class ReplayTransport:
     def __init__(self, cache_dir: str | Path):
         self.cache = ResponseCache(cache_dir)
         self.request_count = 0
+        self._count_lock = threading.Lock()
 
     def send(self, request: HttpRequest) -> bytes:
-        self.request_count += 1
+        with self._count_lock:
+            self.request_count += 1
         body = self.cache.get(canonical_request_key(request))
         if body is None:
             raise ReplayCacheMiss(

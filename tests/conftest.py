@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
+import threading
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
@@ -90,3 +92,26 @@ def no_network(monkeypatch):
     monkeypatch.setattr(socket, "create_connection", deny)
     monkeypatch.setattr(socket.socket, "connect", deny)
     monkeypatch.setattr(urllib.request, "urlopen", deny)
+
+
+def run_on_threads(work, count: int) -> None:
+    """Run ``work(slot)`` for slots ``0..count-1``, one thread each,
+    released together under a short switch interval to provoke
+    preemption.  Fails if a thread is still running after a minute."""
+    barrier = threading.Barrier(count)
+
+    def start(slot: int) -> None:
+        barrier.wait(timeout=10)
+        work(slot)
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=start, args=(i,)) for i in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in threads)

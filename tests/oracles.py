@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from functools import reduce
 
+import numpy as np
+
 EARTH_RADIUS_KM = 6371.0
 
 
@@ -37,6 +39,20 @@ def trigram_weights(text: str, dim: int = 384) -> dict[int, float]:
     if norm == 0.0:
         return {}
     return {bucket: w / norm for bucket, w in weights.items()}
+
+
+def scalar_embed(text: str, dim: int = 384) -> np.ndarray:
+    """The embedder's original per-trigram loop, kept as the reference
+    the batched embedder must match bit for bit: one float64 increment
+    per trigram, then division by ``np.linalg.norm`` of the vector."""
+    vector = np.zeros(dim, dtype=np.float64)
+    collapsed = " ".join(text.casefold().split())
+    for i in range(len(collapsed) - 2):
+        vector[fnv1a_64(collapsed[i : i + 3].encode("utf-8")) % dim] += 1.0
+    norm = float(np.linalg.norm(vector))
+    if norm == 0.0:
+        return np.zeros_like(vector)
+    return vector / norm
 
 
 def sparse_cosine(a: dict[int, float], b: dict[int, float]) -> float:

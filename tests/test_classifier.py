@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -305,6 +306,21 @@ class TestModelPersistence:
         assert loaded.threshold == model.threshold
         assert loaded.trained_on == model.trained_on
         assert loaded.hyperparams == model.hyperparams
+
+    def test_failed_replace_keeps_previous_model(self, tmp_path, monkeypatch):
+        examples, _ = fixture_examples()
+        path = tmp_path / "model.json"
+        save_model(train(examples), path)
+        before = path.read_bytes()
+
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_model(train(examples, epochs=1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
     def test_corrupt_file_rejected(self, tmp_path):
         path = tmp_path / "model.json"

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 import pipeline_fixtures as fx
 from geolex import cli
-from geolex.corpus import load_dataset
+from geolex.corpus import load_dataset, save_dataset
 
 
 def parse_summaries(stdout: str) -> list[dict]:
@@ -179,6 +180,51 @@ class TestStageByStage:
         assert workspace.run("link", "--min-sim", "0.99") == 0
         entries = load_dataset(workspace.dataset)
         assert all(e.qid is None for e in entries)
+
+
+def plotted_ids(geojson_path) -> set[str]:
+    document = json.loads(geojson_path.read_text(encoding="utf-8"))
+    return {f["properties"]["entry_id"] for f in document["features"]}
+
+
+class TestReportSelection:
+    def test_entry_remarked_non_location_is_not_plotted(self, workspace, no_network):
+        assert workspace.run_all_stages() == 0
+        entries = load_dataset(workspace.dataset)
+        berlin = next(e for e in entries if e.id == "2:57:2")
+        assert berlin.qid is not None and berlin.lat is not None
+        berlin.is_location = False
+        save_dataset(entries, workspace.dataset)
+
+        assert workspace.run("report") == 0
+        assert plotted_ids(workspace.geojson) == set(fx.expected_coordinates()) - {"2:57:2"}
+        assert "Berlin" not in workspace.svg.read_text(encoding="utf-8")
+
+    def test_linked_entries_without_stored_label_are_plotted(self, workspace, no_network):
+        for stage in ("ingest", "train", "link", "coords", "report"):
+            assert workspace.run(stage) == 0, stage
+        assert all(e.is_location is None for e in load_dataset(workspace.dataset))
+        assert plotted_ids(workspace.geojson) == set(fx.expected_coordinates())
+
+
+class TestAtomicArtifacts:
+    def test_failed_replace_leaves_previous_files_and_no_temp(
+        self, workspace, no_network, monkeypatch
+    ):
+        assert workspace.run_all_stages() == 0
+        before = {
+            path: path.read_bytes()
+            for path in (workspace.model, workspace.geojson, workspace.dataset)
+        }
+
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail_replace)
+        assert workspace.run("train") == 3
+        assert workspace.run("report") == 7
+        assert {path: path.read_bytes() for path in before} == before
+        assert not list(workspace.root.glob("*.tmp"))
 
 
 class TestExitCodes:

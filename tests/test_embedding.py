@@ -7,8 +7,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from conftest import run_on_threads
 from geolex.embedding import (
     CachedEmbedder,
     HashedTrigramEmbedder,
@@ -182,6 +185,84 @@ class TestHashedTrigramEmbedder:
         batch = embedder.embed_batch(texts)
         for text, vector in zip(texts, batch):
             np.testing.assert_array_equal(vector, embedder.embed(text))
+
+
+EDGE_TEXTS = [
+    "",
+    "a",
+    "ab",
+    "   ",
+    "\t\n \u00a0",
+    "Åsele, Västerbottens län, vid Ångermanälven",
+    "ÅÄÖ åäö",
+    "Östersund 🏔️ och 🇸🇪",
+    "👨‍👩‍👧",
+    "Mo\u0308lndal e\u0301 n\u0303",
+    "ǅ ß ﬁ İ",
+]
+
+texts_strategy = st.one_of(
+    st.sampled_from(EDGE_TEXTS),
+    st.text(max_size=80),
+    st.text(alphabet="aäåöb \u0308\U0001F600\t", max_size=40),
+    # Repeated words give bucket counts above 1, where a rescaling that
+    # is not bit-identical (multiplying by 1/norm) shows.
+    st.lists(
+        st.sampled_from(["stad ", "i ", "län ", "Å", "å", "🏔", "e\u0301"]), max_size=40
+    ).map("".join),
+)
+
+
+@pytest.fixture(scope="module")
+def warm_embedders():
+    """Embedders reused across examples, so their trigram tables are warm."""
+    return {dim: HashedTrigramEmbedder(dim=dim) for dim in (384, 64)}
+
+
+class TestBatchMatchesScalarReference:
+    @settings(deadline=None, max_examples=150)
+    @given(texts=st.lists(texts_strategy, max_size=6), dim=st.sampled_from([384, 64]))
+    def test_fresh_embedder(self, texts, dim):
+        expected = [oracles.scalar_embed(text, dim) for text in texts]
+        batch = HashedTrigramEmbedder(dim=dim).embed_batch(texts)
+        assert len(batch) == len(texts)
+        for vector, reference in zip(batch, expected):
+            assert vector.shape == (dim,) and vector.dtype == np.float64
+            assert np.array_equal(vector, reference)
+        for text, reference in zip(texts, expected):
+            assert np.array_equal(HashedTrigramEmbedder(dim=dim).embed(text), reference)
+
+    @settings(deadline=None, max_examples=150)
+    @given(texts=st.lists(texts_strategy, max_size=6), dim=st.sampled_from([384, 64]))
+    def test_reused_embedder(self, warm_embedders, texts, dim):
+        embedder = warm_embedders[dim]
+        expected = [oracles.scalar_embed(text, dim) for text in texts]
+        for vector, reference in zip(embedder.embed_batch(texts), expected):
+            assert np.array_equal(vector, reference)
+        for text, reference in zip(texts, expected):
+            assert np.array_equal(embedder.embed(text), reference)
+
+    def test_empty_batch(self):
+        assert HashedTrigramEmbedder().embed_batch([]) == []
+
+    def test_shared_embedder_across_threads(self):
+        # Every thread starts on the same cold table, so they race to
+        # fill the same trigrams; each must still get reference vectors.
+        texts = EDGE_TEXTS + [f"ort {i} vid sjön {i * 7919}" for i in range(300)]
+        expected = [oracles.scalar_embed(text) for text in texts]
+        embedder = HashedTrigramEmbedder()
+        results: list[list[np.ndarray] | None] = [None] * 4
+
+        def work(slot: int) -> None:
+            if slot % 2:
+                results[slot] = [embedder.embed(text) for text in texts]
+            else:
+                results[slot] = embedder.embed_batch(texts)
+
+        run_on_threads(work, len(results))
+        for vectors in results:
+            assert vectors is not None
+            assert all(np.array_equal(v, e) for v, e in zip(vectors, expected))
 
 
 class FakeOpener:

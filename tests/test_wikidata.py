@@ -11,6 +11,7 @@ import urllib.request
 import pytest
 
 import pipeline_fixtures as fx
+from conftest import run_on_threads
 from geolex.errors import ProtocolError, ReplayCacheMiss, TransportError
 from geolex.wikidata import (
     DEFAULT_USER_AGENT,
@@ -330,6 +331,31 @@ class TestRecordAndReplay:
             make_transport("replay")
         with pytest.raises(ValueError, match="unknown cache mode"):
             make_transport("offline", tmp_path)
+
+
+def send_from_threads(transport, request: HttpRequest, threads: int, sends: int) -> None:
+    def work(slot: int) -> None:
+        for _ in range(sends):
+            transport.send(request)
+
+    run_on_threads(work, threads)
+
+
+class TestConcurrentRequestCount:
+    def test_replay_counts_every_send(self, tmp_path):
+        request = HttpRequest("GET", "https://x.test/api")
+        RecordingTransport(FakeTransport(lambda r: b"{}"), tmp_path).send(request)
+        replay = ReplayTransport(tmp_path)
+        send_from_threads(replay, request, threads=2, sends=500)
+        assert replay.request_count == 1000
+
+    def test_live_counts_every_send(self, monkeypatch):
+        monkeypatch.setattr(
+            urllib.request, "urlopen", lambda request, timeout=None: io.BytesIO(b"{}")
+        )
+        live = UrllibTransport(rate_limiter=RateLimiter(0.0))
+        send_from_threads(live, HttpRequest("GET", "https://x.test/api"), threads=2, sends=500)
+        assert live.request_count == 1000
 
 
 class TestRetries:
