@@ -34,7 +34,7 @@ from .config import (
     apply_overrides,
     load_config,
 )
-from .embedding import CachedEmbedder, HashedTrigramEmbedder, RemoteEmbedder
+from .embedding import EMBED_CHUNK, CachedEmbedder, HashedTrigramEmbedder, RemoteEmbedder
 from .errors import DatasetError, ProtocolError, ReplayCacheMiss, TransportError
 from .wikidata import WikidataClient, make_transport
 
@@ -49,10 +49,6 @@ STAGE_EXIT_CODES = {
 }
 
 PIPELINE_STAGES = ("ingest", "train", "classify", "link", "coords", "report")
-
-# Definitions embedded per provider call in classify: bounds peak memory
-# to one chunk of vectors instead of one per entry.
-CLASSIFY_CHUNK = 1024
 
 # Command-line dest -> config field.
 _FLAG_FIELDS = {
@@ -280,8 +276,8 @@ def stage_classify(config: PipelineConfig) -> RunSummary:
             f"model expects {model.dim}-dim vectors, provider yields {provider.dim}",
         )
     located = sum(
-        _classify_chunk(model, provider, entries[start : start + CLASSIFY_CHUNK])
-        for start in range(0, len(entries), CLASSIFY_CHUNK)
+        _classify_chunk(model, provider, entries[start : start + EMBED_CHUNK])
+        for start in range(0, len(entries), EMBED_CHUNK)
     )
     _save_entries(entries, config.dataset, "classify")
     ratios = {"location_fraction": located / len(entries)} if entries else {}
@@ -343,12 +339,17 @@ def stage_link(config: PipelineConfig) -> RunSummary:
         raise StageError(
             "link", f"{len(failures)} of {len(results)} entries failed to link"
         )
+    # A failed entry keeps its previous link.  A decided "no link"
+    # clears it, and coordinates go with a changed item.
     linked = 0
     for entry, result in zip(locations, results):
-        if result.chosen is not None:
-            entry.qid = result.chosen
-            entry.similarity = result.similarity
-            linked += 1
+        if result.error:
+            continue
+        if result.chosen != entry.qid:
+            entry.lat = entry.lon = None
+        entry.qid = result.chosen
+        entry.similarity = result.similarity if result.chosen is not None else None
+        linked += result.chosen is not None
     _save_entries(entries, config.dataset, "link")
     ratios = {"linked_fraction": linked / len(locations)} if locations else {}
     return RunSummary(

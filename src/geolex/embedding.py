@@ -30,10 +30,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ProtocolError, TransportError
+from .errors import ProtocolError, TransportError, http_status_error
 
 DEFAULT_DIM = 384
 DEFAULT_TIMEOUT_S = 30.0
+
+# Most texts a stage hands the provider in one call: peak memory holds
+# one chunk of vectors instead of one per text.
+EMBED_CHUNK = 1024
 
 # FNV-1a, 64-bit: standard offset basis and prime.
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -151,9 +155,7 @@ def _http_post_json(url: str, payload: bytes, timeout: float) -> bytes:
         with urllib.request.urlopen(request, timeout=timeout) as response:
             return response.read()
     except urllib.error.HTTPError as err:
-        if err.code == 429 or err.code >= 500:
-            raise TransportError(f"HTTP {err.code} from {url}") from err
-        raise ProtocolError(f"HTTP {err.code} from {url}") from err
+        raise http_status_error(err.code, url) from err
     except (urllib.error.URLError, TimeoutError, OSError) as err:
         raise TransportError(f"POST {url}: {err}") from err
 

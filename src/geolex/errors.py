@@ -21,3 +21,11 @@ class ProtocolError(Exception):
 
 class ReplayCacheMiss(Exception):
     """A replay-mode request had no recorded response on disk."""
+
+
+def http_status_error(code: int, url: str) -> TransportError | ProtocolError:
+    """The error for an HTTP error status from ``url``: 429 and 5xx are
+    worth retrying (TransportError), any other status is not
+    (ProtocolError)."""
+    kind = TransportError if code == 429 or code >= 500 else ProtocolError
+    return kind(f"HTTP {code} from {url}")

@@ -7,27 +7,36 @@ candidate whose description is most cosine-similar to the definition.
 Ties break toward the lower item number.  A candidate without a
 description scores 0 (its text embeds to the zero vector).
 
-Batch linking never aborts on a single bad entry: failures become an
-error note on that entry's result and the batch carries on.
+A batch is linked in three phases: search every headword; fetch the
+descriptions of the distinct candidate items, 50 per request, in
+first-seen order; then embed and rank the entries chunk by chunk, each
+distinct text of a chunk embedded once.  A batch never aborts on a
+single bad entry: a failed search marks its entry, a failed
+description request marks every entry with a candidate in it, and a
+failed embedding call marks its chunk.  A marked entry gets an error
+note on its result and the batch carries on.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .corpus import Entry
-from .embedding import cosine_similarity
+from .embedding import EMBED_CHUNK, cosine_similarity
 from .errors import ProtocolError, ReplayCacheMiss, TransportError
-from .wikidata import WikidataCandidate, WikidataClient, qid_number
+from .wikidata import ENTITY_BATCH_SIZE, WikidataCandidate, WikidataClient, qid_number
 
 MAX_CANDIDATES = 5
 
 # Similarity gate disabled by default: cosine never goes below -1.
 NO_MIN_SIMILARITY = -1.0
+
+_REMOTE_ERRORS = (TransportError, ProtocolError, ReplayCacheMiss)
 
 
 class LinkError(Exception):
@@ -83,26 +92,10 @@ def link_entry(
 ) -> LinkResult:
     """Link one entry.  No search hits means an unlinked result; remote
     or embedding failures raise LinkError carrying the entry id."""
-    try:
-        candidates = client.search_candidates(entry.headword, limit=limit)
-        if not candidates:
-            return LinkResult(entry.id, None, 0.0, [])
-        descriptions = client.fetch_descriptions([c.qid for c in candidates])
-        for candidate in candidates:
-            candidate.description_sv = descriptions.get(candidate.qid)
-        definition_vector = provider.embed(entry.definition)
-        description_vectors = provider.embed_batch(
-            [candidate.description_sv or "" for candidate in candidates]
-        )
-    except (TransportError, ProtocolError, ReplayCacheMiss) as err:
-        raise LinkError(entry.id, err) from err
-    ranking = rank_candidates(
-        definition_vector, list(zip(candidates, description_vectors))
-    )
-    best = ranking[0]
-    if best.similarity < min_similarity:
-        return LinkResult(entry.id, None, best.similarity, ranking)
-    return LinkResult(entry.id, best.candidate.qid, best.similarity, ranking)
+    (outcome,) = _link([entry], provider, client, limit, min_similarity, workers=1)
+    if isinstance(outcome, LinkError):
+        raise outcome from outcome.cause
+    return outcome
 
 
 def link_batch(
@@ -116,27 +109,133 @@ def link_batch(
     """Link entries, results in input order.
 
     A failing entry yields an unlinked result with an error note; the
-    rest of the batch is unaffected.  ``workers`` > 1 links entries on
-    a thread pool (the client's own limits still cap request traffic).
+    rest of the batch is unaffected.  ``workers`` > 1 sends the
+    searches and the description requests on a thread pool (the
+    client's own limits still cap request traffic).
     """
+    return [
+        LinkResult(
+            outcome.entry_id,
+            None,
+            0.0,
+            [],
+            error=f"{type(outcome.cause).__name__}: {outcome.cause}",
+        )
+        if isinstance(outcome, LinkError)
+        else outcome
+        for outcome in _link(entries, provider, client, limit, min_similarity, workers)
+    ]
+
+
+def _link(
+    entries: Sequence[Entry],
+    provider,
+    client: WikidataClient,
+    limit: int,
+    min_similarity: float,
+    workers: int,
+) -> list[LinkResult | LinkError]:
+    """Search, fetch descriptions, rank; one outcome per entry, in
+    input order."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
+    outcomes: list[LinkResult | LinkError | None] = [None] * len(entries)
+    with ExitStack() as stack:
+        if workers > 1 and len(entries) > 1:
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
+            run_all = pool.map
+        else:
+            run_all = map
 
-    def link_one(entry: Entry) -> LinkResult:
+        # Phase 1: search every headword.
+        hits = list(run_all(
+            _remote(lambda e: client.search_candidates(e.headword, limit=limit)),
+            entries,
+        ))
+        for i, (entry, found) in enumerate(zip(entries, hits)):
+            if isinstance(found, Exception):
+                outcomes[i] = LinkError(entry.id, found)
+            elif not found:
+                outcomes[i] = LinkResult(entry.id, None, 0.0, [])
+
+        # Phase 2: descriptions of the distinct candidates, in first-seen
+        # order so a batch's ids never depend on thread timing.
+        pending = [i for i, outcome in enumerate(outcomes) if outcome is None]
+        qids = list(dict.fromkeys(c.qid for i in pending for c in hits[i]))
+        batches = [
+            qids[start : start + ENTITY_BATCH_SIZE]
+            for start in range(0, len(qids), ENTITY_BATCH_SIZE)
+        ]
+        descriptions: dict[str, str | None] = {}
+        failed: dict[str, Exception] = {}
+        for batch, answer in zip(
+            batches, run_all(_remote(client.fetch_descriptions), batches)
+        ):
+            if isinstance(answer, Exception):
+                failed.update(dict.fromkeys(batch, answer))
+            else:
+                descriptions.update(answer)
+        for i in pending:
+            errors = [failed[c.qid] for c in hits[i] if c.qid in failed]
+            if errors:
+                outcomes[i] = LinkError(entries[i].id, errors[0])
+                continue
+            for candidate in hits[i]:
+                candidate.description_sv = descriptions.get(candidate.qid)
+
+    # Phase 3: rank in chunks, so one embedding call holds at most
+    # EMBED_CHUNK vectors (a definition plus ``limit`` descriptions per
+    # entry).
+    ranked = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    step = EMBED_CHUNK // (1 + limit)
+    for start in range(0, len(ranked), step):
+        chunk = ranked[start : start + step]
+        chunk_outcomes = _rank_chunk(
+            [entries[i] for i in chunk], [hits[i] for i in chunk], provider, min_similarity
+        )
+        for i, outcome in zip(chunk, chunk_outcomes):
+            outcomes[i] = outcome
+    return outcomes
+
+
+def _rank_chunk(
+    entries: Sequence[Entry],
+    hits: Sequence[list[WikidataCandidate]],
+    provider,
+    min_similarity: float,
+) -> list[LinkResult | LinkError]:
+    """Rank each entry's candidates with one embedding call for the
+    chunk's distinct texts.  The vectors are freed on return, before
+    the next chunk is embedded."""
+    texts = list(dict.fromkeys(
+        [entry.definition for entry in entries]
+        + [c.description_sv or "" for found in hits for c in found]
+    ))
+    try:
+        vectors = dict(zip(texts, provider.embed_batch(texts)))
+    except _REMOTE_ERRORS as err:
+        return [LinkError(entry.id, err) for entry in entries]
+    outcomes: list[LinkResult | LinkError] = []
+    for entry, found in zip(entries, hits):
+        ranking = rank_candidates(
+            vectors[entry.definition],
+            [(c, vectors[c.description_sv or ""]) for c in found],
+        )
+        best = ranking[0]
+        chosen = best.candidate.qid if best.similarity >= min_similarity else None
+        outcomes.append(LinkResult(entry.id, chosen, best.similarity, ranking))
+    return outcomes
+
+
+def _remote(call):
+    """``call`` with a remote failure returned instead of raised."""
+
+    def guarded(arg):
         try:
-            return link_entry(
-                entry, provider, client, limit=limit, min_similarity=min_similarity
-            )
-        except LinkError as err:
-            return LinkResult(
-                entry.id,
-                None,
-                0.0,
-                [],
-                error=f"{type(err.cause).__name__}: {err.cause}",
-            )
+            return call(arg)
+        except _REMOTE_ERRORS as err:
+            return err
 
-    if workers == 1 or len(entries) <= 1:
-        return [link_one(entry) for entry in entries]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(link_one, entries))
+    return guarded

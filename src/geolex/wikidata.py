@@ -20,9 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import re
-import tempfile
 import threading
 import time
 import urllib.error
@@ -34,7 +32,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ProtocolError, ReplayCacheMiss, TransportError
+from .corpus import atomic_writer
+from .errors import ProtocolError, ReplayCacheMiss, TransportError, http_status_error
+from .geo import GeoPoint
 
 DEFAULT_API_URL = "https://www.wikidata.org/w/api.php"
 DEFAULT_SPARQL_URL = "https://query.wikidata.org/sparql"
@@ -42,6 +42,7 @@ DEFAULT_USER_AGENT = "geolex/0.1 (encyclopedia gazetteer pipeline)"
 DEFAULT_MIN_INTERVAL_S = 0.1
 DEFAULT_BACKOFF_S = (1.0, 2.0, 4.0)
 SPARQL_BATCH_SIZE = 200
+ENTITY_BATCH_SIZE = 50  # the most ids wbgetentities takes per call
 SEARCH_LIMIT = 5
 
 _QID_RE = re.compile(r"^Q[1-9][0-9]*$")
@@ -141,7 +142,6 @@ class RateLimiter:
         self._sleep = sleep
         self._lock = threading.Lock()
         self._last_start: float | None = None
-        self.starts: list[float] = []
 
     def wait(self) -> None:
         with self._lock:
@@ -152,7 +152,6 @@ class RateLimiter:
                     self._sleep(earliest - now)
                     now = max(self._clock(), earliest)
             self._last_start = now
-            self.starts.append(now)
 
 
 class UrllibTransport:
@@ -189,9 +188,7 @@ class UrllibTransport:
             with urllib.request.urlopen(http_request, timeout=self.timeout) as response:
                 return response.read()
         except urllib.error.HTTPError as err:
-            if err.code == 429 or err.code >= 500:
-                raise TransportError(f"HTTP {err.code} from {request.url}") from err
-            raise ProtocolError(f"HTTP {err.code} from {request.url}") from err
+            raise http_status_error(err.code, request.url) from err
         except (urllib.error.URLError, TimeoutError, OSError) as err:
             raise TransportError(f"{request.method} {request.url}: {err}") from err
 
@@ -238,17 +235,8 @@ class ResponseCache:
             **stored,
         }
         path = self.path_for(key)
-        fd, tmp_name = tempfile.mkstemp(prefix=key[:16] + ".", dir=self.cache_dir)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(json.dumps(record, ensure_ascii=False))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        with atomic_writer(path) as handle:
+            handle.write(json.dumps(record, ensure_ascii=False))
         return path
 
 
@@ -336,10 +324,7 @@ class CoordinateRecord:
 
     def __post_init__(self) -> None:
         validate_qid(self.qid)
-        if not (math.isfinite(self.lat) and -90.0 <= self.lat <= 90.0):
-            raise ValueError(f"latitude out of range: {self.lat}")
-        if not (math.isfinite(self.lon) and -180.0 <= self.lon <= 180.0):
-            raise ValueError(f"longitude out of range: {self.lon}")
+        GeoPoint(self.lat, self.lon)  # raises on an out-of-range pair
 
 
 def _parse_json_body(body: bytes, request: HttpRequest) -> dict:
@@ -457,8 +442,8 @@ class WikidataClient:
         if not unique:
             raise ValueError("no item ids given")
         out: dict[str, str | None] = {}
-        for start in range(0, len(unique), 50):  # API caps ids at 50 per call
-            batch = unique[start : start + 50]
+        for start in range(0, len(unique), ENTITY_BATCH_SIZE):
+            batch = unique[start : start + ENTITY_BATCH_SIZE]
             request = HttpRequest(
                 "GET",
                 self.api_url,

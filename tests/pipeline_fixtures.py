@@ -8,9 +8,10 @@ one entry.
 
 ``build_replay_cache`` writes every response the pipeline will request
 for this corpus into a cache directory, so full runs work with the
-network unplugged.  The request parameter sets are spelled out
-literally here; if the client ever changes its request shape, replay
-misses will say so.
+network unplugged: one search per location headword, one description
+request for all their candidates, and the coordinate queries.  The
+request parameter sets are spelled out literally here; if the client
+ever changes its request shape, replay misses will say so.
 """
 
 from __future__ import annotations
@@ -141,6 +142,10 @@ IS_LOCATION = {
     "9:211:3": True,    # Uppsala
     "30:5:1": True,     # Wien
 }
+
+# Headwords of the location entries, in dataset order: the order link
+# searches them.
+LOCATION_HEADWORDS = [HEADWORDS[i] for i in ENTRY_IDS if IS_LOCATION[i]]
 
 # ── Canned Wikidata data ─────────────────────────────────────────────────
 
@@ -345,37 +350,73 @@ def sparql_request(qids) -> HttpRequest:
     )
 
 
+def record(cache_dir: Path, request: HttpRequest, body: bytes) -> Path:
+    """Store ``body`` as the recorded answer to ``request``."""
+    return ResponseCache(cache_dir).put(canonical_request_key(request), request, body)
+
+
+def record_descriptions(cache_dir: Path, headwords) -> Path:
+    """Record the one description request link sends when exactly the
+    searches for ``headwords`` succeed: the distinct candidates of
+    those headwords, in first-seen order (fewer than 50 here)."""
+    hits = {qid: (qid, label, text)
+            for headword in headwords
+            for qid, label, text in SEARCH_RESULTS[headword]}
+    return record(cache_dir, entities_request(list(hits)), _entities_body(hits.values()))
+
+
+def record_coordinates(cache_dir: Path, qids) -> Path:
+    """Record the SPARQL coordinate query for ``qids``."""
+    return record(cache_dir, sparql_request(qids), _sparql_body(qids))
+
+
 def build_replay_cache(cache_dir: Path) -> dict[str, Path]:
     """Record every response the fixture pipeline will need.
 
     Returns a label -> cache-file map so tests can surgically delete
     one recorded response and watch replay fail loudly.
     """
-    cache = ResponseCache(cache_dir)
     files: dict[str, Path] = {}
-
     for headword, hits in SEARCH_RESULTS.items():
-        request = search_request(headword)
-        key = canonical_request_key(request)
-        files[f"search:{headword}"] = cache.put(key, request, _search_body(headword, hits))
-        if hits:
-            qids = [qid for qid, _, _ in hits]
-            request = entities_request(qids)
-            key = canonical_request_key(request)
-            files[f"descriptions:{headword}"] = cache.put(key, request, _entities_body(hits))
-
-    request = sparql_request(EXPECTED_SPARQL_QIDS)
-    key = canonical_request_key(request)
-    files["sparql:coordinates"] = cache.put(
-        key, request, _sparql_body(EXPECTED_SPARQL_QIDS)
-    )
+        files[f"search:{headword}"] = record(
+            cache_dir, search_request(headword), _search_body(headword, hits)
+        )
+    files["descriptions"] = record_descriptions(cache_dir, LOCATION_HEADWORDS)
+    files["sparql:coordinates"] = record_coordinates(cache_dir, EXPECTED_SPARQL_QIDS)
 
     # A second coords pass re-queries only the items still without a
     # coordinate (the Iowa mislink target); record its empty answer so
     # replayed pipelines can re-run the stage.
     retry_qids = [qid for qid in EXPECTED_SPARQL_QIDS if qid not in COORD_WKT]
     if retry_qids:
-        request = sparql_request(retry_qids)
-        key = canonical_request_key(request)
-        files["sparql:retry"] = cache.put(key, request, _sparql_body(retry_qids))
+        files["sparql:retry"] = record_coordinates(cache_dir, retry_qids)
     return files
+
+
+class FixtureTransport:
+    """Answers searches and description requests for any subset of ids
+    straight from ``results`` (default: ``SEARCH_RESULTS``), so tests
+    can link any entries without a recorded cache.  Keeps every request
+    it was sent, in arrival order."""
+
+    def __init__(self, results=None):
+        self.results = SEARCH_RESULTS if results is None else results
+        self.requests: list[HttpRequest] = []
+        self._by_qid = {hit[0]: hit for hits in self.results.values() for hit in hits}
+
+    def send(self, request: HttpRequest) -> bytes:
+        self.requests.append(request)
+        params = dict(request.params)
+        if params.get("action") == "wbsearchentities":
+            term = params["search"]
+            hits = self.results.get(term, [])[: int(params["limit"])]
+            return _search_body(term, hits)
+        if params.get("action") == "wbgetentities":
+            ids = params["ids"].split("|")
+            return _entities_body([self._by_qid[qid] for qid in ids if qid in self._by_qid])
+        raise AssertionError(f"unexpected request {request.full_url()}")
+
+    def asked_ids(self) -> list[list[str]]:
+        """The ids of every description request, in arrival order."""
+        sent = (dict(request.params) for request in self.requests)
+        return [p["ids"].split("|") for p in sent if p.get("action") == "wbgetentities"]

@@ -20,6 +20,30 @@ def read_bytes(path) -> bytes:
     return path.read_bytes()
 
 
+def fail_berlin_live(workspace, monkeypatch) -> None:
+    """Switch the workspace to record mode (read-through, not
+    replay-fatal) and fail every request that names Berlin.  The
+    description request, which then leaves out Berlin's candidates, is
+    recorded up front."""
+    from geolex import wikidata
+    from geolex.errors import TransportError
+
+    real_send = wikidata.WikidataClient._send
+
+    def flaky_send(self, request):
+        if b"Berlin" in (request.body or b"") or "Berlin" in request.full_url():
+            raise TransportError("Berlin shard is down")
+        return real_send(self, request)
+
+    monkeypatch.setattr(wikidata.WikidataClient, "_send", flaky_send)
+    config_payload = json.loads(workspace.config_path.read_text(encoding="utf-8"))
+    config_payload["cache_mode"] = "record"
+    workspace.config_path.write_text(json.dumps(config_payload), encoding="utf-8")
+    fx.record_descriptions(
+        workspace.cache_dir, [h for h in fx.LOCATION_HEADWORDS if h != "Berlin"]
+    )
+
+
 class TestFullRun:
     def test_replay_run_succeeds_offline(self, workspace, no_network, capsys):
         assert workspace.run_all_stages() == 0
@@ -182,6 +206,64 @@ class TestStageByStage:
         assert all(e.qid is None for e in entries)
 
 
+class TestRelinkInvalidation:
+    def test_min_sim_rerun_clears_links_and_coordinates(self, workspace, no_network):
+        assert workspace.run_all_stages() == 0
+        assert workspace.run("link", "--min-sim", "0.99") == 0
+        for entry in load_dataset(workspace.dataset):
+            assert (entry.qid, entry.similarity, entry.lat, entry.lon) == (None,) * 4
+        assert workspace.run("coords") == 0
+        assert workspace.run("report") == 0
+        assert plotted_ids(workspace.geojson) == set()
+
+    def test_changed_qid_refetches_coordinates(self, workspace, no_network):
+        assert workspace.run_all_stages() == 0
+        entries = load_dataset(workspace.dataset)
+        stockholm = next(e for e in entries if e.id == "9:211:2")
+        # an older link to the Maine town, with its coordinates
+        stockholm.qid, stockholm.lat, stockholm.lon = "Q2033099", 46.9, -68.1
+        save_dataset(entries, workspace.dataset)
+
+        assert workspace.run("link") == 0
+        stockholm = next(e for e in load_dataset(workspace.dataset) if e.id == "9:211:2")
+        assert (stockholm.qid, stockholm.lat, stockholm.lon) == ("Q1754", None, None)
+        # coords now asks for Iowa (never geocoded) and Stockholm
+        fx.record_coordinates(workspace.cache_dir, ["Q99670857", "Q1754"])
+        assert workspace.run("coords") == 0
+        geocoded = {
+            e.id: (e.lat, e.lon) for e in load_dataset(workspace.dataset) if e.lat is not None
+        }
+        assert geocoded == fx.expected_coordinates()
+
+    def test_failed_entry_keeps_its_link(self, workspace, no_network, monkeypatch):
+        assert workspace.run_all_stages() == 0
+        before = read_bytes(workspace.dataset)
+
+        fail_berlin_live(workspace, monkeypatch)
+        assert workspace.run("link") == 0
+        assert read_bytes(workspace.dataset) == before
+
+
+class TestFixtureTraffic:
+    def test_run_and_second_coords_read_every_recorded_response(
+        self, workspace, no_network, monkeypatch
+    ):
+        from geolex import wikidata
+
+        recorded = {path.name for path in workspace.cache_dir.iterdir()}
+        read: set[str] = set()
+        real_get = wikidata.ResponseCache.get
+
+        def get(self, key):
+            read.add(self.path_for(key).name)
+            return real_get(self, key)
+
+        monkeypatch.setattr(wikidata.ResponseCache, "get", get)
+        assert workspace.run_all_stages() == 0
+        assert workspace.run("coords") == 0  # re-asks for the ungeocoded Iowa item
+        assert read == recorded
+
+
 def plotted_ids(geojson_path) -> set[str]:
     document = json.loads(geojson_path.read_text(encoding="utf-8"))
     return {f["properties"]["entry_id"] for f in document["features"]}
@@ -276,6 +358,11 @@ class TestExitCodes:
         capsys.readouterr()
         labels = fx.build_replay_cache(workspace.cache_dir)
         labels["search:Stockholm"].unlink()
+        # the description request then leaves out Stockholm's candidates
+        fx.record_descriptions(
+            workspace.cache_dir,
+            [h for h in fx.LOCATION_HEADWORDS if h != "Stockholm"],
+        )
         assert workspace.run("link") == 5
         err = capsys.readouterr().err
         assert "link: entry 9:211:2: ReplayCacheMiss" in err
@@ -330,22 +417,7 @@ class TestLiveFailureTolerance:
         assert workspace.run("train") == 0
         assert workspace.run("classify") == 0
 
-        from geolex import wikidata
-        from geolex.errors import TransportError
-
-        real_send = wikidata.WikidataClient._send
-
-        def flaky_send(self, request):
-            if b"Berlin" in (request.body or b"") or "Berlin" in request.full_url():
-                raise TransportError("Berlin shard is down")
-            return real_send(self, request)
-
-        monkeypatch.setattr(wikidata.WikidataClient, "_send", flaky_send)
-        config_payload = json.loads(workspace.config_path.read_text(encoding="utf-8"))
-        config_payload["cache_mode"] = "record"  # read-through, not replay-fatal
-        workspace.config_path.write_text(
-            json.dumps(config_payload), encoding="utf-8"
-        )
+        fail_berlin_live(workspace, monkeypatch)
         capsys.readouterr()
         assert workspace.run("link") == 0
         captured = capsys.readouterr()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -9,16 +10,21 @@ import pytest
 
 import oracles
 import pipeline_fixtures as fx
-from geolex.corpus import RawPage, segment_pages
-from geolex.embedding import HashedTrigramEmbedder
-from geolex.errors import TransportError
+from geolex.corpus import Entry, RawPage, segment_pages
+from geolex.embedding import EMBED_CHUNK, HashedTrigramEmbedder
+from geolex.errors import ProtocolError, TransportError
 from geolex.linker import (
     LinkError,
     link_batch,
     link_entry,
     rank_candidates,
 )
-from geolex.wikidata import ReplayTransport, WikidataCandidate, WikidataClient
+from geolex.wikidata import (
+    RecordingTransport,
+    ReplayTransport,
+    WikidataCandidate,
+    WikidataClient,
+)
 
 
 def fixture_entries():
@@ -32,6 +38,60 @@ def replay_client(tmp_path):
     labels = fx.build_replay_cache(cache_dir)
     client = WikidataClient(transport=ReplayTransport(cache_dir))
     return client, labels
+
+
+@pytest.fixture()
+def fixture_client():
+    """A client answering any search or description subset of the
+    fixture data, for linking entries one at a time."""
+    return WikidataClient(transport=fx.FixtureTransport())
+
+
+def places(count: int, hits_each: int = 5):
+    """``count`` synthetic entries, each headword with ``hits_each``
+    candidates of its own, and the search results that serve them."""
+    results = {
+        f"Ort{n}": [
+            (f"Q{1000 + hits_each * n + k}", f"Ort{n}", f"ort {n}, kandidat {k}")
+            for k in range(hits_each)
+        ]
+        for n in range(count)
+    }
+    entries = [
+        Entry(f"1:{n + 1}:1", 1, n + 1, f"Ort{n}", f"Ort{n}, stad {n}.", f"Ort{n}, stad {n}.")
+        for n in range(count)
+    ]
+    return entries, results
+
+
+class ShardDown(fx.FixtureTransport):
+    """Fails every description request that asks for ``poisoned``."""
+
+    def __init__(self, results, poisoned: str):
+        super().__init__(results)
+        self.poisoned = poisoned
+
+    def send(self, request):
+        if self.poisoned in dict(request.params).get("ids", "").split("|"):
+            raise TransportError("entity shard down")
+        return super().send(request)
+
+
+class CountingEmbedder(HashedTrigramEmbedder):
+    """Keeps the texts of every ``embed_batch`` call; fails call
+    number ``fail_call`` (counting from 1)."""
+
+    def __init__(self, fail_call: int | None = None):
+        super().__init__()
+        self.calls: list[list[str]] = []
+        self.fail_call = fail_call
+
+    def embed_batch(self, texts):
+        texts = list(texts)
+        self.calls.append(texts)
+        if len(self.calls) == self.fail_call:
+            raise ProtocolError("embedding service returned garbage")
+        return super().embed_batch(texts)
 
 
 def unit(*values: float) -> np.ndarray:
@@ -96,11 +156,10 @@ class TestRankCandidates:
 
 
 class TestLinkEntryOnFixture:
-    def test_stockholm_links_to_main_city_item(self, replay_client, no_network):
-        client, _ = replay_client
+    def test_stockholm_links_to_main_city_item(self, fixture_client, no_network):
         entry = fixture_entries()["9:211:2"]
         embedder = HashedTrigramEmbedder()
-        result = link_entry(entry, embedder, client)
+        result = link_entry(entry, embedder, fixture_client)
         assert result.chosen == "Q1754"
         assert result.error is None
         assert len(result.considered) == 5
@@ -114,41 +173,37 @@ class TestLinkEntryOnFixture:
         assert sims == sorted(sims, reverse=True)
         assert result.similarity == pytest.approx(sims[0], abs=0)
 
-    def test_iowa_prefers_the_wrong_item(self, replay_client, no_network):
+    def test_iowa_prefers_the_wrong_item(self, fixture_client, no_network):
         # the themed description shares more trigrams with the entry
         # text than the plain one, so the lower-quality item wins
-        client, _ = replay_client
         entry = fixture_entries()["9:210:1"]
-        result = link_entry(entry, HashedTrigramEmbedder(), client)
+        result = link_entry(entry, HashedTrigramEmbedder(), fixture_client)
         assert result.chosen == "Q99670857"
         by_qid = {sc.candidate.qid: sc.similarity for sc in result.considered}
         assert by_qid["Q99670857"] > by_qid["Q1546"]
 
-    def test_no_search_hits_means_unlinked(self, replay_client, no_network):
-        client, _ = replay_client
+    def test_no_search_hits_means_unlinked(self, fixture_client, no_network):
         entry = fixture_entries()["2:57:1"]
         assert entry.headword == "Arktonnesos"
-        result = link_entry(entry, HashedTrigramEmbedder(), client)
+        result = link_entry(entry, HashedTrigramEmbedder(), fixture_client)
         assert result.chosen is None
         assert result.similarity == 0.0
         assert result.considered == []
         assert result.error is None
 
-    def test_all_expected_links_reproduce(self, replay_client, no_network):
-        client, _ = replay_client
+    def test_all_expected_links_reproduce(self, fixture_client, no_network):
         entries = fixture_entries()
         embedder = HashedTrigramEmbedder()
         for entry_id, expected_qid in fx.EXPECTED_LINKS.items():
-            result = link_entry(entries[entry_id], embedder, client)
+            result = link_entry(entries[entry_id], embedder, fixture_client)
             assert result.chosen == expected_qid, entry_id
 
     def test_min_similarity_gate_unlinks_but_keeps_ranking(
-        self, replay_client, no_network
+        self, fixture_client, no_network
     ):
-        client, _ = replay_client
         entry = fixture_entries()["9:211:2"]
         result = link_entry(
-            entry, HashedTrigramEmbedder(), client, min_similarity=0.99
+            entry, HashedTrigramEmbedder(), fixture_client, min_similarity=0.99
         )
         assert result.chosen is None
         assert len(result.considered) == 5
@@ -198,7 +253,12 @@ class TestLinkBatch:
         self, replay_client, no_network
     ):
         client, labels = replay_client
-        labels["descriptions:Berlin"].unlink()  # puncture one response
+        labels["search:Berlin"].unlink()  # puncture one response
+        # the description request then leaves out Berlin's candidates
+        fx.record_descriptions(
+            labels["descriptions"].parent,
+            [h for h in fx.LOCATION_HEADWORDS if h != "Berlin"],
+        )
         batch = self.location_entries()
         results = link_batch(batch, HashedTrigramEmbedder(), client)
         by_id = {r.entry_id: r for r in results}
@@ -219,3 +279,81 @@ class TestLinkBatch:
     def test_empty_batch_is_fine(self, replay_client):
         client, _ = replay_client
         assert link_batch([], HashedTrigramEmbedder(), client) == []
+
+    def test_over_fifty_ids_take_two_requests_and_a_failed_one_marks_its_entries(self):
+        entries, results = places(11)  # 55 distinct candidates
+        # one more entry shares a candidate with each of the two requests
+        results["Delad"] = [results["Ort0"][0], results["Ort10"][0]]
+        entries.append(Entry("1:99:1", 1, 99, "Delad", "Delad, ort.", "Delad, ort."))
+        ids = [qid for hits in results.values() for qid, _, _ in hits][:55]
+        for poisoned, marked in (
+            (ids[0], {f"Ort{n}" for n in range(10)} | {"Delad"}),
+            (ids[50], {"Ort10", "Delad"}),
+        ):
+            client = WikidataClient(transport=ShardDown(results, poisoned), backoff_s=())
+            outcome = link_batch(entries, HashedTrigramEmbedder(), client, workers=2)
+            by_headword = {e.headword: r for e, r in zip(entries, outcome)}
+            failed = {h for h, r in by_headword.items() if r.error is not None}
+            assert failed == marked
+            assert all(
+                by_headword[h].error == "TransportError: entity shard down"
+                for h in marked
+            )
+            assert all(r.chosen is not None for h, r in by_headword.items() if h not in marked)
+
+        transport = fx.FixtureTransport(results)
+        link_batch(entries, HashedTrigramEmbedder(), WikidataClient(transport=transport))
+        assert transport.asked_ids() == [ids[:50], ids[50:]]
+
+    def test_shared_candidates_are_fetched_and_embedded_once(self, no_network):
+        entries = fixture_entries()
+        berlin, wien = entries["2:57:2"], entries["30:5:1"]
+        twin = dataclasses.replace(berlin, id="2:57:9")
+        transport = fx.FixtureTransport()
+        embedder = CountingEmbedder()
+        results = link_batch(
+            [berlin, wien, twin], embedder, WikidataClient(transport=transport)
+        )
+        assert [r.chosen for r in results] == ["Q64", "Q1741", "Q64"]
+        assert transport.asked_ids() == [
+            ["Q64", "Q93000002", "Q93000007", "Q1741", "Q93000006"]
+        ]
+        (texts,) = embedder.calls
+        assert len(texts) == len(set(texts))
+        assert set(texts) == {berlin.definition, wien.definition, ""} | {
+            text for _, _, text in fx.SEARCH_RESULTS["Berlin"] + fx.SEARCH_RESULTS["Wien"]
+            if text is not None
+        }
+
+    def test_cache_recorded_on_three_workers_replays_on_one(self, tmp_path, no_network):
+        entries, results = places(24)  # 120 candidates: three requests
+        recorder = RecordingTransport(fx.FixtureTransport(results), tmp_path)
+        recorded = link_batch(
+            entries, HashedTrigramEmbedder(), WikidataClient(transport=recorder), workers=3
+        )
+        assert len(list(tmp_path.iterdir())) == 24 + 3
+        replayed = link_batch(
+            entries,
+            HashedTrigramEmbedder(),
+            WikidataClient(transport=ReplayTransport(tmp_path)),
+            workers=1,
+        )
+        assert all(r.error is None for r in replayed)
+        assert [(r.entry_id, r.chosen, r.similarity) for r in replayed] == [
+            (r.entry_id, r.chosen, r.similarity) for r in recorded
+        ]
+
+    def test_failed_embedding_call_marks_its_chunk(self):
+        # at 50 candidates an entry needs 51 texts, so a chunk holds
+        # 1024 // 51 = 20 entries
+        entries, results = places(25, hits_each=50)
+        embedder = CountingEmbedder(fail_call=1)
+        client = WikidataClient(transport=fx.FixtureTransport(results))
+        outcome = link_batch(entries, embedder, client, limit=50)
+        assert [len(call) for call in embedder.calls] == [20 * 51, 5 * 51]
+        assert all(len(call) <= EMBED_CHUNK for call in embedder.calls)
+        assert all(
+            r.error == "ProtocolError: embedding service returned garbage"
+            for r in outcome[:20]
+        )
+        assert all(r.error is None and r.chosen is not None for r in outcome[20:])

@@ -160,10 +160,12 @@ class TestRateLimiter:
     def test_spaces_back_to_back_calls(self):
         fake = FakeTime()
         limiter = RateLimiter(0.1, clock=fake.clock, sleep=fake.sleep)
+        starts = []
         for _ in range(3):
             limiter.wait()
+            starts.append(fake.now)
         assert fake.sleeps == [pytest.approx(0.1), pytest.approx(0.1)]
-        gaps = [b - a for a, b in zip(limiter.starts, limiter.starts[1:])]
+        gaps = [b - a for a, b in zip(starts, starts[1:])]
         assert all(gap >= 0.1 - 1e-12 for gap in gaps)
 
     def test_no_sleep_when_interval_already_elapsed(self):
