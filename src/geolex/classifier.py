@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import atomic_writer
+from .corpus import atomic_writer, iter_jsonl
 from .errors import DatasetError
 
 DEFAULT_LEARNING_RATE = 0.1
@@ -262,24 +262,15 @@ def load_annotations(path: str | os.PathLike[str]) -> list[tuple[str, bool]]:
     """Read (entry_id, is_location) pairs from a JSON-lines file."""
     annotations: list[tuple[str, bool]] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DatasetError(f"{where}: invalid JSON: {err}") from err
-            if not isinstance(record, dict) or "entry_id" not in record or "is_location" not in record:
-                raise DatasetError(f"{where}: need entry_id and is_location fields")
-            entry_id = record["entry_id"]
-            label = record["is_location"]
-            if not isinstance(entry_id, str) or not isinstance(label, bool):
-                raise DatasetError(f"{where}: entry_id must be a string, is_location a boolean")
-            if entry_id in seen:
-                raise DatasetError(f"{where}: duplicate annotation for {entry_id!r}")
-            seen.add(entry_id)
-            annotations.append((entry_id, label))
+    for where, record in iter_jsonl(path, DatasetError):
+        if not isinstance(record, dict) or "entry_id" not in record or "is_location" not in record:
+            raise DatasetError(f"{where}: need entry_id and is_location fields")
+        entry_id = record["entry_id"]
+        label = record["is_location"]
+        if not isinstance(entry_id, str) or not isinstance(label, bool):
+            raise DatasetError(f"{where}: entry_id must be a string, is_location a boolean")
+        if entry_id in seen:
+            raise DatasetError(f"{where}: duplicate annotation for {entry_id!r}")
+        seen.add(entry_id)
+        annotations.append((entry_id, label))
     return annotations

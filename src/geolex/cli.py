@@ -12,8 +12,15 @@ One subcommand per stage, plus ``run`` for the whole chain:
 Stages rewrite the dataset atomically and are idempotent: re-running a
 stage on its own output produces byte-identical files.  Summaries go to
 stdout as JSON lines followed by a small table; diagnostics go to
-stderr.  Fatal errors exit with a stage-specific code: 1 config,
-2 ingest, 3 train, 4 classify, 5 link, 6 coords, 7 report.
+stderr.
+
+Errors have one boundary, the stage loop in ``main``.  Stages raise;
+a ``StageError``, ``DatasetError``, ``TransportError``,
+``ProtocolError``, ``ReplayCacheMiss``, ``OSError`` or ``ValueError``
+ends the run with the failing stage's exit code (1 config, 2 ingest,
+3 train, 4 classify, 5 link, 6 coords, 7 report) after the summaries
+of the stages that finished.  Any other exception is a bug and
+propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -73,15 +80,15 @@ _FLAG_FIELDS = {
 
 
 class StageError(Exception):
-    """Fatal failure inside one pipeline stage."""
+    """A failure a stage detects itself; ``main`` supplies the stage."""
 
-    def __init__(self, stage: str, message: str):
-        super().__init__(message)
-        self.stage = stage
 
-    @property
-    def exit_code(self) -> int:
-        return STAGE_EXIT_CODES[self.stage]
+# What a stage may raise to fail the run with its exit code.  Anything
+# else is a bug and keeps its traceback.
+STAGE_FAILURES = (
+    StageError, DatasetError, TransportError, ProtocolError, ReplayCacheMiss,
+    OSError, ValueError,
+)
 
 
 @dataclass
@@ -121,83 +128,52 @@ class RunSummary:
 # ── Shared plumbing ──────────────────────────────────────────────────────
 
 
-def _fail(stage: str, err: Exception) -> StageError:
-    return StageError(stage, str(err))
-
-
-def _load_entries(path: str, stage: str) -> list[corpus.Entry]:
-    try:
-        return corpus.load_dataset(path)
-    except FileNotFoundError:
-        raise StageError(stage, f"dataset not found: {path}") from None
-    except (DatasetError, OSError) as err:
-        raise _fail(stage, err) from err
-
-
-def _save_entries(entries, path: str, stage: str) -> None:
-    try:
-        corpus.save_dataset(entries, path)
-    except (DatasetError, OSError) as err:
-        raise _fail(stage, err) from err
-
-
-def _load_model(path: str, stage: str) -> classifier.LogisticModel:
-    try:
-        return classifier.load_model(path)
-    except FileNotFoundError:
-        raise StageError(stage, f"model not found: {path}") from None
-    except (DatasetError, OSError) as err:
-        raise _fail(stage, err) from err
-
-
-def _build_provider(config: PipelineConfig, stage: str):
-    try:
-        if config.embed_provider == "local":
-            provider = HashedTrigramEmbedder(dim=config.embed_dim)
-        else:
-            provider = RemoteEmbedder(
-                url=config.embed_url or None,
-                dim=config.embed_dim,
-                max_in_flight=config.concurrency,
-            )
-        if config.embed_cache:
-            provider = CachedEmbedder(provider, config.embed_cache)
-        return provider
-    except (ValueError, ProtocolError, OSError) as err:
-        raise _fail(stage, err) from err
-
-
-def _build_client(config: PipelineConfig, stage: str) -> WikidataClient:
-    try:
-        transport = make_transport(
-            config.cache_mode,
-            cache_dir=config.cache_dir or None,
-            user_agent=config.user_agent,
-            min_interval=config.rate_limit_s,
-        )
-        return WikidataClient(
-            transport,
-            api_url=config.wikidata_api_url,
-            sparql_url=config.wikidata_sparql_url,
+def _build_provider(config: PipelineConfig):
+    if config.embed_provider == "local":
+        provider = HashedTrigramEmbedder(dim=config.embed_dim)
+    else:
+        provider = RemoteEmbedder(
+            url=config.embed_url or None,
+            dim=config.embed_dim,
             max_in_flight=config.concurrency,
         )
-    except ValueError as err:
-        raise _fail(stage, err) from err
+    if config.embed_cache:
+        provider = CachedEmbedder(provider, config.embed_cache)
+    return provider
 
 
-def _embed_definitions(provider, texts: list[str], stage: str) -> list:
-    try:
-        return provider.embed_batch(texts)
-    except (TransportError, ProtocolError) as err:
-        raise _fail(stage, err) from err
+def _build_client(config: PipelineConfig) -> WikidataClient:
+    transport = make_transport(
+        config.cache_mode,
+        cache_dir=config.cache_dir or None,
+        user_agent=config.user_agent,
+        min_interval=config.rate_limit_s,
+    )
+    return WikidataClient(
+        transport,
+        api_url=config.wikidata_api_url,
+        sparql_url=config.wikidata_sparql_url,
+        max_in_flight=config.concurrency,
+    )
 
 
-def _atomic_write_text(path: str, text: str, stage: str) -> None:
-    try:
-        with corpus.atomic_writer(path) as handle:
-            handle.write(text)
-    except OSError as err:
-        raise _fail(stage, err) from err
+def _classify(config: PipelineConfig, provider, entries: list[corpus.Entry]) -> list[bool]:
+    """The model's location flag for each entry, in order.  Definitions
+    go to the provider ``EMBED_CHUNK`` at a time, and each chunk's
+    vectors are freed before the next chunk is embedded."""
+    model = classifier.load_model(config.model)
+    if model.dim != provider.dim:
+        raise StageError(
+            f"model expects {model.dim}-dim vectors, provider yields {provider.dim}"
+        )
+    flags: list[bool] = []
+    for start in range(0, len(entries), EMBED_CHUNK):
+        chunk = entries[start : start + EMBED_CHUNK]
+        flags += [
+            classifier.classify(model, vector)
+            for vector in provider.embed_batch([e.definition for e in chunk])
+        ]
+    return flags
 
 
 # ── Stages ───────────────────────────────────────────────────────────────
@@ -205,17 +181,11 @@ def _atomic_write_text(path: str, text: str, stage: str) -> None:
 
 def stage_ingest(config: PipelineConfig) -> RunSummary:
     started = time.perf_counter()
-    try:
-        pages = corpus.read_raw_pages(config.raw_dir)
-    except (FileNotFoundError, ValueError, OSError) as err:
-        raise _fail("ingest", err) from err
+    pages = corpus.read_raw_pages(config.raw_dir)
     if not pages:
-        raise StageError("ingest", f"no raw pages found under {config.raw_dir}")
-    try:
-        entries = corpus.segment_pages(pages)
-    except ValueError as err:
-        raise _fail("ingest", err) from err
-    _save_entries(entries, config.dataset, "ingest")
+        raise StageError(f"no raw pages found under {config.raw_dir}")
+    entries = corpus.segment_pages(pages)
+    corpus.save_dataset(entries, config.dataset)
     return RunSummary(
         "ingest", len(pages), len(entries), 0, time.perf_counter() - started
     )
@@ -223,29 +193,21 @@ def stage_ingest(config: PipelineConfig) -> RunSummary:
 
 def stage_train(config: PipelineConfig) -> RunSummary:
     started = time.perf_counter()
-    entries = _load_entries(config.dataset, "train")
-    try:
-        annotations = classifier.load_annotations(config.annotations)
-    except FileNotFoundError:
-        raise StageError("train", f"annotations not found: {config.annotations}") from None
-    except (DatasetError, OSError) as err:
-        raise _fail("train", err) from err
+    entries = corpus.load_dataset(config.dataset)
+    annotations = classifier.load_annotations(config.annotations)
     if not annotations:
-        raise StageError("train", f"no annotations in {config.annotations}")
+        raise StageError(f"no annotations in {config.annotations}")
     by_id = {entry.id: entry for entry in entries}
     for entry_id, _ in annotations:
         if entry_id not in by_id:
-            raise StageError("train", f"annotation for unknown entry {entry_id!r}")
-    provider = _build_provider(config, "train")
-    vectors = _embed_definitions(
-        provider, [by_id[entry_id].definition for entry_id, _ in annotations], "train"
+            raise StageError(f"annotation for unknown entry {entry_id!r}")
+    provider = _build_provider(config)
+    vectors = provider.embed_batch(
+        [by_id[entry_id].definition for entry_id, _ in annotations]
     )
     labels = [label for _, label in annotations]
-    try:
-        model = classifier.train(list(zip(vectors, labels)))
-        classifier.save_model(model, config.model)
-    except (ValueError, OSError) as err:
-        raise _fail("train", err) from err
+    model = classifier.train(list(zip(vectors, labels)))
+    classifier.save_model(model, config.model)
     return RunSummary(
         "train",
         len(annotations),
@@ -256,30 +218,17 @@ def stage_train(config: PipelineConfig) -> RunSummary:
     )
 
 
-def _classify_chunk(model, provider, chunk: list[corpus.Entry]) -> int:
-    """Set ``is_location`` on every entry of ``chunk``; returns how many
-    are locations.  The chunk's vectors are freed on return."""
-    vectors = _embed_definitions(provider, [e.definition for e in chunk], "classify")
-    for entry, vector in zip(chunk, vectors):
-        entry.is_location = classifier.classify(model, vector)
-    return sum(entry.is_location for entry in chunk)
-
-
 def stage_classify(config: PipelineConfig) -> RunSummary:
     started = time.perf_counter()
-    entries = _load_entries(config.dataset, "classify")
-    model = _load_model(config.model, "classify")
-    provider = _build_provider(config, "classify")
-    if model.dim != provider.dim:
-        raise StageError(
-            "classify",
-            f"model expects {model.dim}-dim vectors, provider yields {provider.dim}",
-        )
-    located = sum(
-        _classify_chunk(model, provider, entries[start : start + EMBED_CHUNK])
-        for start in range(0, len(entries), EMBED_CHUNK)
-    )
-    _save_entries(entries, config.dataset, "classify")
+    entries = corpus.load_dataset(config.dataset)
+    provider = _build_provider(config)
+    for entry, is_location in zip(entries, _classify(config, provider, entries)):
+        entry.is_location = is_location
+        # Only a location may carry a link.
+        if not is_location:
+            entry.qid = entry.similarity = entry.lat = entry.lon = None
+    corpus.save_dataset(entries, config.dataset)
+    located = sum(entry.is_location for entry in entries)
     ratios = {"location_fraction": located / len(entries)} if entries else {}
     return RunSummary(
         "classify", len(entries), len(entries), 0,
@@ -289,8 +238,8 @@ def stage_classify(config: PipelineConfig) -> RunSummary:
 
 def stage_link(config: PipelineConfig) -> RunSummary:
     started = time.perf_counter()
-    entries = _load_entries(config.dataset, "link")
-    provider = _build_provider(config, "link")
+    entries = corpus.load_dataset(config.dataset)
+    provider = _build_provider(config)
 
     # Entries never run through classify can still be linked when a
     # model is available: they get classified in memory, the stored
@@ -298,30 +247,24 @@ def stage_link(config: PipelineConfig) -> RunSummary:
     transient: dict[str, bool] = {}
     unclassified = [e for e in entries if e.is_location is None]
     if unclassified:
-        if Path(config.model).exists():
-            model = _load_model(config.model, "link")
-            vectors = _embed_definitions(
-                provider, [e.definition for e in unclassified], "link"
-            )
-            for entry, vector in zip(unclassified, vectors):
-                transient[entry.id] = classifier.classify(model, vector)
-            print(
-                f"link: classified {len(unclassified)} unlabeled entries in memory",
-                file=sys.stderr,
-            )
-        else:
+        if not Path(config.model).exists():
             raise StageError(
-                "link",
                 "dataset has entries without is_location; run classify first "
-                f"or provide a model at {config.model}",
+                f"or provide a model at {config.model}"
             )
+        flags = _classify(config, provider, unclassified)
+        transient = {entry.id: flag for entry, flag in zip(unclassified, flags)}
+        print(
+            f"link: classified {len(unclassified)} unlabeled entries in memory",
+            file=sys.stderr,
+        )
 
     locations = [
         e
         for e in entries
         if (e.is_location if e.is_location is not None else transient[e.id])
     ]
-    client = _build_client(config, "link")
+    client = _build_client(config)
     results = linker.link_batch(
         locations,
         provider,
@@ -336,9 +279,7 @@ def stage_link(config: PipelineConfig) -> RunSummary:
     # with zero successes is a dead service; both are fatal.  Scattered
     # live failures only cost those entries their link.
     if failures and (config.cache_mode == "replay" or len(failures) == len(results)):
-        raise StageError(
-            "link", f"{len(failures)} of {len(results)} entries failed to link"
-        )
+        raise StageError(f"{len(failures)} of {len(results)} entries failed to link")
     # A failed entry keeps its previous link.  A decided "no link"
     # clears it, and coordinates go with a changed item.
     linked = 0
@@ -350,7 +291,7 @@ def stage_link(config: PipelineConfig) -> RunSummary:
         entry.qid = result.chosen
         entry.similarity = result.similarity if result.chosen is not None else None
         linked += result.chosen is not None
-    _save_entries(entries, config.dataset, "link")
+    corpus.save_dataset(entries, config.dataset)
     ratios = {"linked_fraction": linked / len(locations)} if locations else {}
     return RunSummary(
         "link", len(locations), linked, len(failures),
@@ -360,17 +301,14 @@ def stage_link(config: PipelineConfig) -> RunSummary:
 
 def stage_coords(config: PipelineConfig) -> RunSummary:
     started = time.perf_counter()
-    entries = _load_entries(config.dataset, "coords")
+    entries = corpus.load_dataset(config.dataset)
     linked = [e for e in entries if e.qid is not None]
     pending = [e for e in linked if e.lat is None or e.lon is None]
     fetched = 0
     skipped_rows = 0
     if pending:
-        client = _build_client(config, "coords")
-        try:
-            records = client.fetch_coordinates([e.qid for e in pending])
-        except (TransportError, ProtocolError, ReplayCacheMiss, ValueError) as err:
-            raise _fail("coords", err) from err
+        client = _build_client(config)
+        records = client.fetch_coordinates([e.qid for e in pending])
         skipped_rows = client.warnings
         by_qid = {record.qid: record for record in records}
         for entry in pending:
@@ -379,7 +317,7 @@ def stage_coords(config: PipelineConfig) -> RunSummary:
                 entry.lat = record.lat
                 entry.lon = record.lon
                 fetched += 1
-    _save_entries(entries, config.dataset, "coords")
+    corpus.save_dataset(entries, config.dataset)
     geocoded = sum(1 for e in linked if e.lat is not None)
     ratios = {"geocoded_fraction": geocoded / len(linked)} if linked else {}
     return RunSummary(
@@ -390,35 +328,36 @@ def stage_coords(config: PipelineConfig) -> RunSummary:
 
 def stage_report(config: PipelineConfig) -> RunSummary:
     started = time.perf_counter()
-    entries = _load_entries(config.dataset, "report")
+    entries = corpus.load_dataset(config.dataset)
     places = []
-    try:
-        for entry in entries:
-            # Only an explicit False excludes: entries linked without a
-            # stored classification keep is_location None.
-            if entry.is_location is False:
-                continue
-            if entry.qid is None or entry.lat is None or entry.lon is None:
-                continue
-            places.append(
-                geo.LinkedPlace(
-                    entry_id=entry.id,
-                    headword=entry.headword,
-                    qid=entry.qid,
-                    point=geo.GeoPoint(entry.lat, entry.lon),
-                    similarity=entry.similarity or 0.0,
-                )
+    for entry in entries:
+        # Only an explicit False excludes: entries linked without a
+        # stored classification keep is_location None.
+        if entry.is_location is False:
+            continue
+        if entry.qid is None or entry.lat is None or entry.lon is None:
+            continue
+        places.append(
+            geo.LinkedPlace(
+                entry_id=entry.id,
+                headword=entry.headword,
+                qid=entry.qid,
+                point=geo.GeoPoint(entry.lat, entry.lon),
+                similarity=entry.similarity or 0.0,
             )
-        reference = geo.GeoPoint(config.ref_lat, config.ref_lon)
-        histogram = geo.distance_histogram(
-            [place.point for place in places], reference, config.bucket_km
         )
-        svg = geo.render_svg_map(places, config.map_width_px)
-    except ValueError as err:
-        raise _fail("report", err) from err
-    _atomic_write_text(config.geojson, geo.geojson_dumps(geo.to_geojson(places)), "report")
-    _atomic_write_text(config.histogram, histogram.to_csv(), "report")
-    _atomic_write_text(config.svg, svg, "report")
+    reference = geo.GeoPoint(config.ref_lat, config.ref_lon)
+    histogram = geo.distance_histogram(
+        [place.point for place in places], reference, config.bucket_km
+    )
+    artifacts = {
+        config.geojson: geo.geojson_dumps(geo.to_geojson(places)),
+        config.histogram: histogram.to_csv(),
+        config.svg: geo.render_svg_map(places, config.map_width_px),
+    }
+    for path, text in artifacts.items():
+        with corpus.atomic_writer(path) as handle:
+            handle.write(text)
     print(
         f"report: histogram reference ({config.ref_lat}, {config.ref_lon}), "
         f"bucket {config.bucket_km} km",
@@ -549,6 +488,18 @@ def _emit(summaries: list[RunSummary]) -> None:
         )
 
 
+def _describe(err: Exception, config: PipelineConfig) -> str:
+    """The stderr message for a stage failure."""
+    inputs = {
+        config.dataset: "dataset",
+        config.model: "model",
+        config.annotations: "annotations",
+    }
+    if isinstance(err, FileNotFoundError) and err.filename in inputs:
+        return f"{inputs[err.filename]} not found: {err.filename}"
+    return str(err)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -557,13 +508,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config: {err}", file=sys.stderr)
         return STAGE_EXIT_CODES["config"]
     summaries: list[RunSummary] = []
-    try:
-        for stage_name in _stages_for(args.command, config):
+    for stage_name in _stages_for(args.command, config):
+        try:
             summaries.append(STAGE_RUNNERS[stage_name](config))
-    except StageError as err:
-        _emit(summaries)
-        print(f"{err.stage}: {err}", file=sys.stderr)
-        return err.exit_code
+        except STAGE_FAILURES as err:
+            _emit(summaries)
+            print(f"{stage_name}: {_describe(err, config)}", file=sys.stderr)
+            return STAGE_EXIT_CODES[stage_name]
     _emit(summaries)
     return 0
 

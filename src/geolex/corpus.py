@@ -302,13 +302,14 @@ def entry_from_record(record: dict, where: str = "dataset") -> Entry:
         raise DatasetError(f"{where}: {err}") from err
 
 
-def iter_dataset(path: str | os.PathLike[str]) -> Iterator[Entry]:
-    """Stream entries from a JSON-lines dataset file.
-
-    Malformed lines and duplicate ids raise DatasetError with the file
-    and line number.  Streaming: memory use is one entry, not one file.
-    """
-    seen: set[str] = set()
+def iter_jsonl(
+    path: str | os.PathLike[str],
+    error_type: type[Exception],
+    problem: str = "invalid JSON",
+) -> Iterator[tuple[str, object]]:
+    """Yield ``("path:line", record)`` for each non-blank line of a
+    JSON-lines file.  A line that is not JSON raises ``error_type``
+    naming the file, the line and ``problem``."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -318,12 +319,23 @@ def iter_dataset(path: str | os.PathLike[str]) -> Iterator[Entry]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as err:
-                raise DatasetError(f"{where}: invalid JSON: {err}") from err
-            entry = entry_from_record(record, where)
-            if entry.id in seen:
-                raise DatasetError(f"{where}: duplicate entry id {entry.id!r}")
-            seen.add(entry.id)
-            yield entry
+                raise error_type(f"{where}: {problem}: {err}") from err
+            yield where, record
+
+
+def iter_dataset(path: str | os.PathLike[str]) -> Iterator[Entry]:
+    """Stream entries from a JSON-lines dataset file.
+
+    Malformed lines and duplicate ids raise DatasetError with the file
+    and line number.  Streaming: memory use is one entry, not one file.
+    """
+    seen: set[str] = set()
+    for where, record in iter_jsonl(path, DatasetError):
+        entry = entry_from_record(record, where)
+        if entry.id in seen:
+            raise DatasetError(f"{where}: duplicate entry id {entry.id!r}")
+        seen.add(entry.id)
+        yield entry
 
 
 def load_dataset(path: str | os.PathLike[str]) -> list[Entry]:

@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .corpus import iter_jsonl
 from .errors import ProtocolError, TransportError, http_status_error
 
 DEFAULT_DIM = 384
@@ -225,12 +226,37 @@ class RemoteEmbedder:
         return out
 
 
+def _trim_torn_line(path: Path) -> None:
+    """End ``path`` at a line break.  A last line without one is an
+    append cut short: dropped when it does not parse, closed with its
+    newline when it does, so the next append starts a fresh line."""
+    with open(path, "rb") as handle:
+        size = handle.seek(0, os.SEEK_END)
+        tail = b""
+        while b"\n" not in tail and len(tail) < size:
+            start = max(0, size - len(tail) - 65536)
+            handle.seek(start)
+            tail = handle.read(size - len(tail) - start) + tail
+    torn = tail.rpartition(b"\n")[2]
+    if not torn:
+        return
+    try:
+        json.loads(torn)
+    except ValueError:
+        os.truncate(path, size - len(torn))
+    else:
+        with open(path, "ab") as handle:
+            handle.write(b"\n")
+
+
 class CachedEmbedder:
     """On-disk cache in front of another provider.
 
     One JSON line per cached text, keyed by SHA-256 of the text, stored
     at a single file path.  Thread-safe; lookups hit memory, misses go
-    to the wrapped provider and are appended to the file.
+    to the wrapped provider and are appended to the file.  A last line
+    torn by a crash mid-append is dropped on open (see
+    ``_trim_torn_line``); any other bad line is a ProtocolError.
     """
 
     def __init__(self, provider, path: str | os.PathLike[str]):
@@ -240,26 +266,21 @@ class CachedEmbedder:
         self._path = Path(path)
         self._lock = threading.Lock()
         self._memory: dict[str, np.ndarray] = {}
-        if self._path.exists():
-            with open(self._path, encoding="utf-8") as handle:
-                for lineno, line in enumerate(handle, start=1):
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                        vector = np.asarray(record["vector"], dtype=np.float64)
-                        key = record["key"]
-                    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as err:
-                        raise ProtocolError(
-                            f"{self._path}:{lineno}: bad cache record: {err}"
-                        ) from err
-                    if vector.shape != (self.dim,):
-                        raise ProtocolError(
-                            f"{self._path}:{lineno}: cached vector has shape "
-                            f"{vector.shape}, expected ({self.dim},)"
-                        )
-                    self._memory[key] = vector
+        if not self._path.exists():
+            return
+        _trim_torn_line(self._path)
+        for where, record in iter_jsonl(self._path, ProtocolError, "bad cache record"):
+            try:
+                vector = np.asarray(record["vector"], dtype=np.float64)
+                key = record["key"]
+            except (KeyError, TypeError, ValueError) as err:
+                raise ProtocolError(f"{where}: bad cache record: {err}") from err
+            if vector.shape != (self.dim,):
+                raise ProtocolError(
+                    f"{where}: cached vector has shape "
+                    f"{vector.shape}, expected ({self.dim},)"
+                )
+            self._memory[key] = vector
 
     @staticmethod
     def text_key(text: str) -> str:

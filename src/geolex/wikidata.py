@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import re
 import threading
 import time
@@ -76,17 +75,10 @@ def parse_wkt_point(literal: str) -> tuple[float, float]:
     if not match:
         raise ValueError(f"not a WKT point: {literal!r}")
     try:
-        lon = float(match.group(1))
-        lat = float(match.group(2))
+        point = GeoPoint(float(match.group(2)), float(match.group(1)))
     except ValueError as err:
-        raise ValueError(f"bad WKT point coordinates: {literal!r}") from err
-    if not (math.isfinite(lon) and math.isfinite(lat)):
-        raise ValueError(f"non-finite WKT point: {literal!r}")
-    if abs(lon) > 180.0:
-        raise ValueError(f"longitude out of range: {lon}")
-    if abs(lat) > 90.0:
-        raise ValueError(f"latitude out of range: {lat}")
-    return lat, lon
+        raise ValueError(f"bad WKT point {literal!r}: {err}") from err
+    return point.lat, point.lon
 
 
 # ── Requests, cache keys, transports ─────────────────────────────────────

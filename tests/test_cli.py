@@ -289,6 +289,101 @@ class TestReportSelection:
         assert plotted_ids(workspace.geojson) == set(fx.expected_coordinates())
 
 
+class TestClassifyOwnsLocationFields:
+    def test_remarked_non_location_loses_its_link(self, workspace, no_network):
+        assert workspace.run_all_stages() == 0
+        lines = workspace.annotations.read_text(encoding="utf-8").splitlines()
+        flipped = [
+            json.dumps({"entry_id": "9:211:2", "is_location": False})
+            if json.loads(line)["entry_id"] == "9:211:2" else line
+            for line in lines
+        ]
+        workspace.annotations.write_text("\n".join(flipped) + "\n", encoding="utf-8")
+
+        assert workspace.run("train") == 0
+        assert workspace.run("classify") == 0
+        entries = load_dataset(workspace.dataset)
+        stockholm = next(e for e in entries if e.id == "9:211:2")
+        assert stockholm.is_location is False
+        for entry in entries:
+            if not entry.is_location:
+                assert (entry.qid, entry.similarity, entry.lat, entry.lon) == (None,) * 4
+
+
+def spy_on_embed_batch(monkeypatch) -> list[list[str]]:
+    """Record the texts of every trigram-embedder batch call."""
+    from geolex.embedding import HashedTrigramEmbedder
+
+    calls: list[list[str]] = []
+    real = HashedTrigramEmbedder.embed_batch
+
+    def embed_batch(self, texts):
+        calls.append(list(texts))
+        return real(self, texts)
+
+    monkeypatch.setattr(HashedTrigramEmbedder, "embed_batch", embed_batch)
+    return calls
+
+
+class TestInMemoryClassification:
+    def test_link_classifies_in_chunks_like_classify(
+        self, workspace, no_network, monkeypatch
+    ):
+        from geolex import linker
+
+        assert workspace.run("ingest") == 0
+        assert workspace.run("train") == 0
+        definitions = [e.definition for e in load_dataset(workspace.dataset)]
+        linked_ids: list[str] = []
+        real_link_batch = linker.link_batch
+
+        def link_batch(entries, *args, **kwargs):
+            linked_ids.extend(e.id for e in entries)
+            return real_link_batch(entries, *args, **kwargs)
+
+        monkeypatch.setattr(linker, "link_batch", link_batch)
+        monkeypatch.setattr(cli, "EMBED_CHUNK", 5)
+        calls = spy_on_embed_batch(monkeypatch)
+        assert workspace.run("link") == 0
+        # 12 definitions in calls of 5, 5 and 2; ranking follows
+        assert calls[:3] == [definitions[0:5], definitions[5:10], definitions[10:12]]
+
+        calls.clear()
+        assert workspace.run("classify") == 0
+        assert [len(call) for call in calls] == [5, 5, 2]
+        stored = [e.id for e in load_dataset(workspace.dataset) if e.is_location]
+        assert linked_ids == stored
+
+
+class TestErrorBoundary:
+    def use_embed_dim(self, workspace, dim: int) -> None:
+        payload = json.loads(workspace.config_path.read_text(encoding="utf-8"))
+        payload["embed_dim"] = dim
+        workspace.config_path.write_text(json.dumps(payload), encoding="utf-8")
+
+    @pytest.mark.parametrize("stage, code", [("classify", 4), ("link", 5)])
+    def test_model_provider_dim_mismatch_exits_with_stage_code(
+        self, workspace, no_network, capsys, stage, code
+    ):
+        assert workspace.run("ingest") == 0
+        assert workspace.run("train") == 0
+        self.use_embed_dim(workspace, 64)
+        capsys.readouterr()
+        assert workspace.run(stage) == code
+        err = capsys.readouterr().err
+        assert f"{stage}: model expects 384-dim vectors, provider yields 64" in err
+
+    def test_unexpected_exception_propagates(self, workspace, monkeypatch):
+        from geolex import corpus
+
+        def broken(pages):
+            raise TypeError("a bug, not a stage failure")
+
+        monkeypatch.setattr(corpus, "segment_pages", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            workspace.run("ingest")
+
+
 class TestAtomicArtifacts:
     def test_failed_replace_leaves_previous_files_and_no_temp(
         self, workspace, no_network, monkeypatch

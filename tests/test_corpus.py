@@ -17,6 +17,7 @@ from geolex.corpus import (
     entry_to_record,
     extract_headword,
     iter_dataset,
+    iter_jsonl,
     load_dataset,
     looks_like_entry_start,
     read_raw_pages,
@@ -299,6 +300,19 @@ class TestDatasetSerialization:
         path.write_text(content[:-40], encoding="utf-8")  # cut mid-record
         with pytest.raises(DatasetError, match=r":12"):
             load_dataset(path)
+
+    def test_jsonl_reader_skips_blank_lines_and_names_lines(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_text('{"a": 1}\n\n  \n[2]\n{oops\n', encoding="utf-8")
+
+        class BadLine(Exception):
+            pass
+
+        records = iter_jsonl(path, BadLine)
+        assert next(records) == (f"{path}:1", {"a": 1})
+        assert next(records) == (f"{path}:4", [2])
+        with pytest.raises(BadLine, match=r":5: invalid JSON"):
+            next(records)
 
     def test_duplicate_id_rejected_on_load(self, tmp_path):
         entry = Entry("1:1:1", 1, 1, "Aal", "Aal, fisk.", "Aal, fisk.")

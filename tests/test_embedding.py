@@ -396,6 +396,46 @@ class TestCachedEmbedder:
         with pytest.raises(ProtocolError, match="cache"):
             CachedEmbedder(CountingProvider(), path)
 
+    def test_torn_last_line_is_dropped_and_the_next_append_starts_fresh(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        asked: list[str] = []
+
+        class RecordingProvider(CountingProvider):
+            def embed_batch(self, texts):
+                asked.extend(texts)
+                return super().embed_batch(texts)
+
+        provider = RecordingProvider()
+        first = CachedEmbedder(provider, path).embed_batch(["ab", "abc", "abcd"])
+        path.write_bytes(path.read_bytes()[:-40])  # a crash mid-append
+        asked.clear()
+
+        reopened = CachedEmbedder(provider, path)
+        assert path.read_bytes().endswith(b"\n")
+        reopened.embed("abcde")
+        again = CachedEmbedder(provider, path)
+        vectors = again.embed_batch(["ab", "abc", "abcd", "abcde"])
+        for got, want in zip(vectors, first):
+            np.testing.assert_array_equal(got, want)
+        assert asked == ["abcde", "abcd"]  # the new text, then the torn one
+
+    def test_complete_last_line_without_newline_is_kept(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        provider = CountingProvider()
+        CachedEmbedder(provider, path).embed_batch(["ab", "abc"])
+        path.write_bytes(path.read_bytes()[:-1])
+        CachedEmbedder(provider, path).embed("abcd")
+        CachedEmbedder(provider, path).embed_batch(["ab", "abc", "abcd"])
+        assert provider.embed_calls == 3
+
+    def test_torn_line_in_the_middle_is_still_rejected(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        CachedEmbedder(CountingProvider(), path).embed_batch(["ab", "abc"])
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(lines[0][:-20] + "\n" + lines[1], encoding="utf-8")
+        with pytest.raises(ProtocolError, match=r":1: bad cache record"):
+            CachedEmbedder(CountingProvider(), path)
+
     def test_key_is_sha256_of_text(self):
         import hashlib
 
