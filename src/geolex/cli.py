@@ -9,10 +9,14 @@ One subcommand per stage, plus ``run`` for the whole chain:
     coords    fetch latitude/longitude for linked items
     report    GeoJSON + distance histogram + SVG map
 
-Stages rewrite the dataset atomically and are idempotent: re-running a
-stage on its own output produces byte-identical files.  Summaries go to
-stdout as JSON lines followed by a small table; diagnostics go to
-stderr.
+The stage loop in ``main`` owns the dataset.  A command reads it at
+most once, before its first stage that reads it (so never for
+``ingest``), and every stage takes and updates that one list of
+entries.  ``ingest``, ``classify``, ``link`` and ``coords`` each have
+it written back atomically when they finish; ``train`` and ``report``
+never write it.  Stages are idempotent: re-running a stage on its own
+output produces byte-identical files.  Summaries go to stdout as JSON
+lines followed by a small table; diagnostics go to stderr.
 
 Errors have one boundary, the stage loop in ``main``.  Stages raise;
 a ``StageError``, ``DatasetError``, ``TransportError``,
@@ -26,10 +30,11 @@ propagates with its traceback.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import classifier, corpus, geo, linker
@@ -57,26 +62,8 @@ STAGE_EXIT_CODES = {
 
 PIPELINE_STAGES = ("ingest", "train", "classify", "link", "coords", "report")
 
-# Command-line dest -> config field.
-_FLAG_FIELDS = {
-    "raw_dir": "raw_dir",
-    "out": "dataset",
-    "dataset": "dataset",
-    "annotations": "annotations",
-    "model": "model",
-    "model_out": "model",
-    "cache_mode": "cache_mode",
-    "cache_dir": "cache_dir",
-    "min_sim": "min_sim",
-    "geojson": "geojson",
-    "histogram": "histogram",
-    "svg": "svg",
-    "ref_lat": "ref_lat",
-    "ref_lon": "ref_lon",
-    "bucket_km": "bucket_km",
-    "concurrency": "concurrency",
-    "embed_provider": "embed_provider",
-}
+# Stages that change entries; the loop saves the dataset after each.
+_SAVES_DATASET = frozenset({"ingest", "classify", "link", "coords"})
 
 
 class StageError(Exception):
@@ -177,23 +164,21 @@ def _classify(config: PipelineConfig, provider, entries: list[corpus.Entry]) -> 
 
 
 # ── Stages ───────────────────────────────────────────────────────────────
+# Each takes the config and the command's entries, updates the entries in
+# place and returns its input, output and error counts, then its ratios.
+
+Counts = tuple[int, int, int, dict[str, float]]
 
 
-def stage_ingest(config: PipelineConfig) -> RunSummary:
-    started = time.perf_counter()
+def stage_ingest(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
     pages = corpus.read_raw_pages(config.raw_dir)
     if not pages:
         raise StageError(f"no raw pages found under {config.raw_dir}")
-    entries = corpus.segment_pages(pages)
-    corpus.save_dataset(entries, config.dataset)
-    return RunSummary(
-        "ingest", len(pages), len(entries), 0, time.perf_counter() - started
-    )
+    entries[:] = corpus.segment_pages(pages)
+    return len(pages), len(entries), 0, {}
 
 
-def stage_train(config: PipelineConfig) -> RunSummary:
-    started = time.perf_counter()
-    entries = corpus.load_dataset(config.dataset)
+def stage_train(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
     annotations = classifier.load_annotations(config.annotations)
     if not annotations:
         raise StageError(f"no annotations in {config.annotations}")
@@ -208,37 +193,22 @@ def stage_train(config: PipelineConfig) -> RunSummary:
     labels = [label for _, label in annotations]
     model = classifier.train(list(zip(vectors, labels)))
     classifier.save_model(model, config.model)
-    return RunSummary(
-        "train",
-        len(annotations),
-        1,
-        0,
-        time.perf_counter() - started,
-        {"positive_fraction": sum(labels) / len(labels)},
-    )
+    return len(annotations), 1, 0, {"positive_fraction": sum(labels) / len(labels)}
 
 
-def stage_classify(config: PipelineConfig) -> RunSummary:
-    started = time.perf_counter()
-    entries = corpus.load_dataset(config.dataset)
+def stage_classify(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
     provider = _build_provider(config)
     for entry, is_location in zip(entries, _classify(config, provider, entries)):
         entry.is_location = is_location
         # Only a location may carry a link.
         if not is_location:
             entry.qid = entry.similarity = entry.lat = entry.lon = None
-    corpus.save_dataset(entries, config.dataset)
     located = sum(entry.is_location for entry in entries)
     ratios = {"location_fraction": located / len(entries)} if entries else {}
-    return RunSummary(
-        "classify", len(entries), len(entries), 0,
-        time.perf_counter() - started, ratios,
-    )
+    return len(entries), len(entries), 0, ratios
 
 
-def stage_link(config: PipelineConfig) -> RunSummary:
-    started = time.perf_counter()
-    entries = corpus.load_dataset(config.dataset)
+def stage_link(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
     provider = _build_provider(config)
 
     # Entries never run through classify can still be linked when a
@@ -259,11 +229,7 @@ def stage_link(config: PipelineConfig) -> RunSummary:
             file=sys.stderr,
         )
 
-    locations = [
-        e
-        for e in entries
-        if (e.is_location if e.is_location is not None else transient[e.id])
-    ]
+    locations = [e for e in entries if transient.get(e.id, e.is_location)]
     client = _build_client(config)
     results = linker.link_batch(
         locations,
@@ -291,21 +257,14 @@ def stage_link(config: PipelineConfig) -> RunSummary:
         entry.qid = result.chosen
         entry.similarity = result.similarity if result.chosen is not None else None
         linked += result.chosen is not None
-    corpus.save_dataset(entries, config.dataset)
     ratios = {"linked_fraction": linked / len(locations)} if locations else {}
-    return RunSummary(
-        "link", len(locations), linked, len(failures),
-        time.perf_counter() - started, ratios,
-    )
+    return len(locations), linked, len(failures), ratios
 
 
-def stage_coords(config: PipelineConfig) -> RunSummary:
-    started = time.perf_counter()
-    entries = corpus.load_dataset(config.dataset)
+def stage_coords(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
     linked = [e for e in entries if e.qid is not None]
     pending = [e for e in linked if e.lat is None or e.lon is None]
-    fetched = 0
-    skipped_rows = 0
+    fetched = skipped_rows = 0
     if pending:
         client = _build_client(config)
         records = client.fetch_coordinates([e.qid for e in pending])
@@ -314,21 +273,14 @@ def stage_coords(config: PipelineConfig) -> RunSummary:
         for entry in pending:
             record = by_qid.get(entry.qid)
             if record is not None:
-                entry.lat = record.lat
-                entry.lon = record.lon
+                entry.lat, entry.lon = record.lat, record.lon
                 fetched += 1
-    corpus.save_dataset(entries, config.dataset)
     geocoded = sum(1 for e in linked if e.lat is not None)
     ratios = {"geocoded_fraction": geocoded / len(linked)} if linked else {}
-    return RunSummary(
-        "coords", len(pending), fetched, skipped_rows,
-        time.perf_counter() - started, ratios,
-    )
+    return len(pending), fetched, skipped_rows, ratios
 
 
-def stage_report(config: PipelineConfig) -> RunSummary:
-    started = time.perf_counter()
-    entries = corpus.load_dataset(config.dataset)
+def stage_report(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
     places = []
     for entry in entries:
         # Only an explicit False excludes: entries linked without a
@@ -364,19 +316,31 @@ def stage_report(config: PipelineConfig) -> RunSummary:
         file=sys.stderr,
     )
     ratios = {"plotted_fraction": len(places) / len(entries)} if entries else {}
-    return RunSummary(
-        "report", len(entries), len(places), 0,
-        time.perf_counter() - started, ratios,
-    )
+    return len(entries), len(places), 0, ratios
 
 
+def _run_stage(
+    name: str, stage, config: PipelineConfig, entries: list[corpus.Entry], load: bool
+) -> RunSummary:
+    """Run one stage on the command's entries, timed together with its
+    dataset I/O: ``load`` first fills ``entries`` from the dataset, and
+    a stage in ``_SAVES_DATASET`` has them saved when it finishes."""
+    started = time.perf_counter()
+    if load:
+        entries.clear()  # free what ingest left before reading the dataset back
+        entries.extend(corpus.load_dataset(config.dataset))
+    inputs, outputs, errors, ratios = stage(config, entries)
+    if name in _SAVES_DATASET:
+        corpus.save_dataset(entries, config.dataset)
+    return RunSummary(name, inputs, outputs, errors, time.perf_counter() - started, ratios)
+
+
+# Stage name -> ``(config, entries, load) -> RunSummary``.
 STAGE_RUNNERS = {
-    "ingest": stage_ingest,
-    "train": stage_train,
-    "classify": stage_classify,
-    "link": stage_link,
-    "coords": stage_coords,
-    "report": stage_report,
+    name: functools.partial(_run_stage, name, stage)
+    for name, stage in zip(PIPELINE_STAGES, (
+        stage_ingest, stage_train, stage_classify, stage_link, stage_coords, stage_report,
+    ), strict=True)
 }
 
 
@@ -399,12 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", parents=[common], help="segment raw pages into a dataset")
     p.add_argument("--raw-dir", dest="raw_dir", help="directory of <volume>/<page>.txt files")
-    p.add_argument("--out", dest="out", help="dataset file to write")
+    p.add_argument("--out", dest="dataset", metavar="OUT", help="dataset file to write")
 
     p = sub.add_parser("train", parents=[common], help="train the location classifier")
     p.add_argument("--dataset")
     p.add_argument("--annotations", help="JSON lines of {entry_id, is_location}")
-    p.add_argument("--model-out", dest="model_out", help="model file to write")
+    p.add_argument(
+        "--model-out", dest="model", metavar="MODEL_OUT", help="model file to write"
+    )
 
     p = sub.add_parser("classify", parents=[common], help="mark entries location / non-location")
     p.add_argument("--dataset")
@@ -451,13 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    config = load_config(getattr(args, "config", None))
-    overrides = {}
-    for dest, field_name in _FLAG_FIELDS.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            overrides[field_name] = value
-    return apply_overrides(config, **overrides)
+    config = load_config(args.config)
+    names = {f.name for f in fields(PipelineConfig)}
+    return apply_overrides(
+        config, **{k: v for k, v in vars(args).items() if k in names}
+    )
 
 
 def _stages_for(command: str, config: PipelineConfig) -> list[str]:
@@ -490,11 +454,7 @@ def _emit(summaries: list[RunSummary]) -> None:
 
 def _describe(err: Exception, config: PipelineConfig) -> str:
     """The stderr message for a stage failure."""
-    inputs = {
-        config.dataset: "dataset",
-        config.model: "model",
-        config.annotations: "annotations",
-    }
+    inputs = {config.dataset: "dataset", config.model: "model", config.annotations: "annotations"}
     if isinstance(err, FileNotFoundError) and err.filename in inputs:
         return f"{inputs[err.filename]} not found: {err.filename}"
     return str(err)
@@ -507,14 +467,20 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config: {err}", file=sys.stderr)
         return STAGE_EXIT_CODES["config"]
+    stages = _stages_for(args.command, config)
+    # The dataset is read once, before the first stage that reads it:
+    # every stage but ingest.  Under ``run`` that stage reads what
+    # ingest saved, just as when the stages run one command each.
+    first_reader = next((name for name in stages if name != "ingest"), None)
+    entries: list[corpus.Entry] = []
     summaries: list[RunSummary] = []
-    for stage_name in _stages_for(args.command, config):
+    for name in stages:
         try:
-            summaries.append(STAGE_RUNNERS[stage_name](config))
+            summaries.append(STAGE_RUNNERS[name](config, entries, name == first_reader))
         except STAGE_FAILURES as err:
             _emit(summaries)
-            print(f"{stage_name}: {_describe(err, config)}", file=sys.stderr)
-            return STAGE_EXIT_CODES[stage_name]
+            print(f"{name}: {_describe(err, config)}", file=sys.stderr)
+            return STAGE_EXIT_CODES[name]
     _emit(summaries)
     return 0
 

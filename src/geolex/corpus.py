@@ -150,16 +150,16 @@ def _join_lines(lines: list[str]) -> str:
     A trailing hyphen followed by a lowercase continuation is a
     typesetting artifact and the fragments are fused; anything else
     joins with a single space.  Whitespace is collapsed in the result.
+    Each line is copied at most twice, so the cost is linear in length.
     """
-    text = ""
+    parts: list[str] = []
     for line in lines:
-        if not text:
-            text = line
-        elif text.endswith("-") and line[:1].islower():
-            text = text[:-1] + line
+        if parts and parts[-1].endswith("-") and line[:1].islower():
+            parts[-1] = parts[-1][:-1]
         else:
-            text = text + " " + line
-    return " ".join(text.split())
+            parts.append(" ")
+        parts.append(line)
+    return " ".join("".join(parts).split())
 
 
 def segment_pages(pages: Iterable[RawPage]) -> list[Entry]:

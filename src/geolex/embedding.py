@@ -254,9 +254,9 @@ class CachedEmbedder:
 
     One JSON line per cached text, keyed by SHA-256 of the text, stored
     at a single file path.  Thread-safe; lookups hit memory, misses go
-    to the wrapped provider and are appended to the file.  A last line
-    torn by a crash mid-append is dropped on open (see
-    ``_trim_torn_line``); any other bad line is a ProtocolError.
+    to the wrapped provider and are appended to the file, one write per
+    batch.  A last line torn by a crash mid-append is dropped on open
+    (see ``_trim_torn_line``); any other bad line is a ProtocolError.
     """
 
     def __init__(self, provider, path: str | os.PathLike[str]):
@@ -286,13 +286,6 @@ class CachedEmbedder:
     def text_key(text: str) -> str:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    def _store(self, key: str, vector: np.ndarray) -> None:
-        self._memory[key] = vector
-        self._path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self._path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps({"key": key, "vector": vector.tolist()}))
-            handle.write("\n")
-
     def embed(self, text: str) -> np.ndarray:
         return self.embed_batch([text])[0]
 
@@ -305,8 +298,14 @@ class CachedEmbedder:
         if miss_texts:
             fresh = self.provider.embed_batch(miss_texts)
             with self._lock:
+                lines = []
                 for i, vector in zip(missing, fresh):
                     if keys[i] not in self._memory:
-                        self._store(keys[i], vector)
+                        self._memory[keys[i]] = vector
+                        lines.append(json.dumps({"key": keys[i], "vector": vector.tolist()}))
+                if lines:
+                    self._path.parent.mkdir(parents=True, exist_ok=True)
+                    with open(self._path, "a", encoding="utf-8") as handle:
+                        handle.write("\n".join(lines) + "\n")
         with self._lock:
             return [self._memory[key] for key in keys]

@@ -276,24 +276,16 @@ def make_transport(
     timeout: float = 30.0,
 ):
     """Build the transport for a cache mode (live, record, replay)."""
-    if mode == "live":
-        return UrllibTransport(
-            user_agent=user_agent,
-            timeout=timeout,
-            rate_limiter=RateLimiter(min_interval),
-        )
-    if mode in ("record", "replay"):
-        if cache_dir is None:
-            raise ValueError(f"cache mode {mode!r} needs a cache directory")
-        if mode == "replay":
-            return ReplayTransport(cache_dir)
-        live = UrllibTransport(
-            user_agent=user_agent,
-            timeout=timeout,
-            rate_limiter=RateLimiter(min_interval),
-        )
-        return RecordingTransport(live, cache_dir)
-    raise ValueError(f"unknown cache mode {mode!r}; expected live, record, or replay")
+    if mode not in ("live", "record", "replay"):
+        raise ValueError(f"unknown cache mode {mode!r}; expected live, record, or replay")
+    if mode != "live" and cache_dir is None:
+        raise ValueError(f"cache mode {mode!r} needs a cache directory")
+    if mode == "replay":
+        return ReplayTransport(cache_dir)
+    live = UrllibTransport(
+        user_agent=user_agent, timeout=timeout, rate_limiter=RateLimiter(min_interval)
+    )
+    return live if mode == "live" else RecordingTransport(live, cache_dir)
 
 
 # ── Client ───────────────────────────────────────────────────────────────
@@ -330,7 +322,9 @@ def _parse_json_body(body: bytes, request: HttpRequest) -> dict:
 
 
 def _qid_from_entity_uri(uri: str) -> str:
-    return validate_qid(uri.rsplit("/", 1)[-1])
+    if not isinstance(uri, str) or not uri.startswith(_ENTITY_URI_PREFIX):
+        raise ValueError(f"not a Wikidata entity URI: {uri!r}")
+    return validate_qid(uri.removeprefix(_ENTITY_URI_PREFIX))
 
 
 def _dedupe(qids: Iterable[str]) -> list[str]:

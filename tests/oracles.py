@@ -111,6 +111,21 @@ def truncate_by_scan(text: str) -> str:
     return kept
 
 
+def join_lines(lines: list[str]) -> str:
+    """The segmenter's original line joiner, kept as the reference the
+    linear one must match: it grows one string, fusing a trailing
+    hyphen with a lowercase continuation and spacing anything else."""
+    text = ""
+    for line in lines:
+        if not text:
+            text = line
+        elif text.endswith("-") and line[:1].islower():
+            text = text[:-1] + line
+        else:
+            text = text + " " + line
+    return " ".join(text.split())
+
+
 def headword_by_regex(raw_text: str) -> str | None:
     """Headword rule, re-derived with a regex instead of token surgery."""
     import re

@@ -206,6 +206,88 @@ class TestStageByStage:
         assert all(e.qid is None for e in entries)
 
 
+def count_dataset_io(monkeypatch) -> dict[str, int]:
+    """Count the CLI's dataset loads and saves."""
+    from geolex import corpus
+
+    counts = {"load": 0, "save": 0}
+    real_load, real_save = corpus.load_dataset, corpus.save_dataset
+
+    def load_dataset(path):
+        counts["load"] += 1
+        return real_load(path)
+
+    def save_dataset(entries, path):
+        counts["save"] += 1
+        return real_save(entries, path)
+
+    monkeypatch.setattr(corpus, "load_dataset", load_dataset)
+    monkeypatch.setattr(corpus, "save_dataset", save_dataset)
+    return counts
+
+
+class TestDatasetOwnership:
+    def test_run_loads_once_and_saves_after_each_changing_stage(
+        self, workspace, no_network, monkeypatch
+    ):
+        counts = count_dataset_io(monkeypatch)
+        assert workspace.run_all_stages() == 0
+        assert counts == {"load": 1, "save": 4}
+
+    @pytest.mark.parametrize(
+        "stage, loads, saves",
+        [
+            ("ingest", 0, 1),
+            ("train", 1, 0),
+            ("classify", 1, 1),
+            ("link", 1, 1),
+            ("coords", 1, 1),
+            ("report", 1, 0),
+        ],
+    )
+    def test_each_command_reads_at_most_once(
+        self, workspace, no_network, monkeypatch, stage, loads, saves
+    ):
+        assert workspace.run_all_stages() == 0
+        counts = count_dataset_io(monkeypatch)
+        assert workspace.run(stage) == 0
+        assert counts == {"load": loads, "save": saves}
+
+    def test_failed_link_leaves_the_dataset_classify_wrote(
+        self, tmp_path, no_network, capsys
+    ):
+        from conftest import make_workspace
+
+        manual = make_workspace(tmp_path / "manual")
+        for stage in ("ingest", "train", "classify"):
+            assert manual.run(stage) == 0, stage
+
+        failing = make_workspace(tmp_path / "failing")
+        labels = fx.build_replay_cache(failing.cache_dir)
+        labels["search:Stockholm"].unlink()
+        fx.record_descriptions(
+            failing.cache_dir,
+            [h for h in fx.LOCATION_HEADWORDS if h != "Stockholm"],
+        )
+        capsys.readouterr()
+        assert failing.run_all_stages() == 5
+        captured = capsys.readouterr()
+        stages = [s["stage"] for s in parse_summaries(captured.out)]
+        assert stages == ["ingest", "train", "classify"]
+        assert "1 of 7 entries failed to link" in captured.err
+        assert read_bytes(failing.dataset) == read_bytes(manual.dataset)
+
+    def test_out_and_model_out_flags_name_the_files(self, workspace, no_network):
+        dataset = workspace.root / "elsewhere.jsonl"
+        model = workspace.root / "elsewhere-model.json"
+        assert workspace.run("ingest", "--out", str(dataset)) == 0
+        assert workspace.run("train", "--dataset", str(dataset), "--model-out", str(model)) == 0
+        assert [e.id for e in load_dataset(dataset)] == fx.ENTRY_IDS
+        assert json.loads(model.read_text(encoding="utf-8"))
+        assert not workspace.dataset.exists()
+        assert not workspace.model.exists()
+
+
 class TestRelinkInvalidation:
     def test_min_sim_rerun_clears_links_and_coordinates(self, workspace, no_network):
         assert workspace.run_all_stages() == 0

@@ -6,12 +6,15 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import pipeline_fixtures as fx
 from geolex.corpus import (
     Entry,
     RawPage,
+    _join_lines,
     corpus_stats,
     entry_from_record,
     entry_to_record,
@@ -125,6 +128,25 @@ class TestEntryStartHeuristic:
 
     def test_blank_line(self):
         assert not looks_like_entry_start("   ")
+
+
+# Lines as OCR leaves them: empty, lone or trailing hyphens, uppercase,
+# digit and å/ä/ö continuations, runs of whitespace.
+ocr_lines = st.one_of(
+    st.sampled_from(["", "-", "--", " - ", "a-", "Per-", "\t", "  "]),
+    st.text(alphabet="abzABZ09åäöÅÄÖ-. \t", max_size=8),
+)
+
+
+class TestJoinLines:
+    @settings(deadline=None, max_examples=400)
+    @given(lines=st.lists(ocr_lines, max_size=12))
+    def test_matches_the_growing_string_join(self, lines):
+        assert _join_lines(lines) == oracles.join_lines(lines)
+
+    def test_hyphen_fuses_only_before_lowercase(self):
+        lines = ["Per-", "cidæ, med", "Nord-", "Atlanten och", "Ö-", "ön"]
+        assert _join_lines(lines) == "Percidæ, med Nord- Atlanten och Öön"
 
 
 class TestSegmentation:

@@ -390,6 +390,23 @@ class TestCachedEmbedder:
         cached.embed_batch(["abc", "defg", "abc"])
         assert provider.embed_calls == 2  # abc once, defg once
 
+    def test_misses_of_one_batch_are_appended_in_one_open(self, tmp_path, monkeypatch):
+        from geolex import embedding
+
+        appends: list[str] = []
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            if "a" in mode:
+                appends.append(str(file))
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(embedding, "open", spy_open, raising=False)
+        path = tmp_path / "cache.jsonl"
+        cached = CachedEmbedder(CountingProvider(), path)
+        cached.embed_batch(["ab", "abc", "abcd"])
+        assert appends == [str(path)]
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 3
+
     def test_corrupt_cache_rejected(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         path.write_text('{"key": "k"}\n', encoding="utf-8")

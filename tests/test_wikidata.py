@@ -577,6 +577,10 @@ class TestFetchCoordinates:
                                 "coords": {"value": "somewhere nice"},
                             },
                             {"item": {"value": "not-an-entity-uri"}},
+                            {
+                                "item": {"value": "http://example.org/entity/Q1"},
+                                "coords": {"value": "Point(18.07 59.33)"},
+                            },
                         ]
                     }
                 }
@@ -585,7 +589,13 @@ class TestFetchCoordinates:
         client, _ = make_client(handler)
         records = client.fetch_coordinates(["Q64", "Q1", "Q2"])
         assert [r.qid for r in records] == ["Q64"]
-        assert client.warnings == 2
+        assert client.warnings == 3
+
+    def test_non_string_item_is_counted_not_fatal(self):
+        row = {"item": {"value": 64}, "coords": {"value": "Point(13.38 52.52)"}}
+        client, _ = make_client(lambda r: json_body({"results": {"bindings": [row]}}))
+        assert client.fetch_coordinates(["Q64"]) == []
+        assert client.warnings == 1
 
     def test_first_coordinate_per_item_wins(self):
         client, _ = make_client(
