@@ -255,6 +255,8 @@ def load_model(path: str | os.PathLike[str]) -> LogisticModel:
         raise DatasetError(f"{path}: invalid model file: {err}") from err
     if weights.ndim != 1 or ("dim" in document and model.dim != document["dim"]):
         raise DatasetError(f"{path}: model weight shape does not match declared dim")
+    if not np.all(np.isfinite([*weights, model.bias, model.threshold])):
+        raise DatasetError(f"{path}: invalid model file: non-finite weight, bias or threshold")
     return model
 
 

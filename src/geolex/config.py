@@ -14,7 +14,15 @@ import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-from .wikidata import DEFAULT_API_URL, DEFAULT_SPARQL_URL, DEFAULT_USER_AGENT
+from .embedding import DEFAULT_DIM
+from .geo import DEFAULT_BUCKET_KM, DEFAULT_MAP_WIDTH_PX
+from .linker import NO_MIN_SIMILARITY
+from .wikidata import (
+    DEFAULT_API_URL,
+    DEFAULT_MIN_INTERVAL_S,
+    DEFAULT_SPARQL_URL,
+    DEFAULT_USER_AGENT,
+)
 
 CACHE_MODES = ("live", "record", "replay")
 EMBED_PROVIDERS = ("local", "remote")
@@ -42,7 +50,7 @@ class PipelineConfig:
     svg: str = "map.svg"
     # Embeddings.
     embed_provider: str = "local"
-    embed_dim: int = 384
+    embed_dim: int = DEFAULT_DIM
     embed_url: str = ""
     embed_cache: str = ""  # optional on-disk embedding cache file
     # Wikidata access.
@@ -51,16 +59,16 @@ class PipelineConfig:
     cache_mode: str = "live"
     cache_dir: str = "wd_cache"
     user_agent: str = DEFAULT_USER_AGENT
-    rate_limit_s: float = 0.1
+    rate_limit_s: float = DEFAULT_MIN_INTERVAL_S
     concurrency: int = 4
     # Linking.
-    min_sim: float = -1.0
+    min_sim: float = NO_MIN_SIMILARITY
     # Reporting.  Reference point for the distance histogram; the
     # default sits near the centroid of Sweden.
     ref_lat: float = 62.0
     ref_lon: float = 15.0
-    bucket_km: float = 500.0
-    map_width_px: int = 1600
+    bucket_km: float = DEFAULT_BUCKET_KM
+    map_width_px: int = DEFAULT_MAP_WIDTH_PX
 
     def validate(self) -> "PipelineConfig":
         if self.cache_mode not in CACHE_MODES:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -45,6 +46,15 @@ _HEADWORD_TRAILING = ",.:;"
 _REQUIRED_FIELDS = ("id", "volume", "page", "headword", "definition", "raw_text")
 _OPTIONAL_FIELDS = ("is_location", "qid", "similarity", "lat", "lon")
 _ALL_FIELDS = _REQUIRED_FIELDS + _OPTIONAL_FIELDS
+# The exact types each field's JSON value may have: optional fields may
+# also be null, a ``bool`` is no number, and a float must be finite.
+_NULL = type(None)
+_FIELD_TYPES = {
+    "id": (str,), "volume": (int,), "page": (int,), "headword": (str,),
+    "definition": (str,), "raw_text": (str,), "is_location": (bool, _NULL),
+    "qid": (str, _NULL), "similarity": (int, float, _NULL),
+    "lat": (int, float, _NULL), "lon": (int, float, _NULL),
+}
 
 
 @dataclass(frozen=True)
@@ -296,10 +306,12 @@ def entry_from_record(record: dict, where: str = "dataset") -> Entry:
     missing = [name for name in _REQUIRED_FIELDS if name not in record]
     if missing:
         raise DatasetError(f"{where}: missing fields {missing}")
-    try:
-        return Entry(**record)
-    except TypeError as err:
-        raise DatasetError(f"{where}: {err}") from err
+    for name, value in record.items():
+        kinds = _FIELD_TYPES[name]
+        if type(value) not in kinds or (type(value) is float and not math.isfinite(value)):
+            expected = " or ".join(kind.__name__ for kind in kinds if kind is not _NULL)
+            raise DatasetError(f"{where}: field {name!r} must be {expected}, got {value!r:.40}")
+    return Entry(**record)
 
 
 def iter_jsonl(

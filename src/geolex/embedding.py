@@ -11,7 +11,9 @@ Two providers:
   arithmetic, no model weights, no I/O, identical output across
   processes and platforms.  The default.
 * ``RemoteEmbedder`` — thin client for an external embedding service,
-  for plugging a real sentence encoder behind the same interface.
+  for plugging a real sentence encoder behind the same interface.  It
+  sends through ``wikidata.UrllibTransport``, the pipeline's one HTTP
+  sender.
 
 ``CachedEmbedder`` wraps either with an on-disk text-hash → vector
 cache so repeated runs don't recompute (or re-request) anything.
@@ -23,15 +25,14 @@ import hashlib
 import json
 import os
 import threading
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .corpus import iter_jsonl
-from .errors import ProtocolError, TransportError, http_status_error
+from .errors import ProtocolError
+from .wikidata import HttpRequest, RateLimiter, UrllibTransport
 
 DEFAULT_DIM = 384
 DEFAULT_TIMEOUT_S = 30.0
@@ -145,30 +146,17 @@ class HashedTrigramEmbedder:
         return list(matrix)
 
 
-def _http_post_json(url: str, payload: bytes, timeout: float) -> bytes:
-    request = urllib.request.Request(
-        url,
-        data=payload,
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=timeout) as response:
-            return response.read()
-    except urllib.error.HTTPError as err:
-        raise http_status_error(err.code, url) from err
-    except (urllib.error.URLError, TimeoutError, OSError) as err:
-        raise TransportError(f"POST {url}: {err}") from err
-
-
 class RemoteEmbedder:
     """Client for an embedding service speaking JSON over HTTP.
 
     Request: ``POST {"texts": [...]}``; response: ``{"vectors": [[...],
     ...]}`` with one vector per input, each of length ``dim``.  The URL
     comes from the constructor or the ``EMBED_URL`` environment
-    variable.  At most ``max_in_flight`` requests run concurrently;
-    responses are validated and re-normalized before use.
+    variable.  Requests go through ``transport`` (by default an
+    unspaced ``UrllibTransport``, so HTTP 429/5xx raise TransportError
+    and other error statuses ProtocolError; nothing is retried).  At
+    most ``max_in_flight`` requests run concurrently; responses are
+    validated and re-normalized before use.
     """
 
     name = "remote"
@@ -179,7 +167,7 @@ class RemoteEmbedder:
         dim: int = DEFAULT_DIM,
         timeout: float = DEFAULT_TIMEOUT_S,
         max_in_flight: int = 4,
-        opener=None,
+        transport=None,
     ):
         self.url = url or os.environ.get("EMBED_URL") or ""
         if not self.url:
@@ -189,9 +177,10 @@ class RemoteEmbedder:
         if max_in_flight < 1:
             raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.dim = dim
-        self.timeout = timeout
         self._slots = threading.BoundedSemaphore(max_in_flight)
-        self._opener = opener or _http_post_json
+        self.transport = transport or UrllibTransport(
+            timeout=timeout, rate_limiter=RateLimiter(0.0)
+        )
 
     def embed(self, text: str) -> np.ndarray:
         return self.embed_batch([text])[0]
@@ -200,9 +189,14 @@ class RemoteEmbedder:
         texts = list(texts)
         if not texts:
             return []
-        payload = json.dumps({"texts": texts}).encode("utf-8")
+        request = HttpRequest(
+            "POST",
+            self.url,
+            body=json.dumps({"texts": texts}).encode("utf-8"),
+            headers=(("Content-Type", "application/json"),),
+        )
         with self._slots:
-            body = self._opener(self.url, payload, self.timeout)
+            body = self.transport.send(request)
         try:
             parsed = json.loads(body)
         except (json.JSONDecodeError, UnicodeDecodeError) as err:

@@ -2,11 +2,14 @@
 
 All HTTP goes through a transport object chosen by cache mode:
 
-* ``live``   — straight to the network, rate-limited.
-* ``record`` — read-through cache: serve hits from disk, fetch misses
-  live and store the response for later replay.
-* ``replay`` — disk only.  A miss raises ReplayCacheMiss; no network
-  connection is ever opened.
+* ``live``   — ``UrllibTransport``: straight to the network,
+  rate-limited.  It is the one place that opens a connection; the
+  remote embedder sends through it too.
+* ``replay`` — ``ReplayTransport``: disk only.  A miss raises
+  ReplayCacheMiss; no network connection is ever opened.
+* ``record`` — ``ReplayTransport`` with a live fallback: serve hits
+  from disk, send misses through ``UrllibTransport`` and store the
+  response for later replay, in the same file format.
 
 Cache keys canonicalize the request (method + URL + sorted query
 parameters + body hash), so a recorded response is found again even if
@@ -185,86 +188,57 @@ class UrllibTransport:
             raise TransportError(f"{request.method} {request.url}: {err}") from err
 
 
-class ResponseCache:
-    """One JSON file per request key under a directory.
+class ReplayTransport:
+    """Recorded responses, one JSON file per request key under a directory.
 
-    Bodies from these endpoints are UTF-8 JSON and are stored as text;
-    anything undecodable falls back to base64 so the cache can hold any
-    response byte-for-byte.
+    A hit returns the recorded body.  A miss raises ReplayCacheMiss and
+    opens no connection, unless a ``live`` transport is given (record
+    mode): then the request goes through ``live`` and its response is
+    written atomically for later replay.  Bodies from these endpoints
+    are UTF-8 JSON and are stored as text; anything undecodable falls
+    back to base64 so the cache can hold any response byte-for-byte.
     """
 
-    def __init__(self, cache_dir: str | Path):
+    def __init__(self, cache_dir: str | Path, live=None):
         self.cache_dir = Path(cache_dir)
+        self.live = live
+        self.request_count = 0
+        self._count_lock = threading.Lock()
 
-    def path_for(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
+    def path_for(self, request: HttpRequest) -> Path:
+        return self.cache_dir / f"{canonical_request_key(request)}.json"
 
-    def get(self, key: str) -> bytes | None:
-        path = self.path_for(key)
-        if not path.exists():
-            return None
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            body = record["body"]
-            encoding = record.get("encoding", "utf-8")
-        except (json.JSONDecodeError, KeyError, TypeError) as err:
-            raise ProtocolError(f"corrupt cache file {path}: {err}") from err
-        if encoding == "base64":
-            return b64decode(body)
-        return body.encode("utf-8")
-
-    def put(self, key: str, request: HttpRequest, body: bytes) -> Path:
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+    def send(self, request: HttpRequest) -> bytes:
+        with self._count_lock:
+            self.request_count += 1
+        path = self.path_for(request)
+        if path.exists():
+            try:
+                record = json.loads(path.read_text(encoding="utf-8"))
+                body = record["body"]
+                encoding = record.get("encoding", "utf-8")
+            except (json.JSONDecodeError, KeyError, TypeError) as err:
+                raise ProtocolError(f"corrupt cache file {path}: {err}") from err
+            return b64decode(body) if encoding == "base64" else body.encode("utf-8")
+        if self.live is None:
+            raise ReplayCacheMiss(
+                f"no recorded response for {request.method} {request.full_url()}"
+            )
+        body = self.live.send(request)
         try:
             stored: dict = {"body": body.decode("utf-8")}
         except UnicodeDecodeError:
             stored = {"body": b64encode(body).decode("ascii"), "encoding": "base64"}
         record = {
-            "request_key": key,
+            "request_key": path.stem,
             "method": request.method,
             "url": request.full_url(),
             "fetched_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             **stored,
         }
-        path = self.path_for(key)
+        self.cache_dir.mkdir(parents=True, exist_ok=True)
         with atomic_writer(path) as handle:
             handle.write(json.dumps(record, ensure_ascii=False))
-        return path
-
-
-class ReplayTransport:
-    """Serves recorded responses only; never opens a connection."""
-
-    def __init__(self, cache_dir: str | Path):
-        self.cache = ResponseCache(cache_dir)
-        self.request_count = 0
-        self._count_lock = threading.Lock()
-
-    def send(self, request: HttpRequest) -> bytes:
-        with self._count_lock:
-            self.request_count += 1
-        body = self.cache.get(canonical_request_key(request))
-        if body is None:
-            raise ReplayCacheMiss(
-                f"no recorded response for {request.method} {request.full_url()}"
-            )
-        return body
-
-
-class RecordingTransport:
-    """Read-through recorder around a live transport."""
-
-    def __init__(self, inner, cache_dir: str | Path):
-        self.inner = inner
-        self.cache = ResponseCache(cache_dir)
-
-    def send(self, request: HttpRequest) -> bytes:
-        key = canonical_request_key(request)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        body = self.inner.send(request)
-        self.cache.put(key, request, body)
         return body
 
 
@@ -285,7 +259,7 @@ def make_transport(
     live = UrllibTransport(
         user_agent=user_agent, timeout=timeout, rate_limiter=RateLimiter(min_interval)
     )
-    return live if mode == "live" else RecordingTransport(live, cache_dir)
+    return live if mode == "live" else ReplayTransport(cache_dir, live)
 
 
 # ── Client ───────────────────────────────────────────────────────────────

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 from geolex.wikidata import (
     DEFAULT_API_URL,
     DEFAULT_SPARQL_URL,
     HttpRequest,
-    ResponseCache,
-    canonical_request_key,
+    ReplayTransport,
 )
 
 # ── Raw pages ────────────────────────────────────────────────────────────
@@ -351,8 +351,12 @@ def sparql_request(qids) -> HttpRequest:
 
 
 def record(cache_dir: Path, request: HttpRequest, body: bytes) -> Path:
-    """Store ``body`` as the recorded answer to ``request``."""
-    return ResponseCache(cache_dir).put(canonical_request_key(request), request, body)
+    """Store ``body`` as the recorded answer to ``request`` by sending
+    it through a recording transport whose live side answers ``body``;
+    return the cache file.  A request already on file keeps its answer."""
+    recorder = ReplayTransport(cache_dir, SimpleNamespace(send=lambda request: body))
+    recorder.send(request)
+    return recorder.path_for(request)
 
 
 def record_descriptions(cache_dir: Path, headwords) -> Path:

@@ -328,6 +328,17 @@ class TestModelPersistence:
         with pytest.raises(DatasetError):
             load_model(path)
 
+    @pytest.mark.parametrize("document", [
+        '{"weights": [NaN, 0.0], "bias": 0.0}',
+        '{"weights": [1.0, 0.0], "bias": Infinity}',
+        '{"weights": [1.0, 0.0], "bias": 0.0, "threshold": NaN}',
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, document):
+        path = tmp_path / "model.json"
+        path.write_text(document, encoding="utf-8")
+        with pytest.raises(DatasetError, match="invalid model file"):
+            load_model(path)
+
     def test_dim_mismatch_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(

@@ -334,13 +334,13 @@ class TestFixtureTraffic:
 
         recorded = {path.name for path in workspace.cache_dir.iterdir()}
         read: set[str] = set()
-        real_get = wikidata.ResponseCache.get
+        real_send = wikidata.ReplayTransport.send
 
-        def get(self, key):
-            read.add(self.path_for(key).name)
-            return real_get(self, key)
+        def send(self, request):
+            read.add(self.path_for(request).name)
+            return real_send(self, request)
 
-        monkeypatch.setattr(wikidata.ResponseCache, "get", get)
+        monkeypatch.setattr(wikidata.ReplayTransport, "send", send)
         assert workspace.run_all_stages() == 0
         assert workspace.run("coords") == 0  # re-asks for the ungeocoded Iowa item
         assert read == recorded
@@ -566,6 +566,24 @@ class TestExitCodes:
         missing_dir = workspace.root / "not-there" / "places.geojson"
         assert workspace.run("report", "--geojson", str(missing_dir)) == 7
         assert "report:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("lat", "59.8"), ("is_location", "no")])
+    def test_report_rejects_a_mistyped_record_naming_its_line(
+        self, workspace, no_network, capsys, field, value
+    ):
+        assert workspace.run_all_stages() == 0
+        lines = workspace.dataset.read_text(encoding="utf-8").splitlines()
+        lineno, line = next(
+            (n, line) for n, line in enumerate(lines, start=1) if '"9:211:2"' in line
+        )
+        record = json.loads(line)
+        record[field] = value
+        lines[lineno - 1] = json.dumps(record, ensure_ascii=False)
+        workspace.dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert workspace.run("report") == 7
+        err = capsys.readouterr().err
+        assert f"report: {workspace.dataset}:{lineno}: field '{field}' must be" in err
 
     def test_partial_failure_emits_summaries_before_error(
         self, workspace, no_network, capsys

@@ -355,6 +355,28 @@ class TestDatasetSerialization:
                                "headword": "A", "definition": "A.",
                                "raw_text": "A.", "qid2": "Q1"})
 
+    @pytest.mark.parametrize("field,value", [
+        ("id", 7), ("volume", "1"), ("volume", True), ("page", 1.0),
+        ("headword", None), ("definition", ["A."]), ("raw_text", None),
+        ("is_location", "no"), ("is_location", 1), ("qid", 1754),
+        ("similarity", True), ("lat", "59.8"), ("lat", float("nan")),
+        ("lon", float("inf")),
+    ])
+    def test_mistyped_field_rejected_naming_the_line(self, tmp_path, field, value):
+        record = {"id": "1:1:1", "volume": 1, "page": 1, "headword": "A",
+                  "definition": "A.", "raw_text": "A.", field: value}
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=rf"d\.jsonl:1: field '{field}' must be"):
+            load_dataset(path)
+
+    def test_whole_numbers_and_nulls_accepted(self):
+        entry = entry_from_record({"id": "1:1:1", "volume": 1, "page": 1,
+                                   "headword": "A", "definition": "A.",
+                                   "raw_text": "A.", "is_location": None,
+                                   "similarity": 1, "lat": 59, "lon": -18})
+        assert (entry.is_location, entry.similarity, entry.lat, entry.lon) == (None, 1, 59, -18)
+
     def test_missing_required_field_rejected(self):
         with pytest.raises(DatasetError, match="missing"):
             entry_from_record({"id": "1:1:1"})

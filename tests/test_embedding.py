@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import urllib.error
+import urllib.request
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from geolex.embedding import (
     l2_normalize,
 )
 from geolex.errors import ProtocolError, TransportError
+from geolex.wikidata import DEFAULT_USER_AGENT
 
 
 class TestFnv1a:
@@ -265,15 +269,15 @@ class TestBatchMatchesScalarReference:
             assert all(np.array_equal(v, e) for v, e in zip(vectors, expected))
 
 
-class FakeOpener:
-    """Scripted stand-in for the HTTP POST helper."""
+class FakeTransport:
+    """Scripted stand-in for the HTTP transport."""
 
     def __init__(self, responses):
         self.responses = list(responses)
         self.calls = []
 
-    def __call__(self, url, payload, timeout):
-        self.calls.append((url, json.loads(payload), timeout))
+    def send(self, request):
+        self.calls.append((request.url, json.loads(request.body)))
         response = self.responses.pop(0)
         if isinstance(response, Exception):
             raise response
@@ -286,21 +290,21 @@ def vectors_body(vectors) -> bytes:
 
 class TestRemoteEmbedder:
     def test_happy_path_renormalizes(self):
-        opener = FakeOpener([vectors_body([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])])
-        embedder = RemoteEmbedder(url="http://embed.test", dim=3, opener=opener)
+        transport = FakeTransport([vectors_body([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])])
+        embedder = RemoteEmbedder(url="http://embed.test", dim=3, transport=transport)
         out = embedder.embed_batch(["a", "b"])
         np.testing.assert_allclose(out[0], [1.0, 0.0, 0.0])
         np.testing.assert_allclose(out[1], [0.0, 1.0, 0.0])
-        assert opener.calls[0][1] == {"texts": ["a", "b"]}
+        assert transport.calls[0][1] == {"texts": ["a", "b"]}
 
     def test_single_embed_uses_batch(self):
-        opener = FakeOpener([vectors_body([[0.0, 1.0]])])
-        embedder = RemoteEmbedder(url="http://embed.test", dim=2, opener=opener)
+        transport = FakeTransport([vectors_body([[0.0, 1.0]])])
+        embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
         np.testing.assert_allclose(embedder.embed("x"), [0.0, 1.0])
 
     def test_url_from_environment(self, monkeypatch):
         monkeypatch.setenv("EMBED_URL", "http://env.test")
-        embedder = RemoteEmbedder(dim=2, opener=FakeOpener([]))
+        embedder = RemoteEmbedder(dim=2, transport=FakeTransport([]))
         assert embedder.url == "http://env.test"
 
     def test_missing_url_rejected(self, monkeypatch):
@@ -309,40 +313,86 @@ class TestRemoteEmbedder:
             RemoteEmbedder(dim=2)
 
     def test_wrong_vector_count_is_protocol_error(self):
-        opener = FakeOpener([vectors_body([[1.0, 0.0]])])
-        embedder = RemoteEmbedder(url="http://embed.test", dim=2, opener=opener)
+        transport = FakeTransport([vectors_body([[1.0, 0.0]])])
+        embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
         with pytest.raises(ProtocolError, match="1 vectors for 2"):
             embedder.embed_batch(["a", "b"])
 
     def test_wrong_dim_is_protocol_error(self):
-        opener = FakeOpener([vectors_body([[1.0, 0.0, 0.0]])])
-        embedder = RemoteEmbedder(url="http://embed.test", dim=2, opener=opener)
+        transport = FakeTransport([vectors_body([[1.0, 0.0, 0.0]])])
+        embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
         with pytest.raises(ProtocolError, match="shape"):
             embedder.embed("a")
 
     def test_non_finite_vector_is_protocol_error(self):
-        opener = FakeOpener([vectors_body([[1.0, None]])])
-        embedder = RemoteEmbedder(url="http://embed.test", dim=2, opener=opener)
+        transport = FakeTransport([vectors_body([[1.0, None]])])
+        embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
         with pytest.raises(ProtocolError):
             embedder.embed("a")
 
     def test_non_json_is_protocol_error(self):
-        opener = FakeOpener([b"<html>oops</html>"])
-        embedder = RemoteEmbedder(url="http://embed.test", dim=2, opener=opener)
+        transport = FakeTransport([b"<html>oops</html>"])
+        embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
         with pytest.raises(ProtocolError, match="non-JSON"):
             embedder.embed("a")
 
     def test_transport_error_passes_through(self):
-        opener = FakeOpener([TransportError("connection refused")])
-        embedder = RemoteEmbedder(url="http://embed.test", dim=2, opener=opener)
+        transport = FakeTransport([TransportError("connection refused")])
+        embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
         with pytest.raises(TransportError):
             embedder.embed("a")
 
     def test_empty_batch_sends_nothing(self):
-        opener = FakeOpener([])
-        embedder = RemoteEmbedder(url="http://embed.test", dim=2, opener=opener)
+        transport = FakeTransport([])
+        embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
         assert embedder.embed_batch([]) == []
-        assert opener.calls == []
+        assert transport.calls == []
+
+
+class TestRemoteEmbedderHttp:
+    """The remote embedder's requests, down to ``urllib.request.urlopen``."""
+
+    def test_posts_texts_as_json(self, monkeypatch):
+        sent = []
+
+        def fake_urlopen(request, timeout=None):
+            sent.append((request, timeout))
+            return io.BytesIO(vectors_body([[1.0, 0.0], [0.0, 1.0]]))
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        embedder = RemoteEmbedder(url="http://embed.test/v1", dim=2, timeout=7.0)
+        embedder.embed_batch(["a", "b"])
+        [(request, timeout)] = sent
+        assert request.get_method() == "POST"
+        assert request.full_url == "http://embed.test/v1"
+        assert request.get_header("Content-type") == "application/json"
+        assert request.get_header("User-agent") == DEFAULT_USER_AGENT
+        assert json.loads(request.data) == {"texts": ["a", "b"]}
+        assert timeout == 7.0
+        assert embedder.transport.rate_limiter.min_interval == 0.0
+
+    @pytest.mark.parametrize("code,expected", [(503, TransportError), (400, ProtocolError)])
+    def test_http_status_maps_to_error_without_retry(self, monkeypatch, code, expected):
+        calls = []
+
+        def fake_urlopen(request, timeout=None):
+            calls.append(request)
+            raise urllib.error.HTTPError(request.full_url, code, "boom", None, None)
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        embedder = RemoteEmbedder(url="http://embed.test", dim=2)
+        with pytest.raises(expected, match=f"HTTP {code}"):
+            embedder.embed("a")
+        assert len(calls) == 1
+
+    def test_connection_failure_is_transport_error(self, monkeypatch):
+        def fake_urlopen(request, timeout=None):
+            raise urllib.error.URLError("connection refused")
+
+        monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
+        embedder = RemoteEmbedder(url="http://embed.test", dim=2)
+        with pytest.raises(TransportError, match="connection refused"):
+            embedder.embed("a")
 
 
 class CountingProvider:

@@ -20,7 +20,6 @@ from geolex.linker import (
     rank_candidates,
 )
 from geolex.wikidata import (
-    RecordingTransport,
     ReplayTransport,
     WikidataCandidate,
     WikidataClient,
@@ -327,7 +326,7 @@ class TestLinkBatch:
 
     def test_cache_recorded_on_three_workers_replays_on_one(self, tmp_path, no_network):
         entries, results = places(24)  # 120 candidates: three requests
-        recorder = RecordingTransport(fx.FixtureTransport(results), tmp_path)
+        recorder = ReplayTransport(tmp_path, fx.FixtureTransport(results))
         recorded = link_batch(
             entries, HashedTrigramEmbedder(), WikidataClient(transport=recorder), workers=3
         )

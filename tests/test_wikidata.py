@@ -19,9 +19,7 @@ from geolex.wikidata import (
     CoordinateRecord,
     HttpRequest,
     RateLimiter,
-    RecordingTransport,
     ReplayTransport,
-    ResponseCache,
     UrllibTransport,
     WikidataClient,
     canonical_request_key,
@@ -252,49 +250,48 @@ class TestUrllibTransport:
 
 class TestResponseCache:
     def test_round_trip(self, tmp_path):
-        cache = ResponseCache(tmp_path)
         request = HttpRequest("GET", "https://x.test/api", params=(("a", "1"),))
-        key = canonical_request_key(request)
         body = '{"svensk": "beskrivning med åäö"}'.encode("utf-8")
-        cache.put(key, request, body)
-        assert cache.get(key) == body
-
-    def test_missing_key_returns_none(self, tmp_path):
-        assert ResponseCache(tmp_path).get("0" * 64) is None
+        fx.record(tmp_path, request, body)
+        assert ReplayTransport(tmp_path).send(request) == body
 
     def test_binary_body_round_trips_via_base64(self, tmp_path):
-        cache = ResponseCache(tmp_path)
         request = HttpRequest("GET", "https://x.test/blob")
-        key = canonical_request_key(request)
         body = bytes(range(256))
-        path = cache.put(key, request, body)
-        assert cache.get(key) == body
+        path = fx.record(tmp_path, request, body)
+        assert ReplayTransport(tmp_path).send(request) == body
         record = json.loads(path.read_text(encoding="utf-8"))
         assert record["encoding"] == "base64"
 
     def test_cache_file_records_request_metadata(self, tmp_path):
-        cache = ResponseCache(tmp_path)
         request = HttpRequest("GET", "https://x.test/api", params=(("q", "v"),))
-        key = canonical_request_key(request)
-        path = cache.put(key, request, b"{}")
+        path = fx.record(tmp_path, request, b"{}")
         record = json.loads(path.read_text(encoding="utf-8"))
-        assert record["request_key"] == key
+        assert record["request_key"] == canonical_request_key(request)
         assert record["url"] == "https://x.test/api?q=v"
         assert record["method"] == "GET"
 
-    def test_corrupt_file_raises_protocol_error(self, tmp_path):
-        cache = ResponseCache(tmp_path)
-        request = HttpRequest("GET", "https://x.test/api")
+    def test_replays_a_hand_written_cache_file(self, tmp_path):
+        request = HttpRequest("GET", "https://x.test/api", params=(("q", "v"),))
         key = canonical_request_key(request)
-        cache.put(key, request, b"{}")
-        cache.path_for(key).write_text("}{ not json", encoding="utf-8")
+        (tmp_path / f"{key}.json").write_text(json.dumps({
+            "request_key": key,
+            "method": "GET",
+            "url": "https://x.test/api?q=v",
+            "fetched_at": "2024-01-01T00:00:00+00:00",
+            "body": '{"ok": true}',
+        }), encoding="utf-8")
+        assert ReplayTransport(tmp_path).send(request) == b'{"ok": true}'
+
+    def test_corrupt_file_raises_protocol_error(self, tmp_path):
+        request = HttpRequest("GET", "https://x.test/api")
+        path = fx.record(tmp_path, request, b"{}")
+        path.write_text("}{ not json", encoding="utf-8")
         with pytest.raises(ProtocolError, match="corrupt"):
-            cache.get(key)
+            ReplayTransport(tmp_path).send(request)
 
     def test_no_stray_temp_files_left(self, tmp_path):
-        cache = ResponseCache(tmp_path)
-        request = HttpRequest("GET", "https://x.test/api")
-        cache.put(canonical_request_key(request), request, b"{}")
+        fx.record(tmp_path, HttpRequest("GET", "https://x.test/api"), b"{}")
         assert sorted(p.suffix for p in tmp_path.iterdir()) == [".json"]
 
 
@@ -302,7 +299,7 @@ class TestRecordAndReplay:
     def test_record_then_replay_is_byte_identical(self, tmp_path):
         request = HttpRequest("GET", "https://x.test/api", params=(("a", "1"),))
         live = FakeTransport(lambda r: b'{"answer": 42}')
-        recorder = RecordingTransport(live, tmp_path)
+        recorder = ReplayTransport(tmp_path, live)
         first = recorder.send(request)
         second = recorder.send(request)  # second hit served from disk
         assert first == second == b'{"answer": 42}'
@@ -312,7 +309,7 @@ class TestRecordAndReplay:
 
     def test_replay_finds_request_with_reordered_params(self, tmp_path):
         recorded = HttpRequest("GET", "https://x.test/api", params=(("a", "1"), ("b", "2")))
-        RecordingTransport(FakeTransport(lambda r: b"{}"), tmp_path).send(recorded)
+        ReplayTransport(tmp_path, FakeTransport(lambda r: b"{}")).send(recorded)
         reordered = HttpRequest("GET", "https://x.test/api", params=(("b", "2"), ("a", "1")))
         assert ReplayTransport(tmp_path).send(reordered) == b"{}"
 
@@ -323,10 +320,12 @@ class TestRecordAndReplay:
 
     def test_make_transport_modes(self, tmp_path):
         assert isinstance(make_transport("live"), UrllibTransport)
-        assert isinstance(make_transport("replay", tmp_path), ReplayTransport)
+        replay = make_transport("replay", tmp_path)
+        assert isinstance(replay, ReplayTransport)
+        assert replay.live is None
         recording = make_transport("record", tmp_path)
-        assert isinstance(recording, RecordingTransport)
-        assert isinstance(recording.inner, UrllibTransport)
+        assert isinstance(recording, ReplayTransport)
+        assert isinstance(recording.live, UrllibTransport)
 
     def test_make_transport_rejects_bad_input(self, tmp_path):
         with pytest.raises(ValueError, match="cache directory"):
@@ -346,7 +345,7 @@ def send_from_threads(transport, request: HttpRequest, threads: int, sends: int)
 class TestConcurrentRequestCount:
     def test_replay_counts_every_send(self, tmp_path):
         request = HttpRequest("GET", "https://x.test/api")
-        RecordingTransport(FakeTransport(lambda r: b"{}"), tmp_path).send(request)
+        fx.record(tmp_path, request, b"{}")
         replay = ReplayTransport(tmp_path)
         send_from_threads(replay, request, threads=2, sends=500)
         assert replay.request_count == 1000
