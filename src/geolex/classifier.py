@@ -7,6 +7,9 @@ hyperparameters are fixed, no shuffling, no randomness.
 
 The loss and gradient functions are module-level so they can be checked
 independently (e.g. against finite differences).
+
+``classify_batch`` decides a chunk of vectors with one vectorised
+sigmoid over their scores; ``classify`` is its one-vector case.
 """
 
 from __future__ import annotations
@@ -143,16 +146,33 @@ def train(
     )
 
 
-def predict_proba(model: LogisticModel, vector: Sequence[float]) -> float:
+def _score(model: LogisticModel, vector: Sequence[float]) -> float:
+    """``weights @ vector``; a vector of the wrong shape raises."""
     vector = np.asarray(vector, dtype=np.float64)
     if vector.shape != (model.dim,):
         raise ValueError(f"vector has shape {vector.shape}, model expects ({model.dim},)")
-    return float(sigmoid(float(model.weights @ vector) + model.bias))
+    return float(model.weights @ vector)
+
+
+def predict_proba(model: LogisticModel, vector: Sequence[float]) -> float:
+    return float(sigmoid(_score(model, vector) + model.bias))
 
 
 def classify(model: LogisticModel, vector: Sequence[float]) -> bool:
     """Probability at or above the threshold counts as a location."""
-    return predict_proba(model, vector) >= model.threshold
+    return classify_batch(model, [vector])[0]
+
+
+def classify_batch(model: LogisticModel, vectors: Sequence[Sequence[float]]) -> list[bool]:
+    """``classify`` for each vector, in order.
+
+    Each score is the product ``predict_proba`` takes, written into one
+    array without stacking the vectors into a matrix (that would copy
+    them); one ``sigmoid`` then decides every flag, so each flag is the
+    one ``predict_proba`` would give.
+    """
+    scores = np.array([_score(model, vector) for vector in vectors], dtype=np.float64)
+    return (sigmoid(scores + model.bias) >= model.threshold).tolist()
 
 
 @dataclass(frozen=True)
@@ -204,8 +224,8 @@ def evaluate(
     if not examples:
         raise ValueError("cannot evaluate on an empty set")
     tp = fp = fn = tn = 0
-    for vector, label in examples:
-        predicted = classify(model, vector)
+    flags = classify_batch(model, [vector for vector, _ in examples])
+    for (_, label), predicted in zip(examples, flags):
         if label and predicted:
             tp += 1
         elif label and not predicted:

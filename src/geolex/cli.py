@@ -156,10 +156,9 @@ def _classify(config: PipelineConfig, provider, entries: list[corpus.Entry]) -> 
     flags: list[bool] = []
     for start in range(0, len(entries), EMBED_CHUNK):
         chunk = entries[start : start + EMBED_CHUNK]
-        flags += [
-            classifier.classify(model, vector)
-            for vector in provider.embed_batch([e.definition for e in chunk])
-        ]
+        definitions = [e.definition for e in chunk]
+        # No name keeps the vectors, so they are freed before the next call.
+        flags += classifier.classify_batch(model, provider.embed_batch(definitions))
     return flags
 
 
@@ -191,9 +190,18 @@ def stage_train(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
         [by_id[entry_id].definition for entry_id, _ in annotations]
     )
     labels = [label for _, label in annotations]
-    model = classifier.train(list(zip(vectors, labels)))
+    examples = list(zip(vectors, labels))
+    model = classifier.train(examples)
     classifier.save_model(model, config.model)
-    return len(annotations), 1, 0, {"positive_fraction": sum(labels) / len(labels)}
+    # Training-set quality: an under-trained model shows up here.
+    fit = classifier.evaluate(model, examples)
+    return len(annotations), 1, 0, {
+        "positive_fraction": sum(labels) / len(labels),
+        "train_accuracy": fit.accuracy,
+        "train_precision": fit.precision,
+        "train_recall": fit.recall,
+        "train_f1": fit.f1,
+    }
 
 
 def stage_classify(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:

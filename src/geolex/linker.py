@@ -10,11 +10,12 @@ description scores 0 (its text embeds to the zero vector).
 A batch is linked in three phases: search every headword; fetch the
 descriptions of the distinct candidate items, 50 per request, in
 first-seen order; then embed and rank the entries chunk by chunk, each
-distinct text of a chunk embedded once.  A batch never aborts on a
-single bad entry: a failed search marks its entry, a failed
-description request marks every entry with a candidate in it, and a
-failed embedding call marks its chunk.  A marked entry gets an error
-note on its result and the batch carries on.
+distinct text of a chunk embedded once and its vector's norm taken
+once.  A batch never aborts on a single bad entry: a failed search
+marks its entry, a failed description request marks every entry with
+a candidate in it, and a failed embedding call marks its chunk.  A
+marked entry gets an error note on its result and the batch carries
+on.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Entry
-from .embedding import EMBED_CHUNK, cosine_similarity
+from .embedding import EMBED_CHUNK, cosine_from_norms, vector_norm
 from .errors import ProtocolError, ReplayCacheMiss, TransportError
 from .wikidata import ENTITY_BATCH_SIZE, WikidataCandidate, WikidataClient, qid_number
 
@@ -69,15 +70,26 @@ class LinkResult:
 def rank_candidates(
     definition_vector: np.ndarray,
     scored_inputs: Sequence[tuple[WikidataCandidate, np.ndarray]],
+    norms: Sequence[float] | None = None,
 ) -> list[ScoredCandidate]:
     """Score candidates against the definition vector and sort them by
     similarity, highest first, lower item number winning ties.
 
+    ``norms`` holds the definition vector's norm, then each candidate
+    vector's, as ``vector_norm`` takes them; left out, they are taken
+    here.  The similarities equal ``cosine_similarity`` bit for bit.
     Input order never affects the output order.
     """
+    if norms is None:
+        norms = [vector_norm(definition_vector)]
+        norms += [vector_norm(vector) for _, vector in scored_inputs]
+    definition_norm, *candidate_norms = norms
     scored = [
-        ScoredCandidate(candidate, cosine_similarity(definition_vector, vector))
-        for candidate, vector in scored_inputs
+        ScoredCandidate(
+            candidate,
+            cosine_from_norms(definition_vector, vector, definition_norm, norm),
+        )
+        for (candidate, vector), norm in zip(scored_inputs, candidate_norms, strict=True)
     ]
     scored.sort(key=lambda sc: (-sc.similarity, qid_number(sc.candidate.qid)))
     return scored
@@ -206,9 +218,9 @@ def _rank_chunk(
     provider,
     min_similarity: float,
 ) -> list[LinkResult | LinkError]:
-    """Rank each entry's candidates with one embedding call for the
-    chunk's distinct texts.  The vectors are freed on return, before
-    the next chunk is embedded."""
+    """Rank each entry's candidates with one embedding call and one
+    norm per distinct text of the chunk.  The vectors are freed on
+    return, before the next chunk is embedded."""
     texts = list(dict.fromkeys(
         [entry.definition for entry in entries]
         + [c.description_sv or "" for found in hits for c in found]
@@ -217,11 +229,14 @@ def _rank_chunk(
         vectors = dict(zip(texts, provider.embed_batch(texts)))
     except _REMOTE_ERRORS as err:
         return [LinkError(entry.id, err) for entry in entries]
+    norms = {text: vector_norm(vector) for text, vector in vectors.items()}
     outcomes: list[LinkResult | LinkError] = []
     for entry, found in zip(entries, hits):
+        descriptions = [c.description_sv or "" for c in found]
         ranking = rank_candidates(
             vectors[entry.definition],
-            [(c, vectors[c.description_sv or ""]) for c in found],
+            [(c, vectors[text]) for c, text in zip(found, descriptions)],
+            [norms[entry.definition]] + [norms[text] for text in descriptions],
         )
         best = ranking[0]
         chosen = best.candidate.qid if best.similarity >= min_similarity else None

@@ -295,6 +295,23 @@ def _parse_json_body(body: bytes, request: HttpRequest) -> dict:
     return parsed
 
 
+def _entity_description(qid: str, entity: dict, language: str) -> str | None:
+    """The ``language`` description of one ``wbgetentities`` entity,
+    ``None`` when it has none."""
+    descriptions = entity.get("descriptions", {})
+    if not isinstance(descriptions, dict):
+        raise ProtocolError(f"entity {qid}: 'descriptions' is not an object")
+    if language not in descriptions:
+        return None
+    described = descriptions[language]
+    if not isinstance(described, dict):
+        raise ProtocolError(f"entity {qid}: description {language!r} is not an object")
+    value = described.get("value")
+    if not isinstance(value, str):
+        raise ProtocolError(f"entity {qid}: description {language!r} has no string value")
+    return value
+
+
 def _qid_from_entity_uri(uri: str) -> str:
     if not isinstance(uri, str) or not uri.startswith(_ENTITY_URI_PREFIX):
         raise ValueError(f"not a Wikidata entity URI: {uri!r}")
@@ -397,7 +414,9 @@ class WikidataClient:
         self, qids: Sequence[str], language: str = "sv"
     ) -> dict[str, str | None]:
         """Authoritative descriptions for items, ``None`` where absent
-        (including items that do not exist)."""
+        (including items that do not exist).  An entity whose
+        description has the wrong JSON type raises ProtocolError naming
+        the item."""
         unique = _dedupe(qids)
         if not unique:
             raise ValueError("no item ids given")
@@ -423,12 +442,9 @@ class WikidataClient:
                 raise ProtocolError("entity response missing 'entities' map")
             for qid in batch:
                 entity = entities.get(qid)
-                description = None
+                out[qid] = None
                 if isinstance(entity, dict) and "missing" not in entity:
-                    description = (
-                        entity.get("descriptions", {}).get(language, {}).get("value")
-                    )
-                out[qid] = description
+                    out[qid] = _entity_description(qid, entity, language)
         return out
 
     def fetch_coordinates(self, qids: Sequence[str]) -> list[CoordinateRecord]:

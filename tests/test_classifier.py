@@ -15,6 +15,7 @@ from geolex.classifier import (
     EvalReport,
     LogisticModel,
     classify,
+    classify_batch,
     evaluate,
     load_annotations,
     load_model,
@@ -101,6 +102,37 @@ class TestClassify:
         stockholm = entries["9:211:2"]
         assert stockholm.definition.startswith("Stockholm, Sveriges hufvudstad")
         assert classify(model, embedder.embed(stockholm.definition)) is True
+
+
+class TestClassifyBatch:
+    def test_flags_equal_per_row_classify_on_random_models(self):
+        rng = np.random.default_rng(23)
+        embedder = HashedTrigramEmbedder(dim=16)
+        texts = [f"ort {i} vid sjön {i * 7919} i län {i % 7}" for i in range(300)] + ["", "ab"]
+        vectors = embedder.embed_batch(texts)
+        for _ in range(40):
+            model = LogisticModel(
+                weights=rng.normal(size=16) * rng.choice([0.1, 1.0, 10.0]),
+                bias=float(rng.normal()),
+                threshold=float(rng.uniform(0.05, 0.95)),
+            )
+            flags = classify_batch(model, vectors)
+            assert flags == [classify(model, v) for v in vectors]
+            assert flags == [predict_proba(model, v) >= model.threshold for v in vectors]
+            assert all(type(flag) is bool for flag in flags)
+
+    def test_probability_exactly_at_threshold_marks_every_row(self):
+        model = LogisticModel(weights=np.zeros(8), bias=0.0)  # proba exactly 0.5
+        rows = list(np.random.default_rng(3).normal(size=(50, 8))) + [np.zeros(8)]
+        assert classify_batch(model, rows) == [True] * len(rows)
+
+    def test_empty_batch(self):
+        assert classify_batch(LogisticModel(weights=np.zeros(3), bias=0.0), []) == []
+
+    def test_dimension_mismatch_in_any_row(self):
+        model = LogisticModel(weights=np.zeros(3), bias=0.0)
+        with pytest.raises(ValueError):
+            classify_batch(model, [np.zeros(3), np.zeros(4)])
 
 
 class TestTrain:

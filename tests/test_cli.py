@@ -89,6 +89,35 @@ class TestFullRun:
         assert by_stage["report"]["ratios"]["plotted_fraction"] == pytest.approx(5 / 12, abs=1e-4)
         assert all(s["wall_time_s"] >= 0 for s in by_stage.values())
 
+    def test_train_summary_reports_training_set_quality(self, workspace, no_network, capsys):
+        from geolex.classifier import load_model, predict_proba
+        from geolex.embedding import HashedTrigramEmbedder
+
+        assert workspace.run("ingest") == 0
+        assert workspace.run("train") == 0
+        (train,) = [s for s in parse_summaries(capsys.readouterr().out) if s["stage"] == "train"]
+        model = load_model(workspace.model)
+        embedder = HashedTrigramEmbedder()
+        entries = {e.id: e for e in load_dataset(workspace.dataset)}
+        pairs = [
+            (predict_proba(model, embedder.embed(entries[i].definition)) >= 0.5,
+             fx.IS_LOCATION[i])
+            for i in fx.ENTRY_IDS
+        ]
+        tp = sum(p and a for p, a in pairs)
+        marked = sum(p for p, _ in pairs)
+        actual = sum(a for _, a in pairs)
+        precision, recall = tp / marked, tp / actual
+        expected = {
+            "train_accuracy": sum(p == a for p, a in pairs) / len(pairs),
+            "train_precision": precision,
+            "train_recall": recall,
+            "train_f1": 2 * precision * recall / (precision + recall),
+        }
+        for name, value in expected.items():
+            assert train["ratios"][name] == round(value, 4), name
+        assert train["ratios"]["positive_fraction"] == round(7 / 12, 4)
+
     def test_artifact_contents(self, workspace, no_network):
         assert workspace.run_all_stages() == 0
         document = json.loads(workspace.geojson.read_text(encoding="utf-8"))

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import run_on_threads
+from geolex import embedding
 from geolex.embedding import (
     CachedEmbedder,
     HashedTrigramEmbedder,
@@ -205,6 +206,10 @@ EDGE_TEXTS = [
     "ǅ ß ﬁ İ",
 ]
 
+# Whitespace that normalisation collapses to one space, "\n" (the
+# separator the embedder joins texts on) among it.
+COLLAPSED_WHITESPACE = "\n\t\x1c\x1d\x1e\x1f\x85 \u3000"
+
 texts_strategy = st.one_of(
     st.sampled_from(EDGE_TEXTS),
     st.text(max_size=80),
@@ -214,7 +219,19 @@ texts_strategy = st.one_of(
     st.lists(
         st.sampled_from(["stad ", "i ", "län ", "Å", "å", "🏔", "e\u0301"]), max_size=40
     ).map("".join),
+    st.text(alphabet=COLLAPSED_WHITESPACE + "ab\U0010FFFF", max_size=30),
+    # Astral code points fill all 21 bits of a code point in a trigram key.
+    st.text(
+        alphabet=st.characters(min_codepoint=0x10000, max_codepoint=0x10FFFF), max_size=12
+    ),
 )
+
+# Rows of 0, 1 and 2 characters, which have no trigram, between longer rows.
+short_between_long = st.lists(
+    st.tuples(st.text(max_size=2), texts_strategy), max_size=4
+).map(lambda pairs: [text for pair in pairs for text in pair])
+
+batches_strategy = st.one_of(st.lists(texts_strategy, max_size=6), short_between_long)
 
 
 @pytest.fixture(scope="module")
@@ -223,9 +240,13 @@ def warm_embedders():
     return {dim: HashedTrigramEmbedder(dim=dim) for dim in (384, 64)}
 
 
+# Texts the trigram embedder turns into keys at a time.
+SLICE = embedding._SLICE_TEXTS
+
+
 class TestBatchMatchesScalarReference:
     @settings(deadline=None, max_examples=150)
-    @given(texts=st.lists(texts_strategy, max_size=6), dim=st.sampled_from([384, 64]))
+    @given(texts=batches_strategy, dim=st.sampled_from([384, 64]))
     def test_fresh_embedder(self, texts, dim):
         expected = [oracles.scalar_embed(text, dim) for text in texts]
         batch = HashedTrigramEmbedder(dim=dim).embed_batch(texts)
@@ -237,7 +258,7 @@ class TestBatchMatchesScalarReference:
             assert np.array_equal(HashedTrigramEmbedder(dim=dim).embed(text), reference)
 
     @settings(deadline=None, max_examples=150)
-    @given(texts=st.lists(texts_strategy, max_size=6), dim=st.sampled_from([384, 64]))
+    @given(texts=batches_strategy, dim=st.sampled_from([384, 64]))
     def test_reused_embedder(self, warm_embedders, texts, dim):
         embedder = warm_embedders[dim]
         expected = [oracles.scalar_embed(text, dim) for text in texts]
@@ -245,6 +266,36 @@ class TestBatchMatchesScalarReference:
             assert np.array_equal(vector, reference)
         for text, reference in zip(texts, expected):
             assert np.array_equal(embedder.embed(text), reference)
+
+    @settings(deadline=None, max_examples=20)
+    @given(
+        size=st.sampled_from([SLICE - 1, SLICE, SLICE + 1, 2 * SLICE + 1]),
+        data=st.data(),
+        dim=st.sampled_from([384, 64]),
+    )
+    def test_batches_around_the_slice_size(self, warm_embedders, size, data, dim):
+        texts = data.draw(st.lists(texts_strategy, min_size=size, max_size=size))
+        expected = [oracles.scalar_embed(text, dim) for text in texts]
+        for embedder in (HashedTrigramEmbedder(dim=dim), warm_embedders[dim]):
+            batch = embedder.embed_batch(texts)
+            assert len(batch) == size
+            assert all(np.array_equal(v, e) for v, e in zip(batch, expected))
+
+    @pytest.mark.parametrize("text", ["ab\ud800cd", "\udfff\ud800x", "x y \ud83d\ude00"])
+    def test_lone_surrogate_in_a_trigram_raises_like_the_reference(self, text):
+        with pytest.raises(UnicodeEncodeError):
+            oracles.scalar_embed(text)
+        embedder = HashedTrigramEmbedder()
+        with pytest.raises(UnicodeEncodeError):
+            embedder.embed_batch(["Uppsala", text])
+        with pytest.raises(UnicodeEncodeError):
+            embedder.embed(text)
+        # the table keeps no bad entry: the embedder still matches
+        assert np.array_equal(embedder.embed("Uppsala"), oracles.scalar_embed("Uppsala"))
+
+    def test_lone_surrogate_outside_any_trigram_embeds_to_zero(self):
+        for vector in HashedTrigramEmbedder().embed_batch(["\ud800", "a\udfff", ""]):
+            assert np.array_equal(vector, np.zeros(384))
 
     def test_empty_batch(self):
         assert HashedTrigramEmbedder().embed_batch([]) == []

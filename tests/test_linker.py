@@ -4,16 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 import oracles
 import pipeline_fixtures as fx
+from geolex import linker
 from geolex.corpus import Entry, RawPage, segment_pages
-from geolex.embedding import EMBED_CHUNK, HashedTrigramEmbedder
+from geolex.embedding import EMBED_CHUNK, HashedTrigramEmbedder, cosine_similarity
 from geolex.errors import ProtocolError, TransportError
 from geolex.linker import (
+    NO_MIN_SIMILARITY,
     LinkError,
     link_batch,
     link_entry,
@@ -152,6 +155,39 @@ class TestRankCandidates:
             definition, [(WikidataCandidate("Q5"), np.zeros(2))]
         )
         assert ranking[0].similarity == 0.0
+
+
+class TestRankChunkExactness:
+    def test_similarities_equal_cosine_similarity_exactly(self):
+        descriptions = [
+            "stad i Uppland vid Fyrisån", None, "stad i Uppland vid Fyrisån",
+            "musikalbum från 1994", "ab", "efternamn", "by i Dalarna vid Siljan",
+        ]
+        definitions = [
+            "Uppsala, stad i Uppland, vid Fyrisån.",
+            "Mora, köping i Dalarna, vid Siljan.",
+            "Mora, köping i Dalarna, vid Siljan.",  # a repeated definition
+            "ab",  # no trigram: the zero vector
+        ]
+        entries = [
+            Entry(f"1:{n + 1}:1", 1, n + 1, f"Ort{n}", text, text)
+            for n, text in enumerate(definitions)
+        ]
+        hits = [
+            [WikidataCandidate(f"Q{10 * n + k + 1}", description_sv=text)
+             for k, text in enumerate(descriptions)]
+            for n in range(len(entries))
+        ]
+        embedder = HashedTrigramEmbedder()
+        outcome = linker._rank_chunk(entries, hits, embedder, NO_MIN_SIMILARITY)
+        for entry, result in zip(entries, outcome):
+            definition = embedder.embed(entry.definition)
+            assert len(result.considered) == len(descriptions)
+            for scored in result.considered:
+                description = embedder.embed(scored.candidate.description_sv or "")
+                assert scored.similarity == cosine_similarity(definition, description)
+            assert result.similarity == result.considered[0].similarity
+        assert all(sc.similarity == 0.0 for sc in outcome[3].considered)
 
 
 class TestLinkEntryOnFixture:
@@ -303,6 +339,26 @@ class TestLinkBatch:
         transport = fx.FixtureTransport(results)
         link_batch(entries, HashedTrigramEmbedder(), WikidataClient(transport=transport))
         assert transport.asked_ids() == [ids[:50], ids[50:]]
+
+    def test_malformed_entity_marks_the_entries_of_its_request(self):
+        entries, results = places(11)  # 55 distinct candidates
+        broken = results["Ort10"][2][0]  # in the second description request
+
+        class MalformedEntity(fx.FixtureTransport):
+            def send(self, request):
+                body = super().send(request)
+                payload = json.loads(body)
+                if broken in payload.get("entities", {}):
+                    payload["entities"][broken]["descriptions"] = []
+                return json.dumps(payload).encode("utf-8")
+
+        client = WikidataClient(transport=MalformedEntity(results))
+        outcome = link_batch(entries, HashedTrigramEmbedder(), client)
+        assert [r.entry_id for r in outcome if r.error] == [entries[10].id]
+        assert outcome[10].error == (
+            f"ProtocolError: entity {broken}: 'descriptions' is not an object"
+        )
+        assert all(r.chosen is not None for r in outcome[:10])
 
     def test_shared_candidates_are_fetched_and_embedded_once(self, no_network):
         entries = fixture_entries()

@@ -479,6 +479,23 @@ class TestFetchDescriptions:
             "Q99999999": None,
         }
 
+    def fetch_malformed(self, entity):
+        payload = {"entities": {"Q64": {"descriptions": {}}, "Q1754": entity}}
+        client, _ = make_client(lambda r: json_body(payload))
+        return client.fetch_descriptions(["Q64", "Q1754"])
+
+    def test_descriptions_not_an_object_raises_naming_the_item(self):
+        with pytest.raises(ProtocolError, match="Q1754.*'descriptions' is not an object"):
+            self.fetch_malformed({"descriptions": []})
+
+    def test_language_entry_not_an_object_raises_naming_the_item(self):
+        with pytest.raises(ProtocolError, match="Q1754.*'sv' is not an object"):
+            self.fetch_malformed({"descriptions": {"sv": "x"}})
+
+    def test_non_string_value_raises_naming_the_item(self):
+        with pytest.raises(ProtocolError, match="Q1754.*no string value"):
+            self.fetch_malformed({"descriptions": {"sv": {"language": "sv", "value": 5}}})
+
     def test_batches_of_fifty_ids(self):
         qids = [f"Q{i}" for i in range(1, 121)]
         client, transport = make_client(lambda r: json_body({"entities": {}}))
