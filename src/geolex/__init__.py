@@ -13,7 +13,7 @@ from .corpus import CorpusStats, Entry, RawPage, corpus_stats, segment_pages
 from .embedding import HashedTrigramEmbedder, RemoteEmbedder, cosine_similarity
 from .errors import DatasetError, ProtocolError, ReplayCacheMiss, TransportError
 from .geo import GeoPoint, LinkedPlace, distance_histogram, haversine_km
-from .linker import LinkResult, link_batch, link_entry, rank_candidates
+from .linker import LinkResult, link_batch, rank_candidates
 from .wikidata import WikidataCandidate, WikidataClient, make_transport
 
 __all__ = [
@@ -22,7 +22,7 @@ __all__ = [
     "HashedTrigramEmbedder", "RemoteEmbedder", "cosine_similarity",
     "EvalReport", "LogisticModel", "evaluate", "train",
     "WikidataCandidate", "WikidataClient", "make_transport",
-    "LinkResult", "link_batch", "link_entry", "rank_candidates",
+    "LinkResult", "link_batch", "rank_candidates",
     "GeoPoint", "LinkedPlace", "distance_histogram", "haversine_km",
     "DatasetError", "ProtocolError", "ReplayCacheMiss", "TransportError",
 ]

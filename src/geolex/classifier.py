@@ -15,6 +15,7 @@ sigmoid over their scores; ``classify`` is its one-vector case.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -257,27 +258,40 @@ def save_model(model: LogisticModel, path: str | os.PathLike[str]) -> None:
 
 
 def load_model(path: str | os.PathLike[str]) -> LogisticModel:
+    """Read a model file.  JSON types are checked as
+    ``corpus.entry_from_record`` checks a record: weights, bias and
+    threshold must be finite numbers (not booleans), ``trained_on`` an
+    integer and ``hyperparams`` an object.  Anything else raises
+    DatasetError naming the file."""
     with open(path, encoding="utf-8") as handle:
         try:
             document = json.load(handle)
         except json.JSONDecodeError as err:
             raise DatasetError(f"{path}: invalid model file: {err}") from err
     try:
-        weights = np.asarray(document["weights"], dtype=np.float64)
-        model = LogisticModel(
-            weights=weights,
-            bias=float(document["bias"]),
-            threshold=float(document.get("threshold", DEFAULT_THRESHOLD)),
-            trained_on=int(document.get("trained_on", 0)),
-            hyperparams=dict(document.get("hyperparams", {})),
-        )
-    except (KeyError, TypeError, ValueError) as err:
+        weights = document["weights"]
+        numbers = [*weights, document["bias"], document.get("threshold", DEFAULT_THRESHOLD)]
+        trained_on = document.get("trained_on", 0)
+        hyperparams = document.get("hyperparams", {})
+    except (KeyError, TypeError) as err:
         raise DatasetError(f"{path}: invalid model file: {err}") from err
-    if weights.ndim != 1 or ("dim" in document and model.dim != document["dim"]):
-        raise DatasetError(f"{path}: model weight shape does not match declared dim")
-    if not np.all(np.isfinite([*weights, model.bias, model.threshold])):
+    if type(weights) is not list or any(type(x) not in (int, float) for x in numbers):
+        raise DatasetError(
+            f"{path}: invalid model file: weights, bias and threshold must be numbers"
+        )
+    if type(trained_on) is not int or type(hyperparams) is not dict:
+        raise DatasetError(
+            f"{path}: invalid model file: trained_on must be an integer, hyperparams an object"
+        )
+    try:
+        *weights, bias, threshold = values = list(map(float, numbers))
+    except OverflowError as err:  # an integer too large for a float
+        raise DatasetError(f"{path}: invalid model file: {err}") from err
+    if not all(map(math.isfinite, values)):
         raise DatasetError(f"{path}: invalid model file: non-finite weight, bias or threshold")
-    return model
+    if "dim" in document and len(weights) != document["dim"]:
+        raise DatasetError(f"{path}: model weight shape does not match declared dim")
+    return LogisticModel(np.array(weights), bias, threshold, trained_on, hyperparams)
 
 
 def load_annotations(path: str | os.PathLike[str]) -> list[tuple[str, bool]]:

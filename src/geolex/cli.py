@@ -119,11 +119,7 @@ def _build_provider(config: PipelineConfig):
     if config.embed_provider == "local":
         provider = HashedTrigramEmbedder(dim=config.embed_dim)
     else:
-        provider = RemoteEmbedder(
-            url=config.embed_url or None,
-            dim=config.embed_dim,
-            max_in_flight=config.concurrency,
-        )
+        provider = RemoteEmbedder(url=config.embed_url or None, dim=config.embed_dim)
     if config.embed_cache:
         provider = CachedEmbedder(provider, config.embed_cache)
     return provider
@@ -140,7 +136,6 @@ def _build_client(config: PipelineConfig) -> WikidataClient:
         transport,
         api_url=config.wikidata_api_url,
         sparql_url=config.wikidata_sparql_url,
-        max_in_flight=config.concurrency,
     )
 
 

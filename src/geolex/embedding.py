@@ -203,9 +203,10 @@ class RemoteEmbedder:
     comes from the constructor or the ``EMBED_URL`` environment
     variable.  Requests go through ``transport`` (by default an
     unspaced ``UrllibTransport``, so HTTP 429/5xx raise TransportError
-    and other error statuses ProtocolError; nothing is retried).  At
-    most ``max_in_flight`` requests run concurrently; responses are
-    validated and re-normalized before use.
+    and other error statuses ProtocolError; nothing is retried).  It
+    sets no bound on requests in flight: every stage embeds from one
+    thread, one request at a time.  Responses are validated and
+    re-normalized before use.
     """
 
     name = "remote"
@@ -215,7 +216,6 @@ class RemoteEmbedder:
         url: str | None = None,
         dim: int = DEFAULT_DIM,
         timeout: float = DEFAULT_TIMEOUT_S,
-        max_in_flight: int = 4,
         transport=None,
     ):
         self.url = url or os.environ.get("EMBED_URL") or ""
@@ -223,10 +223,7 @@ class RemoteEmbedder:
             raise ValueError("no embedding service URL: pass url= or set EMBED_URL")
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
-        if max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.dim = dim
-        self._slots = threading.BoundedSemaphore(max_in_flight)
         self.transport = transport or UrllibTransport(
             timeout=timeout, rate_limiter=RateLimiter(0.0)
         )
@@ -244,8 +241,7 @@ class RemoteEmbedder:
             body=json.dumps({"texts": texts}).encode("utf-8"),
             headers=(("Content-Type", "application/json"),),
         )
-        with self._slots:
-            body = self.transport.send(request)
+        body = self.transport.send(request)
         try:
             parsed = json.loads(body)
         except (json.JSONDecodeError, UnicodeDecodeError) as err:

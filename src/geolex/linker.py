@@ -7,6 +7,7 @@ candidate whose description is most cosine-similar to the definition.
 Ties break toward the lower item number.  A candidate without a
 description scores 0 (its text embeds to the zero vector).
 
+``link_batch`` is the one way to link; one entry is a batch of one.
 A batch is linked in three phases: search every headword; fetch the
 descriptions of the distinct candidate items, 50 per request, in
 first-seen order; then embed and rank the entries chunk by chunk, each
@@ -14,8 +15,8 @@ distinct text of a chunk embedded once and its vector's norm taken
 once.  A batch never aborts on a single bad entry: a failed search
 marks its entry, a failed description request marks every entry with
 a candidate in it, and a failed embedding call marks its chunk.  A
-marked entry gets an error note on its result and the batch carries
-on.
+marked entry gets an unlinked result with an error note ("Type:
+message") and the batch carries on.
 """
 
 from __future__ import annotations
@@ -38,15 +39,6 @@ MAX_CANDIDATES = 5
 NO_MIN_SIMILARITY = -1.0
 
 _REMOTE_ERRORS = (TransportError, ProtocolError, ReplayCacheMiss)
-
-
-class LinkError(Exception):
-    """A remote or embedding failure while linking one entry."""
-
-    def __init__(self, entry_id: str, cause: Exception):
-        super().__init__(f"linking entry {entry_id}: {cause}")
-        self.entry_id = entry_id
-        self.cause = cause
 
 
 @dataclass
@@ -95,21 +87,6 @@ def rank_candidates(
     return scored
 
 
-def link_entry(
-    entry: Entry,
-    provider,
-    client: WikidataClient,
-    limit: int = MAX_CANDIDATES,
-    min_similarity: float = NO_MIN_SIMILARITY,
-) -> LinkResult:
-    """Link one entry.  No search hits means an unlinked result; remote
-    or embedding failures raise LinkError carrying the entry id."""
-    (outcome,) = _link([entry], provider, client, limit, min_similarity, workers=1)
-    if isinstance(outcome, LinkError):
-        raise outcome from outcome.cause
-    return outcome
-
-
 def link_batch(
     entries: Sequence[Entry],
     provider,
@@ -122,38 +99,15 @@ def link_batch(
 
     A failing entry yields an unlinked result with an error note; the
     rest of the batch is unaffected.  ``workers`` > 1 sends the
-    searches and the description requests on a thread pool (the
-    client's own limits still cap request traffic).
+    searches and the description requests on a pool of that many
+    threads, each with one request open at a time, so ``workers`` is
+    the bound on requests in flight.
     """
-    return [
-        LinkResult(
-            outcome.entry_id,
-            None,
-            0.0,
-            [],
-            error=f"{type(outcome.cause).__name__}: {outcome.cause}",
-        )
-        if isinstance(outcome, LinkError)
-        else outcome
-        for outcome in _link(entries, provider, client, limit, min_similarity, workers)
-    ]
-
-
-def _link(
-    entries: Sequence[Entry],
-    provider,
-    client: WikidataClient,
-    limit: int,
-    min_similarity: float,
-    workers: int,
-) -> list[LinkResult | LinkError]:
-    """Search, fetch descriptions, rank; one outcome per entry, in
-    input order."""
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    outcomes: list[LinkResult | LinkError | None] = [None] * len(entries)
+    results: list[LinkResult | None] = [None] * len(entries)
     with ExitStack() as stack:
         if workers > 1 and len(entries) > 1:
             pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
@@ -168,13 +122,13 @@ def _link(
         ))
         for i, (entry, found) in enumerate(zip(entries, hits)):
             if isinstance(found, Exception):
-                outcomes[i] = LinkError(entry.id, found)
+                results[i] = _failed(entry, found)
             elif not found:
-                outcomes[i] = LinkResult(entry.id, None, 0.0, [])
+                results[i] = LinkResult(entry.id, None, 0.0, [])
 
         # Phase 2: descriptions of the distinct candidates, in first-seen
         # order so a batch's ids never depend on thread timing.
-        pending = [i for i, outcome in enumerate(outcomes) if outcome is None]
+        pending = [i for i, result in enumerate(results) if result is None]
         qids = list(dict.fromkeys(c.qid for i in pending for c in hits[i]))
         batches = [
             qids[start : start + ENTITY_BATCH_SIZE]
@@ -192,7 +146,7 @@ def _link(
         for i in pending:
             errors = [failed[c.qid] for c in hits[i] if c.qid in failed]
             if errors:
-                outcomes[i] = LinkError(entries[i].id, errors[0])
+                results[i] = _failed(entries[i], errors[0])
                 continue
             for candidate in hits[i]:
                 candidate.description_sv = descriptions.get(candidate.qid)
@@ -200,16 +154,21 @@ def _link(
     # Phase 3: rank in chunks, so one embedding call holds at most
     # EMBED_CHUNK vectors (a definition plus ``limit`` descriptions per
     # entry).
-    ranked = [i for i, outcome in enumerate(outcomes) if outcome is None]
+    ranked = [i for i, result in enumerate(results) if result is None]
     step = EMBED_CHUNK // (1 + limit)
     for start in range(0, len(ranked), step):
         chunk = ranked[start : start + step]
-        chunk_outcomes = _rank_chunk(
+        chunk_results = _rank_chunk(
             [entries[i] for i in chunk], [hits[i] for i in chunk], provider, min_similarity
         )
-        for i, outcome in zip(chunk, chunk_outcomes):
-            outcomes[i] = outcome
-    return outcomes
+        for i, result in zip(chunk, chunk_results):
+            results[i] = result
+    return results
+
+
+def _failed(entry: Entry, err: Exception) -> LinkResult:
+    """The unlinked result of an entry whose link failed with ``err``."""
+    return LinkResult(entry.id, None, 0.0, [], error=f"{type(err).__name__}: {err}")
 
 
 def _rank_chunk(
@@ -217,7 +176,7 @@ def _rank_chunk(
     hits: Sequence[list[WikidataCandidate]],
     provider,
     min_similarity: float,
-) -> list[LinkResult | LinkError]:
+) -> list[LinkResult]:
     """Rank each entry's candidates with one embedding call and one
     norm per distinct text of the chunk.  The vectors are freed on
     return, before the next chunk is embedded."""
@@ -228,9 +187,9 @@ def _rank_chunk(
     try:
         vectors = dict(zip(texts, provider.embed_batch(texts)))
     except _REMOTE_ERRORS as err:
-        return [LinkError(entry.id, err) for entry in entries]
+        return [_failed(entry, err) for entry in entries]
     norms = {text: vector_norm(vector) for text, vector in vectors.items()}
-    outcomes: list[LinkResult | LinkError] = []
+    results: list[LinkResult] = []
     for entry, found in zip(entries, hits):
         descriptions = [c.description_sv or "" for c in found]
         ranking = rank_candidates(
@@ -240,8 +199,8 @@ def _rank_chunk(
         )
         best = ranking[0]
         chosen = best.candidate.qid if best.similarity >= min_similarity else None
-        outcomes.append(LinkResult(entry.id, chosen, best.similarity, ranking))
-    return outcomes
+        results.append(LinkResult(entry.id, chosen, best.similarity, ranking))
+    return results
 
 
 def _remote(call):

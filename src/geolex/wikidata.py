@@ -14,8 +14,10 @@ All HTTP goes through a transport object chosen by cache mode:
 Cache keys canonicalize the request (method + URL + sorted query
 parameters + body hash), so a recorded response is found again even if
 parameter order changes.  The client retries transport-level failures
-with 1s/2s/4s backoff, spaces request starts at least 0.1s apart, and
-never lets more than a handful of requests run at once.
+with 1s/2s/4s backoff and spaces request starts at least 0.1s apart.
+It sets no bound on requests in flight: link sends from a pool of
+``concurrency`` threads, one request open per thread, and every other
+caller sends from one thread.
 """
 
 from __future__ import annotations
@@ -309,6 +311,12 @@ def _entity_description(qid: str, entity: dict, language: str) -> str | None:
     value = described.get("value")
     if not isinstance(value, str):
         raise ProtocolError(f"entity {qid}: description {language!r} has no string value")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise ProtocolError(
+            f"entity {qid}: description {language!r} cannot be encoded as UTF-8"
+        ) from err
     return value
 
 
@@ -319,14 +327,8 @@ def _qid_from_entity_uri(uri: str) -> str:
 
 
 def _dedupe(qids: Iterable[str]) -> list[str]:
-    out: list[str] = []
-    seen: set[str] = set()
-    for qid in qids:
-        validate_qid(qid)
-        if qid not in seen:
-            seen.add(qid)
-            out.append(qid)
-    return out
+    """Distinct ids in first-seen order, every one validated."""
+    return list(dict.fromkeys(map(validate_qid, qids)))
 
 
 class WikidataClient:
@@ -341,18 +343,14 @@ class WikidataClient:
         transport=None,
         api_url: str = DEFAULT_API_URL,
         sparql_url: str = DEFAULT_SPARQL_URL,
-        max_in_flight: int = 4,
         backoff_s: Sequence[float] = DEFAULT_BACKOFF_S,
         sleep=time.sleep,
     ):
-        if max_in_flight < 1:
-            raise ValueError(f"max_in_flight must be >= 1, got {max_in_flight}")
         self.transport = transport if transport is not None else UrllibTransport()
         self.api_url = api_url
         self.sparql_url = sparql_url
         self.backoff_s = tuple(backoff_s)
         self._sleep = sleep
-        self._slots = threading.BoundedSemaphore(max_in_flight)
         self.warnings = 0
 
     def _send(self, request: HttpRequest) -> bytes:
@@ -361,8 +359,7 @@ class WikidataClient:
         attempts = len(self.backoff_s) + 1
         for attempt in range(attempts):
             try:
-                with self._slots:
-                    return self.transport.send(request)
+                return self.transport.send(request)
             except TransportError:
                 if attempt == attempts - 1:
                     raise

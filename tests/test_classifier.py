@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -364,11 +365,21 @@ class TestModelPersistence:
         '{"weights": [NaN, 0.0], "bias": 0.0}',
         '{"weights": [1.0, 0.0], "bias": Infinity}',
         '{"weights": [1.0, 0.0], "bias": 0.0, "threshold": NaN}',
+        # a JSON number of the wrong kind, or no number at all
+        '{"weights": [1.0, 0.0], "bias": "0.25"}',
+        '{"weights": ["0.5", -1], "bias": 0.0}',
+        '{"weights": [true, 0.0], "bias": 0.0}',
+        '{"weights": {"0": 1.0}, "bias": 0.0}',
+        '{"weights": [1.0, 0.0], "bias": 0.0, "threshold": true}',
+        '{"weights": [1.0, 0.0], "bias": 0.0, "trained_on": 2.9}',
+        '{"weights": [1.0, 0.0], "bias": 0.0, "trained_on": true}',
+        '{"weights": [1.0, 0.0], "bias": 0.0, "hyperparams": [["epochs", 5]]}',
+        pytest.param('{"weights": [1.0, 0.0], "bias": 1%s}' % ("0" * 400), id="huge-int-bias"),
     ])
     def test_non_finite_number_rejected(self, tmp_path, document):
         path = tmp_path / "model.json"
         path.write_text(document, encoding="utf-8")
-        with pytest.raises(DatasetError, match="invalid model file"):
+        with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: invalid model file"):
             load_model(path)
 
     def test_dim_mismatch_rejected(self, tmp_path):

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -15,13 +17,7 @@ from geolex import linker
 from geolex.corpus import Entry, RawPage, segment_pages
 from geolex.embedding import EMBED_CHUNK, HashedTrigramEmbedder, cosine_similarity
 from geolex.errors import ProtocolError, TransportError
-from geolex.linker import (
-    NO_MIN_SIMILARITY,
-    LinkError,
-    link_batch,
-    link_entry,
-    rank_candidates,
-)
+from geolex.linker import NO_MIN_SIMILARITY, link_batch, rank_candidates
 from geolex.wikidata import (
     ReplayTransport,
     WikidataCandidate,
@@ -194,7 +190,7 @@ class TestLinkEntryOnFixture:
     def test_stockholm_links_to_main_city_item(self, fixture_client, no_network):
         entry = fixture_entries()["9:211:2"]
         embedder = HashedTrigramEmbedder()
-        result = link_entry(entry, embedder, fixture_client)
+        (result,) = link_batch([entry], embedder, fixture_client)
         assert result.chosen == "Q1754"
         assert result.error is None
         assert len(result.considered) == 5
@@ -212,7 +208,7 @@ class TestLinkEntryOnFixture:
         # the themed description shares more trigrams with the entry
         # text than the plain one, so the lower-quality item wins
         entry = fixture_entries()["9:210:1"]
-        result = link_entry(entry, HashedTrigramEmbedder(), fixture_client)
+        (result,) = link_batch([entry], HashedTrigramEmbedder(), fixture_client)
         assert result.chosen == "Q99670857"
         by_qid = {sc.candidate.qid: sc.similarity for sc in result.considered}
         assert by_qid["Q99670857"] > by_qid["Q1546"]
@@ -220,7 +216,7 @@ class TestLinkEntryOnFixture:
     def test_no_search_hits_means_unlinked(self, fixture_client, no_network):
         entry = fixture_entries()["2:57:1"]
         assert entry.headword == "Arktonnesos"
-        result = link_entry(entry, HashedTrigramEmbedder(), fixture_client)
+        (result,) = link_batch([entry], HashedTrigramEmbedder(), fixture_client)
         assert result.chosen is None
         assert result.similarity == 0.0
         assert result.considered == []
@@ -230,15 +226,15 @@ class TestLinkEntryOnFixture:
         entries = fixture_entries()
         embedder = HashedTrigramEmbedder()
         for entry_id, expected_qid in fx.EXPECTED_LINKS.items():
-            result = link_entry(entries[entry_id], embedder, fixture_client)
+            (result,) = link_batch([entries[entry_id]], embedder, fixture_client)
             assert result.chosen == expected_qid, entry_id
 
     def test_min_similarity_gate_unlinks_but_keeps_ranking(
         self, fixture_client, no_network
     ):
         entry = fixture_entries()["9:211:2"]
-        result = link_entry(
-            entry, HashedTrigramEmbedder(), fixture_client, min_similarity=0.99
+        (result,) = link_batch(
+            [entry], HashedTrigramEmbedder(), fixture_client, min_similarity=0.99
         )
         assert result.chosen is None
         assert len(result.considered) == 5
@@ -253,10 +249,10 @@ class TestLinkEntryOnFixture:
             transport=DownTransport(), backoff_s=(), sleep=lambda s: None
         )
         entry = fixture_entries()["9:211:2"]
-        with pytest.raises(LinkError) as exc_info:
-            link_entry(entry, HashedTrigramEmbedder(), client)
-        assert exc_info.value.entry_id == "9:211:2"
-        assert isinstance(exc_info.value.cause, TransportError)
+        (result,) = link_batch([entry], HashedTrigramEmbedder(), client)
+        assert result.entry_id == "9:211:2"
+        assert result.chosen is None
+        assert result.error == "TransportError: socket closed"
 
 
 class TestLinkBatch:
@@ -359,6 +355,64 @@ class TestLinkBatch:
             f"ProtocolError: entity {broken}: 'descriptions' is not an object"
         )
         assert all(r.chosen is not None for r in outcome[:10])
+
+    def test_unencodable_description_marks_the_entries_of_its_request(self):
+        entries, results = places(11)  # 55 distinct candidates
+        # one more entry shares a candidate with each of the two requests
+        results["Delad"] = [results["Ort0"][0], results["Ort10"][0]]
+        entries.append(Entry("1:99:1", 1, 99, "Delad", "Delad, ort.", "Delad, ort."))
+        broken = results["Ort10"][2][0]  # in the second description request
+
+        class LoneSurrogate(fx.FixtureTransport):
+            def send(self, request):
+                payload = json.loads(super().send(request))
+                if broken in payload.get("entities", {}):
+                    payload["entities"][broken]["descriptions"]["sv"]["value"] = "\ud800"
+                return json.dumps(payload).encode("utf-8")  # ASCII: "\\ud800"
+
+        client = WikidataClient(transport=LoneSurrogate(results))
+        outcome = link_batch(entries, HashedTrigramEmbedder(), client)
+        assert [r.entry_id for r in outcome if r.error] == [entries[10].id, "1:99:1"]
+        assert outcome[10].error == outcome[11].error == (
+            f"ProtocolError: entity {broken}: description 'sv' cannot be encoded as UTF-8"
+        )
+        assert all(r.chosen is not None for r in outcome[:10])
+
+    def test_workers_bound_the_requests_in_flight(self):
+        entries, results = places(60)  # 300 candidates: six description requests
+
+        class InFlight(fx.FixtureTransport):
+            """Holds every request open briefly and keeps, per API
+            action, the most requests that were open at once."""
+
+            def __init__(self, results):
+                super().__init__(results)
+                self.lock = threading.Lock()
+                self.open = 0
+                self.peak: dict[str, int] = {}
+
+            def send(self, request):
+                action = dict(request.params)["action"]
+                with self.lock:
+                    self.open += 1
+                    self.peak[action] = max(self.peak.get(action, 0), self.open)
+                try:
+                    time.sleep(0.01)
+                    return super().send(request)
+                finally:
+                    with self.lock:
+                        self.open -= 1
+
+        transport = InFlight(results)
+        outcome = link_batch(
+            entries, HashedTrigramEmbedder(), WikidataClient(transport=transport), workers=3
+        )
+        assert all(r.error is None and r.chosen is not None for r in outcome)
+        assert len(transport.asked_ids()) == 6
+        # more than one open shows the pool ran; never more than three
+        # shows it is the bound
+        assert set(transport.peak) == {"wbsearchentities", "wbgetentities"}
+        assert all(1 < peak <= 3 for peak in transport.peak.values()), transport.peak
 
     def test_shared_candidates_are_fetched_and_embedded_once(self, no_network):
         entries = fixture_entries()
