@@ -9,13 +9,16 @@ One subcommand per stage, plus ``run`` for the whole chain:
     coords    fetch latitude/longitude for linked items
     report    GeoJSON + distance histogram + SVG map
 
-The stage loop in ``main`` owns the dataset.  A command reads it at
-most once, before its first stage that reads it (so never for
-``ingest``), and every stage takes and updates that one list of
-entries.  ``ingest``, ``classify``, ``link`` and ``coords`` each have
-it written back atomically when they finish; ``train`` and ``report``
-never write it.  Stages are idempotent: re-running a stage on its own
-output produces byte-identical files.  Summaries go to stdout as JSON
+The stage loop in ``main`` owns the dataset, and every stage takes and
+updates that one list of entries.  A command that starts with
+``ingest`` (``ingest`` itself and ``run``) keeps the entries ingest
+made and never reads the dataset; any other command reads it once,
+before its first stage.  ``ingest``, ``classify``, ``link`` and
+``coords`` each have it written back atomically when they finish;
+``train`` and ``report`` never write it.  A save re-encodes only the
+fields stages fill in (see ``corpus.save_dataset``).  Stages are
+idempotent: re-running a stage on its own output produces
+byte-identical files.  Summaries go to stdout as JSON
 lines followed by a small table; diagnostics go to stderr.
 
 Errors have one boundary, the stage loop in ``main``.  Stages raise;
@@ -330,8 +333,7 @@ def _run_stage(
     a stage in ``_SAVES_DATASET`` has them saved when it finishes."""
     started = time.perf_counter()
     if load:
-        entries.clear()  # free what ingest left before reading the dataset back
-        entries.extend(corpus.load_dataset(config.dataset))
+        entries[:] = corpus.load_dataset(config.dataset)
     inputs, outputs, errors, ratios = stage(config, entries)
     if name in _SAVES_DATASET:
         corpus.save_dataset(entries, config.dataset)
@@ -471,15 +473,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config: {err}", file=sys.stderr)
         return STAGE_EXIT_CODES["config"]
     stages = _stages_for(args.command, config)
-    # The dataset is read once, before the first stage that reads it:
-    # every stage but ingest.  Under ``run`` that stage reads what
-    # ingest saved, just as when the stages run one command each.
-    first_reader = next((name for name in stages if name != "ingest"), None)
+    # Saving and loading again gives back ingest's entries, so only a
+    # command that does not start with ingest reads the dataset.
+    load = stages[0] != "ingest"
     entries: list[corpus.Entry] = []
     summaries: list[RunSummary] = []
     for name in stages:
         try:
-            summaries.append(STAGE_RUNNERS[name](config, entries, name == first_reader))
+            summaries.append(STAGE_RUNNERS[name](config, entries, load))
+            load = False
         except STAGE_FAILURES as err:
             _emit(summaries)
             print(f"{name}: {_describe(err, config)}", file=sys.stderr)

@@ -23,7 +23,7 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -46,6 +46,10 @@ _HEADWORD_TRAILING = ",.:;"
 _REQUIRED_FIELDS = ("id", "volume", "page", "headword", "definition", "raw_text")
 _OPTIONAL_FIELDS = ("is_location", "qid", "similarity", "lat", "lon")
 _ALL_FIELDS = _REQUIRED_FIELDS + _OPTIONAL_FIELDS
+_SLOTS = _ALL_FIELDS + ("_head",)
+# The one encoder of dataset lines: ``json.dumps(record, ensure_ascii=False)``
+# without building an encoder per call.
+_JSON = json.JSONEncoder(ensure_ascii=False)
 # The exact types each field's JSON value may have: optional fields may
 # also be null, a ``bool`` is no number, and a float must be finite.
 _NULL = type(None)
@@ -74,12 +78,19 @@ class RawPage:
             raise ValueError(f"page {self.volume}:{self.page_no} has no text")
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class Entry:
     """One encyclopedia entry, with optional enrichment fields.
 
-    ``is_location``, ``qid``, ``similarity``, ``lat`` and ``lon`` start
-    unset and are filled in by the classify, link and coords stages.
+    The six required fields are read-only after construction: ingest
+    sets them and no later stage changes them.  ``is_location``,
+    ``qid``, ``similarity``, ``lat`` and ``lon`` start unset and are
+    filled in by the classify, link and coords stages.
+
+    The entry holds its ``raw_text``, the bulk of a record, once.  Until
+    its first ``save_dataset`` that is the decoded text; from then on it
+    is the record's encoded head (``_head``), from which each read of
+    ``raw_text`` decodes it again.  No stage after ingest reads it.
     """
 
     id: str
@@ -93,6 +104,39 @@ class Entry:
     similarity: float | None = None
     lat: float | None = None
     lon: float | None = None
+    # The required fields as canonical JSON, without the closing brace.
+    _head: str | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __init__(
+        self, id: str, volume: int, page: int, headword: str, definition: str,
+        raw_text: str, is_location: bool | None = None, qid: str | None = None,
+        similarity: float | None = None, lat: float | None = None,
+        lon: float | None = None,
+    ) -> None:
+        values = (id, volume, page, headword, definition, raw_text,
+                  is_location, qid, similarity, lat, lon, None)
+        for name, value in zip(_SLOTS, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        if name in _REQUIRED_FIELDS:
+            raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        object.__setattr__(self, name, value)
+
+    def __getattr__(self, name: str) -> str:
+        # Reached only through an empty slot: raw_text once the head holds it.
+        if name == "raw_text" and self._head is not None:
+            return json.loads(self._head + "}")["raw_text"]
+        raise AttributeError(f"'Entry' object has no attribute {name!r}")
+
+    def encoded_head(self) -> str:
+        """The required fields as canonical JSON, minus the closing
+        brace.  The first call encodes them and drops the decoded
+        ``raw_text``; later calls return the same text."""
+        if self._head is None:
+            self._head = _JSON.encode({name: getattr(self, name) for name in _REQUIRED_FIELDS})[:-1]
+            object.__delattr__(self, "raw_text")
+        return self._head
 
 
 @dataclass(frozen=True)
@@ -123,7 +167,7 @@ def extract_headword(raw_text: str) -> str:
     the headword: the bracket either starts a later token or, when the
     OCR glued it on, gets cut off the first one.
     """
-    tokens = raw_text.split()
+    tokens = raw_text.split(maxsplit=1)
     if not tokens:
         raise ValueError("entry text is blank; no headword to extract")
     token = tokens[0]
@@ -288,15 +332,6 @@ def read_raw_pages(raw_dir: str | os.PathLike[str]) -> list[RawPage]:
 # ── Dataset serialization (JSON lines, fixed field order) ───────────────
 
 
-def entry_to_record(entry: Entry) -> dict:
-    record = {}
-    for name in _ALL_FIELDS:
-        value = getattr(entry, name)
-        if value is not None:
-            record[name] = value
-    return record
-
-
 def entry_from_record(record: dict, where: str = "dataset") -> Entry:
     if not isinstance(record, dict):
         raise DatasetError(f"{where}: record is not an object")
@@ -311,6 +346,16 @@ def entry_from_record(record: dict, where: str = "dataset") -> Entry:
         if type(value) not in kinds or (type(value) is float and not math.isfinite(value)):
             expected = " or ".join(kind.__name__ for kind in kinds if kind is not _NULL)
             raise DatasetError(f"{where}: field {name!r} must be {expected}, got {value!r:.40}")
+        if type(value) is str:
+            # A lone surrogate decodes from a JSON escape but cannot be
+            # sent in a request or written back as UTF-8.
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as err:
+                raise DatasetError(
+                    f"{where}: field {name!r} is not UTF-8 text: "
+                    f"{value[err.start]!r} at index {err.start}"
+                ) from None
     return Entry(**record)
 
 
@@ -380,6 +425,10 @@ def atomic_writer(path: str | os.PathLike[str]) -> Iterator[IO[str]]:
 def save_dataset(entries: Iterable[Entry], path: str | os.PathLike[str]) -> int:
     """Write entries as JSON lines, atomically (see ``atomic_writer``).
 
+    Each line is ``json.dumps(record, ensure_ascii=False)`` of the
+    entry's fields in field order, leaving out unset optional ones.
+    The required fields are encoded once per entry and process (see
+    ``Entry.encoded_head``); each save encodes only the optional ones.
     Returns the number of entries written.
     """
     seen: set[str] = set()
@@ -389,7 +438,10 @@ def save_dataset(entries: Iterable[Entry], path: str | os.PathLike[str]) -> int:
             if entry.id in seen:
                 raise DatasetError(f"duplicate entry id {entry.id!r}")
             seen.add(entry.id)
-            handle.write(json.dumps(entry_to_record(entry), ensure_ascii=False))
-            handle.write("\n")
+            tail = {name: value for name in _OPTIONAL_FIELDS
+                    if (value := getattr(entry, name)) is not None}
+            handle.write(entry.encoded_head())
+            # The tail's items continue the head's object: drop its "{".
+            handle.write(", " + _JSON.encode(tail)[1:] + "\n" if tail else "}\n")
             count += 1
     return count

@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from html import escape
 from typing import Iterable, Sequence
-from xml.sax.saxutils import escape
 
 EARTH_RADIUS_KM = 6371.0
 DEFAULT_BUCKET_KM = 500.0
@@ -185,7 +185,7 @@ def render_svg_map(
             )
     for place in sorted(places, key=lambda p: p.entry_id):
         x, y = project_equirectangular(place.point, width)
-        title = escape(f"{place.headword} ({place.qid})")
+        title = escape(f"{place.headword} ({place.qid})", quote=False)
         lines.append(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#c0392b" '
             f'fill-opacity="0.7"><title>{title}</title></circle>'

@@ -29,7 +29,6 @@ import threading
 import time
 import urllib.error
 import urllib.parse
-import urllib.request
 from base64 import b64decode, b64encode
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -170,6 +169,10 @@ class UrllibTransport:
         self._count_lock = threading.Lock()
 
     def send(self, request: HttpRequest) -> bytes:
+        # Imported here, not at module level: urllib.request pulls in
+        # http.client and email, which replay runs never use.
+        import urllib.request
+
         self.rate_limiter.wait()
         with self._count_lock:
             self.request_count += 1

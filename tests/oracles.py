@@ -9,6 +9,7 @@ between package and oracle is then evidence, not tautology.
 
 from __future__ import annotations
 
+import json
 import math
 from functools import reduce
 
@@ -134,6 +135,37 @@ def headword_by_regex(raw_text: str) -> str | None:
     if not match:
         return None
     return match.group(1).rstrip(",.:;") or None
+
+
+def headword_by_full_split(raw_text: str) -> str:
+    """The headword rule as first written, kept as the reference the
+    one-split version must match, errors included: split the whole
+    entry text, then trim the first token."""
+    tokens = raw_text.split()
+    if not tokens:
+        raise ValueError("entry text is blank; no headword to extract")
+    token = tokens[0]
+    bracket = token.find("[")
+    if bracket != -1:
+        token = token[:bracket]
+    token = token.rstrip(",.:;")
+    if not token:
+        raise ValueError(f"no usable headword at {raw_text[:40]!r}")
+    return token
+
+
+# ── Dataset lines ────────────────────────────────────────────────────────
+
+
+def dataset_line(entry) -> str:
+    """One dataset line, built field by field and dumped whole: the six
+    required fields, then each optional one that is set."""
+    record = {name: getattr(entry, name)
+              for name in ("id", "volume", "page", "headword", "definition", "raw_text")}
+    for name in ("is_location", "qid", "similarity", "lat", "lon"):
+        if getattr(entry, name) is not None:
+            record[name] = getattr(entry, name)
+    return json.dumps(record, ensure_ascii=False)
 
 
 # ── Classifier metrics from confusion counts ─────────────────────────────

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -261,7 +264,7 @@ class TestDatasetOwnership:
     ):
         counts = count_dataset_io(monkeypatch)
         assert workspace.run_all_stages() == 0
-        assert counts == {"load": 1, "save": 4}
+        assert counts == {"load": 0, "save": 4}
 
     @pytest.mark.parametrize(
         "stage, loads, saves",
@@ -306,6 +309,43 @@ class TestDatasetOwnership:
         assert "1 of 7 entries failed to link" in captured.err
         assert read_bytes(failing.dataset) == read_bytes(manual.dataset)
 
+    def test_train_and_report_never_encode_a_head(self, workspace, no_network, monkeypatch):
+        from geolex import corpus
+
+        assert workspace.run_all_stages() == 0
+        encoded = []
+        real = corpus.Entry.encoded_head
+
+        def encoded_head(entry):
+            encoded.append(entry.id)
+            return real(entry)
+
+        monkeypatch.setattr(corpus.Entry, "encoded_head", encoded_head)
+        assert workspace.run("train") == 0
+        assert workspace.run("report") == 0
+        assert encoded == []
+        assert workspace.run("coords") == 0
+        assert encoded == fx.ENTRY_IDS
+
+    def test_classify_writes_a_hand_formatted_dataset_canonically(self, tmp_path, no_network):
+        from conftest import make_workspace
+
+        manual = make_workspace(tmp_path / "manual")
+        hand = make_workspace(tmp_path / "hand")
+        for workspace in (manual, hand):
+            assert workspace.run("ingest") == 0
+            assert workspace.run("train") == 0
+        # Keys reversed, non-ASCII as \u escapes, extra spaces.
+        hand.dataset.write_text("".join(
+            json.dumps(dict(reversed(json.loads(line).items())), separators=(" ,  ", " :  "))
+            + "\n"
+            for line in hand.dataset.read_text(encoding="utf-8").splitlines()
+        ), encoding="utf-8")
+        assert "\\u00e5" in hand.dataset.read_text(encoding="utf-8")
+        assert hand.run("classify") == 0
+        assert manual.run("classify") == 0
+        assert read_bytes(hand.dataset) == read_bytes(manual.dataset)
+
     def test_out_and_model_out_flags_name_the_files(self, workspace, no_network):
         dataset = workspace.root / "elsewhere.jsonl"
         model = workspace.root / "elsewhere-model.json"
@@ -315,6 +355,16 @@ class TestDatasetOwnership:
         assert json.loads(model.read_text(encoding="utf-8"))
         assert not workspace.dataset.exists()
         assert not workspace.model.exists()
+
+
+def test_importing_the_cli_leaves_out_the_http_stack():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys, geolex.cli; "
+             "print(sorted({'urllib.request', 'http.client'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"
 
 
 class TestRelinkInvalidation:
@@ -573,6 +623,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "link: entry 9:211:2: ReplayCacheMiss" in err
         assert "1 of 7 entries failed to link" in err
+
+    def test_lone_surrogate_in_a_headword_fails_link_before_any_request(
+        self, workspace, no_network, monkeypatch, capsys
+    ):
+        from geolex import wikidata
+
+        assert workspace.run_all_stages() == 0
+        lines = workspace.dataset.read_text(encoding="utf-8").splitlines()
+        index = next(i for i, line in enumerate(lines) if '"headword": "Berlin"' in line)
+        lines[index] = lines[index].replace('"Berlin"', '"\\ud800Berlin"')
+        workspace.dataset.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        sent = []
+        monkeypatch.setattr(wikidata.WikidataClient, "_send",
+                            lambda client, request: sent.append(request))
+        capsys.readouterr()
+        assert workspace.run("link") == 5
+        err = capsys.readouterr().err
+        assert f"link: {workspace.dataset}:{index + 1}: field 'headword' is not UTF-8" in err
+        assert sent == []
 
     def test_replay_miss_in_coords_exits_six(self, workspace, no_network, capsys):
         assert workspace.run_all_stages() == 0

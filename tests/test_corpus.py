@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
@@ -17,7 +18,6 @@ from geolex.corpus import (
     _join_lines,
     corpus_stats,
     entry_from_record,
-    entry_to_record,
     extract_headword,
     iter_dataset,
     iter_jsonl,
@@ -99,6 +99,17 @@ class TestExtractHeadword:
     def test_blank_text_raises(self):
         with pytest.raises(ValueError):
             extract_headword("   ")
+
+    @settings(max_examples=400)
+    @given(raw=st.text(alphabet=st.sampled_from("Aa[],.:; \t\n\x1fÅ\u2028"), max_size=12))
+    def test_matches_the_whole_text_split(self, raw):
+        try:
+            expected = oracles.headword_by_full_split(raw)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                extract_headword(raw)
+        else:
+            assert extract_headword(raw) == expected
 
     def test_agrees_with_regex_rederivation_on_fixture(self):
         for volume, page, text in fx.PAGES:
@@ -339,7 +350,7 @@ class TestDatasetSerialization:
     def test_duplicate_id_rejected_on_load(self, tmp_path):
         entry = Entry("1:1:1", 1, 1, "Aal", "Aal, fisk.", "Aal, fisk.")
         path = tmp_path / "d.jsonl"
-        line = json.dumps(entry_to_record(entry), ensure_ascii=False)
+        line = oracles.dataset_line(entry)
         path.write_text(line + "\n" + line + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match="duplicate"):
             load_dataset(path)
@@ -368,6 +379,16 @@ class TestDatasetSerialization:
         path = tmp_path / "d.jsonl"
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         with pytest.raises(DatasetError, match=rf"d\.jsonl:1: field '{field}' must be"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("field", ["id", "headword", "definition", "raw_text", "qid"])
+    def test_lone_surrogate_rejected_naming_line_and_field(self, tmp_path, field):
+        record = {"id": "1:1:1", "volume": 1, "page": 1, "headword": "A",
+                  "definition": "A.", "raw_text": "A.", "qid": "Q1"}
+        record[field] = "\ud800" + record[field]
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=rf"d\.jsonl:1: field '{field}' is not UTF-8"):
             load_dataset(path)
 
     def test_whole_numbers_and_nulls_accepted(self):
@@ -401,6 +422,106 @@ class TestDatasetSerialization:
         with pytest.raises(RuntimeError):
             save_dataset(bad_entries(), path)
         assert path.read_bytes() == before
+
+
+# Text that JSON must escape or keep verbatim: quotes, backslashes,
+# control characters, line and paragraph separators, astral code points.
+awkward_text = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\r\t\u2028\u2029åÅ\U0001F30D'),
+    st.characters(blacklist_categories=("Cs",)),
+))
+numbers = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+entries_st = st.lists(
+    st.builds(Entry, id=awkward_text, volume=st.integers(), page=st.integers(),
+              headword=awkward_text, definition=awkward_text, raw_text=awkward_text),
+    max_size=6, unique_by=lambda e: e.id,
+)
+
+
+class TestSavedLines:
+    """``save_dataset`` against a whole-record ``json.dumps`` oracle."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(entries=entries_st, data=st.data())
+    def test_every_save_matches_the_oracle(self, tmp_path_factory, entries, data):
+        path = tmp_path_factory.mktemp("saves") / "d.jsonl"
+
+        def classify(entry):
+            entry.is_location = data.draw(st.booleans())
+            if not entry.is_location:
+                entry.qid = entry.similarity = entry.lat = entry.lon = None
+
+        def link(entry):
+            entry.qid = data.draw(st.none() | awkward_text)
+            entry.similarity = None if entry.qid is None else data.draw(numbers)
+            entry.lat = entry.lon = None
+
+        def coords(entry):
+            if entry.qid is not None:
+                entry.lat, entry.lon = data.draw(numbers), data.draw(numbers)
+
+        for update in (None, classify, link, coords, classify):
+            for entry in entries:
+                if update is not None:
+                    update(entry)
+            assert save_dataset(entries, path) == len(entries)
+            assert path.read_bytes() == "".join(
+                oracles.dataset_line(e) + "\n" for e in entries
+            ).encode("utf-8")
+        assert load_dataset(path) == entries
+
+    @settings(deadline=None, max_examples=100)
+    @given(pages=st.lists(
+        st.lists(st.one_of(
+            st.builds("{}{}, {}".format, st.sampled_from("AÅZ"), awkward_text, awkward_text),
+            awkward_text,
+        ), min_size=1, max_size=5).map("\n".join).filter(str.strip),
+        min_size=1, max_size=4,
+    ))
+    def test_save_then_load_is_the_identity_on_ingest_output(self, tmp_path_factory, pages):
+        entries = segment_pages(
+            RawPage(1 + n // 2, 1 + n, text) for n, text in enumerate(pages)
+        )
+        path = tmp_path_factory.mktemp("ingest") / "d.jsonl"
+        save_dataset(entries, path)
+        assert load_dataset(path) == entries
+
+
+class TestEntryFields:
+    def saved_entry(self, tmp_path) -> Entry:
+        entry = Entry("1:1:1", 1, 1, "Åmål", "Åmål, stad.", "Åmål, stad \"vid\" Vänern.",
+                      is_location=True, qid="Q54")
+        save_dataset([entry], tmp_path / "d.jsonl")
+        return entry
+
+    @pytest.mark.parametrize("name", ["id", "volume", "page", "headword", "definition", "raw_text"])
+    def test_required_fields_are_read_only(self, tmp_path, name):
+        fresh = Entry("1:1:1", 1, 1, "Aal", "Aal, fisk.", "Aal, fisk.")
+        for entry in (fresh, self.saved_entry(tmp_path)):
+            before = getattr(entry, name)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(entry, name, before)
+            assert getattr(entry, name) == before
+
+    def test_a_saved_entry_holds_its_head_not_its_text(self, tmp_path):
+        entry = self.saved_entry(tmp_path)
+        # The raw_text slot is empty; reads decode it from the head.
+        with pytest.raises(AttributeError):
+            Entry.raw_text.__get__(entry, Entry)
+        assert entry.raw_text == 'Åmål, stad "vid" Vänern.'
+        assert entry.encoded_head() + ', "is_location": true, "qid": "Q54"}' == (
+            tmp_path / "d.jsonl").read_text(encoding="utf-8").rstrip("\n")
+
+    def test_equality_repr_and_replace_see_the_decoded_text(self, tmp_path):
+        entry = self.saved_entry(tmp_path)
+        twin = Entry("1:1:1", 1, 1, "Åmål", "Åmål, stad.", 'Åmål, stad "vid" Vänern.',
+                     is_location=True, qid="Q54")
+        assert entry == twin
+        assert repr(entry) == repr(twin)
+        assert "_head" not in repr(entry)
+        moved = dataclasses.replace(entry, id="1:1:2")
+        assert (moved.id, moved.raw_text, moved.qid) == ("1:1:2", twin.raw_text, "Q54")
+        assert moved != twin
 
 
 class TestReadRawPages:

@@ -306,6 +306,11 @@ class TestSvgMap:
         svg = render_svg_map([place])
         assert "<title>A&lt;B &amp; C (Q1)</title>" in svg
         assert "<title>A<B" not in svg
+        # Element text needs only &, < and > escaped; quotes stay as they are.
+        place = LinkedPlace("1:1:1", """S:t "Eriks" & 'Olofs' <a>""", "Q2",
+                            GeoPoint(0.0, 0.0), 0.0)
+        svg = render_svg_map([place])
+        assert """<title>S:t "Eriks" &amp; 'Olofs' &lt;a&gt; (Q2)</title>""" in svg
 
     def test_graticule_lines_every_thirty_degrees(self):
         svg = render_svg_map([], graticule=True)
