@@ -13,21 +13,22 @@ The stage loop in ``main`` owns the dataset, and every stage takes and
 updates that one list of entries.  A command that starts with
 ``ingest`` (``ingest`` itself and ``run``) keeps the entries ingest
 made and never reads the dataset; any other command reads it once,
-before its first stage.  ``ingest``, ``classify``, ``link`` and
-``coords`` each have it written back atomically when they finish;
-``train`` and ``report`` never write it.  A save re-encodes only the
-fields stages fill in (see ``corpus.save_dataset``).  Stages are
-idempotent: re-running a stage on its own output produces
-byte-identical files.  Summaries go to stdout as JSON
-lines followed by a small table; diagnostics go to stderr.
+before its first stage.  The loop writes the dataset once, atomically,
+when the stages end, if ``ingest``, ``classify``, ``link`` or ``coords``
+ran; a failed stage leaves the entries as it found them, so a failed
+``run`` writes what the stages before it made.  Stages are idempotent:
+re-running a stage on its own output produces byte-identical files.
+Summaries go to stdout as JSON lines followed by a small table;
+diagnostics go to stderr.
 
 Errors have one boundary, the stage loop in ``main``.  Stages raise;
 a ``StageError``, ``DatasetError``, ``TransportError``,
 ``ProtocolError``, ``ReplayCacheMiss``, ``OSError`` or ``ValueError``
 ends the run with the failing stage's exit code (1 config, 2 ingest,
 3 train, 4 classify, 5 link, 6 coords, 7 report) after the summaries
-of the stages that finished.  Any other exception is a bug and
-propagates with its traceback.
+of the stages that finished.  A dataset write that fails ends it with
+the code of the stage whose changes it writes.  Any other exception
+is a bug and propagates with its traceback, writing nothing.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ STAGE_EXIT_CODES = {
 
 PIPELINE_STAGES = ("ingest", "train", "classify", "link", "coords", "report")
 
-# Stages that change entries; the loop saves the dataset after each.
-_SAVES_DATASET = frozenset({"ingest", "classify", "link", "coords"})
+# Stages that change entries; a command that ran one saves the dataset.
+_CHANGES_DATASET = frozenset({"ingest", "classify", "link", "coords"})
 
 
 class StageError(Exception):
@@ -163,6 +164,8 @@ def _classify(config: PipelineConfig, provider, entries: list[corpus.Entry]) -> 
 # ── Stages ───────────────────────────────────────────────────────────────
 # Each takes the config and the command's entries, updates the entries in
 # place and returns its input, output and error counts, then its ratios.
+# A stage computes before it changes an entry, so one that raises leaves
+# the entries as it found them.
 
 Counts = tuple[int, int, int, dict[str, float]]
 
@@ -328,15 +331,12 @@ def stage_report(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
 def _run_stage(
     name: str, stage, config: PipelineConfig, entries: list[corpus.Entry], load: bool
 ) -> RunSummary:
-    """Run one stage on the command's entries, timed together with its
-    dataset I/O: ``load`` first fills ``entries`` from the dataset, and
-    a stage in ``_SAVES_DATASET`` has them saved when it finishes."""
+    """Run one stage on the command's entries, timed together with the
+    dataset load that ``load`` asks for first."""
     started = time.perf_counter()
     if load:
         entries[:] = corpus.load_dataset(config.dataset)
     inputs, outputs, errors, ratios = stage(config, entries)
-    if name in _SAVES_DATASET:
-        corpus.save_dataset(entries, config.dataset)
     return RunSummary(name, inputs, outputs, errors, time.perf_counter() - started, ratios)
 
 
@@ -478,16 +478,28 @@ def main(argv: list[str] | None = None) -> int:
     load = stages[0] != "ingest"
     entries: list[corpus.Entry] = []
     summaries: list[RunSummary] = []
+    failures: list[tuple[str, Exception]] = []
     for name in stages:
         try:
             summaries.append(STAGE_RUNNERS[name](config, entries, load))
             load = False
         except STAGE_FAILURES as err:
-            _emit(summaries)
-            print(f"{name}: {_describe(err, config)}", file=sys.stderr)
-            return STAGE_EXIT_CODES[name]
+            failures.append((name, err))
+            break
+    # The one write holds the changes of the last stage that made any,
+    # and is timed and fails as part of that stage.
+    changed = next((s for s in reversed(summaries) if s.stage in _CHANGES_DATASET), None)
+    if changed is not None:
+        started = time.perf_counter()
+        try:
+            corpus.save_dataset(entries, config.dataset)
+        except STAGE_FAILURES as err:
+            failures.append((changed.stage, err))
+        changed.wall_time_s += time.perf_counter() - started
     _emit(summaries)
-    return 0
+    for name, err in failures:
+        print(f"{name}: {_describe(err, config)}", file=sys.stderr)
+    return STAGE_EXIT_CODES[failures[0][0]] if failures else 0
 
 
 if __name__ == "__main__":

@@ -10,12 +10,13 @@ not silently run with defaults.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .embedding import DEFAULT_DIM
-from .geo import DEFAULT_BUCKET_KM, DEFAULT_MAP_WIDTH_PX
+from .geo import DEFAULT_BUCKET_KM, DEFAULT_MAP_WIDTH_PX, GeoPoint
 from .linker import NO_MIN_SIMILARITY
 from .wikidata import (
     DEFAULT_API_URL,
@@ -84,14 +85,18 @@ class PipelineConfig:
             raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.concurrency < 1:
             raise ConfigError(f"concurrency must be >= 1, got {self.concurrency}")
+        # NaN passes every comparison below, so it is rejected first.
+        for name in ("rate_limit_s", "min_sim", "bucket_km"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.rate_limit_s < 0:
             raise ConfigError(f"rate_limit_s must be >= 0, got {self.rate_limit_s}")
         if self.bucket_km <= 0:
             raise ConfigError(f"bucket_km must be positive, got {self.bucket_km}")
-        if not -90.0 <= self.ref_lat <= 90.0:
-            raise ConfigError(f"ref_lat out of range: {self.ref_lat}")
-        if not -180.0 <= self.ref_lon <= 180.0:
-            raise ConfigError(f"ref_lon out of range: {self.ref_lon}")
+        try:
+            GeoPoint(self.ref_lat, self.ref_lon)
+        except ValueError as err:
+            raise ConfigError(f"ref_lat={self.ref_lat}, ref_lon={self.ref_lon}: {err}") from None
         return self
 
 

@@ -23,7 +23,7 @@ import logging
 import math
 import os
 import tempfile
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -46,7 +46,6 @@ _HEADWORD_TRAILING = ",.:;"
 _REQUIRED_FIELDS = ("id", "volume", "page", "headword", "definition", "raw_text")
 _OPTIONAL_FIELDS = ("is_location", "qid", "similarity", "lat", "lon")
 _ALL_FIELDS = _REQUIRED_FIELDS + _OPTIONAL_FIELDS
-_SLOTS = _ALL_FIELDS + ("_head",)
 # The one encoder of dataset lines: ``json.dumps(record, ensure_ascii=False)``
 # without building an encoder per call.
 _JSON = json.JSONEncoder(ensure_ascii=False)
@@ -78,19 +77,13 @@ class RawPage:
             raise ValueError(f"page {self.volume}:{self.page_no} has no text")
 
 
-@dataclass(init=False, slots=True)
+@dataclass(slots=True)
 class Entry:
     """One encyclopedia entry, with optional enrichment fields.
 
-    The six required fields are read-only after construction: ingest
-    sets them and no later stage changes them.  ``is_location``,
-    ``qid``, ``similarity``, ``lat`` and ``lon`` start unset and are
-    filled in by the classify, link and coords stages.
-
-    The entry holds its ``raw_text``, the bulk of a record, once.  Until
-    its first ``save_dataset`` that is the decoded text; from then on it
-    is the record's encoded head (``_head``), from which each read of
-    ``raw_text`` decodes it again.  No stage after ingest reads it.
+    Ingest sets the six required fields.  ``is_location``, ``qid``,
+    ``similarity``, ``lat`` and ``lon`` start unset and are filled in by
+    the classify, link and coords stages.
     """
 
     id: str
@@ -104,39 +97,6 @@ class Entry:
     similarity: float | None = None
     lat: float | None = None
     lon: float | None = None
-    # The required fields as canonical JSON, without the closing brace.
-    _head: str | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __init__(
-        self, id: str, volume: int, page: int, headword: str, definition: str,
-        raw_text: str, is_location: bool | None = None, qid: str | None = None,
-        similarity: float | None = None, lat: float | None = None,
-        lon: float | None = None,
-    ) -> None:
-        values = (id, volume, page, headword, definition, raw_text,
-                  is_location, qid, similarity, lat, lon, None)
-        for name, value in zip(_SLOTS, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        if name in _REQUIRED_FIELDS:
-            raise FrozenInstanceError(f"cannot assign to field {name!r}")
-        object.__setattr__(self, name, value)
-
-    def __getattr__(self, name: str) -> str:
-        # Reached only through an empty slot: raw_text once the head holds it.
-        if name == "raw_text" and self._head is not None:
-            return json.loads(self._head + "}")["raw_text"]
-        raise AttributeError(f"'Entry' object has no attribute {name!r}")
-
-    def encoded_head(self) -> str:
-        """The required fields as canonical JSON, minus the closing
-        brace.  The first call encodes them and drops the decoded
-        ``raw_text``; later calls return the same text."""
-        if self._head is None:
-            self._head = _JSON.encode({name: getattr(self, name) for name in _REQUIRED_FIELDS})[:-1]
-            object.__delattr__(self, "raw_text")
-        return self._head
 
 
 @dataclass(frozen=True)
@@ -427,8 +387,6 @@ def save_dataset(entries: Iterable[Entry], path: str | os.PathLike[str]) -> int:
 
     Each line is ``json.dumps(record, ensure_ascii=False)`` of the
     entry's fields in field order, leaving out unset optional ones.
-    The required fields are encoded once per entry and process (see
-    ``Entry.encoded_head``); each save encodes only the optional ones.
     Returns the number of entries written.
     """
     seen: set[str] = set()
@@ -438,10 +396,8 @@ def save_dataset(entries: Iterable[Entry], path: str | os.PathLike[str]) -> int:
             if entry.id in seen:
                 raise DatasetError(f"duplicate entry id {entry.id!r}")
             seen.add(entry.id)
-            tail = {name: value for name in _OPTIONAL_FIELDS
-                    if (value := getattr(entry, name)) is not None}
-            handle.write(entry.encoded_head())
-            # The tail's items continue the head's object: drop its "{".
-            handle.write(", " + _JSON.encode(tail)[1:] + "\n" if tail else "}\n")
+            record = {name: value for name in _ALL_FIELDS
+                      if (value := getattr(entry, name)) is not None}
+            handle.write(_JSON.encode(record) + "\n")
             count += 1
     return count

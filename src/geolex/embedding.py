@@ -319,6 +319,8 @@ class CachedEmbedder:
                     f"{where}: cached vector has shape "
                     f"{vector.shape}, expected ({self.dim},)"
                 )
+            if not np.isfinite(vector).all():
+                raise ProtocolError(f"{where}: cached vector is not finite")
             self._memory[key] = vector
 
     @staticmethod

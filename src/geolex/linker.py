@@ -31,9 +31,7 @@ import numpy as np
 from .corpus import Entry
 from .embedding import EMBED_CHUNK, cosine_from_norms, vector_norm
 from .errors import ProtocolError, ReplayCacheMiss, TransportError
-from .wikidata import ENTITY_BATCH_SIZE, WikidataCandidate, WikidataClient, qid_number
-
-MAX_CANDIDATES = 5
+from .wikidata import ENTITY_BATCH_SIZE, SEARCH_LIMIT, WikidataCandidate, WikidataClient, qid_number
 
 # Similarity gate disabled by default: cosine never goes below -1.
 NO_MIN_SIMILARITY = -1.0
@@ -91,7 +89,7 @@ def link_batch(
     entries: Sequence[Entry],
     provider,
     client: WikidataClient,
-    limit: int = MAX_CANDIDATES,
+    limit: int = SEARCH_LIMIT,
     min_similarity: float = NO_MIN_SIMILARITY,
     workers: int = 1,
 ) -> list[LinkResult]:

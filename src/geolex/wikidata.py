@@ -218,13 +218,17 @@ class ReplayTransport:
             self.request_count += 1
         path = self.path_for(request)
         if path.exists():
+            # ValueError covers bad JSON, bad base64 and text that is not UTF-8.
             try:
                 record = json.loads(path.read_text(encoding="utf-8"))
                 body = record["body"]
-                encoding = record.get("encoding", "utf-8")
-            except (json.JSONDecodeError, KeyError, TypeError) as err:
+                if not isinstance(body, str):
+                    raise TypeError(f"body is {type(body).__name__}, not a string")
+                if record.get("encoding", "utf-8") == "base64":
+                    return b64decode(body, validate=True)
+                return body.encode("utf-8")
+            except (KeyError, TypeError, ValueError) as err:
                 raise ProtocolError(f"corrupt cache file {path}: {err}") from err
-            return b64decode(body) if encoding == "base64" else body.encode("utf-8")
         if self.live is None:
             raise ReplayCacheMiss(
                 f"no recorded response for {request.method} {request.full_url()}"

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -238,6 +239,18 @@ class TestStageByStage:
         assert all(e.qid is None for e in entries)
 
 
+def fail_dataset_replace(workspace, monkeypatch) -> None:
+    """Fail the rename that would replace the workspace's dataset."""
+    real_replace = os.replace
+
+    def replace(src, dst):
+        if Path(dst) == workspace.dataset:
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+
+
 def count_dataset_io(monkeypatch) -> dict[str, int]:
     """Count the CLI's dataset loads and saves."""
     from geolex import corpus
@@ -259,12 +272,10 @@ def count_dataset_io(monkeypatch) -> dict[str, int]:
 
 
 class TestDatasetOwnership:
-    def test_run_loads_once_and_saves_after_each_changing_stage(
-        self, workspace, no_network, monkeypatch
-    ):
+    def test_run_loads_none_and_saves_once(self, workspace, no_network, monkeypatch):
         counts = count_dataset_io(monkeypatch)
         assert workspace.run_all_stages() == 0
-        assert counts == {"load": 0, "save": 4}
+        assert counts == {"load": 0, "save": 1}
 
     @pytest.mark.parametrize(
         "stage, loads, saves",
@@ -309,23 +320,70 @@ class TestDatasetOwnership:
         assert "1 of 7 entries failed to link" in captured.err
         assert read_bytes(failing.dataset) == read_bytes(manual.dataset)
 
-    def test_train_and_report_never_encode_a_head(self, workspace, no_network, monkeypatch):
+    def test_failed_dataset_write_fails_run_as_coords(
+        self, workspace, no_network, monkeypatch, capsys
+    ):
+        assert workspace.run("ingest") == 0
+        before = read_bytes(workspace.dataset)
+        fail_dataset_replace(workspace, monkeypatch)
+        capsys.readouterr()
+        assert workspace.run_all_stages() == 6
+        captured = capsys.readouterr()
+        assert [s["stage"] for s in parse_summaries(captured.out)] == list(cli.PIPELINE_STAGES)
+        assert "coords: disk full" in captured.err
+        assert read_bytes(workspace.dataset) == before
+        assert not list(workspace.root.glob("*.tmp"))
+
+    def test_failed_write_after_a_failed_stage_reports_both(
+        self, workspace, no_network, monkeypatch, capsys
+    ):
+        labels = fx.build_replay_cache(workspace.cache_dir)
+        labels["search:Stockholm"].unlink()
+        fx.record_descriptions(
+            workspace.cache_dir,
+            [h for h in fx.LOCATION_HEADWORDS if h != "Stockholm"],
+        )
+        fail_dataset_replace(workspace, monkeypatch)
+        assert workspace.run_all_stages() == 5
+        err = capsys.readouterr().err
+        assert "link: 1 of 7 entries failed to link" in err
+        assert "classify: disk full" in err
+        assert not workspace.dataset.exists()
+
+    def test_bug_in_a_stage_writes_no_dataset(self, workspace, no_network, monkeypatch):
+        from geolex import linker
+
+        def broken(*args, **kwargs):
+            raise TypeError("a bug, not a stage failure")
+
+        monkeypatch.setattr(linker, "link_batch", broken)
+        with pytest.raises(TypeError, match="a bug"):
+            workspace.run_all_stages()
+        assert not workspace.dataset.exists()
+        assert not list(workspace.root.glob("*.tmp"))
+
+    @pytest.mark.parametrize(
+        "command, saver",
+        [("classify", "classify"), ("link", "link"), ("coords", "coords"), ("run", "coords")],
+    )
+    def test_the_save_is_timed_into_the_stage_whose_changes_it_writes(
+        self, workspace, no_network, monkeypatch, capsys, command, saver
+    ):
         from geolex import corpus
 
         assert workspace.run_all_stages() == 0
-        encoded = []
-        real = corpus.Entry.encoded_head
+        real_save = corpus.save_dataset
 
-        def encoded_head(entry):
-            encoded.append(entry.id)
-            return real(entry)
+        def slow_save(entries, path):
+            time.sleep(0.5)
+            return real_save(entries, path)
 
-        monkeypatch.setattr(corpus.Entry, "encoded_head", encoded_head)
-        assert workspace.run("train") == 0
-        assert workspace.run("report") == 0
-        assert encoded == []
-        assert workspace.run("coords") == 0
-        assert encoded == fx.ENTRY_IDS
+        monkeypatch.setattr(corpus, "save_dataset", slow_save)
+        capsys.readouterr()
+        assert workspace.run(command) == 0
+        times = {s["stage"]: s["wall_time_s"] for s in parse_summaries(capsys.readouterr().out)}
+        assert times.pop(saver) >= 0.5
+        assert all(seconds < 0.5 for seconds in times.values())
 
     def test_classify_writes_a_hand_formatted_dataset_canonically(self, tmp_path, no_network):
         from conftest import make_workspace
@@ -623,6 +681,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "link: entry 9:211:2: ReplayCacheMiss" in err
         assert "1 of 7 entries failed to link" in err
+
+    @pytest.mark.parametrize("stored", [
+        {"body": None},
+        {"body": "not base64!", "encoding": "base64"},
+    ])
+    def test_corrupt_replay_record_fails_link_with_entry_id(
+        self, workspace, no_network, capsys, stored
+    ):
+        for stage in ("ingest", "train", "classify"):
+            assert workspace.run(stage) == 0
+        capsys.readouterr()
+        labels = fx.build_replay_cache(workspace.cache_dir)
+        labels["search:Stockholm"].write_text(json.dumps(stored), encoding="utf-8")
+        fx.record_descriptions(
+            workspace.cache_dir,
+            [h for h in fx.LOCATION_HEADWORDS if h != "Stockholm"],
+        )
+        assert workspace.run("link") == 5
+        err = capsys.readouterr().err
+        assert "link: entry 9:211:2: ProtocolError: corrupt cache file" in err
+        assert "1 of 7 entries failed to link" in err
+
+    @pytest.mark.parametrize("config, argv", [
+        ('{"rate_limit_s": NaN}', ["link"]),
+        ("{}", ["link", "--min-sim", "nan"]),
+        ("{}", ["report", "--bucket-km", "inf"]),
+    ])
+    def test_non_finite_setting_exits_one(self, tmp_path, capsys, config, argv):
+        path = tmp_path / "config.json"
+        path.write_text(config, encoding="utf-8")
+        assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == 1
+        assert "must be finite" in capsys.readouterr().err
 
     def test_lone_surrogate_in_a_headword_fails_link_before_any_request(
         self, workspace, no_network, monkeypatch, capsys

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -140,6 +141,13 @@ class TestValidation:
         ("bucket_km", 0.0, "bucket_km"),
         ("ref_lat", 91.0, "ref_lat"),
         ("ref_lon", -181.0, "ref_lon"),
+        ("ref_lat", math.nan, "ref_lat"),
+        ("rate_limit_s", math.nan, "rate_limit_s"),
+        ("rate_limit_s", math.inf, "rate_limit_s"),
+        ("min_sim", math.nan, "min_sim"),
+        ("min_sim", -math.inf, "min_sim"),
+        ("bucket_km", math.inf, "bucket_km"),
+        ("bucket_km", math.nan, "bucket_km"),
     ])
     def test_invalid_values_rejected(self, field, value, fragment):
         from dataclasses import replace

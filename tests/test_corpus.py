@@ -494,24 +494,6 @@ class TestEntryFields:
         save_dataset([entry], tmp_path / "d.jsonl")
         return entry
 
-    @pytest.mark.parametrize("name", ["id", "volume", "page", "headword", "definition", "raw_text"])
-    def test_required_fields_are_read_only(self, tmp_path, name):
-        fresh = Entry("1:1:1", 1, 1, "Aal", "Aal, fisk.", "Aal, fisk.")
-        for entry in (fresh, self.saved_entry(tmp_path)):
-            before = getattr(entry, name)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(entry, name, before)
-            assert getattr(entry, name) == before
-
-    def test_a_saved_entry_holds_its_head_not_its_text(self, tmp_path):
-        entry = self.saved_entry(tmp_path)
-        # The raw_text slot is empty; reads decode it from the head.
-        with pytest.raises(AttributeError):
-            Entry.raw_text.__get__(entry, Entry)
-        assert entry.raw_text == 'Åmål, stad "vid" Vänern.'
-        assert entry.encoded_head() + ', "is_location": true, "qid": "Q54"}' == (
-            tmp_path / "d.jsonl").read_text(encoding="utf-8").rstrip("\n")
-
     def test_equality_repr_and_replace_see_the_decoded_text(self, tmp_path):
         entry = self.saved_entry(tmp_path)
         twin = Entry("1:1:1", 1, 1, "Åmål", "Åmål, stad.", 'Åmål, stad "vid" Vänern.',

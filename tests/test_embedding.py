@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import re
 import urllib.error
 import urllib.request
 
@@ -512,6 +513,19 @@ class TestCachedEmbedder:
         path = tmp_path / "cache.jsonl"
         path.write_text('{"key": "k"}\n', encoding="utf-8")
         with pytest.raises(ProtocolError, match="cache"):
+            CachedEmbedder(CountingProvider(), path)
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_cached_vector_rejected(self, tmp_path, bad):
+        path = tmp_path / "cache.jsonl"
+        CachedEmbedder(CountingProvider(), path).embed_batch(["ab", "abc"])
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        record = json.loads(lines[1])
+        record["vector"][0] = float(bad)
+        lines[1] = json.dumps(record) + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert bad in path.read_text(encoding="utf-8")
+        with pytest.raises(ProtocolError, match=re.escape(f"{path}:2: cached vector is not finite")):
             CachedEmbedder(CountingProvider(), path)
 
     def test_torn_last_line_is_dropped_and_the_next_append_starts_fresh(self, tmp_path):

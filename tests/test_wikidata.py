@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -288,6 +289,19 @@ class TestResponseCache:
         path = fx.record(tmp_path, request, b"{}")
         path.write_text("}{ not json", encoding="utf-8")
         with pytest.raises(ProtocolError, match="corrupt"):
+            ReplayTransport(tmp_path).send(request)
+
+    @pytest.mark.parametrize("stored", [
+        {"body": None},
+        {"body": 7},
+        {"body": "not base64!", "encoding": "base64"},
+        {"body": "QUJ", "encoding": "base64"},
+    ])
+    def test_bad_body_raises_protocol_error(self, tmp_path, stored):
+        request = HttpRequest("GET", "https://x.test/api")
+        path = fx.record(tmp_path, request, b"{}")
+        path.write_text(json.dumps(stored), encoding="utf-8")
+        with pytest.raises(ProtocolError, match=re.escape(f"corrupt cache file {path}")):
             ReplayTransport(tmp_path).send(request)
 
     def test_no_stray_temp_files_left(self, tmp_path):
