@@ -240,12 +240,14 @@ def stage_link(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
 
     locations = [e for e in entries if transient.get(e.id, e.is_location)]
     client = _build_client(config)
+    # Replay waits on no network, so threads would only contend for the
+    # GIL; link runs on this thread there.
     results = linker.link_batch(
         locations,
         provider,
         client,
         min_similarity=config.min_sim,
-        workers=config.concurrency,
+        workers=1 if config.cache_mode == "replay" else config.concurrency,
     )
     failures = [r for r in results if r.error]
     for result in failures:
@@ -361,7 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat JSON config file")
-    common.add_argument("--concurrency", type=int, help="max concurrent requests")
+    common.add_argument(
+        "--concurrency",
+        type=int,
+        help="max requests link keeps in flight in live and record modes "
+        "(replay links on one thread)",
+    )
     common.add_argument(
         "--embed-provider", choices=list(EMBED_PROVIDERS), dest="embed_provider"
     )

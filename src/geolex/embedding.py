@@ -48,7 +48,14 @@ EMBED_CHUNK = 1024
 # Texts ``HashedTrigramEmbedder`` turns into trigram keys at a time.
 _SLICE_TEXTS = 64
 _NEWLINE = ord("\n")
-# A code point fits in 21 bits, so a trigram's key is
+# The dense bucket table covers code points below _DENSE_CODES and an
+# alphabet of at most _DENSE_ALPHABET of them: an int32 index of at most
+# 48 KB and an int16 table of at most 96**3 * 2 B = 1.8 MB.  Other
+# slices, and every slice when ``dim`` does not fit in int16, take the
+# sort path.
+_DENSE_CODES = 0x3000
+_DENSE_ALPHABET = 96
+# On the sort path a code point fits in 21 bits, so a trigram's key is
 # c0 << 42 | c1 << 21 | c2, taken as c0 * 2**42 + c1 * 2**21 + c2.
 _CODE_MASK = (1 << 21) - 1
 _SHIFT_C0 = 1 << 42
@@ -116,14 +123,18 @@ class HashedTrigramEmbedder:
     occurrence counts; the vector is L2-normalized.  No per-run seed
     anywhere, so the same text gives the same vector in any process.
 
-    ``embed_batch`` works on the code points as integers: each trigram
-    becomes one int64 key ``c0 << 42 | c1 << 21 | c2`` (a code point
-    fits in 21 bits), one sort of a slice's keys finds the distinct
-    ones, and one ``np.bincount`` counts every row of the slice.  Each distinct trigram is hashed once per embedder: a key →
-    bucket table fills on first sight and is never evicted, so it grows
-    with the number of distinct trigrams seen.  Threads may share an
-    embedder; two threads filling the same key store the same bucket,
-    so the race is harmless.
+    ``embed_batch`` works on the code points of 64 texts at a time as
+    integers, and one ``np.bincount`` counts every row of the slice.
+    Each code point gets a small alphabet index on first sight, and a
+    trigram's bucket sits in a dense int16 table at ``(a*K + b)*K + c``
+    for an alphabet of K code points, filled through ``bucket`` on
+    first sight.  The table is rebuilt when the alphabet grows, so it
+    holds K**3 * 2 bytes.  A slice with a code point at or past
+    U+3000, or one that would grow the alphabet past 96, takes the sort
+    path instead: each trigram becomes one int64 key, one sort finds
+    the distinct keys, and a key → bucket dict memoizes them.  Threads
+    may share an embedder; two threads filling the same entry store the
+    same bucket, so the race is harmless.
     """
 
     name = "trigram"
@@ -133,6 +144,11 @@ class HashedTrigramEmbedder:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
         self._buckets: dict[int, int] = {}
+        # (code point → alphabet index, alphabet, flat K**3 table); None
+        # when a bucket does not fit in the table's int16.
+        self._dense: tuple[np.ndarray, str, np.ndarray] | None = None
+        if dim <= np.iinfo(np.int16).max:
+            self._dense = np.empty(0, dtype=np.int32), "", np.empty(0, dtype=np.int16)
 
     @staticmethod
     def normalize_text(text: str) -> str:
@@ -164,15 +180,79 @@ class HashedTrigramEmbedder:
 
     def _counts(self, texts: list[str]) -> np.ndarray:
         """Trigram bucket counts of normalized ``texts``, one row each."""
-        # A normalized text holds no "\n", so a key holding one spans
+        # A normalized text holds no "\n", so a trigram holding one spans
         # two texts and is dropped.  ``surrogatepass`` lets a lone
         # surrogate through to ``bucket``, which refuses it.
         joined = "\n".join(texts).encode("utf-32-le", "surrogatepass")
-        codes = np.frombuffer(joined, dtype="<u4").astype(np.int64)
+        codes = np.frombuffer(joined, dtype="<u4")
         breaks = codes == _NEWLINE
         inside = ~(breaks[:-2] | breaks[1:-1] | breaks[2:])
-        keys = (codes[:-2] * _SHIFT_C0 + codes[1:-1] * _SHIFT_C1 + codes[2:])[inside]
         rows = np.cumsum(breaks)[:-2][inside]
+        buckets = self._dense_buckets(codes, breaks, inside)
+        if buckets is None:
+            rows, buckets = self._sorted_buckets(codes.astype(np.int64), inside, rows)
+        counts = np.bincount(rows * self.dim + buckets, minlength=len(texts) * self.dim)
+        return counts.reshape(len(texts), self.dim)
+
+    def _dense_buckets(
+        self, codes: np.ndarray, breaks: np.ndarray, inside: np.ndarray
+    ) -> np.ndarray | None:
+        """The bucket of each trigram ``inside`` the slice, looked up in
+        the dense table; ``None`` when a code point is at or past
+        ``_DENSE_CODES`` or the alphabet would outgrow ``_DENSE_ALPHABET``.
+
+        The state is read once and published with one assignment, so a
+        thread never mixes one state's index with another's table.  Two
+        threads filling the same entry store the same bucket."""
+        state = self._dense
+        top = int(codes.max(initial=0))
+        if state is None or top >= _DENSE_CODES:
+            return None
+        index, alphabet, table = state
+        if top >= len(index):
+            # The index reaches only as far as the code points seen.
+            padding = np.full(top + 1 - len(index), -1, dtype=np.int32)
+            index = np.concatenate((index, padding))
+        ids = index[codes]
+        unseen = (ids < 0) & ~breaks
+        if unseen.any():
+            fresh = sorted(set(codes[unseen].tolist()))
+            size = len(alphabet)
+            if size + len(fresh) > _DENSE_ALPHABET:
+                return None
+            index = index.copy()
+            index[fresh] = np.arange(size, size + len(fresh))
+            alphabet += "".join(map(chr, fresh))
+            grown = len(alphabet)
+            cube = np.full((grown, grown, grown), -1, dtype=np.int16)
+            cube[:size, :size, :size] = table.reshape(size, size, size)
+            table = cube.reshape(-1)
+            self._dense = index, alphabet, table
+            ids = index[codes]
+        size = len(alphabet)
+        flat = ((ids[:-2] * size + ids[1:-1]) * size + ids[2:])[inside]
+        buckets = table[flat]
+        missed = flat[buckets < 0]
+        if len(missed):
+            # Gathered 1,024 at a time, so no list holds a Python int
+            # for every missed trigram of the slice: the first slices
+            # miss nearly all of theirs.
+            keys: set[int] = set()
+            for start in range(0, len(missed), 1024):
+                keys.update(missed[start : start + 1024].tolist())
+            for key in keys:
+                a, bc = divmod(key, size * size)
+                b, c = divmod(bc, size)
+                table[key] = self.bucket(alphabet[a] + alphabet[b] + alphabet[c])
+            buckets = table[flat]
+        return buckets
+
+    def _sorted_buckets(
+        self, codes: np.ndarray, inside: np.ndarray, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``rows`` and the bucket of each trigram ``inside`` the slice,
+        both in the order of the sorted trigram keys."""
+        keys = (codes[:-2] * _SHIFT_C0 + codes[1:-1] * _SHIFT_C1 + codes[2:])[inside]
         # Sorting puts equal keys side by side; ``first`` marks the first
         # of each run, and its running count numbers the distinct keys.
         # np.unique, or the default quicksort, would do the same, but the
@@ -190,9 +270,7 @@ class HashedTrigramEmbedder:
                 if found[i] is None:
                     trigram = chr(key >> 42) + chr(key >> 21 & _CODE_MASK) + chr(key & _CODE_MASK)
                     found[i] = table[key] = self.bucket(trigram)
-        buckets = np.array(found, dtype=np.int64)[np.cumsum(first) - 1]
-        counts = np.bincount(rows[order] * self.dim + buckets, minlength=len(texts) * self.dim)
-        return counts.reshape(len(texts), self.dim)
+        return rows[order], np.array(found, dtype=np.int64)[np.cumsum(first) - 1]
 
 
 class RemoteEmbedder:

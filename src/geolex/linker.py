@@ -8,15 +8,16 @@ Ties break toward the lower item number.  A candidate without a
 description scores 0 (its text embeds to the zero vector).
 
 ``link_batch`` is the one way to link; one entry is a batch of one.
-A batch is linked in three phases: search every headword; fetch the
-descriptions of the distinct candidate items, 50 per request, in
-first-seen order; then embed and rank the entries chunk by chunk, each
-distinct text of a chunk embedded once and its vector's norm taken
-once.  A batch never aborts on a single bad entry: a failed search
-marks its entry, a failed description request marks every entry with
-a candidate in it, and a failed embedding call marks its chunk.  A
-marked entry gets an unlinked result with an error note ("Type:
-message") and the batch carries on.
+A batch is linked in three phases: search each distinct headword once,
+in first-seen order; fetch the descriptions of the distinct candidate
+items, 50 per request, in first-seen order; then embed and rank the
+entries chunk by chunk, each distinct text of a chunk embedded once
+and its vector's norm taken once.  A batch never aborts on a single
+bad entry: a failed search marks every entry with that headword, a
+failed description request marks every entry with a candidate in it,
+and a failed embedding call marks its chunk.  A marked entry gets an
+unlinked result with an error note ("Type: message") and the batch
+carries on.
 """
 
 from __future__ import annotations
@@ -99,7 +100,9 @@ def link_batch(
     rest of the batch is unaffected.  ``workers`` > 1 sends the
     searches and the description requests on a pool of that many
     threads, each with one request open at a time, so ``workers`` is
-    the bound on requests in flight.
+    the bound on requests in flight.  With ``workers`` = 1 every request
+    is sent from the calling thread, which is fastest when no request
+    waits on a network (replay).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -113,11 +116,14 @@ def link_batch(
         else:
             run_all = map
 
-        # Phase 1: search every headword.
-        hits = list(run_all(
-            _remote(lambda e: client.search_candidates(e.headword, limit=limit)),
-            entries,
-        ))
+        # Phase 1: search each distinct headword once, in first-seen
+        # order, and hand its hits to every entry that shares it.
+        headwords = list(dict.fromkeys(entry.headword for entry in entries))
+        found_by_headword = dict(zip(headwords, run_all(
+            _remote(lambda headword: client.search_candidates(headword, limit=limit)),
+            headwords,
+        )))
+        hits = [found_by_headword[entry.headword] for entry in entries]
         for i, (entry, found) in enumerate(zip(entries, hits)):
             if isinstance(found, Exception):
                 results[i] = _failed(entry, found)

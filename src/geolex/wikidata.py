@@ -15,9 +15,9 @@ Cache keys canonicalize the request (method + URL + sorted query
 parameters + body hash), so a recorded response is found again even if
 parameter order changes.  The client retries transport-level failures
 with 1s/2s/4s backoff and spaces request starts at least 0.1s apart.
-It sets no bound on requests in flight: link sends from a pool of
-``concurrency`` threads, one request open per thread, and every other
-caller sends from one thread.
+It sets no bound on requests in flight: in live and record modes link
+sends from a pool of ``concurrency`` threads, one request open per
+thread; replay link and every other caller send from one thread.
 """
 
 from __future__ import annotations
@@ -225,7 +225,12 @@ class ReplayTransport:
                 if not isinstance(body, str):
                     raise TypeError(f"body is {type(body).__name__}, not a string")
                 if record.get("encoding", "utf-8") == "base64":
-                    return b64decode(body, validate=True)
+                    # validate=True checks only the alphabet; the round
+                    # trip also refuses extra padding ("QUJD====").
+                    decoded = b64decode(body, validate=True)
+                    if b64encode(decoded).decode("ascii") != body:
+                        raise ValueError("base64 body is not in canonical form")
+                    return decoded
                 return body.encode("utf-8")
             except (KeyError, TypeError, ValueError) as err:
                 raise ProtocolError(f"corrupt cache file {path}: {err}") from err

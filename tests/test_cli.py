@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pipeline_fixtures as fx
-from geolex import cli
+from geolex import cli, linker
 from geolex.corpus import load_dataset, save_dataset
 
 
@@ -413,6 +413,42 @@ class TestDatasetOwnership:
         assert json.loads(model.read_text(encoding="utf-8"))
         assert not workspace.dataset.exists()
         assert not workspace.model.exists()
+
+
+class TestLinkThreads:
+    """Replay links on the calling thread; live and record keep a pool
+    of ``concurrency`` threads."""
+
+    def classified(self, workspace):
+        for stage in ("ingest", "train", "classify"):
+            assert workspace.run(stage) == 0, stage
+
+    def test_replay_link_starts_no_thread_pool(self, workspace, no_network, monkeypatch):
+        self.classified(workspace)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("replay link started a thread pool")
+
+        monkeypatch.setattr(linker, "ThreadPoolExecutor", refuse)
+        assert workspace.run("link", "--concurrency", "3") == 0
+
+    def test_record_link_keeps_a_pool_of_concurrency_threads(
+        self, workspace, no_network, monkeypatch
+    ):
+        self.classified(workspace)
+        assert workspace.run("link") == 0
+        replayed = read_bytes(workspace.dataset)
+        sizes = []
+        pool = linker.ThreadPoolExecutor
+
+        def counting(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(linker, "ThreadPoolExecutor", counting)
+        assert workspace.run("link", "--cache-mode", "record", "--concurrency", "3") == 0
+        assert sizes == [3]
+        assert read_bytes(workspace.dataset) == replayed
 
 
 def test_importing_the_cli_leaves_out_the_http_stack():

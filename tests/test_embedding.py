@@ -243,6 +243,25 @@ def warm_embedders():
 
 # Texts the trigram embedder turns into keys at a time.
 SLICE = embedding._SLICE_TEXTS
+# The dense table's limits: past either, a slice takes the sort path.
+CAP = embedding._DENSE_ALPHABET
+CEILING = embedding._DENSE_CODES
+
+# Texts whose code points all sit below the ceiling, drawn from pools
+# small enough that a batch fits the alphabet cap, so the dense table
+# serves them.
+dense_texts = st.one_of(
+    st.text(alphabet="abcdefghijklmnopqrstuvwxyzåäö \u00e9\u0308\u2014", max_size=60),
+    st.text(
+        alphabet=st.characters(max_codepoint=CEILING - 1, exclude_categories=("Cs",)),
+        max_size=12,
+    ),
+    st.text(max_size=2),
+)
+
+
+def dense_alphabet(embedder: HashedTrigramEmbedder) -> str:
+    return embedder._dense[1]
 
 
 class TestBatchMatchesScalarReference:
@@ -301,6 +320,75 @@ class TestBatchMatchesScalarReference:
     def test_empty_batch(self):
         assert HashedTrigramEmbedder().embed_batch([]) == []
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        batches=st.lists(st.lists(dense_texts, max_size=5), min_size=2, max_size=5),
+        dim=st.sampled_from([384, 64]),
+    )
+    def test_warm_embedder_whose_alphabet_grows(self, batches, dim):
+        # Each batch may bring new code points: the table is rebuilt
+        # around the old one, and every earlier bucket still holds.
+        embedder = HashedTrigramEmbedder(dim=dim)
+        sizes = []
+        for texts in batches + batches[:1]:
+            for vector, text in zip(embedder.embed_batch(texts), texts):
+                assert np.array_equal(vector, oracles.scalar_embed(text, dim))
+            sizes.append(len(dense_alphabet(embedder)))
+        assert sizes == sorted(sizes) and sizes[-1] <= CAP
+
+    def test_alphabet_growth_keeps_the_filled_entries(self):
+        # A de Bruijn sequence holds all 27 trigrams over "abc", so the
+        # first table is full before the alphabet grows around it.
+        every_trigram = "aaabaacabbabcacbaccbbbcbcccaa"
+        embedder = HashedTrigramEmbedder()
+        embedder.embed_batch([every_trigram])
+        assert dense_alphabet(embedder) == "abc"
+        assert (embedder._dense[2] >= 0).all()
+        embedder.embed_batch(["\n", "åäö\nxy", "ab", "abc åä"])
+        # new code points join in code point order
+        assert dense_alphabet(embedder) == "abc xyäåö"
+        for text in (every_trigram, "åäö", "abc åä", "xy", "cab bca"):
+            assert np.array_equal(embedder.embed(text), oracles.scalar_embed(text))
+
+    @pytest.mark.parametrize("past", ["cap", "ceiling"])
+    def test_slices_past_the_dense_limits_take_the_sort_path(self, past):
+        embedder = HashedTrigramEmbedder()
+        warm = ["Uppsala stad vid Fyrisån", "ab", "Åsele\nlän"]
+        if past == "cap":
+            # mathematical operators, which casefolding leaves alone
+            odd = "".join(chr(0x2200 + i) for i in range(CAP + 20))
+        else:
+            odd = "東京 stad \u3000vid\U0001F600 havet"
+        texts = warm + [odd, "x"]
+        expected = [oracles.scalar_embed(text) for text in texts]
+        for batch in ([odd], warm, texts, [odd] * 3):
+            for vector, text in zip(embedder.embed_batch(batch), batch):
+                assert np.array_equal(vector, expected[texts.index(text)])
+        assert embedder._buckets  # the sort path's memo filled
+        alphabet = dense_alphabet(embedder)
+        assert len(alphabet) <= CAP and max(map(ord, alphabet)) < CEILING
+        index, _, table = embedder._dense
+        assert table.nbytes == len(alphabet) ** 3 * 2 <= CAP**3 * 2
+        assert index.nbytes <= CEILING * 4
+
+    def test_lone_surrogate_leaves_a_warm_table_correct(self):
+        embedder = HashedTrigramEmbedder()
+        embedder.embed_batch(["Uppsala stad", "Åsele"])
+        alphabet = dense_alphabet(embedder)
+        for text in ("ab\ud800cd", "\udfff\ud800x"):
+            with pytest.raises(UnicodeEncodeError):
+                embedder.embed_batch(["Uppsala", text, "vid sjön"])
+        assert dense_alphabet(embedder) == alphabet
+        for text in ("Uppsala stad", "Åsele", "vid sjön", "ab cd"):
+            assert np.array_equal(embedder.embed(text), oracles.scalar_embed(text))
+
+    def test_dim_past_int16_takes_the_sort_path(self):
+        dim = 1 << 15
+        embedder = HashedTrigramEmbedder(dim=dim)
+        assert embedder._dense is None
+        for text in ("Uppsala stad", "ab"):
+            assert np.array_equal(embedder.embed(text), oracles.scalar_embed(text, dim))
+
     def test_shared_embedder_across_threads(self):
         # Every thread starts on the same cold table, so they race to
         # fill the same trigrams; each must still get reference vectors.
@@ -319,6 +407,31 @@ class TestBatchMatchesScalarReference:
         for vectors in results:
             assert vectors is not None
             assert all(np.array_equal(v, e) for v, e in zip(vectors, expected))
+
+    def test_threads_racing_to_grow_one_alphabet(self):
+        # Every text brings one code point of its own, and each thread
+        # walks the texts from a different start, so the threads keep
+        # growing the table from each other's states, often by the same
+        # code point at once.
+        letters = [chr(0x2200 + i) for i in range(80)]
+        texts = [f"ort {letter}{letter}a vid {letter}sjön" for letter in letters]
+        expected = {text: oracles.scalar_embed(text) for text in texts}
+        embedder = HashedTrigramEmbedder()
+        # A code point above the others sizes the index first, so every
+        # growth copies the shared index instead of padding a new one.
+        embedder.embed_batch([chr(0x22FF)])
+        results: list[list[tuple[str, np.ndarray]]] = [[] for _ in range(4)]
+
+        def work(slot: int) -> None:
+            for i in range(len(texts)):
+                text = texts[(i + 20 * slot) % len(texts)]
+                results[slot].append((text, embedder.embed_batch([text])[0]))
+
+        run_on_threads(work, len(results))
+        for pairs in results:
+            assert len(pairs) == len(texts)
+            assert all(np.array_equal(vector, expected[text]) for text, vector in pairs)
+        assert len(dense_alphabet(embedder)) <= CAP
 
 
 class FakeTransport:

@@ -452,6 +452,69 @@ class TestLinkBatch:
             (r.entry_id, r.chosen, r.similarity) for r in recorded
         ]
 
+    @staticmethod
+    def repeated_places():
+        """Entries whose headwords repeat: Ort1, Ort0, Ort1, Ort2, Ort0, Ort1."""
+        entries, results = places(3)
+        batch = [
+            dataclasses.replace(entries[n], id=f"1:{n + 1}:{copy}")
+            for copy, n in enumerate([1, 0, 1, 2, 0, 1])
+        ]
+        return batch, results
+
+    @staticmethod
+    def searched(transport) -> list[str]:
+        sent = (dict(request.params) for request in transport.requests)
+        return [p["search"] for p in sent if p.get("action") == "wbsearchentities"]
+
+    def test_repeated_headwords_are_searched_once_each(self, no_network):
+        batch, results = self.repeated_places()
+        transport = fx.FixtureTransport(results)
+        outcome = link_batch(batch, HashedTrigramEmbedder(), WikidataClient(transport=transport))
+        assert self.searched(transport) == ["Ort1", "Ort0", "Ort2"]
+        assert [r.entry_id for r in outcome] == [e.id for e in batch]
+        distinct, _ = places(3)
+        client = WikidataClient(transport=fx.FixtureTransport(results))
+        alone = link_batch(distinct, HashedTrigramEmbedder(), client)
+        expected = {e.headword: (r.chosen, r.similarity) for e, r in zip(distinct, alone)}
+        assert all(r.error is None for r in outcome)
+        assert [(r.chosen, r.similarity) for r in outcome] == [
+            expected[e.headword] for e in batch
+        ]
+
+    def test_failed_search_marks_every_entry_with_its_headword(self, no_network):
+        batch, results = self.repeated_places()
+
+        class SearchDown(fx.FixtureTransport):
+            def send(self, request):
+                if dict(request.params).get("search") == "Ort1":
+                    self.requests.append(request)
+                    raise TransportError("search shard down")
+                return super().send(request)
+
+        transport = SearchDown(results)
+        client = WikidataClient(transport=transport, backoff_s=())
+        outcome = link_batch(batch, HashedTrigramEmbedder(), client, workers=2)
+        assert self.searched(transport).count("Ort1") == 1
+        failed = [e.headword for e, r in zip(batch, outcome) if r.error is not None]
+        assert failed == ["Ort1", "Ort1", "Ort1"]
+        assert all(
+            r.error == "TransportError: search shard down"
+            for e, r in zip(batch, outcome) if e.headword == "Ort1"
+        )
+        assert all(r.chosen is not None for e, r in zip(batch, outcome) if e.headword != "Ort1")
+
+    def test_record_mode_sends_a_repeated_headword_live_once(self, tmp_path, no_network):
+        batch, results = self.repeated_places()
+        live = fx.FixtureTransport(results)
+        recorder = ReplayTransport(tmp_path, live)
+        recorded = link_batch(
+            batch, HashedTrigramEmbedder(), WikidataClient(transport=recorder), workers=3
+        )
+        assert sorted(self.searched(live)) == ["Ort0", "Ort1", "Ort2"]
+        assert recorder.request_count == 3 + 1
+        assert all(r.error is None and r.chosen is not None for r in recorded)
+
     def test_failed_embedding_call_marks_its_chunk(self):
         # at 50 candidates an entry needs 51 texts, so a chunk holds
         # 1024 // 51 = 20 entries

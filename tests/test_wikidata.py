@@ -296,6 +296,9 @@ class TestResponseCache:
         {"body": 7},
         {"body": "not base64!", "encoding": "base64"},
         {"body": "QUJ", "encoding": "base64"},
+        # b64decode(..., validate=True) reads both as b"ABC".
+        {"body": "QUJD=", "encoding": "base64"},
+        {"body": "QUJD====", "encoding": "base64"},
     ])
     def test_bad_body_raises_protocol_error(self, tmp_path, stored):
         request = HttpRequest("GET", "https://x.test/api")
