@@ -9,7 +9,7 @@ driver and the per-stage modules for the library surface.
 __version__ = "0.1.0"
 
 from .classifier import EvalReport, LogisticModel, evaluate, train
-from .corpus import CorpusStats, Entry, RawPage, corpus_stats, segment_pages
+from .corpus import Entry, RawPage, segment_pages
 from .embedding import HashedTrigramEmbedder, RemoteEmbedder, cosine_similarity
 from .errors import DatasetError, ProtocolError, ReplayCacheMiss, TransportError
 from .geo import GeoPoint, LinkedPlace, distance_histogram, haversine_km
@@ -18,7 +18,7 @@ from .wikidata import WikidataCandidate, WikidataClient, make_transport
 
 __all__ = [
     "__version__",
-    "CorpusStats", "Entry", "RawPage", "corpus_stats", "segment_pages",
+    "Entry", "RawPage", "segment_pages",
     "HashedTrigramEmbedder", "RemoteEmbedder", "cosine_similarity",
     "EvalReport", "LogisticModel", "evaluate", "train",
     "WikidataCandidate", "WikidataClient", "make_transport",

@@ -40,6 +40,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Iterator
 
 from . import classifier, corpus, geo, linker
 from .config import (
@@ -172,10 +173,19 @@ Counts = tuple[int, int, int, dict[str, float]]
 
 def stage_ingest(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
     pages = corpus.read_raw_pages(config.raw_dir)
-    if not pages:
+    read = 0
+
+    def counted() -> Iterator[corpus.RawPage]:
+        nonlocal read
+        for page in pages:
+            read += 1
+            yield page
+
+    segmented = corpus.segment_pages(counted())
+    if not read:
         raise StageError(f"no raw pages found under {config.raw_dir}")
-    entries[:] = corpus.segment_pages(pages)
-    return len(pages), len(entries), 0, {}
+    entries[:] = segmented
+    return read, len(entries), 0, {}
 
 
 def stage_train(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:

@@ -22,6 +22,7 @@ import json
 import logging
 import math
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +41,20 @@ ENTRY_START_WINDOW = 40
 
 # Punctuation stripped from the end of a headword token.
 _HEADWORD_TRAILING = ",.:;"
+
+# Every character but " " that ``str.isspace()`` (and so ``str.split()``)
+# treats as whitespace.  A test checks it against all of Unicode.
+_WHITESPACE = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f\x85\xa0\u1680"
+    "\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a"
+    "\u2028\u2029\u202f\u205f\u3000"
+)
+_SPACE_RUN = re.compile("  +")
+# A line-break hyphen before a character that may be lowercase: the
+# Latin-1 lowercase letters, or any code point above U+00FF, which
+# ``_fuse_hyphen_break`` checks with ``islower()``.
+_LATIN1_LOWER = "".join(c for c in map(chr, range(256)) if c.islower())
+_HYPHEN_BREAK = re.compile(f"-\n(?=[{re.escape(_LATIN1_LOWER)}\u0100-\U0010ffff])")
 
 # Serialized field order.  Optional fields are omitted until the stage
 # that fills them has run, so freshly ingested records stay short.
@@ -99,13 +114,6 @@ class Entry:
     lon: float | None = None
 
 
-@dataclass(frozen=True)
-class CorpusStats:
-    entry_count: int
-    mean_words_per_entry: float
-    mean_chars_per_entry: float
-
-
 def truncate_definition(text: str) -> str:
     """Cut ``text`` to the definition budget.
 
@@ -158,22 +166,30 @@ def looks_like_entry_start(line: str) -> bool:
     return "," in window or "." in window
 
 
+def _fuse_hyphen_break(match: re.Match[str]) -> str:
+    return "" if match.string[match.end()].islower() else match.group()
+
+
 def _join_lines(lines: list[str]) -> str:
     """Join wrapped lines, undoing line-break hyphenation.
 
     A trailing hyphen followed by a lowercase continuation is a
     typesetting artifact and the fragments are fused; anything else
     joins with a single space.  Whitespace is collapsed in the result.
-    Each line is copied at most twice, so the cost is linear in length.
+    ``lines`` must hold no ``"\\n"`` (``splitlines`` output holds none).
+
+    The text is never split into words: the lines are joined with
+    ``"\\n"``, one regex pass drops each ``"-\\n"`` before a lowercase
+    character, each kind of whitespace that occurs is replaced by
+    spaces, and runs of spaces fold into one.
     """
-    parts: list[str] = []
-    for line in lines:
-        if parts and parts[-1].endswith("-") and line[:1].islower():
-            parts[-1] = parts[-1][:-1]
-        else:
-            parts.append(" ")
-        parts.append(line)
-    return " ".join("".join(parts).split())
+    text = _HYPHEN_BREAK.sub(_fuse_hyphen_break, "\n".join(lines))
+    for space in _WHITESPACE:
+        if space in text:
+            text = text.replace(space, " ")
+    if "  " in text:
+        text = _SPACE_RUN.sub(" ", text)
+    return text.strip()
 
 
 def segment_pages(pages: Iterable[RawPage]) -> list[Entry]:
@@ -245,48 +261,54 @@ def segment_pages(pages: Iterable[RawPage]) -> list[Entry]:
     return entries
 
 
-def corpus_stats(entries: Iterable[Entry]) -> CorpusStats:
-    """Entry count plus mean words/chars per entry (over full text)."""
-    count = 0
-    words = 0
-    chars = 0
-    for entry in entries:
-        count += 1
-        words += len(entry.raw_text.split())
-        chars += len(entry.raw_text)
-    if count == 0:
-        return CorpusStats(0, 0.0, 0.0)
-    return CorpusStats(count, words / count, chars / count)
+def _number(name: str) -> int | None:
+    """A volume or page number: ASCII digits of value >= 1, else None."""
+    if name.isascii() and name.isdigit() and int(name) >= 1:
+        return int(name)
+    return None
 
 
-def read_raw_pages(raw_dir: str | os.PathLike[str]) -> list[RawPage]:
-    """Load ``<raw_dir>/<volume>/<page>.txt`` dumps, sorted by (volume, page).
+def read_raw_pages(raw_dir: str | os.PathLike[str]) -> Iterator[RawPage]:
+    """Stream ``<raw_dir>/<volume>/<page>.txt`` dumps in (volume, page) order.
 
-    Directories and files whose names are not positive integers are
-    skipped with a warning; pages that OCR'd to nothing are skipped
-    silently.
+    The page files are listed and sorted at the call, so a missing
+    directory, or two files for one page (``1.txt`` and ``01.txt``),
+    raises here; each page is read only when the iterator reaches it.
+    A volume directory or page file must be named by ASCII digits of
+    value >= 1; any other name is skipped with a warning.  Pages that
+    OCR'd to nothing are skipped silently.
     """
     root = Path(raw_dir)
     if not root.is_dir():
         raise FileNotFoundError(f"raw corpus directory not found: {root}")
-    pages: list[RawPage] = []
-    for vol_dir in sorted(root.iterdir(), key=lambda p: p.name):
+    located: list[tuple[int, int, Path]] = []
+    for vol_dir in sorted(root.iterdir()):
         if not vol_dir.is_dir():
             continue
-        if not vol_dir.name.isdigit():
+        volume = _number(vol_dir.name)
+        if volume is None:
             logger.warning("skipping non-volume directory %s", vol_dir)
             continue
-        volume = int(vol_dir.name)
-        for page_file in sorted(vol_dir.glob("*.txt"), key=lambda p: p.name):
-            if not page_file.stem.isdigit():
+        for page_file in sorted(vol_dir.glob("*.txt")):
+            page_no = _number(page_file.stem)
+            if page_no is None:
                 logger.warning("skipping non-page file %s", page_file)
                 continue
-            text = page_file.read_text(encoding="utf-8")
-            if not text.strip():
-                continue
-            pages.append(RawPage(volume, int(page_file.stem), text))
-    pages.sort(key=lambda p: (p.volume, p.page_no))
-    return pages
+            located.append((volume, page_no, page_file))
+    located.sort()
+    for before, after in zip(located, located[1:]):
+        if before[:2] == after[:2]:
+            raise ValueError(
+                f"two files for page {after[0]}:{after[1]}: {before[2]} and {after[2]}"
+            )
+    return _read_pages(located)
+
+
+def _read_pages(located: list[tuple[int, int, Path]]) -> Iterator[RawPage]:
+    for volume, page_no, path in located:
+        text = path.read_text(encoding="utf-8")
+        if text and not text.isspace():
+            yield RawPage(volume, page_no, text)
 
 
 # ── Dataset serialization (JSON lines, fixed field order) ───────────────

@@ -677,6 +677,13 @@ class TestExitCodes:
         assert workspace.run("ingest") == 2
         assert "ingest:" in capsys.readouterr().err
 
+    def test_raw_dir_of_blank_pages_exits_two_and_writes_nothing(self, workspace, capsys):
+        for page in workspace.raw_dir.glob("*/*.txt"):
+            page.write_text(" \n", encoding="utf-8")
+        assert workspace.run("ingest") == 2
+        assert "no raw pages found" in capsys.readouterr().err
+        assert not workspace.dataset.exists()
+
     def test_train_failure_exits_three(self, workspace, no_network, capsys):
         assert workspace.run("ingest") == 0
         workspace.annotations.unlink()

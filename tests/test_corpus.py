@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,8 @@ import pipeline_fixtures as fx
 from geolex.corpus import (
     Entry,
     RawPage,
+    _WHITESPACE,
     _join_lines,
-    corpus_stats,
     entry_from_record,
     extract_headword,
     iter_dataset,
@@ -142,10 +144,12 @@ class TestEntryStartHeuristic:
 
 
 # Lines as OCR leaves them: empty, lone or trailing hyphens, uppercase,
-# digit and å/ä/ö continuations, runs of whitespace.
+# digit, å/ä/ö and non-Latin-1 continuations (ǅ is titlecase, neither
+# lower nor upper), runs of whitespace, including every kind of
+# whitespace ``splitlines`` leaves inside a line.
 ocr_lines = st.one_of(
-    st.sampled_from(["", "-", "--", " - ", "a-", "Per-", "\t", "  "]),
-    st.text(alphabet="abzABZ09åäöÅÄÖ-. \t", max_size=8),
+    st.sampled_from(["", "-", "--", " - ", "a-", "Per-", "\t", "  ", "ω-", "\xa0"]),
+    st.text(alphabet="abzABZ09åäöÅÄÖωΩǅ-. \t\x1f\xa0\u2003\u3000", max_size=8),
 )
 
 
@@ -158,6 +162,15 @@ class TestJoinLines:
     def test_hyphen_fuses_only_before_lowercase(self):
         lines = ["Per-", "cidæ, med", "Nord-", "Atlanten och", "Ö-", "ön"]
         assert _join_lines(lines) == "Percidæ, med Nord- Atlanten och Öön"
+
+    def test_lowercase_above_latin1_fuses_and_other_letters_do_not(self):
+        lines = ["Ω-", "ωμέγα", "Ω-", "Ωμέγα", "Ω-", "ǅ", "Ω-", "ª"]
+        assert _join_lines(lines) == "Ωωμέγα Ω- Ωμέγα Ω- ǅ Ωª"
+
+    def test_whitespace_constant_is_every_space_but_the_space(self):
+        every = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+        assert set(_WHITESPACE) == every - {" "}
+        assert len(_WHITESPACE) == len(set(_WHITESPACE))
 
 
 class TestSegmentation:
@@ -248,6 +261,19 @@ class TestSegmentation:
             assert entry.definition == truncate_definition(entry.raw_text)
             assert len(entry.definition) <= 200
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\x0c", "\u2028"])
+    def test_any_line_break_splits_lines(self, newline):
+        text = newline.join([
+            "Abborre, insjöfisk af familjen Per-", "cidæ, med taggiga",
+            "fenstrålar.", "Aal, tysk form.", "",
+        ])
+        entries = segment_pages([RawPage(1, 1, text), RawPage(1, 2, "fisk\u2029Aachen, stad.")])
+        assert [(e.id, e.raw_text) for e in entries] == [
+            ("1:1:1", "Abborre, insjöfisk af familjen Percidæ, med taggiga fenstrålar."),
+            ("1:1:2", "Aal, tysk form. fisk"),
+            ("1:2:1", "Aachen, stad."),
+        ]
+
 
 class TestRawPage:
     def test_empty_page_rejected(self):
@@ -259,28 +285,6 @@ class TestRawPage:
             RawPage(0, 1, "text")
         with pytest.raises(ValueError):
             RawPage(1, 0, "text")
-
-
-class TestCorpusStats:
-    def test_fixture_means_match_independent_recount(self):
-        entries = segment_pages(fixture_pages())
-        stats = corpus_stats(entries)
-        # independent recount: regex token scan and fraction arithmetic
-        from fractions import Fraction
-
-        words = sum(len(re.findall(r"\S+", e.raw_text)) for e in entries)
-        chars = sum(len(e.raw_text) for e in entries)
-        assert stats.entry_count == 12
-        assert stats.mean_words_per_entry == pytest.approx(
-            float(Fraction(words, 12)), abs=1e-12
-        )
-        assert stats.mean_chars_per_entry == pytest.approx(
-            float(Fraction(chars, 12)), abs=1e-12
-        )
-
-    def test_empty(self):
-        stats = corpus_stats([])
-        assert (stats.entry_count, stats.mean_words_per_entry) == (0, 0.0)
 
 
 class TestDatasetSerialization:
@@ -532,4 +536,51 @@ class TestReadRawPages:
         (raw / "1").mkdir(parents=True)
         (raw / "1" / "1.txt").write_text("\n  \n", encoding="utf-8")
         (raw / "1" / "2.txt").write_text("Aal, fisk.\n", encoding="utf-8")
-        assert len(read_raw_pages(raw)) == 1
+        assert len(list(read_raw_pages(raw))) == 1
+
+    @pytest.mark.parametrize("name", ["0", "00", "²", "٣", "-1", "+1", " 1"])
+    def test_names_that_are_not_positive_ascii_numbers_warn_and_skip(
+        self, tmp_path, caplog, name
+    ):
+        raw = tmp_path / "raw"
+        for volume, page in ((name, "1"), ("1", name), ("1", "2")):
+            (raw / volume).mkdir(parents=True, exist_ok=True)
+            (raw / volume / f"{page}.txt").write_text("Aal, fisk.\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="geolex.corpus"):
+            pages = list(read_raw_pages(raw))
+        assert [(p.volume, p.page_no) for p in pages] == [(1, 2)]
+        assert sorted(r.getMessage() for r in caplog.records) == sorted([
+            f"skipping non-volume directory {raw / name}",
+            f"skipping non-page file {raw / '1' / name}.txt",
+        ])
+
+    def test_leading_zeros_name_the_same_number(self, tmp_path):
+        raw = tmp_path / "raw"
+        (raw / "02").mkdir(parents=True)
+        (raw / "02" / "007.txt").write_text("Aal, fisk.\n", encoding="utf-8")
+        assert [(p.volume, p.page_no) for p in read_raw_pages(raw)] == [(2, 7)]
+
+    @pytest.mark.parametrize("first, second", [
+        ("1/1.txt", "1/01.txt"), ("1/5.txt", "01/5.txt"),
+    ])
+    def test_two_files_for_one_page_raise_naming_both(self, tmp_path, first, second):
+        raw = tmp_path / "raw"
+        for name in (first, second):
+            (raw / name).parent.mkdir(parents=True, exist_ok=True)
+            (raw / name).write_text("Aal, fisk.\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="two files for page") as caught:
+            read_raw_pages(raw)
+        assert str(raw / first) in str(caught.value)
+        assert str(raw / second) in str(caught.value)
+
+    def test_pages_are_read_when_reached(self, tmp_path):
+        raw = tmp_path / "raw"
+        (raw / "1").mkdir(parents=True)
+        for page in (1, 2):
+            (raw / "1" / f"{page}.txt").write_text("Aal, fisk.\n", encoding="utf-8")
+        pages = read_raw_pages(raw)
+        (raw / "1" / "1.txt").write_text("Aachen, stad.\n", encoding="utf-8")
+        assert next(pages).text == "Aachen, stad.\n"
+        (raw / "1" / "2.txt").unlink()
+        with pytest.raises(FileNotFoundError):
+            next(pages)
