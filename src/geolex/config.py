@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .embedding import DEFAULT_DIM
-from .geo import DEFAULT_BUCKET_KM, DEFAULT_MAP_WIDTH_PX, GeoPoint
+from .geo import DEFAULT_BUCKET_KM, DEFAULT_MAP_WIDTH_PX, GeoPoint, check_map_width
 from .linker import NO_MIN_SIMILARITY
 from .wikidata import (
     DEFAULT_API_URL,
@@ -97,6 +97,10 @@ class PipelineConfig:
             GeoPoint(self.ref_lat, self.ref_lon)
         except ValueError as err:
             raise ConfigError(f"ref_lat={self.ref_lat}, ref_lon={self.ref_lon}: {err}") from None
+        try:
+            check_map_width(self.map_width_px)
+        except ValueError as err:
+            raise ConfigError(f"map_width_px: {err}") from None
         return self
 
 

@@ -1,7 +1,7 @@
 """Text-to-vector providers and the similarity math the linker runs on.
 
-Every provider exposes the same small surface: ``name``, ``dim``,
-``embed(text)`` and ``embed_batch(texts)``.  Output vectors are
+Every provider exposes the same small surface: ``name``, ``dim`` and
+``embed_batch(texts)``, one vector per text.  Output vectors are
 float64, L2-normalized, and the empty text maps to the all-zero
 vector (which cosine treats as similar-to-nothing).
 
@@ -19,8 +19,8 @@ Two providers:
 cache so repeated runs don't recompute (or re-request) anything.
 
 ``vector_norm`` and ``cosine_from_norms`` let the linker take each
-distinct vector's norm once and still match ``cosine_similarity``
-bit for bit.
+distinct vector's norm once: a cosine is the dot product over the two
+``sqrt(v . v)`` norms.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import ProtocolError
 from .wikidata import HttpRequest, RateLimiter, UrllibTransport
 
 DEFAULT_DIM = 384
-DEFAULT_TIMEOUT_S = 30.0
 
 # Most texts a stage hands the provider in one call: peak memory holds
 # one chunk of vectors instead of one per text.
@@ -76,15 +75,6 @@ def fnv1a_64(data: bytes) -> int:
     return value
 
 
-def l2_normalize(vector: np.ndarray) -> np.ndarray:
-    """Scale to unit L2 norm; the zero vector stays zero."""
-    vector = np.asarray(vector, dtype=np.float64)
-    norm = float(np.linalg.norm(vector))
-    if norm == 0.0:
-        return np.zeros_like(vector)
-    return vector / norm
-
-
 def vector_norm(vector: np.ndarray) -> float:
     """L2 norm as ``sqrt(v . v)``, the way ``np.linalg.norm`` takes it
     for a 1-D float64 vector, so the two agree bit for bit."""
@@ -101,17 +91,23 @@ def cosine_from_norms(a: np.ndarray, b: np.ndarray, norm_a: float, norm_b: float
     return max(-1.0, min(1.0, value))
 
 
-def cosine_similarity(a: Sequence[float], b: Sequence[float]) -> float:
-    """Cosine of the angle between two vectors, in [-1, 1].
-
-    If either vector is all-zero the similarity is defined as 0.
-    Mismatched dimensions are a caller bug and raise.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return cosine_from_norms(a, b, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+def _checked_vector(raw, dim: int, what: str) -> np.ndarray:
+    """``raw``, a vector that came from outside the program, as float64.
+    It must be a list of ``dim`` finite numbers; anything else raises
+    ProtocolError naming ``what``."""
+    try:
+        vector = np.asarray(raw)
+    except ValueError as err:  # a ragged nesting of lists
+        raise ProtocolError(f"{what} is not a list of numbers: {err}") from err
+    # An integer past int64 and uint64 (10**400, say) gives dtype object.
+    if vector.dtype.kind not in "iuf":
+        raise ProtocolError(f"{what} is not a list of numbers")
+    if vector.shape != (dim,):
+        raise ProtocolError(f"{what} has shape {vector.shape}, expected ({dim},)")
+    vector = vector.astype(np.float64, copy=False)
+    if not np.isfinite(vector).all():
+        raise ProtocolError(f"{what} is not finite")
+    return vector
 
 
 class HashedTrigramEmbedder:
@@ -158,6 +154,8 @@ class HashedTrigramEmbedder:
         return fnv1a_64(trigram.encode("utf-8")) % self.dim
 
     def embed(self, text: str) -> np.ndarray:
+        """One text's vector.  The pipeline calls only ``embed_batch``;
+        the benchmark's tracer still patches this method by name."""
         return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: Iterable[str]) -> list[np.ndarray]:
@@ -169,10 +167,10 @@ class HashedTrigramEmbedder:
         for start in range(0, len(texts), _SLICE_TEXTS):
             stop = start + _SLICE_TEXTS
             matrix[start:stop] = self._counts(texts[start:stop])
-        # sqrt(row . row) is how np.linalg.norm (so l2_normalize) takes a
-        # vector's norm, and with integer counts every sum of squares is
-        # exact anyway.  Row by row, no squared copy of the matrix is
-        # made.  All-zero rows divide by 1 and stay zero.
+        # sqrt(row . row) is how ``vector_norm`` takes a vector's norm,
+        # and with integer counts every sum of squares is exact anyway.
+        # Row by row, no squared copy of the matrix is made.  All-zero
+        # rows divide by 1 and stay zero.
         norms = np.sqrt([row.dot(row) for row in matrix])
         norms[norms == 0.0] = 1.0
         matrix /= norms[:, None]
@@ -277,37 +275,28 @@ class RemoteEmbedder:
     """Client for an embedding service speaking JSON over HTTP.
 
     Request: ``POST {"texts": [...]}``; response: ``{"vectors": [[...],
-    ...]}`` with one vector per input, each of length ``dim``.  The URL
-    comes from the constructor or the ``EMBED_URL`` environment
-    variable.  Requests go through ``transport`` (by default an
-    unspaced ``UrllibTransport``, so HTTP 429/5xx raise TransportError
-    and other error statuses ProtocolError; nothing is retried).  It
-    sets no bound on requests in flight: every stage embeds from one
-    thread, one request at a time.  Responses are validated and
-    re-normalized before use.
+    ...]}`` with one vector per input, each a list of ``dim`` finite
+    numbers.  The CLI passes ``url`` from the ``embed_url`` setting
+    (``EMBED_URL`` in the environment).  Requests go through
+    ``transport`` (by default an unspaced ``UrllibTransport``, so HTTP
+    429/5xx raise TransportError and other error statuses
+    ProtocolError; nothing is retried).  It sets no bound on requests
+    in flight: every stage embeds from one thread, one request at a
+    time.  Any other malformed response is a ProtocolError too.
+    Vectors are divided by their ``vector_norm``; the zero vector stays
+    zero.
     """
 
     name = "remote"
 
-    def __init__(
-        self,
-        url: str | None = None,
-        dim: int = DEFAULT_DIM,
-        timeout: float = DEFAULT_TIMEOUT_S,
-        transport=None,
-    ):
-        self.url = url or os.environ.get("EMBED_URL") or ""
-        if not self.url:
-            raise ValueError("no embedding service URL: pass url= or set EMBED_URL")
+    def __init__(self, url: str, dim: int = DEFAULT_DIM, transport=None):
+        if not url:
+            raise ValueError("no embedding service URL: set embed_url or EMBED_URL")
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
+        self.url = url
         self.dim = dim
-        self.transport = transport or UrllibTransport(
-            timeout=timeout, rate_limiter=RateLimiter(0.0)
-        )
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
+        self.transport = transport or UrllibTransport(rate_limiter=RateLimiter(0.0))
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         texts = list(texts)
@@ -332,14 +321,9 @@ class RemoteEmbedder:
             )
         out: list[np.ndarray] = []
         for i, raw in enumerate(vectors):
-            vector = np.asarray(raw, dtype=np.float64)
-            if vector.shape != (self.dim,):
-                raise ProtocolError(
-                    f"vector {i} has shape {vector.shape}, expected ({self.dim},)"
-                )
-            if not np.all(np.isfinite(vector)):
-                raise ProtocolError(f"vector {i} contains non-finite values")
-            out.append(l2_normalize(vector))
+            vector = _checked_vector(raw, self.dim, f"vector {i}")
+            norm = vector_norm(vector)
+            out.append(vector / norm if norm else np.zeros(self.dim))
         return out
 
 
@@ -388,25 +372,16 @@ class CachedEmbedder:
         _trim_torn_line(self._path)
         for where, record in iter_jsonl(self._path, ProtocolError, "bad cache record"):
             try:
-                vector = np.asarray(record["vector"], dtype=np.float64)
-                key = record["key"]
-            except (KeyError, TypeError, ValueError) as err:
+                raw, key = record["vector"], record["key"]
+            except (KeyError, TypeError) as err:
                 raise ProtocolError(f"{where}: bad cache record: {err}") from err
-            if vector.shape != (self.dim,):
-                raise ProtocolError(
-                    f"{where}: cached vector has shape "
-                    f"{vector.shape}, expected ({self.dim},)"
-                )
-            if not np.isfinite(vector).all():
-                raise ProtocolError(f"{where}: cached vector is not finite")
-            self._memory[key] = vector
+            if not isinstance(key, str):
+                raise ProtocolError(f"{where}: bad cache record: key is not a string")
+            self._memory[key] = _checked_vector(raw, self.dim, f"{where}: cached vector")
 
     @staticmethod
     def text_key(text: str) -> str:
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
         texts = list(texts)

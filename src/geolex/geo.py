@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 EARTH_RADIUS_KM = 6371.0
 DEFAULT_BUCKET_KM = 500.0
 DEFAULT_MAP_WIDTH_PX = 1600
-_GRATICULE_STEP_DEG = 30
+_GRID_STEP_DEG = 30
 
 
 @dataclass(frozen=True)
@@ -149,40 +149,42 @@ def project_equirectangular(
     return x, y
 
 
-def render_svg_map(
-    places: Sequence[LinkedPlace],
-    width_px: int = DEFAULT_MAP_WIDTH_PX,
-    graticule: bool = True,
-) -> str:
+def check_map_width(width_px: int) -> int:
+    """``width_px`` as an int, if it is even and at least 2: the map is
+    ``width_px`` by ``width_px / 2`` pixels.  Otherwise ValueError."""
+    width = int(width_px)
+    if width < 2 or width % 2:
+        raise ValueError(f"map width must be even and >= 2 pixels, got {width_px}")
+    return width
+
+
+def render_svg_map(places: Sequence[LinkedPlace], width_px: int = DEFAULT_MAP_WIDTH_PX) -> str:
     """Scatter map of places as an SVG document.
 
     Equirectangular projection, one circle per place (hover text:
-    headword and item id), optional 30-degree graticule.  Output is
-    byte-stable: places are drawn in entry-id order and coordinates are
-    formatted to fixed precision.
+    headword and item id), over meridians and parallels 30 degrees
+    apart.  Output is byte-stable: places are drawn in entry-id order
+    and coordinates are formatted to fixed precision.
     """
-    width = int(width_px)
-    if width < 2 or width % 2:
-        raise ValueError(f"width_px must be even and >= 2, got {width_px}")
+    width = check_map_width(width_px)
     height = width // 2
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
-    if graticule:
-        for lon in range(-180, 181, _GRATICULE_STEP_DEG):
-            x = (lon + 180.0) / 360.0 * width
-            lines.append(
-                f'<line x1="{x:.2f}" y1="0" x2="{x:.2f}" y2="{height}" '
-                f'stroke="#dddddd" stroke-width="1"/>'
-            )
-        for lat in range(-90, 91, _GRATICULE_STEP_DEG):
-            y = (90.0 - lat) / 180.0 * height
-            lines.append(
-                f'<line x1="0" y1="{y:.2f}" x2="{width}" y2="{y:.2f}" '
-                f'stroke="#dddddd" stroke-width="1"/>'
-            )
+    for lon in range(-180, 181, _GRID_STEP_DEG):
+        x = (lon + 180.0) / 360.0 * width
+        lines.append(
+            f'<line x1="{x:.2f}" y1="0" x2="{x:.2f}" y2="{height}" '
+            f'stroke="#dddddd" stroke-width="1"/>'
+        )
+    for lat in range(-90, 91, _GRID_STEP_DEG):
+        y = (90.0 - lat) / 180.0 * height
+        lines.append(
+            f'<line x1="0" y1="{y:.2f}" x2="{width}" y2="{y:.2f}" '
+            f'stroke="#dddddd" stroke-width="1"/>'
+        )
     for place in sorted(places, key=lambda p: p.entry_id):
         x, y = project_equirectangular(place.point, width)
         title = escape(f"{place.headword} ({place.qid})", quote=False)

@@ -67,9 +67,10 @@ def rank_candidates(
     similarity, highest first, lower item number winning ties.
 
     ``norms`` holds the definition vector's norm, then each candidate
-    vector's, as ``vector_norm`` takes them; left out, they are taken
-    here.  The similarities equal ``cosine_similarity`` bit for bit.
-    Input order never affects the output order.
+    vector's, as ``vector_norm`` takes them (``sqrt(v . v)``); left out,
+    they are taken here.  Each similarity is ``cosine_from_norms`` of
+    the two vectors and their norms.  Input order never affects the
+    output order.
     """
     if norms is None:
         norms = [vector_norm(definition_vector)]

@@ -47,6 +47,10 @@ DEFAULT_BACKOFF_S = (1.0, 2.0, 4.0)
 SPARQL_BATCH_SIZE = 200
 ENTITY_BATCH_SIZE = 50  # the most ids wbgetentities takes per call
 SEARCH_LIMIT = 5
+# Seconds a live request may wait on its connection.
+_TIMEOUT_S = 30.0
+# Searches and descriptions are in Swedish, the encyclopedia's language.
+_LANGUAGE = "sv"
 
 _QID_RE = re.compile(r"^Q[1-9][0-9]*$")
 _ENTITY_URI_PREFIX = "http://www.wikidata.org/entity/"
@@ -157,13 +161,11 @@ class UrllibTransport:
     def __init__(
         self,
         user_agent: str = DEFAULT_USER_AGENT,
-        timeout: float = 30.0,
         rate_limiter: RateLimiter | None = None,
     ):
         if not user_agent.strip():
             raise ValueError("user_agent must be non-empty")
         self.user_agent = user_agent
-        self.timeout = timeout
         self.rate_limiter = rate_limiter or RateLimiter()
         self.request_count = 0
         self._count_lock = threading.Lock()
@@ -185,7 +187,7 @@ class UrllibTransport:
             method=request.method,
         )
         try:
-            with urllib.request.urlopen(http_request, timeout=self.timeout) as response:
+            with urllib.request.urlopen(http_request, timeout=_TIMEOUT_S) as response:
                 return response.read()
         except urllib.error.HTTPError as err:
             raise http_status_error(err.code, request.url) from err
@@ -202,6 +204,8 @@ class ReplayTransport:
     written atomically for later replay.  Bodies from these endpoints
     are UTF-8 JSON and are stored as text; anything undecodable falls
     back to base64 so the cache can hold any response byte-for-byte.
+    A record whose ``encoding`` is neither absent, ``"utf-8"`` nor
+    ``"base64"`` is a corrupt file.
     """
 
     def __init__(self, cache_dir: str | Path, live=None):
@@ -224,13 +228,16 @@ class ReplayTransport:
                 body = record["body"]
                 if not isinstance(body, str):
                     raise TypeError(f"body is {type(body).__name__}, not a string")
-                if record.get("encoding", "utf-8") == "base64":
+                encoding = record.get("encoding", "utf-8")
+                if encoding == "base64":
                     # validate=True checks only the alphabet; the round
                     # trip also refuses extra padding ("QUJD====").
                     decoded = b64decode(body, validate=True)
                     if b64encode(decoded).decode("ascii") != body:
                         raise ValueError("base64 body is not in canonical form")
                     return decoded
+                if encoding != "utf-8":
+                    raise ValueError(f"unknown body encoding {encoding!r}")
                 return body.encode("utf-8")
             except (KeyError, TypeError, ValueError) as err:
                 raise ProtocolError(f"corrupt cache file {path}: {err}") from err
@@ -261,7 +268,6 @@ def make_transport(
     cache_dir: str | Path | None = None,
     user_agent: str = DEFAULT_USER_AGENT,
     min_interval: float = DEFAULT_MIN_INTERVAL_S,
-    timeout: float = 30.0,
 ):
     """Build the transport for a cache mode (live, record, replay)."""
     if mode not in ("live", "record", "replay"):
@@ -270,9 +276,7 @@ def make_transport(
         raise ValueError(f"cache mode {mode!r} needs a cache directory")
     if mode == "replay":
         return ReplayTransport(cache_dir)
-    live = UrllibTransport(
-        user_agent=user_agent, timeout=timeout, rate_limiter=RateLimiter(min_interval)
-    )
+    live = UrllibTransport(user_agent=user_agent, rate_limiter=RateLimiter(min_interval))
     return live if mode == "live" else ReplayTransport(cache_dir, live)
 
 
@@ -309,25 +313,25 @@ def _parse_json_body(body: bytes, request: HttpRequest) -> dict:
     return parsed
 
 
-def _entity_description(qid: str, entity: dict, language: str) -> str | None:
-    """The ``language`` description of one ``wbgetentities`` entity,
+def _entity_description(qid: str, entity: dict) -> str | None:
+    """The Swedish description of one ``wbgetentities`` entity,
     ``None`` when it has none."""
     descriptions = entity.get("descriptions", {})
     if not isinstance(descriptions, dict):
         raise ProtocolError(f"entity {qid}: 'descriptions' is not an object")
-    if language not in descriptions:
+    if _LANGUAGE not in descriptions:
         return None
-    described = descriptions[language]
+    described = descriptions[_LANGUAGE]
     if not isinstance(described, dict):
-        raise ProtocolError(f"entity {qid}: description {language!r} is not an object")
+        raise ProtocolError(f"entity {qid}: description {_LANGUAGE!r} is not an object")
     value = described.get("value")
     if not isinstance(value, str):
-        raise ProtocolError(f"entity {qid}: description {language!r} has no string value")
+        raise ProtocolError(f"entity {qid}: description {_LANGUAGE!r} has no string value")
     try:
         value.encode("utf-8")
     except UnicodeEncodeError as err:
         raise ProtocolError(
-            f"entity {qid}: description {language!r} cannot be encoded as UTF-8"
+            f"entity {qid}: description {_LANGUAGE!r} cannot be encoded as UTF-8"
         ) from err
     return value
 
@@ -379,7 +383,7 @@ class WikidataClient:
         raise AssertionError("unreachable")
 
     def search_candidates(
-        self, headword: str, limit: int = SEARCH_LIMIT, language: str = "sv"
+        self, headword: str, limit: int = SEARCH_LIMIT
     ) -> list[WikidataCandidate]:
         """Entity search for a headword, best matches first."""
         if not headword or not headword.strip():
@@ -392,10 +396,10 @@ class WikidataClient:
             params=(
                 ("action", "wbsearchentities"),
                 ("format", "json"),
-                ("language", language),
+                ("language", _LANGUAGE),
                 ("limit", str(limit)),
                 ("search", headword),
-                ("uselang", language),
+                ("uselang", _LANGUAGE),
             ),
         )
         data = _parse_json_body(self._send(request), request)
@@ -419,9 +423,7 @@ class WikidataClient:
             )
         return candidates
 
-    def fetch_descriptions(
-        self, qids: Sequence[str], language: str = "sv"
-    ) -> dict[str, str | None]:
+    def fetch_descriptions(self, qids: Sequence[str]) -> dict[str, str | None]:
         """Authoritative descriptions for items, ``None`` where absent
         (including items that do not exist).  An entity whose
         description has the wrong JSON type raises ProtocolError naming
@@ -439,7 +441,7 @@ class WikidataClient:
                     ("action", "wbgetentities"),
                     ("format", "json"),
                     ("ids", "|".join(batch)),
-                    ("languages", language),
+                    ("languages", _LANGUAGE),
                     ("props", "descriptions"),
                 ),
             )
@@ -453,7 +455,7 @@ class WikidataClient:
                 entity = entities.get(qid)
                 out[qid] = None
                 if isinstance(entity, dict) and "missing" not in entity:
-                    out[qid] = _entity_description(qid, entity, language)
+                    out[qid] = _entity_description(qid, entity)
         return out
 
     def fetch_coordinates(self, qids: Sequence[str]) -> list[CoordinateRecord]:

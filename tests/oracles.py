@@ -56,6 +56,17 @@ def scalar_embed(text: str, dim: int = 384) -> np.ndarray:
     return vector / norm
 
 
+def dense_cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of two dense vectors on ``np.linalg.norm`` norms: 0 if
+    either is zero, else clamped to [-1, 1].  The linker's similarities
+    must equal it bit for bit."""
+    norm_a = float(np.linalg.norm(a))
+    norm_b = float(np.linalg.norm(b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        return 0.0
+    return max(-1.0, min(1.0, float(np.dot(a, b)) / (norm_a * norm_b)))
+
+
 def sparse_cosine(a: dict[int, float], b: dict[int, float]) -> float:
     return sum(w * b[bucket] for bucket, w in a.items() if bucket in b)
 
@@ -168,7 +179,18 @@ def dataset_line(entry) -> str:
     return json.dumps(record, ensure_ascii=False)
 
 
-# ── Classifier metrics from confusion counts ─────────────────────────────
+# ── Classifier probability and metrics ───────────────────────────────────
+
+
+def predict_proba(model, vector) -> float:
+    """A model's location probability for one vector, the logistic of
+    ``weights . vector + bias`` taken in whichever form keeps ``exp``
+    from overflowing."""
+    z = float(np.dot(model.weights, vector)) + model.bias
+    if z >= 0.0:
+        return 1.0 / (1.0 + math.exp(-z))
+    return math.exp(z) / (1.0 + math.exp(z))
+
 
 
 def metrics_from_counts(tp: int, fp: int, fn: int, tn: int) -> dict[str, float]:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 import pipeline_fixtures as fx
 from geolex import cli, linker
 from geolex.corpus import load_dataset, save_dataset
@@ -94,7 +95,7 @@ class TestFullRun:
         assert all(s["wall_time_s"] >= 0 for s in by_stage.values())
 
     def test_train_summary_reports_training_set_quality(self, workspace, no_network, capsys):
-        from geolex.classifier import load_model, predict_proba
+        from geolex.classifier import load_model
         from geolex.embedding import HashedTrigramEmbedder
 
         assert workspace.run("ingest") == 0
@@ -104,7 +105,7 @@ class TestFullRun:
         embedder = HashedTrigramEmbedder()
         entries = {e.id: e for e in load_dataset(workspace.dataset)}
         pairs = [
-            (predict_proba(model, embedder.embed(entries[i].definition)) >= 0.5,
+            (oracles.predict_proba(model, embedder.embed(entries[i].definition)) >= 0.5,
              fx.IS_LOCATION[i])
             for i in fx.ENTRY_IDS
         ]
@@ -669,6 +670,14 @@ class TestExitCodes:
         path = tmp_path / "config.json"
         path.write_text('{"cache_mode": "offline"}', encoding="utf-8")
         assert cli.main(["ingest", "--config", str(path)]) == 1
+
+    def test_odd_map_width_exits_one_before_any_stage(self, workspace, capsys):
+        payload = json.loads(workspace.config_path.read_text(encoding="utf-8"))
+        payload["map_width_px"] = 1601
+        workspace.config_path.write_text(json.dumps(payload), encoding="utf-8")
+        assert workspace.run("run") == 1
+        assert "config: map_width_px: map width must be even" in capsys.readouterr().err
+        assert not workspace.dataset.exists()
 
     def test_ingest_failure_exits_two(self, workspace, capsys):
         import shutil

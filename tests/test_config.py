@@ -148,6 +148,8 @@ class TestValidation:
         ("min_sim", -math.inf, "min_sim"),
         ("bucket_km", math.inf, "bucket_km"),
         ("bucket_km", math.nan, "bucket_km"),
+        ("map_width_px", 1601, "map_width_px"),
+        ("map_width_px", 0, "map_width_px"),
     ])
     def test_invalid_values_rejected(self, field, value, fragment):
         from dataclasses import replace

@@ -17,13 +17,15 @@ from hypothesis import strategies as st
 import oracles
 from conftest import run_on_threads
 from geolex import embedding
+from geolex.cli import _build_provider
+from geolex.config import apply_overrides, load_config
 from geolex.embedding import (
     CachedEmbedder,
     HashedTrigramEmbedder,
     RemoteEmbedder,
-    cosine_similarity,
+    cosine_from_norms,
     fnv1a_64,
-    l2_normalize,
+    vector_norm,
 )
 from geolex.errors import ProtocolError, TransportError
 from geolex.wikidata import DEFAULT_USER_AGENT
@@ -41,40 +43,63 @@ class TestFnv1a:
             assert fnv1a_64(text.encode()) == oracles.fnv1a_64(text.encode())
 
 
-class TestL2Normalize:
+def remote_normalize(vector: np.ndarray) -> np.ndarray:
+    """``vector`` as ``RemoteEmbedder`` hands it on when the service
+    replies with it."""
+    transport = FakeTransport([vectors_body([vector.tolist()])])
+    embedder = RemoteEmbedder("http://embed.test", dim=len(vector), transport=transport)
+    return embedder.embed_batch(["x"])[0]
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """The linker's cosine: ``cosine_from_norms`` on ``vector_norm`` norms."""
+    return cosine_from_norms(a, b, vector_norm(a), vector_norm(b))
+
+
+class TestRemoteNormalization:
     def test_three_four_five(self):
         v = np.zeros(8)
         v[0], v[1] = 3.0, 4.0
-        out = l2_normalize(v)
+        out = remote_normalize(v)
         assert out[0] == pytest.approx(0.6)
         assert out[1] == pytest.approx(0.8)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_vector_stays_zero(self):
-        assert not l2_normalize(np.zeros(5)).any()
+        out = remote_normalize(np.zeros(5))
+        assert out.shape == (5,)
+        assert not out.any()
+        assert not np.signbit(remote_normalize(-np.zeros(5))).any()
 
     def test_idempotent_on_random_vectors(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             v = rng.normal(size=16)
-            once = l2_normalize(v)
+            once = remote_normalize(v)
             # renormalizing divides by a norm within 1 ulp of 1.0
-            np.testing.assert_allclose(l2_normalize(once), once, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(remote_normalize(once), once, rtol=1e-14, atol=0)
+
+    def test_equals_division_by_numpy_norm(self):
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            v = rng.normal(size=16) * rng.choice([1e-8, 1.0, 1e8])
+            assert vector_norm(v) == float(np.linalg.norm(v))
+            assert np.array_equal(remote_normalize(v), v / np.linalg.norm(v))
 
 
-class TestCosineSimilarity:
+class TestCosineFromNorms:
     def test_self_similarity(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             v = rng.normal(size=12)
-            assert cosine_similarity(v, v) == pytest.approx(1.0, abs=1e-9)
+            assert cosine(v, v) == pytest.approx(1.0, abs=1e-9)
 
     def test_orthogonal_vectors(self):
         a = np.zeros(4)
         b = np.zeros(4)
         a[0] = 1.0
         b[1] = 1.0
-        assert cosine_similarity(a, b) == 0.0
+        assert cosine(a, b) == 0.0
 
     def test_hand_arithmetic_padded(self):
         a = np.zeros(384)
@@ -82,38 +107,34 @@ class TestCosineSimilarity:
         a[:3] = [1.0, 2.0, 3.0]
         b[:3] = [4.0, 5.0, 6.0]
         expected = 32.0 / (math.sqrt(14.0) * math.sqrt(77.0))
-        assert cosine_similarity(a, b) == pytest.approx(expected, abs=1e-12)
-        assert cosine_similarity(a, b) == pytest.approx(0.974631846, abs=5e-10)
+        assert cosine(a, b) == pytest.approx(expected, abs=1e-12)
+        assert cosine(a, b) == pytest.approx(0.974631846, abs=5e-10)
 
     def test_zero_vector_convention(self):
-        assert cosine_similarity(np.zeros(4), np.ones(4)) == 0.0
-        assert cosine_similarity(np.ones(4), np.zeros(4)) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            cosine_similarity(np.ones(3), np.ones(4))
+        assert cosine(np.zeros(4), np.ones(4)) == 0.0
+        assert cosine(np.ones(4), np.zeros(4)) == 0.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(11)
         for _ in range(25):
             a = rng.normal(size=10)
             b = rng.normal(size=10)
-            assert abs(cosine_similarity(a, b) - cosine_similarity(b, a)) < 1e-12
+            assert abs(cosine(a, b) - cosine(b, a)) < 1e-12
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(13)
         a = rng.normal(size=10)
         b = rng.normal(size=10)
-        base = cosine_similarity(a, b)
+        base = cosine(a, b)
         for k in (1e-6, 0.5, 3.0, 1e6):
-            assert cosine_similarity(k * a, b) == pytest.approx(base, abs=1e-9)
+            assert cosine(k * a, b) == pytest.approx(base, abs=1e-9)
 
     def test_bound(self):
         rng = np.random.default_rng(17)
         for _ in range(100):
             a = rng.normal(size=6) * rng.choice([1e-8, 1.0, 1e8])
             b = rng.normal(size=6) * rng.choice([1e-8, 1.0, 1e8])
-            assert -1.0 - 1e-9 <= cosine_similarity(a, b) <= 1.0 + 1e-9
+            assert -1.0 - 1e-9 <= cosine(a, b) <= 1.0 + 1e-9
 
 
 class TestHashedTrigramEmbedder:
@@ -173,7 +194,7 @@ class TestHashedTrigramEmbedder:
         embedder = HashedTrigramEmbedder()
         a = "Stockholm, Sveriges hufvudstad"
         b = "Sveriges huvudstad och största stad"
-        package_value = cosine_similarity(embedder.embed(a), embedder.embed(b))
+        package_value = cosine(embedder.embed(a), embedder.embed(b))
         oracle_value = oracles.text_similarity(a, b)
         assert package_value == pytest.approx(oracle_value, abs=1e-12)
 
@@ -462,20 +483,19 @@ class TestRemoteEmbedder:
         np.testing.assert_allclose(out[1], [0.0, 1.0, 0.0])
         assert transport.calls[0][1] == {"texts": ["a", "b"]}
 
-    def test_single_embed_uses_batch(self):
-        transport = FakeTransport([vectors_body([[0.0, 1.0]])])
-        embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
-        np.testing.assert_allclose(embedder.embed("x"), [0.0, 1.0])
-
-    def test_url_from_environment(self, monkeypatch):
-        monkeypatch.setenv("EMBED_URL", "http://env.test")
-        embedder = RemoteEmbedder(dim=2, transport=FakeTransport([]))
-        assert embedder.url == "http://env.test"
+    def test_url_from_environment(self):
+        config = apply_overrides(
+            load_config(env={"EMBED_URL": "http://env.test"}), embed_provider="remote"
+        )
+        assert _build_provider(config).url == "http://env.test"
 
     def test_missing_url_rejected(self, monkeypatch):
-        monkeypatch.delenv("EMBED_URL", raising=False)
+        # The config is the one reader of EMBED_URL; the embedder is not.
+        monkeypatch.setenv("EMBED_URL", "http://env.test")
         with pytest.raises(ValueError, match="EMBED_URL"):
-            RemoteEmbedder(dim=2)
+            RemoteEmbedder("", dim=2)
+        with pytest.raises(ValueError, match="EMBED_URL"):
+            _build_provider(apply_overrides(load_config(env={}), embed_provider="remote"))
 
     def test_wrong_vector_count_is_protocol_error(self):
         transport = FakeTransport([vectors_body([[1.0, 0.0]])])
@@ -487,25 +507,40 @@ class TestRemoteEmbedder:
         transport = FakeTransport([vectors_body([[1.0, 0.0, 0.0]])])
         embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
         with pytest.raises(ProtocolError, match="shape"):
-            embedder.embed("a")
+            embedder.embed_batch(["a"])
 
     def test_non_finite_vector_is_protocol_error(self):
         transport = FakeTransport([vectors_body([[1.0, None]])])
         embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
         with pytest.raises(ProtocolError):
-            embedder.embed("a")
+            embedder.embed_batch(["a"])
+
+    @pytest.mark.parametrize("raw", [
+        ["a", "b"],
+        [[1.0], [1.0, 2.0]],  # ragged
+        [10**400, 1.0],  # past any float
+        [True, False],
+        "ab",
+        {"0": 1.0, "1": 2.0},
+        [[1.0, 2.0]],
+    ])
+    def test_malformed_vector_is_protocol_error_naming_it(self, raw):
+        transport = FakeTransport([vectors_body([[1.0, 0.0], raw])])
+        embedder = RemoteEmbedder("http://embed.test", dim=2, transport=transport)
+        with pytest.raises(ProtocolError, match="^vector 1 "):
+            embedder.embed_batch(["a", "b"])
 
     def test_non_json_is_protocol_error(self):
         transport = FakeTransport([b"<html>oops</html>"])
         embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
         with pytest.raises(ProtocolError, match="non-JSON"):
-            embedder.embed("a")
+            embedder.embed_batch(["a"])
 
     def test_transport_error_passes_through(self):
         transport = FakeTransport([TransportError("connection refused")])
         embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
         with pytest.raises(TransportError):
-            embedder.embed("a")
+            embedder.embed_batch(["a"])
 
     def test_empty_batch_sends_nothing(self):
         transport = FakeTransport([])
@@ -525,7 +560,7 @@ class TestRemoteEmbedderHttp:
             return io.BytesIO(vectors_body([[1.0, 0.0], [0.0, 1.0]]))
 
         monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
-        embedder = RemoteEmbedder(url="http://embed.test/v1", dim=2, timeout=7.0)
+        embedder = RemoteEmbedder("http://embed.test/v1", dim=2)
         embedder.embed_batch(["a", "b"])
         [(request, timeout)] = sent
         assert request.get_method() == "POST"
@@ -533,7 +568,7 @@ class TestRemoteEmbedderHttp:
         assert request.get_header("Content-type") == "application/json"
         assert request.get_header("User-agent") == DEFAULT_USER_AGENT
         assert json.loads(request.data) == {"texts": ["a", "b"]}
-        assert timeout == 7.0
+        assert timeout == 30.0
         assert embedder.transport.rate_limiter.min_interval == 0.0
 
     @pytest.mark.parametrize("code,expected", [(503, TransportError), (400, ProtocolError)])
@@ -547,7 +582,7 @@ class TestRemoteEmbedderHttp:
         monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         embedder = RemoteEmbedder(url="http://embed.test", dim=2)
         with pytest.raises(expected, match=f"HTTP {code}"):
-            embedder.embed("a")
+            embedder.embed_batch(["a"])
         assert len(calls) == 1
 
     def test_connection_failure_is_transport_error(self, monkeypatch):
@@ -557,7 +592,7 @@ class TestRemoteEmbedderHttp:
         monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         embedder = RemoteEmbedder(url="http://embed.test", dim=2)
         with pytest.raises(TransportError, match="connection refused"):
-            embedder.embed("a")
+            embedder.embed_batch(["a"])
 
 
 class CountingProvider:
@@ -566,9 +601,6 @@ class CountingProvider:
     def __init__(self, dim=4):
         self.dim = dim
         self.embed_calls = 0
-
-    def embed(self, text):
-        return self.embed_batch([text])[0]
 
     def embed_batch(self, texts):
         self.embed_calls += len(texts)
@@ -585,23 +617,23 @@ class TestCachedEmbedder:
     def test_second_call_hits_cache(self, tmp_path):
         provider = CountingProvider()
         cached = CachedEmbedder(provider, tmp_path / "cache.jsonl")
-        first = cached.embed("abc")
-        second = cached.embed("abc")
+        [first] = cached.embed_batch(["abc"])
+        [second] = cached.embed_batch(["abc"])
         np.testing.assert_array_equal(first, second)
         assert provider.embed_calls == 1
 
     def test_cache_survives_reopen(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         provider = CountingProvider()
-        CachedEmbedder(provider, path).embed("abc")
+        CachedEmbedder(provider, path).embed_batch(["abc"])
         reopened = CachedEmbedder(provider, path)
-        reopened.embed("abc")
+        reopened.embed_batch(["abc"])
         assert provider.embed_calls == 1
 
     def test_batch_only_fetches_misses(self, tmp_path):
         provider = CountingProvider()
         cached = CachedEmbedder(provider, tmp_path / "cache.jsonl")
-        cached.embed("abc")
+        cached.embed_batch(["abc"])
         cached.embed_batch(["abc", "defg", "abc"])
         assert provider.embed_calls == 2  # abc once, defg once
 
@@ -626,6 +658,21 @@ class TestCachedEmbedder:
         path = tmp_path / "cache.jsonl"
         path.write_text('{"key": "k"}\n', encoding="utf-8")
         with pytest.raises(ProtocolError, match="cache"):
+            CachedEmbedder(CountingProvider(), path)
+
+    @pytest.mark.parametrize("record, fragment", [
+        ({"key": [1], "vector": [1.0, 0.0, 0.0, 0.0]}, "key is not a string"),
+        ({"key": "k", "vector": [10**400, 0, 0, 0]}, "cached vector is not a list of numbers"),
+        ({"key": "k", "vector": ["a", "b", "c", "d"]}, "cached vector is not a list of numbers"),
+        ({"key": "k", "vector": [[1.0], [1.0, 2.0], [], []]}, "cached vector is not a list"),
+        ({"key": "k", "vector": [1.0, 0.0]}, "cached vector has shape (2,)"),
+    ])
+    def test_malformed_record_rejected_naming_its_line(self, tmp_path, record, fragment):
+        path = tmp_path / "cache.jsonl"
+        CachedEmbedder(CountingProvider(), path).embed_batch(["ab"])
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+        with pytest.raises(ProtocolError, match=re.escape(f"{path}:2: ") + ".*" + re.escape(fragment)):
             CachedEmbedder(CountingProvider(), path)
 
     @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
@@ -657,7 +704,7 @@ class TestCachedEmbedder:
 
         reopened = CachedEmbedder(provider, path)
         assert path.read_bytes().endswith(b"\n")
-        reopened.embed("abcde")
+        reopened.embed_batch(["abcde"])
         again = CachedEmbedder(provider, path)
         vectors = again.embed_batch(["ab", "abc", "abcd", "abcde"])
         for got, want in zip(vectors, first):
@@ -669,7 +716,7 @@ class TestCachedEmbedder:
         provider = CountingProvider()
         CachedEmbedder(provider, path).embed_batch(["ab", "abc"])
         path.write_bytes(path.read_bytes()[:-1])
-        CachedEmbedder(provider, path).embed("abcd")
+        CachedEmbedder(provider, path).embed_batch(["abcd"])
         CachedEmbedder(provider, path).embed_batch(["ab", "abc", "abcd"])
         assert provider.embed_calls == 3
 

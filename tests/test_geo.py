@@ -313,10 +313,9 @@ class TestSvgMap:
         assert """<title>S:t "Eriks" &amp; 'Olofs' &lt;a&gt; (Q2)</title>""" in svg
 
     def test_graticule_lines_every_thirty_degrees(self):
-        svg = render_svg_map([], graticule=True)
+        svg = render_svg_map([])
         # 13 meridians (-180..180) + 7 parallels (-90..90)
         assert svg.count("<line") == 20
-        assert render_svg_map([], graticule=False).count("<line") == 0
 
     def test_height_is_half_width(self):
         svg = render_svg_map([], width_px=1000)

@@ -15,7 +15,7 @@ import oracles
 import pipeline_fixtures as fx
 from geolex import linker
 from geolex.corpus import Entry, RawPage, segment_pages
-from geolex.embedding import EMBED_CHUNK, HashedTrigramEmbedder, cosine_similarity
+from geolex.embedding import EMBED_CHUNK, HashedTrigramEmbedder, RemoteEmbedder
 from geolex.errors import ProtocolError, TransportError
 from geolex.linker import NO_MIN_SIMILARITY, link_batch, rank_candidates
 from geolex.wikidata import (
@@ -154,7 +154,7 @@ class TestRankCandidates:
 
 
 class TestRankChunkExactness:
-    def test_similarities_equal_cosine_similarity_exactly(self):
+    def test_similarities_equal_dense_cosine_exactly(self):
         descriptions = [
             "stad i Uppland vid Fyrisån", None, "stad i Uppland vid Fyrisån",
             "musikalbum från 1994", "ab", "efternamn", "by i Dalarna vid Siljan",
@@ -181,7 +181,7 @@ class TestRankChunkExactness:
             assert len(result.considered) == len(descriptions)
             for scored in result.considered:
                 description = embedder.embed(scored.candidate.description_sv or "")
-                assert scored.similarity == cosine_similarity(definition, description)
+                assert scored.similarity == oracles.dense_cosine(definition, description)
             assert result.similarity == result.considered[0].similarity
         assert all(sc.similarity == 0.0 for sc in outcome[3].considered)
 
@@ -529,3 +529,30 @@ class TestLinkBatch:
             for r in outcome[:20]
         )
         assert all(r.error is None and r.chosen is not None for r in outcome[20:])
+
+    @pytest.mark.parametrize("garbage", [
+        ["a"] * 384,
+        [[1.0]] + [[1.0, 2.0]] * 383,  # ragged
+        [10**400] * 384,  # past any float
+    ])
+    def test_malformed_remote_vector_marks_only_its_chunk(self, garbage):
+        class GarbledService:
+            """Trigram vectors, except that the first reply's first
+            vector is ``garbage``."""
+
+            replies = 0
+
+            def send(self, request):
+                texts = json.loads(request.body)["texts"]
+                vectors = [v.tolist() for v in HashedTrigramEmbedder().embed_batch(texts)]
+                if not self.replies:
+                    vectors[0] = garbage
+                self.replies += 1
+                return json.dumps({"vectors": vectors}).encode()
+
+        entries, results = places(21, hits_each=50)  # chunks of 20 and 1
+        embedder = RemoteEmbedder("http://embed.test", transport=GarbledService())
+        client = WikidataClient(transport=fx.FixtureTransport(results))
+        outcome = link_batch(entries, embedder, client, limit=50)
+        assert all(r.error.startswith("ProtocolError: vector 0 ") for r in outcome[:20])
+        assert outcome[20].error is None and outcome[20].chosen is not None

@@ -272,7 +272,8 @@ class TestResponseCache:
         assert record["url"] == "https://x.test/api?q=v"
         assert record["method"] == "GET"
 
-    def test_replays_a_hand_written_cache_file(self, tmp_path):
+    @pytest.mark.parametrize("encoding", [{}, {"encoding": "utf-8"}])
+    def test_replays_a_hand_written_cache_file(self, tmp_path, encoding):
         request = HttpRequest("GET", "https://x.test/api", params=(("q", "v"),))
         key = canonical_request_key(request)
         (tmp_path / f"{key}.json").write_text(json.dumps({
@@ -281,6 +282,7 @@ class TestResponseCache:
             "url": "https://x.test/api?q=v",
             "fetched_at": "2024-01-01T00:00:00+00:00",
             "body": '{"ok": true}',
+            **encoding,
         }), encoding="utf-8")
         assert ReplayTransport(tmp_path).send(request) == b'{"ok": true}'
 
@@ -299,6 +301,8 @@ class TestResponseCache:
         # b64decode(..., validate=True) reads both as b"ABC".
         {"body": "QUJD=", "encoding": "base64"},
         {"body": "QUJD====", "encoding": "base64"},
+        {"body": "{}", "encoding": "gzip"},
+        {"body": "{}", "encoding": None},
     ])
     def test_bad_body_raises_protocol_error(self, tmp_path, stored):
         request = HttpRequest("GET", "https://x.test/api")
