@@ -81,6 +81,10 @@ class PipelineConfig:
                 f"embed_provider must be one of {EMBED_PROVIDERS}, "
                 f"got {self.embed_provider!r}"
             )
+        if self.embed_provider == "remote" and not self.embed_url:
+            raise ConfigError(
+                'embed_provider "remote" needs a service URL: set embed_url or EMBED_URL'
+            )
         if self.embed_dim < 1:
             raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
         if self.concurrency < 1:

@@ -284,7 +284,9 @@ class RemoteEmbedder:
     in flight: every stage embeds from one thread, one request at a
     time.  Any other malformed response is a ProtocolError too.
     Vectors are divided by their ``vector_norm``; the zero vector stays
-    zero.
+    zero.  A non-zero vector whose ``v . v`` overflows to inf or
+    underflows to 0 is divided by its largest magnitude first, so it
+    still comes back a unit vector.
     """
 
     name = "remote"
@@ -320,10 +322,17 @@ class RemoteEmbedder:
                 f"vectors for {len(texts)} texts"
             )
         out: list[np.ndarray] = []
-        for i, raw in enumerate(vectors):
-            vector = _checked_vector(raw, self.dim, f"vector {i}")
-            norm = vector_norm(vector)
-            out.append(vector / norm if norm else np.zeros(self.dim))
+        # A finite v . v can still overflow to inf; that case is handled.
+        with np.errstate(over="ignore"):
+            for i, raw in enumerate(vectors):
+                vector = _checked_vector(raw, self.dim, f"vector {i}")
+                norm = vector_norm(vector)
+                if (norm == 0.0 or norm == np.inf) and vector.any():
+                    # v . v overflowed or underflowed: bring the largest
+                    # magnitude to 1 first, so the norm is in [1, sqrt(dim)].
+                    vector = vector / np.abs(vector).max()
+                    norm = vector_norm(vector)
+                out.append(vector / norm if norm else np.zeros(self.dim))
         return out
 
 

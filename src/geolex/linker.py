@@ -8,11 +8,14 @@ Ties break toward the lower item number.  A candidate without a
 description scores 0 (its text embeds to the zero vector).
 
 ``link_batch`` is the one way to link; one entry is a batch of one.
-A batch is linked in three phases: search each distinct headword once,
-in first-seen order; fetch the descriptions of the distinct candidate
-items, 50 per request, in first-seen order; then embed and rank the
-entries chunk by chunk, each distinct text of a chunk embedded once
-and its vector's norm taken once.  A batch never aborts on a single
+It queues one search per distinct headword, in first-seen order, and
+takes the results in input order.  The distinct candidate items, in
+first-seen order, are cut into description requests of 50 ids; each
+request is queued as soon as its 50 ids are known, behind the searches
+still waiting, and the last, partial one after the final search.  Once
+every description is in, the entries are embedded and ranked chunk by
+chunk, each distinct text of a chunk embedded once and its vector's
+norm taken once.  A batch never aborts on a single
 bad entry: a failed search marks every entry with that headword, a
 failed description request marks every entry with a candidate in it,
 and a failed embedding call marks its chunk.  A marked entry gets an
@@ -22,7 +25,7 @@ carries on.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -101,62 +104,88 @@ def link_batch(
     rest of the batch is unaffected.  ``workers`` > 1 sends the
     searches and the description requests on a pool of that many
     threads, each with one request open at a time, so ``workers`` is
-    the bound on requests in flight.  With ``workers`` = 1 every request
-    is sent from the calling thread, which is fastest when no request
-    waits on a network (replay).
+    the bound on requests in flight.  Every search is queued at once; a
+    description request is queued as soon as the searches before it
+    have filled its 50 ids, so it can go out while later searches run
+    or wait out a retry backoff.  Leaving early, on an exception or
+    Ctrl-C, cancels the requests still queued.  With ``workers`` = 1
+    every request is sent from the calling thread, which is fastest
+    when no request waits on a network (replay): all searches first,
+    then the description requests, in the same order a pool queues
+    them.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     results: list[LinkResult | None] = [None] * len(entries)
+    hits: list[list[WikidataCandidate] | Exception] = []
     with ExitStack() as stack:
         if workers > 1 and len(entries) > 1:
-            pool = stack.enter_context(ThreadPoolExecutor(max_workers=workers))
-            run_all = pool.map
+            executor = ThreadPoolExecutor(max_workers=workers)
+            # Leaving early (a bug, Ctrl-C) cancels the queued requests
+            # and waits only for those already sent.
+            stack.callback(executor.shutdown, cancel_futures=True)
         else:
-            run_all = map
+            executor = _CallingThread()
 
-        # Phase 1: search each distinct headword once, in first-seen
-        # order, and hand its hits to every entry that shares it.
+        # Every search goes out (or into the queue) here, one per
+        # distinct headword in first-seen order; the results are taken
+        # in that order, which is the order of their first entries.
         headwords = list(dict.fromkeys(entry.headword for entry in entries))
-        found_by_headword = dict(zip(headwords, run_all(
+        searched = executor.map(
             _remote(lambda headword: client.search_candidates(headword, limit=limit)),
             headwords,
-        )))
-        hits = [found_by_headword[entry.headword] for entry in entries]
-        for i, (entry, found) in enumerate(zip(entries, hits)):
+        )
+        # The distinct candidates, in first-seen order, are cut into
+        # batches of 50; each is queued as soon as it is full, behind
+        # the searches still waiting, so its ids never depend on thread
+        # timing.
+        fetch = _remote(client.fetch_descriptions)
+        found_by_headword: dict[str, list[WikidataCandidate] | Exception] = {}
+        batches: list[tuple[list[str], Future]] = []
+        seen: set[str] = set()
+        batch: list[str] = []
+        for i, entry in enumerate(entries):
+            if entry.headword not in found_by_headword:
+                found_by_headword[entry.headword] = next(searched)
+            found = found_by_headword[entry.headword]
+            hits.append(found)
             if isinstance(found, Exception):
                 results[i] = _failed(entry, found)
-            elif not found:
+                continue
+            if not found:
                 results[i] = LinkResult(entry.id, None, 0.0, [])
+            for candidate in found:
+                if candidate.qid in seen:
+                    continue
+                seen.add(candidate.qid)
+                batch.append(candidate.qid)
+                if len(batch) == ENTITY_BATCH_SIZE:
+                    batches.append((batch, executor.submit(fetch, batch)))
+                    batch = []
+        if batch:
+            batches.append((batch, executor.submit(fetch, batch)))
 
-        # Phase 2: descriptions of the distinct candidates, in first-seen
-        # order so a batch's ids never depend on thread timing.
-        pending = [i for i, result in enumerate(results) if result is None]
-        qids = list(dict.fromkeys(c.qid for i in pending for c in hits[i]))
-        batches = [
-            qids[start : start + ENTITY_BATCH_SIZE]
-            for start in range(0, len(qids), ENTITY_BATCH_SIZE)
-        ]
         descriptions: dict[str, str | None] = {}
         failed: dict[str, Exception] = {}
-        for batch, answer in zip(
-            batches, run_all(_remote(client.fetch_descriptions), batches)
-        ):
+        for batch, future in batches:
+            answer = future.result()
             if isinstance(answer, Exception):
                 failed.update(dict.fromkeys(batch, answer))
             else:
                 descriptions.update(answer)
-        for i in pending:
-            errors = [failed[c.qid] for c in hits[i] if c.qid in failed]
+        for i, found in enumerate(hits):
+            if results[i] is not None:
+                continue
+            errors = [failed[c.qid] for c in found if c.qid in failed]
             if errors:
                 results[i] = _failed(entries[i], errors[0])
                 continue
-            for candidate in hits[i]:
+            for candidate in found:
                 candidate.description_sv = descriptions.get(candidate.qid)
 
-    # Phase 3: rank in chunks, so one embedding call holds at most
+    # Rank in chunks, so one embedding call holds at most
     # EMBED_CHUNK vectors (a definition plus ``limit`` descriptions per
     # entry).
     ranked = [i for i, result in enumerate(results) if result is None]
@@ -206,6 +235,22 @@ def _rank_chunk(
         chosen = best.candidate.qid if best.similarity >= min_similarity else None
         results.append(LinkResult(entry.id, chosen, best.similarity, ranking))
     return results
+
+
+class _CallingThread:
+    """An executor's ``map`` and ``submit`` that run each call at once,
+    on the calling thread.  ``map`` makes no future: link may search
+    tens of thousands of headwords, and a future takes about 1.7 KB."""
+
+    @staticmethod
+    def map(call, args):
+        return iter([call(arg) for arg in args])
+
+    @staticmethod
+    def submit(call, arg) -> Future:
+        future: Future = Future()
+        future.set_result(call(arg))
+        return future
 
 
 def _remote(call):

@@ -18,6 +18,10 @@ with 1s/2s/4s backoff and spaces request starts at least 0.1s apart.
 It sets no bound on requests in flight: in live and record modes link
 sends from a pool of ``concurrency`` threads, one request open per
 thread; replay link and every other caller send from one thread.
+Link queues every search first and each description request as soon
+as the searches before it have filled its ids, so while one thread
+sleeps out a search's backoff the others send the description requests
+already known.
 """
 
 from __future__ import annotations

@@ -671,12 +671,19 @@ class TestExitCodes:
         path.write_text('{"cache_mode": "offline"}', encoding="utf-8")
         assert cli.main(["ingest", "--config", str(path)]) == 1
 
-    def test_odd_map_width_exits_one_before_any_stage(self, workspace, capsys):
+    @pytest.mark.parametrize("key, value, message", [
+        ("map_width_px", 1601, "config: map_width_px: map width must be even"),
+        ("embed_provider", "remote", 'config: embed_provider "remote" needs a service URL'),
+    ])
+    def test_bad_setting_exits_one_before_any_stage(
+        self, workspace, capsys, monkeypatch, key, value, message
+    ):
+        monkeypatch.delenv("EMBED_URL", raising=False)
         payload = json.loads(workspace.config_path.read_text(encoding="utf-8"))
-        payload["map_width_px"] = 1601
+        payload[key] = value
         workspace.config_path.write_text(json.dumps(payload), encoding="utf-8")
         assert workspace.run("run") == 1
-        assert "config: map_width_px: map width must be even" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not workspace.dataset.exists()
 
     def test_ingest_failure_exits_two(self, workspace, capsys):

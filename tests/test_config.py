@@ -135,6 +135,7 @@ class TestValidation:
     @pytest.mark.parametrize("field,value,fragment", [
         ("cache_mode", "offline", "cache_mode"),
         ("embed_provider", "openai", "embed_provider"),
+        ("embed_provider", "remote", "embed_url"),  # and no embed_url
         ("embed_dim", 0, "embed_dim"),
         ("concurrency", 0, "concurrency"),
         ("rate_limit_s", -1.0, "rate_limit_s"),

@@ -8,6 +8,7 @@ import math
 import re
 import urllib.error
 import urllib.request
+import warnings
 
 import numpy as np
 import pytest
@@ -82,9 +83,19 @@ class TestRemoteNormalization:
     def test_equals_division_by_numpy_norm(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
-            v = rng.normal(size=16) * rng.choice([1e-8, 1.0, 1e8])
+            # v . v stays in range even at 1e+-150, so no rescaling
+            v = rng.normal(size=16) * rng.choice([1e-150, 1e-8, 1.0, 1e8, 1e150])
             assert vector_norm(v) == float(np.linalg.norm(v))
-            assert np.array_equal(remote_normalize(v), v / np.linalg.norm(v))
+            assert np.array_equal(remote_normalize(v), v / vector_norm(v))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_vector_whose_square_leaves_float_range_stays_unit(self, scale):
+        # v . v overflows to inf at 1e200 and underflows to 0 at 1e-200
+        v = np.array([3.0, -4.0, 0.0]) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = remote_normalize(v)
+        np.testing.assert_allclose(out, [0.6, -0.8, 0.0], rtol=1e-15)
 
 
 class TestCosineFromNorms:

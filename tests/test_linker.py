@@ -414,6 +414,64 @@ class TestLinkBatch:
         assert set(transport.peak) == {"wbsearchentities", "wbgetentities"}
         assert all(1 < peak <= 3 for peak in transport.peak.values()), transport.peak
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_description_requests_go_out_while_searches_run(self, workers, no_network):
+        entries, results = places(25)  # 125 candidates: three requests
+        ids = [qid for hits in results.values() for qid, _, _ in hits]
+
+        class HoldLastSearch(fx.FixtureTransport):
+            """On a pool, holds the last headword's search until a
+            description request arrives, or for five seconds."""
+
+            def __init__(self, results):
+                super().__init__(results)
+                self.described = threading.Event()
+                self.held: bool | None = None
+
+            def send(self, request):
+                params = dict(request.params)
+                if params["action"] == "wbgetentities":
+                    self.described.set()
+                elif params["search"] == "Ort24" and workers > 1:
+                    self.held = self.described.wait(timeout=5.0)
+                return super().send(request)
+
+        transport = HoldLastSearch(results)
+        client = WikidataClient(transport=transport)
+        outcome = link_batch(entries, HashedTrigramEmbedder(), client, workers=workers)
+        assert all(r.error is None and r.chosen is not None for r in outcome)
+        asked = transport.asked_ids()
+        # on a pool, two requests sent at once may arrive in either order
+        assert (asked if workers == 1 else sorted(asked)) == [ids[:50], ids[50:100], ids[100:]]
+        if workers > 1:
+            # a description request arrived before the last search returned
+            assert transport.held is True
+        else:
+            # on one thread, every search goes out before any description
+            actions = [dict(request.params)["action"] for request in transport.requests]
+            assert actions == ["wbsearchentities"] * 25 + ["wbgetentities"] * 3
+
+    def test_an_error_cancels_the_queued_requests(self, no_network):
+        entries, results = places(40)
+
+        class FirstSearchBreaks(fx.FixtureTransport):
+            """Raises a bug on the first headword's search; every other
+            request takes 50 ms."""
+
+            def send(self, request):
+                if dict(request.params).get("search") == "Ort0":
+                    self.requests.append(request)
+                    raise RuntimeError("bug in the transport")
+                time.sleep(0.05)
+                return super().send(request)
+
+        transport = FirstSearchBreaks(results)
+        client = WikidataClient(transport=transport)
+        with pytest.raises(RuntimeError, match="bug in the transport"):
+            link_batch(entries, HashedTrigramEmbedder(), client, workers=2)
+        # the searches still queued when the bug surfaced were never sent
+        assert len(self.searched(transport)) < len(entries) // 2, self.searched(transport)
+
     def test_shared_candidates_are_fetched_and_embedded_once(self, no_network):
         entries = fixture_entries()
         berlin, wien = entries["2:57:2"], entries["30:5:1"]
