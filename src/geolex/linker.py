@@ -18,9 +18,9 @@ chunk, each distinct text of a chunk embedded once and its vector's
 norm taken once.  A batch never aborts on a single
 bad entry: a failed search marks every entry with that headword, a
 failed description request marks every entry with a candidate in it,
-and a failed embedding call marks its chunk.  A marked entry gets an
-unlinked result with an error note ("Type: message") and the batch
-carries on.
+a failed embedding call marks its chunk, and a blank headword, which
+cannot be searched, marks its entries.  A marked entry gets an unlinked
+result with an error note ("Type: message") and the batch carries on.
 """
 
 from __future__ import annotations
@@ -116,8 +116,8 @@ def link_batch(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+    if not 1 <= limit <= 50:
+        raise ValueError(f"limit must be in 1..50, got {limit}")
     results: list[LinkResult | None] = [None] * len(entries)
     hits: list[list[WikidataCandidate] | Exception] = []
     with ExitStack() as stack:
@@ -131,10 +131,11 @@ def link_batch(
 
         # Every search goes out (or into the queue) here, one per
         # distinct headword in first-seen order; the results are taken
-        # in that order, which is the order of their first entries.
+        # in that order, which is the order of their first entries.  With
+        # ``limit`` checked above, a ``ValueError`` is a blank headword.
         headwords = list(dict.fromkeys(entry.headword for entry in entries))
         searched = executor.map(
-            _remote(lambda headword: client.search_candidates(headword, limit=limit)),
+            _remote(lambda headword: client.search_candidates(headword, limit=limit), ValueError),
             headwords,
         )
         # The distinct candidates, in first-seen order, are cut into
@@ -253,13 +254,15 @@ class _CallingThread:
         return future
 
 
-def _remote(call):
-    """``call`` with a remote failure returned instead of raised."""
+def _remote(call, *also: type[Exception]):
+    """``call`` with a remote failure, or one of ``also``, returned
+    instead of raised."""
+    errors = _REMOTE_ERRORS + also
 
     def guarded(arg):
         try:
             return call(arg)
-        except _REMOTE_ERRORS as err:
+        except errors as err:
             return err
 
     return guarded

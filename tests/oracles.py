@@ -138,6 +138,60 @@ def join_lines(lines: list[str]) -> str:
     return " ".join(text.split())
 
 
+def looks_like_entry_start(line: str) -> bool:
+    """The segmenter's original per-line start test: the stripped line
+    starts with an uppercase letter and shows a comma or period within
+    its first 40 characters."""
+    stripped = line.lstrip()
+    if not stripped:
+        return False
+    first = stripped[0]
+    if not (first.isalpha() and first.isupper()):
+        return False
+    window = stripped[:40]
+    return "," in window or "." in window
+
+
+def segment_by_lines(pages) -> list[tuple]:
+    """The segmenter's original line loop, kept as the reference the
+    page scan must match: split each page with ``splitlines``, strip
+    each line, drop blank ones, start an entry at each line that looks
+    like a start, and join an entry's lines with ``join_lines``.
+
+    ``pages`` holds objects with ``volume``, ``page_no`` and ``text``,
+    sorted; the result holds each entry's ``(id, volume, page,
+    headword, definition, raw_text)``."""
+    entries: list[tuple] = []
+    volume = None
+    lines: list[str] = []
+    start = None  # (page_no, ordinal)
+
+    def flush():
+        if start is not None:
+            raw_text = join_lines(lines)
+            entries.append((f"{volume}:{start[0]}:{start[1]}", volume, start[0],
+                            headword_by_full_split(raw_text), truncate_by_scan(raw_text),
+                            raw_text))
+
+    for page in pages:
+        if page.volume != volume:
+            flush()
+            volume, lines, start = page.volume, [], None
+        ordinal = 0
+        for line in page.text.splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            if looks_like_entry_start(line):
+                flush()
+                ordinal += 1
+                start, lines = (page.page_no, ordinal), [line]
+            elif start is not None:
+                lines.append(line)
+    flush()
+    return entries
+
+
 def headword_by_regex(raw_text: str) -> str | None:
     """Headword rule, re-derived with a regex instead of token surgery."""
     import re

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import json
 import logging
 import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,14 +19,14 @@ import pipeline_fixtures as fx
 from geolex.corpus import (
     Entry,
     RawPage,
+    _LINE_BREAKS,
     _WHITESPACE,
-    _join_lines,
+    _entry_text,
     entry_from_record,
     extract_headword,
     iter_dataset,
     iter_jsonl,
     load_dataset,
-    looks_like_entry_start,
     read_raw_pages,
     save_dataset,
     segment_pages,
@@ -116,31 +118,58 @@ class TestExtractHeadword:
     def test_agrees_with_regex_rederivation_on_fixture(self):
         for volume, page, text in fx.PAGES:
             for line in text.splitlines():
-                if looks_like_entry_start(line):
+                if oracles.looks_like_entry_start(line):
                     assert extract_headword(line) == oracles.headword_by_regex(line)
+
+
+def starts_an_entry(line: str) -> bool:
+    """Whether a page holding only ``line`` yields an entry."""
+    return bool(segment_pages([RawPage(1, 1, line)]))
 
 
 class TestEntryStartHeuristic:
     def test_capitalized_with_early_comma(self):
-        assert looks_like_entry_start("Aal, tysk form för namnet")
+        assert starts_an_entry("Aal, tysk form för namnet")
 
     def test_capitalized_with_early_period(self):
-        assert looks_like_entry_start("Aachen [ak-]. 1. Regeringsområde")
+        assert starts_an_entry("Aachen [ak-]. 1. Regeringsområde")
 
     def test_lowercase_start_is_continuation(self):
-        assert not looks_like_entry_start("provinsen, 4,155 kvkm.")
+        assert not starts_an_entry("provinsen, 4,155 kvkm.")
 
     def test_non_alpha_start_is_continuation(self):
-        assert not looks_like_entry_start("(Lat. Aquisgranum) Hufvudort")
-        assert not looks_like_entry_start("4,155 kvkm. med inv.")
+        assert not starts_an_entry("(Lat. Aquisgranum) Hufvudort")
+        assert not starts_an_entry("4,155 kvkm. med inv.")
 
     def test_punctuation_outside_window_is_continuation(self):
         line = "Europas förnämsta städer och medelpunkt för kejsardömets, lif"
         assert "," not in line[:40] and "." not in line[:40]
-        assert not looks_like_entry_start(line)
+        assert not starts_an_entry(line)
 
     def test_blank_line(self):
-        assert not looks_like_entry_start("   ")
+        assert not oracles.looks_like_entry_start("   ")
+        entries = segment_pages([RawPage(1, 1, "   \nprovinsen, 4,155 kvkm.\n \t\nAal, fisk.")])
+        assert [(e.id, e.raw_text) for e in entries] == [("1:1:1", "Aal, fisk.")]
+
+    @pytest.mark.parametrize("line, starts", [
+        ("Ωμέγα, grekisk bokstaf", True),
+        ("ǅemal, titlecase, not upper", False),
+        ("Ⅻ, upper but not a letter", False),
+        (" \u3000\tÅmål, stad", True),
+        ("\u3000, a space is no letter", False),
+    ])
+    def test_first_character_must_be_an_uppercase_letter(self, line, starts):
+        assert starts_an_entry(line) is starts
+        assert oracles.looks_like_entry_start(line) is starts
+
+    @pytest.mark.parametrize("mark", [",", "."])
+    def test_window_is_the_first_40_characters_of_the_stripped_line(self, mark):
+        at_40th = "A" + "x" * 38 + mark + " text"
+        at_41st = "A" + "x" * 39 + mark + " text"
+        for indent in ("", "  \t"):
+            assert starts_an_entry(indent + at_40th)
+            assert not starts_an_entry(indent + at_41st)
+            assert not starts_an_entry(indent + at_41st[:40] + "\n" + mark)
 
 
 # Lines as OCR leaves them: empty, lone or trailing hyphens, uppercase,
@@ -153,24 +182,42 @@ ocr_lines = st.one_of(
 )
 
 
-class TestJoinLines:
+class TestEntryText:
     @settings(deadline=None, max_examples=400)
     @given(lines=st.lists(ocr_lines, max_size=12))
-    def test_matches_the_growing_string_join(self, lines):
-        assert _join_lines(lines) == oracles.join_lines(lines)
+    def test_matches_the_growing_string_join_of_stripped_lines(self, lines):
+        stripped = [line.strip() for line in lines if line.strip()]
+        assert _entry_text(lines) == oracles.join_lines(stripped)
 
     def test_hyphen_fuses_only_before_lowercase(self):
         lines = ["Per-", "cidæ, med", "Nord-", "Atlanten och", "Ö-", "ön"]
-        assert _join_lines(lines) == "Percidæ, med Nord- Atlanten och Öön"
+        assert _entry_text(lines) == "Percidæ, med Nord- Atlanten och Öön"
 
     def test_lowercase_above_latin1_fuses_and_other_letters_do_not(self):
         lines = ["Ω-", "ωμέγα", "Ω-", "Ωμέγα", "Ω-", "ǅ", "Ω-", "ª"]
-        assert _join_lines(lines) == "Ωωμέγα Ω- Ωμέγα Ω- ǅ Ωª"
+        assert _entry_text(lines) == "Ωωμέγα Ω- Ωμέγα Ω- ǅ Ωª"
+
+    def test_hyphen_fuses_across_blank_lines_and_spaces(self):
+        assert _entry_text(["Per- \t\n  \n\u3000cidæ, Ω-\n \n ω"]) == "Percidæ, Ωω"
+        assert _entry_text(["Per- cidæ", "Nord-\n\nAtlanten"]) == "Per- cidæ Nord- Atlanten"
 
     def test_whitespace_constant_is_every_space_but_the_space(self):
         every = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
         assert set(_WHITESPACE) == every - {" "}
         assert len(_WHITESPACE) == len(set(_WHITESPACE))
+
+    def test_regex_whitespace_is_str_isspace(self):
+        # The page scan's patterns use ``\s``; ``str.strip`` and
+        # ``str.split`` use ``str.isspace``.
+        space = re.compile(r"\s")
+        assert all(
+            bool(space.match(chr(c))) == chr(c).isspace() for c in range(sys.maxunicode + 1)
+        )
+
+    def test_line_breaks_constant_is_every_splitlines_boundary_but_newline(self):
+        every = {chr(c) for c in range(sys.maxunicode + 1)
+                 if len(f"a{chr(c)}b".splitlines()) == 2}
+        assert set(_LINE_BREAKS) == every - {"\n"}
 
 
 class TestSegmentation:
@@ -272,6 +319,81 @@ class TestSegmentation:
             ("1:1:1", "Abborre, insjöfisk af familjen Percidæ, med taggiga fenstrålar."),
             ("1:1:2", "Aal, tysk form. fisk"),
             ("1:2:1", "Aachen, stad."),
+        ]
+
+
+# Page text for the segmenter: OCR lines and candidate headword lines
+# (an uppercase, titlecase or non-letter first character, a comma or
+# period from the 1st to the 46th character, indented or not), ended
+# by any line break ``splitlines`` knows.
+line_breaks = st.sampled_from(
+    ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+headword_lines = st.builds(
+    "{}{}{}{}{}".format,
+    st.sampled_from(["", " ", "\t ", "\u3000", "\xa0"]),
+    st.sampled_from("AÅZΩǅⅫaω(4-"),
+    st.integers(0, 45).map("x".__mul__),
+    st.sampled_from(",.;"),
+    ocr_lines,
+)
+page_texts = st.lists(
+    st.tuples(st.one_of(ocr_lines, headword_lines), line_breaks), min_size=1, max_size=8,
+).map(lambda lines: "".join(line + end for line, end in lines)).filter(str.strip)
+
+
+def numbered(texts_and_new_volume: list[tuple[str, bool]]) -> list[RawPage]:
+    pages, volume = [], 1
+    for page_no, (text, new_volume) in enumerate(texts_and_new_volume, start=1):
+        volume += new_volume
+        pages.append(RawPage(volume, page_no, text))
+    return pages
+
+
+def as_tuples(entries: list[Entry]) -> list[tuple]:
+    return [(e.id, e.volume, e.page, e.headword, e.definition, e.raw_text) for e in entries]
+
+
+def load_bench_generator():
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestSegmentationOracle:
+    """``segment_pages`` against the original line-by-line segmenter."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(pages=st.lists(st.tuples(page_texts, st.booleans()), min_size=1, max_size=5)
+           .map(numbered))
+    def test_matches_the_line_loop(self, pages):
+        assert as_tuples(segment_pages(pages)) == oracles.segment_by_lines(pages)
+
+    def test_hyphen_breaks_fuse_across_pages_but_not_volumes(self):
+        pages = [RawPage(1, 1, "Abborre, fisk af familjen Per-\r\n  \r\n"),
+                 RawPage(1, 2, "\u2029 cidæ, Nord-\x85 \n"),
+                 RawPage(1, 3, "Atlanten och Ω-"),
+                 RawPage(1, 4, "ωμέγα.\nAal, sjö-\n"),
+                 RawPage(2, 5, "fisk här.\nBerlin, stad.")]
+        expected = oracles.segment_by_lines(pages)
+        assert as_tuples(segment_pages(pages)) == expected
+        assert [e[-1] for e in expected] == [
+            "Abborre, fisk af familjen Percidæ, Nord- Atlanten och Ωωμέγα.",
+            "Aal, sjö-", "Berlin, stad.",
+        ]
+
+    @pytest.mark.parametrize("workload", ["paper_replay", "long_entries_replay"])
+    def test_matches_the_line_loop_on_benchmark_pages(self, tmp_path, workload):
+        load_bench_generator().generate(workload, 1, tmp_path)
+        pages = list(read_raw_pages(tmp_path / "raw"))
+        entries = segment_pages(pages)
+        assert as_tuples(entries) == oracles.segment_by_lines(pages)
+        truth = [json.loads(line) for line in (tmp_path / "truth.jsonl").open(encoding="utf-8")]
+        assert [(e.id, e.headword) for e in entries] == [
+            (t["entry_id"], t["headword"]) for t in truth
         ]
 
 
@@ -489,6 +611,41 @@ class TestSavedLines:
         path = tmp_path_factory.mktemp("ingest") / "d.jsonl"
         save_dataset(entries, path)
         assert load_dataset(path) == entries
+
+
+class TestLongTextSave:
+    """A long escape-free ``raw_text`` is written only quoted; a long
+    one with one character to escape, wherever it sits, goes through
+    the encoder.  Both must give the oracle's bytes."""
+
+    LONG = "Åmål, stad vid Vänern; ωμέγα \U0001F30D \u2028 \x7f " * 2000
+    LATIN1 = "Åmål, stad vid Vänern; \xa0\x7f " * 3000
+
+    def check(self, tmp_path, raw_texts: list[str]) -> None:
+        entries = [Entry(f"1:1:{n}", 1, 1, "Åmål", "Åmål, stad.", raw_text,
+                         is_location=n % 2 == 0, qid="Q54" if n % 2 == 0 else None)
+                   for n, raw_text in enumerate(raw_texts, start=1)]
+        path = tmp_path / "d.jsonl"
+        save_dataset(entries, path)
+        assert path.read_bytes() == "".join(
+            oracles.dataset_line(e) + "\n" for e in entries
+        ).encode("utf-8")
+        assert load_dataset(path) == entries
+
+    def test_escape_free_text_is_written_as_the_encoder_writes_it(self, tmp_path):
+        assert min(len(self.LONG), len(self.LATIN1)) >= 64 * 1024
+        self.check(tmp_path, [self.LONG, self.LATIN1, self.LONG[:-1], self.LATIN1[1:]])
+
+    @pytest.mark.parametrize("char", ['"', "\\", *map(chr, range(0x20))])
+    def test_one_escaped_character_first_in_the_middle_or_last(self, tmp_path, char):
+        middle = len(self.LONG) // 2
+        self.check(tmp_path, [
+            char + self.LONG,
+            self.LONG,
+            self.LONG[:middle] + char + self.LONG[middle:],
+            self.LONG[1:],
+            self.LONG + char,
+        ])
 
 
 class TestEntryFields:

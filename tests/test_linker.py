@@ -14,7 +14,7 @@ import pytest
 import oracles
 import pipeline_fixtures as fx
 from geolex import linker
-from geolex.corpus import Entry, RawPage, segment_pages
+from geolex.corpus import Entry, RawPage, load_dataset, save_dataset, segment_pages
 from geolex.embedding import EMBED_CHUNK, HashedTrigramEmbedder, RemoteEmbedder
 from geolex.errors import ProtocolError, TransportError
 from geolex.linker import NO_MIN_SIMILARITY, link_batch, rank_candidates
@@ -301,6 +301,30 @@ class TestLinkBatch:
         assert all(r.error is None for r in healthy)
         assert by_id["9:211:2"].chosen == "Q1754"
         assert by_id["30:5:1"].chosen == "Q1741"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blank_headword_fails_only_its_entries(self, tmp_path, workers, no_network):
+        stockholm = fixture_entries()["9:211:2"]
+        path = tmp_path / "d.jsonl"
+        save_dataset([stockholm, dataclasses.replace(stockholm, id="9:211:9", headword="  "),
+                      dataclasses.replace(stockholm, id="9:211:10", headword="")], path)
+        batch = load_dataset(path)  # the dataset accepts a blank headword
+        client = WikidataClient(transport=fx.FixtureTransport())
+        results = link_batch(batch, HashedTrigramEmbedder(), client, workers=workers)
+        assert [(r.entry_id, r.chosen, r.error) for r in results] == [
+            ("9:211:2", "Q1754", None),
+            ("9:211:9", None, "ValueError: cannot search for an empty headword"),
+            ("9:211:10", None, "ValueError: cannot search for an empty headword"),
+        ]
+
+    @pytest.mark.parametrize("limit", [0, 51])
+    def test_bad_limit_raises_before_any_request(self, limit, no_network):
+        transport = fx.FixtureTransport()
+        client = WikidataClient(transport=transport)
+        with pytest.raises(ValueError, match=rf"limit must be in 1\.\.50, got {limit}"):
+            link_batch(list(fixture_entries().values()), HashedTrigramEmbedder(), client,
+                       limit=limit)
+        assert transport.requests == []
 
     def test_bad_worker_count_rejected(self, replay_client):
         client, _ = replay_client
