@@ -14,14 +14,14 @@ from .embedding import HashedTrigramEmbedder, RemoteEmbedder
 from .errors import DatasetError, ProtocolError, ReplayCacheMiss, TransportError
 from .geo import GeoPoint, LinkedPlace, distance_histogram, haversine_km
 from .linker import LinkResult, link_batch, rank_candidates
-from .wikidata import WikidataCandidate, WikidataClient, make_transport
+from .wikidata import WikidataClient, make_transport
 
 __all__ = [
     "__version__",
     "Entry", "RawPage", "segment_pages",
     "HashedTrigramEmbedder", "RemoteEmbedder",
     "EvalReport", "LogisticModel", "evaluate", "train",
-    "WikidataCandidate", "WikidataClient", "make_transport",
+    "WikidataClient", "make_transport",
     "LinkResult", "link_batch", "rank_candidates",
     "GeoPoint", "LinkedPlace", "distance_histogram", "haversine_km",
     "DatasetError", "ProtocolError", "ReplayCacheMiss", "TransportError",

@@ -133,7 +133,7 @@ def _build_provider(config: PipelineConfig):
 def _build_client(config: PipelineConfig) -> WikidataClient:
     transport = make_transport(
         config.cache_mode,
-        cache_dir=config.cache_dir or None,
+        cache_dir=config.cache_dir,
         user_agent=config.user_agent,
         min_interval=config.rate_limit_s,
     )
@@ -288,13 +288,12 @@ def stage_coords(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
     fetched = skipped_rows = 0
     if pending:
         client = _build_client(config)
-        records = client.fetch_coordinates([e.qid for e in pending])
+        points = client.fetch_coordinates([e.qid for e in pending])
         skipped_rows = client.warnings
-        by_qid = {record.qid: record for record in records}
         for entry in pending:
-            record = by_qid.get(entry.qid)
-            if record is not None:
-                entry.lat, entry.lon = record.lat, record.lon
+            point = points.get(entry.qid)
+            if point is not None:
+                entry.lat, entry.lon = point.lat, point.lon
                 fetched += 1
     geocoded = sum(1 for e in linked if e.lat is not None)
     ratios = {"geocoded_fraction": geocoded / len(linked)} if linked else {}

@@ -76,6 +76,8 @@ class PipelineConfig:
             raise ConfigError(
                 f"cache_mode must be one of {CACHE_MODES}, got {self.cache_mode!r}"
             )
+        if self.cache_mode != "live" and not self.cache_dir:
+            raise ConfigError(f'cache_mode "{self.cache_mode}" needs a cache_dir')
         if self.embed_provider not in EMBED_PROVIDERS:
             raise ConfigError(
                 f"embed_provider must be one of {EMBED_PROVIDERS}, "

@@ -1,11 +1,13 @@
 """Candidate ranking and entry → Wikidata linking.
 
-For each location entry: search Wikidata for the headword (up to five
-hits), fetch the Swedish description of every hit, embed the entry's
-definition and the descriptions with the same provider, and keep the
-candidate whose description is most cosine-similar to the definition.
-Ties break toward the lower item number.  A candidate without a
-description scores 0 (its text embeds to the zero vector).
+For each location entry: search Wikidata for the headword, which
+yields up to five item ids, fetch the Swedish description of every
+item, embed the entry's definition and the descriptions with the same
+provider, and keep the item whose description is most cosine-similar
+to the definition.  Ties break toward the lower item number.  An item
+without a description scores 0 (its text embeds to the zero vector).
+Each result's ``considered`` holds every ``(qid, similarity)`` pair,
+best first.
 
 ``link_batch`` is the one way to link; one entry is a batch of one.
 It queues one search per distinct headword, in first-seen order, and
@@ -35,7 +37,7 @@ import numpy as np
 from .corpus import Entry
 from .embedding import EMBED_CHUNK, cosine_from_norms, vector_norm
 from .errors import ProtocolError, ReplayCacheMiss, TransportError
-from .wikidata import ENTITY_BATCH_SIZE, SEARCH_LIMIT, WikidataCandidate, WikidataClient, qid_number
+from .wikidata import ENTITY_BATCH_SIZE, SEARCH_LIMIT, WikidataClient, qid_number
 
 # Similarity gate disabled by default: cosine never goes below -1.
 NO_MIN_SIMILARITY = -1.0
@@ -43,16 +45,15 @@ NO_MIN_SIMILARITY = -1.0
 _REMOTE_ERRORS = (TransportError, ProtocolError, ReplayCacheMiss)
 
 
-@dataclass
-class ScoredCandidate:
-    candidate: WikidataCandidate
-    similarity: float
+# A candidate item and its similarity to the definition: (qid, similarity).
+ScoredCandidate = tuple[str, float]
 
 
 @dataclass
 class LinkResult:
     """Outcome for one entry: chosen item (or None) plus the full
-    scored ranking that produced the choice."""
+    ranking that produced the choice, ``(qid, similarity)`` pairs best
+    first."""
 
     entry_id: str
     chosen: str | None
@@ -63,11 +64,12 @@ class LinkResult:
 
 def rank_candidates(
     definition_vector: np.ndarray,
-    scored_inputs: Sequence[tuple[WikidataCandidate, np.ndarray]],
+    scored_inputs: Sequence[tuple[str, np.ndarray]],
     norms: Sequence[float] | None = None,
 ) -> list[ScoredCandidate]:
-    """Score candidates against the definition vector and sort them by
-    similarity, highest first, lower item number winning ties.
+    """Score ``(qid, vector)`` candidates against the definition vector
+    and sort the ``(qid, similarity)`` pairs by similarity, highest
+    first, lower item number winning ties.
 
     ``norms`` holds the definition vector's norm, then each candidate
     vector's, as ``vector_norm`` takes them (``sqrt(v . v)``); left out,
@@ -80,13 +82,10 @@ def rank_candidates(
         norms += [vector_norm(vector) for _, vector in scored_inputs]
     definition_norm, *candidate_norms = norms
     scored = [
-        ScoredCandidate(
-            candidate,
-            cosine_from_norms(definition_vector, vector, definition_norm, norm),
-        )
-        for (candidate, vector), norm in zip(scored_inputs, candidate_norms, strict=True)
+        (qid, cosine_from_norms(definition_vector, vector, definition_norm, norm))
+        for (qid, vector), norm in zip(scored_inputs, candidate_norms, strict=True)
     ]
-    scored.sort(key=lambda sc: (-sc.similarity, qid_number(sc.candidate.qid)))
+    scored.sort(key=lambda sc: (-sc[1], qid_number(sc[0])))
     return scored
 
 
@@ -94,7 +93,6 @@ def link_batch(
     entries: Sequence[Entry],
     provider,
     client: WikidataClient,
-    limit: int = SEARCH_LIMIT,
     min_similarity: float = NO_MIN_SIMILARITY,
     workers: int = 1,
 ) -> list[LinkResult]:
@@ -116,10 +114,8 @@ def link_batch(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if not 1 <= limit <= 50:
-        raise ValueError(f"limit must be in 1..50, got {limit}")
     results: list[LinkResult | None] = [None] * len(entries)
-    hits: list[list[WikidataCandidate] | Exception] = []
+    hits: list[list[str] | Exception] = []
     with ExitStack() as stack:
         if workers > 1 and len(entries) > 1:
             executor = ThreadPoolExecutor(max_workers=workers)
@@ -131,19 +127,16 @@ def link_batch(
 
         # Every search goes out (or into the queue) here, one per
         # distinct headword in first-seen order; the results are taken
-        # in that order, which is the order of their first entries.  With
-        # ``limit`` checked above, a ``ValueError`` is a blank headword.
+        # in that order, which is the order of their first entries.  A
+        # ``ValueError`` is a blank headword.
         headwords = list(dict.fromkeys(entry.headword for entry in entries))
-        searched = executor.map(
-            _remote(lambda headword: client.search_candidates(headword, limit=limit), ValueError),
-            headwords,
-        )
+        searched = executor.map(_remote(client.search_candidates, ValueError), headwords)
         # The distinct candidates, in first-seen order, are cut into
         # batches of 50; each is queued as soon as it is full, behind
         # the searches still waiting, so its ids never depend on thread
         # timing.
         fetch = _remote(client.fetch_descriptions)
-        found_by_headword: dict[str, list[WikidataCandidate] | Exception] = {}
+        found_by_headword: dict[str, list[str] | Exception] = {}
         batches: list[tuple[list[str], Future]] = []
         seen: set[str] = set()
         batch: list[str] = []
@@ -157,11 +150,11 @@ def link_batch(
                 continue
             if not found:
                 results[i] = LinkResult(entry.id, None, 0.0, [])
-            for candidate in found:
-                if candidate.qid in seen:
+            for qid in found:
+                if qid in seen:
                     continue
-                seen.add(candidate.qid)
-                batch.append(candidate.qid)
+                seen.add(qid)
+                batch.append(qid)
                 if len(batch) == ENTITY_BATCH_SIZE:
                     batches.append((batch, executor.submit(fetch, batch)))
                     batch = []
@@ -179,22 +172,19 @@ def link_batch(
         for i, found in enumerate(hits):
             if results[i] is not None:
                 continue
-            errors = [failed[c.qid] for c in found if c.qid in failed]
+            errors = [failed[qid] for qid in found if qid in failed]
             if errors:
                 results[i] = _failed(entries[i], errors[0])
-                continue
-            for candidate in found:
-                candidate.description_sv = descriptions.get(candidate.qid)
 
     # Rank in chunks, so one embedding call holds at most
-    # EMBED_CHUNK vectors (a definition plus ``limit`` descriptions per
-    # entry).
+    # EMBED_CHUNK vectors (a definition plus SEARCH_LIMIT descriptions
+    # per entry).
     ranked = [i for i, result in enumerate(results) if result is None]
-    step = EMBED_CHUNK // (1 + limit)
+    step = EMBED_CHUNK // (1 + SEARCH_LIMIT)
     for start in range(0, len(ranked), step):
         chunk = ranked[start : start + step]
         chunk_results = _rank_chunk(
-            [entries[i] for i in chunk], [hits[i] for i in chunk], provider, min_similarity
+            [(entries[i], hits[i]) for i in chunk], descriptions, provider, min_similarity
         )
         for i, result in zip(chunk, chunk_results):
             results[i] = result
@@ -207,34 +197,35 @@ def _failed(entry: Entry, err: Exception) -> LinkResult:
 
 
 def _rank_chunk(
-    entries: Sequence[Entry],
-    hits: Sequence[list[WikidataCandidate]],
+    chunk: Sequence[tuple[Entry, list[str]]],
+    descriptions: dict[str, str | None],
     provider,
     min_similarity: float,
 ) -> list[LinkResult]:
-    """Rank each entry's candidates with one embedding call and one
-    norm per distinct text of the chunk.  The vectors are freed on
-    return, before the next chunk is embedded."""
+    """Rank the candidate items of each entry of a chunk of (entry,
+    item ids) pairs by their ``descriptions``, with one embedding call
+    and one norm per distinct text of the chunk.  The vectors are freed
+    on return, before the next chunk is embedded."""
     texts = list(dict.fromkeys(
-        [entry.definition for entry in entries]
-        + [c.description_sv or "" for found in hits for c in found]
+        [entry.definition for entry, _ in chunk]
+        + [descriptions.get(qid) or "" for _, found in chunk for qid in found]
     ))
     try:
         vectors = dict(zip(texts, provider.embed_batch(texts)))
     except _REMOTE_ERRORS as err:
-        return [_failed(entry, err) for entry in entries]
+        return [_failed(entry, err) for entry, _ in chunk]
     norms = {text: vector_norm(vector) for text, vector in vectors.items()}
     results: list[LinkResult] = []
-    for entry, found in zip(entries, hits):
-        descriptions = [c.description_sv or "" for c in found]
+    for entry, found in chunk:
+        found_texts = [descriptions.get(qid) or "" for qid in found]
         ranking = rank_candidates(
             vectors[entry.definition],
-            [(c, vectors[text]) for c, text in zip(found, descriptions)],
-            [norms[entry.definition]] + [norms[text] for text in descriptions],
+            [(qid, vectors[text]) for qid, text in zip(found, found_texts)],
+            [norms[entry.definition]] + [norms[text] for text in found_texts],
         )
-        best = ranking[0]
-        chosen = best.candidate.qid if best.similarity >= min_similarity else None
-        results.append(LinkResult(entry.id, chosen, best.similarity, ranking))
+        qid, similarity = ranking[0]
+        chosen = qid if similarity >= min_similarity else None
+        results.append(LinkResult(entry.id, chosen, similarity, ranking))
     return results
 
 

@@ -1,5 +1,9 @@
 """Wikidata access: entity search, descriptions, and SPARQL coordinates.
 
+The client answers in item ids (QIDs): a search returns the ids of its
+first ``SEARCH_LIMIT`` hits in API order; descriptions and coordinates
+(``GeoPoint``s) come back in dicts keyed by id.
+
 All HTTP goes through a transport object chosen by cache mode:
 
 * ``live``   — ``UrllibTransport``: straight to the network,
@@ -76,10 +80,10 @@ def qid_number(qid: str) -> int:
     return int(validate_qid(qid)[1:])
 
 
-def parse_wkt_point(literal: str) -> tuple[float, float]:
-    """Parse a WKT ``Point(lon lat)`` literal into a (lat, lon) pair.
+def parse_wkt_point(literal: str) -> GeoPoint:
+    """Parse a WKT ``Point(lon lat)`` literal into a GeoPoint.
 
-    WKT puts longitude first; callers get latitude first.  An optional
+    WKT puts longitude first; the point is latitude first.  An optional
     ``<datum-iri>`` prefix is accepted and ignored.  Out-of-range or
     non-finite coordinates raise ValueError.
     """
@@ -87,10 +91,9 @@ def parse_wkt_point(literal: str) -> tuple[float, float]:
     if not match:
         raise ValueError(f"not a WKT point: {literal!r}")
     try:
-        point = GeoPoint(float(match.group(2)), float(match.group(1)))
+        return GeoPoint(float(match.group(2)), float(match.group(1)))
     except ValueError as err:
         raise ValueError(f"bad WKT point {literal!r}: {err}") from err
-    return point.lat, point.lon
 
 
 # ── Requests, cache keys, transports ─────────────────────────────────────
@@ -177,6 +180,7 @@ class UrllibTransport:
     def send(self, request: HttpRequest) -> bytes:
         # Imported here, not at module level: urllib.request pulls in
         # http.client and email, which replay runs never use.
+        import http.client
         import urllib.request
 
         self.rate_limiter.wait()
@@ -195,7 +199,9 @@ class UrllibTransport:
                 return response.read()
         except urllib.error.HTTPError as err:
             raise http_status_error(err.code, request.url) from err
-        except (urllib.error.URLError, TimeoutError, OSError) as err:
+        # HTTPException covers a response cut short (IncompleteRead),
+        # which is no OSError.
+        except (urllib.error.URLError, http.client.HTTPException, TimeoutError, OSError) as err:
             raise TransportError(f"{request.method} {request.url}: {err}") from err
 
 
@@ -276,7 +282,7 @@ def make_transport(
     """Build the transport for a cache mode (live, record, replay)."""
     if mode not in ("live", "record", "replay"):
         raise ValueError(f"unknown cache mode {mode!r}; expected live, record, or replay")
-    if mode != "live" and cache_dir is None:
+    if mode != "live" and not cache_dir:
         raise ValueError(f"cache mode {mode!r} needs a cache directory")
     if mode == "replay":
         return ReplayTransport(cache_dir)
@@ -285,26 +291,6 @@ def make_transport(
 
 
 # ── Client ───────────────────────────────────────────────────────────────
-
-
-@dataclass
-class WikidataCandidate:
-    """One search hit: item id, display label, Swedish description."""
-
-    qid: str
-    label: str = ""
-    description_sv: str | None = None
-
-
-@dataclass(frozen=True)
-class CoordinateRecord:
-    qid: str
-    lat: float
-    lon: float
-
-    def __post_init__(self) -> None:
-        validate_qid(self.qid)
-        GeoPoint(self.lat, self.lon)  # raises on an out-of-range pair
 
 
 def _parse_json_body(body: bytes, request: HttpRequest) -> dict:
@@ -347,8 +333,12 @@ def _qid_from_entity_uri(uri: str) -> str:
 
 
 def _dedupe(qids: Iterable[str]) -> list[str]:
-    """Distinct ids in first-seen order, every one validated."""
-    return list(dict.fromkeys(map(validate_qid, qids)))
+    """Distinct ids in first-seen order, every one validated; no id at
+    all raises ValueError."""
+    unique = list(dict.fromkeys(map(validate_qid, qids)))
+    if not unique:
+        raise ValueError("no item ids given")
+    return unique
 
 
 class WikidataClient:
@@ -386,46 +376,38 @@ class WikidataClient:
                 self._sleep(self.backoff_s[attempt])
         raise AssertionError("unreachable")
 
-    def search_candidates(
-        self, headword: str, limit: int = SEARCH_LIMIT
-    ) -> list[WikidataCandidate]:
-        """Entity search for a headword, best matches first."""
-        if not headword or not headword.strip():
-            raise ValueError("cannot search for an empty headword")
-        if not 1 <= limit <= 50:
-            raise ValueError(f"limit must be in 1..50, got {limit}")
-        request = HttpRequest(
-            "GET",
-            self.api_url,
-            params=(
-                ("action", "wbsearchentities"),
-                ("format", "json"),
-                ("language", _LANGUAGE),
-                ("limit", str(limit)),
-                ("search", headword),
-                ("uselang", _LANGUAGE),
-            ),
-        )
+    def _get(self, action: str, *params: tuple[str, str]) -> dict:
+        """The JSON object the API answers to ``action`` with ``params``;
+        an ``error`` answer raises ProtocolError."""
+        params = (("action", action), ("format", "json"), *params)
+        request = HttpRequest("GET", self.api_url, params=params)
         data = _parse_json_body(self._send(request), request)
         if "error" in data:
-            raise ProtocolError(f"search API error: {data['error']}")
+            raise ProtocolError(f"{action} API error: {data['error']}")
+        return data
+
+    def search_candidates(self, headword: str) -> list[str]:
+        """Item ids of the entity search for a headword, best match
+        first, at most ``SEARCH_LIMIT``."""
+        if not headword or not headword.strip():
+            raise ValueError("cannot search for an empty headword")
+        data = self._get(
+            "wbsearchentities",
+            ("language", _LANGUAGE),
+            ("limit", str(SEARCH_LIMIT)),
+            ("search", headword),
+            ("uselang", _LANGUAGE),
+        )
         hits = data.get("search")
         if not isinstance(hits, list):
             raise ProtocolError(f"search response missing 'search' list for {headword!r}")
-        candidates = []
-        for hit in hits[:limit]:
+        qids = []
+        for hit in hits[:SEARCH_LIMIT]:
             try:
-                qid = validate_qid(hit["id"])
+                qids.append(validate_qid(hit["id"]))
             except (KeyError, TypeError, ValueError) as err:
                 raise ProtocolError(f"search hit without a valid item id: {hit!r}") from err
-            candidates.append(
-                WikidataCandidate(
-                    qid=qid,
-                    label=hit.get("label", ""),
-                    description_sv=hit.get("description"),
-                )
-            )
-        return candidates
+        return qids
 
     def fetch_descriptions(self, qids: Sequence[str]) -> dict[str, str | None]:
         """Authoritative descriptions for items, ``None`` where absent
@@ -433,25 +415,15 @@ class WikidataClient:
         description has the wrong JSON type raises ProtocolError naming
         the item."""
         unique = _dedupe(qids)
-        if not unique:
-            raise ValueError("no item ids given")
         out: dict[str, str | None] = {}
         for start in range(0, len(unique), ENTITY_BATCH_SIZE):
             batch = unique[start : start + ENTITY_BATCH_SIZE]
-            request = HttpRequest(
-                "GET",
-                self.api_url,
-                params=(
-                    ("action", "wbgetentities"),
-                    ("format", "json"),
-                    ("ids", "|".join(batch)),
-                    ("languages", _LANGUAGE),
-                    ("props", "descriptions"),
-                ),
+            data = self._get(
+                "wbgetentities",
+                ("ids", "|".join(batch)),
+                ("languages", _LANGUAGE),
+                ("props", "descriptions"),
             )
-            data = _parse_json_body(self._send(request), request)
-            if "error" in data:
-                raise ProtocolError(f"entity API error: {data['error']}")
             entities = data.get("entities")
             if not isinstance(entities, dict):
                 raise ProtocolError("entity response missing 'entities' map")
@@ -462,18 +434,16 @@ class WikidataClient:
                     out[qid] = _entity_description(qid, entity)
         return out
 
-    def fetch_coordinates(self, qids: Sequence[str]) -> list[CoordinateRecord]:
-        """Coordinates (P625) for items, via SPARQL, batched 200 at a time.
+    def fetch_coordinates(self, qids: Sequence[str]) -> dict[str, GeoPoint]:
+        """The coordinates (P625) of items by item id, via SPARQL,
+        batched 200 at a time.
 
         Items without a coordinate claim simply do not appear in the
         result.  Rows that fail to parse are skipped and counted in
         ``warnings``.  The first coordinate seen per item wins.
         """
         unique = _dedupe(qids)
-        if not unique:
-            raise ValueError("no item ids given")
-        records: list[CoordinateRecord] = []
-        seen: set[str] = set()
+        points: dict[str, GeoPoint] = {}
         for start in range(0, len(unique), SPARQL_BATCH_SIZE):
             batch = unique[start : start + SPARQL_BATCH_SIZE]
             values = " ".join(f"wd:{qid}" for qid in batch)
@@ -501,12 +471,9 @@ class WikidataClient:
             for row in bindings:
                 try:
                     qid = _qid_from_entity_uri(row["item"]["value"])
-                    lat, lon = parse_wkt_point(row["coords"]["value"])
+                    point = parse_wkt_point(row["coords"]["value"])
                 except (KeyError, TypeError, ValueError):
                     self.warnings += 1
                     continue
-                if qid in seen:
-                    continue
-                seen.add(qid)
-                records.append(CoordinateRecord(qid, lat, lon))
-        return records
+                points.setdefault(qid, point)
+        return points

@@ -301,7 +301,7 @@ def _sparql_body(qids) -> bytes:
     return json.dumps(payload).encode("utf-8")
 
 
-def search_request(headword: str, limit: int = 5) -> HttpRequest:
+def search_request(headword: str) -> HttpRequest:
     return HttpRequest(
         "GET",
         DEFAULT_API_URL,
@@ -309,7 +309,7 @@ def search_request(headword: str, limit: int = 5) -> HttpRequest:
             ("action", "wbsearchentities"),
             ("format", "json"),
             ("language", "sv"),
-            ("limit", str(limit)),
+            ("limit", "5"),
             ("search", headword),
             ("uselang", "sv"),
         ),

@@ -31,7 +31,7 @@ from geolex.geo import (
     haversine_km,
 )
 from geolex.linker import rank_candidates
-from geolex.wikidata import HttpRequest, WikidataCandidate, WikidataClient
+from geolex.wikidata import HttpRequest, WikidataClient
 
 GEOJSON_SCHEMA = {
     "type": "object",
@@ -201,29 +201,28 @@ def test_4_linker_argmax_and_order_invariance(capsys):
         if size >= 2 and i % 3 == 0:
             vectors[1] = vectors[0].copy()  # forced exact tie
         candidates = [
-            (WikidataCandidate(f"Q{int(number)}"), vector)
-            for number, vector in zip(numbers, vectors)
+            (f"Q{int(number)}", vector) for number, vector in zip(numbers, vectors)
         ]
 
         # independent brute force: max cosine, ties to the lowest number
         best_key = None
         best_qid = None
-        for candidate, vector in candidates:
+        for qid, vector in candidates:
             norm_product = np.linalg.norm(definition) * np.linalg.norm(vector)
             similarity = (
                 float(np.dot(definition, vector) / norm_product)
                 if norm_product
                 else 0.0
             )
-            key = (-similarity, int(candidate.qid[1:]))
+            key = (-similarity, int(qid[1:]))
             if best_key is None or key < best_key:
                 best_key = key
-                best_qid = candidate.qid
+                best_qid = qid
 
-        baseline = rank_candidates(definition, candidates)[0].candidate.qid
+        baseline = rank_candidates(definition, candidates)[0][0]
         assert baseline == best_qid, f"set {i}: {baseline} != argmax {best_qid}"
         for permutation in itertools.permutations(candidates):
-            chosen = rank_candidates(definition, list(permutation))[0].candidate.qid
+            chosen = rank_candidates(definition, list(permutation))[0][0]
             assert chosen == baseline, f"set {i}: order changed the winner"
             checked_perms += 1
         checked_sets += 1

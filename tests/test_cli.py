@@ -674,6 +674,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value, message", [
         ("map_width_px", 1601, "config: map_width_px: map width must be even"),
         ("embed_provider", "remote", 'config: embed_provider "remote" needs a service URL'),
+        ("cache_dir", "", 'config: cache_mode "replay" needs a cache_dir'),
     ])
     def test_bad_setting_exits_one_before_any_stage(
         self, workspace, capsys, monkeypatch, key, value, message

@@ -18,11 +18,7 @@ from geolex.corpus import Entry, RawPage, load_dataset, save_dataset, segment_pa
 from geolex.embedding import EMBED_CHUNK, HashedTrigramEmbedder, RemoteEmbedder
 from geolex.errors import ProtocolError, TransportError
 from geolex.linker import NO_MIN_SIMILARITY, link_batch, rank_candidates
-from geolex.wikidata import (
-    ReplayTransport,
-    WikidataCandidate,
-    WikidataClient,
-)
+from geolex.wikidata import ReplayTransport, WikidataClient
 
 
 def fixture_entries():
@@ -45,13 +41,13 @@ def fixture_client():
     return WikidataClient(transport=fx.FixtureTransport())
 
 
-def places(count: int, hits_each: int = 5):
-    """``count`` synthetic entries, each headword with ``hits_each``
-    candidates of its own, and the search results that serve them."""
+def places(count: int):
+    """``count`` synthetic entries, each headword with five candidates
+    of its own, and the search results that serve them."""
     results = {
         f"Ort{n}": [
-            (f"Q{1000 + hits_each * n + k}", f"Ort{n}", f"ort {n}, kandidat {k}")
-            for k in range(hits_each)
+            (f"Q{1000 + 5 * n + k}", f"Ort{n}", f"ort {n}, kandidat {k}")
+            for k in range(5)
         ]
         for n in range(count)
     }
@@ -100,57 +96,46 @@ def unit(*values: float) -> np.ndarray:
 class TestRankCandidates:
     def test_highest_similarity_first(self):
         definition = unit(1.0, 0.0)
-        close = (WikidataCandidate("Q2"), unit(0.9, 0.1))
-        far = (WikidataCandidate("Q1"), unit(0.2, 0.8))
+        close = ("Q2", unit(0.9, 0.1))
+        far = ("Q1", unit(0.2, 0.8))
         ranking = rank_candidates(definition, [far, close])
-        assert [sc.candidate.qid for sc in ranking] == ["Q2", "Q1"]
-        assert ranking[0].similarity > ranking[1].similarity
+        assert [qid for qid, _ in ranking] == ["Q2", "Q1"]
+        assert ranking[0][1] > ranking[1][1]
 
     def test_exact_tie_breaks_toward_lower_item_number(self):
         definition = unit(1.0, 0.0)
         same = unit(1.0, 1.0)
         inputs = [
-            (WikidataCandidate("Q30"), same),
-            (WikidataCandidate("Q4"), same),
-            (WikidataCandidate("Q200"), same),
+            ("Q30", same),
+            ("Q4", same),
+            ("Q200", same),
         ]
         ranking = rank_candidates(definition, inputs)
-        assert [sc.candidate.qid for sc in ranking] == ["Q4", "Q30", "Q200"]
+        assert [qid for qid, _ in ranking] == ["Q4", "Q30", "Q200"]
 
     def test_numeric_not_lexicographic_tiebreak(self):
         definition = unit(1.0)
         same = unit(1.0)
         inputs = [
-            (WikidataCandidate("Q9"), same),
-            (WikidataCandidate("Q10"), same),
+            ("Q9", same),
+            ("Q10", same),
         ]
         ranking = rank_candidates(definition, inputs)
         # lexicographically "Q10" < "Q9"; numerically 9 comes first
-        assert [sc.candidate.qid for sc in ranking] == ["Q9", "Q10"]
+        assert [qid for qid, _ in ranking] == ["Q9", "Q10"]
 
     def test_input_order_never_matters(self):
         rng = np.random.default_rng(17)
         definition = unit(*rng.normal(size=4))
-        inputs = [
-            (WikidataCandidate(f"Q{i + 1}"), unit(*rng.normal(size=4)))
-            for i in range(4)
-        ]
-        baseline = [
-            (sc.candidate.qid, sc.similarity)
-            for sc in rank_candidates(definition, inputs)
-        ]
+        inputs = [(f"Q{i + 1}", unit(*rng.normal(size=4))) for i in range(4)]
+        baseline = rank_candidates(definition, inputs)
         for permutation in itertools.permutations(inputs):
-            ranking = rank_candidates(definition, list(permutation))
-            assert [
-                (sc.candidate.qid, sc.similarity) for sc in ranking
-            ] == baseline
+            assert rank_candidates(definition, list(permutation)) == baseline
 
     def test_zero_vector_candidate_scores_zero(self):
         definition = unit(1.0, 1.0)
-        ranking = rank_candidates(
-            definition, [(WikidataCandidate("Q5"), np.zeros(2))]
-        )
-        assert ranking[0].similarity == 0.0
+        ranking = rank_candidates(definition, [("Q5", np.zeros(2))])
+        assert ranking == [("Q5", 0.0)]
 
 
 class TestRankChunkExactness:
@@ -170,20 +155,24 @@ class TestRankChunkExactness:
             for n, text in enumerate(definitions)
         ]
         hits = [
-            [WikidataCandidate(f"Q{10 * n + k + 1}", description_sv=text)
-             for k, text in enumerate(descriptions)]
+            [f"Q{10 * n + k + 1}" for k in range(len(descriptions))]
             for n in range(len(entries))
         ]
+        described = {
+            qid: text for found in hits for qid, text in zip(found, descriptions)
+        }
         embedder = HashedTrigramEmbedder()
-        outcome = linker._rank_chunk(entries, hits, embedder, NO_MIN_SIMILARITY)
+        outcome = linker._rank_chunk(
+            list(zip(entries, hits)), described, embedder, NO_MIN_SIMILARITY
+        )
         for entry, result in zip(entries, outcome):
             definition = embedder.embed(entry.definition)
             assert len(result.considered) == len(descriptions)
-            for scored in result.considered:
-                description = embedder.embed(scored.candidate.description_sv or "")
-                assert scored.similarity == oracles.dense_cosine(definition, description)
-            assert result.similarity == result.considered[0].similarity
-        assert all(sc.similarity == 0.0 for sc in outcome[3].considered)
+            for qid, similarity in result.considered:
+                description = embedder.embed(described[qid] or "")
+                assert similarity == oracles.dense_cosine(definition, description)
+            assert result.similarity == result.considered[0][1]
+        assert all(similarity == 0.0 for _, similarity in outcome[3].considered)
 
 
 class TestLinkEntryOnFixture:
@@ -195,12 +184,11 @@ class TestLinkEntryOnFixture:
         assert result.error is None
         assert len(result.considered) == 5
         # every similarity must match an independent sparse-trigram oracle
-        for scored in result.considered:
-            expected = oracles.text_similarity(
-                entry.definition, scored.candidate.description_sv or ""
-            )
-            assert scored.similarity == pytest.approx(expected, abs=1e-9)
-        sims = [sc.similarity for sc in result.considered]
+        described = {qid: text for qid, _, text in fx.SEARCH_RESULTS["Stockholm"]}
+        for qid, similarity in result.considered:
+            expected = oracles.text_similarity(entry.definition, described[qid] or "")
+            assert similarity == pytest.approx(expected, abs=1e-9)
+        sims = [similarity for _, similarity in result.considered]
         assert sims == sorted(sims, reverse=True)
         assert result.similarity == pytest.approx(sims[0], abs=0)
 
@@ -210,7 +198,7 @@ class TestLinkEntryOnFixture:
         entry = fixture_entries()["9:210:1"]
         (result,) = link_batch([entry], HashedTrigramEmbedder(), fixture_client)
         assert result.chosen == "Q99670857"
-        by_qid = {sc.candidate.qid: sc.similarity for sc in result.considered}
+        by_qid = dict(result.considered)
         assert by_qid["Q99670857"] > by_qid["Q1546"]
 
     def test_no_search_hits_means_unlinked(self, fixture_client, no_network):
@@ -316,15 +304,6 @@ class TestLinkBatch:
             ("9:211:9", None, "ValueError: cannot search for an empty headword"),
             ("9:211:10", None, "ValueError: cannot search for an empty headword"),
         ]
-
-    @pytest.mark.parametrize("limit", [0, 51])
-    def test_bad_limit_raises_before_any_request(self, limit, no_network):
-        transport = fx.FixtureTransport()
-        client = WikidataClient(transport=transport)
-        with pytest.raises(ValueError, match=rf"limit must be in 1\.\.50, got {limit}"):
-            link_batch(list(fixture_entries().values()), HashedTrigramEmbedder(), client,
-                       limit=limit)
-        assert transport.requests == []
 
     def test_bad_worker_count_rejected(self, replay_client):
         client, _ = replay_client
@@ -598,19 +577,19 @@ class TestLinkBatch:
         assert all(r.error is None and r.chosen is not None for r in recorded)
 
     def test_failed_embedding_call_marks_its_chunk(self):
-        # at 50 candidates an entry needs 51 texts, so a chunk holds
-        # 1024 // 51 = 20 entries
-        entries, results = places(25, hits_each=50)
+        # at five candidates an entry needs six texts, so a chunk holds
+        # 1024 // 6 = 170 entries
+        entries, results = places(175)
         embedder = CountingEmbedder(fail_call=1)
         client = WikidataClient(transport=fx.FixtureTransport(results))
-        outcome = link_batch(entries, embedder, client, limit=50)
-        assert [len(call) for call in embedder.calls] == [20 * 51, 5 * 51]
+        outcome = link_batch(entries, embedder, client)
+        assert [len(call) for call in embedder.calls] == [170 * 6, 5 * 6]
         assert all(len(call) <= EMBED_CHUNK for call in embedder.calls)
         assert all(
             r.error == "ProtocolError: embedding service returned garbage"
-            for r in outcome[:20]
+            for r in outcome[:170]
         )
-        assert all(r.error is None and r.chosen is not None for r in outcome[20:])
+        assert all(r.error is None and r.chosen is not None for r in outcome[170:])
 
     @pytest.mark.parametrize("garbage", [
         ["a"] * 384,
@@ -632,9 +611,9 @@ class TestLinkBatch:
                 self.replies += 1
                 return json.dumps({"vectors": vectors}).encode()
 
-        entries, results = places(21, hits_each=50)  # chunks of 20 and 1
+        entries, results = places(171)  # chunks of 170 and 1
         embedder = RemoteEmbedder("http://embed.test", transport=GarbledService())
         client = WikidataClient(transport=fx.FixtureTransport(results))
-        outcome = link_batch(entries, embedder, client, limit=50)
-        assert all(r.error.startswith("ProtocolError: vector 0 ") for r in outcome[:20])
-        assert outcome[20].error is None and outcome[20].chosen is not None
+        outcome = link_batch(entries, embedder, client)
+        assert all(r.error.startswith("ProtocolError: vector 0 ") for r in outcome[:170])
+        assert outcome[170].error is None and outcome[170].chosen is not None

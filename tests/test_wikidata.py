@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import io
 import json
 import re
@@ -14,10 +15,10 @@ import pytest
 import pipeline_fixtures as fx
 from conftest import run_on_threads
 from geolex.errors import ProtocolError, ReplayCacheMiss, TransportError
+from geolex.geo import GeoPoint
 from geolex.wikidata import (
     DEFAULT_USER_AGENT,
     SPARQL_BATCH_SIZE,
-    CoordinateRecord,
     HttpRequest,
     RateLimiter,
     ReplayTransport,
@@ -78,23 +79,22 @@ class TestQidValidation:
 
 class TestWktParsing:
     def test_longitude_first_in_literal_latitude_first_out(self):
-        lat, lon = parse_wkt_point("Point(18.068611 59.329444)")
-        assert (lat, lon) == (59.329444, 18.068611)
+        assert parse_wkt_point("Point(18.068611 59.329444)") == GeoPoint(59.329444, 18.068611)
 
     def test_datum_prefix_accepted(self):
         literal = (
             "<http://www.opengis.net/def/crs/EPSG/0/4326> Point(12.57 55.68)"
         )
-        assert parse_wkt_point(literal) == (55.68, 12.57)
+        assert parse_wkt_point(literal) == GeoPoint(55.68, 12.57)
 
     def test_case_and_whitespace_tolerant(self):
-        assert parse_wkt_point("  POINT( -0.1275   51.507222 )  ") == (
+        assert parse_wkt_point("  POINT( -0.1275   51.507222 )  ") == GeoPoint(
             51.507222,
             -0.1275,
         )
 
     def test_negative_and_integer_coordinates(self):
-        assert parse_wkt_point("Point(-180 -90)") == (-90.0, -180.0)
+        assert parse_wkt_point("Point(-180 -90)") == GeoPoint(-90.0, -180.0)
 
     @pytest.mark.parametrize(
         "bad",
@@ -187,6 +187,13 @@ class TestRateLimiter:
             RateLimiter(-0.1)
 
 
+class Truncated(io.BytesIO):
+    """A response whose body ends before its Content-Length."""
+
+    def read(self, *args):
+        raise http.client.IncompleteRead(b"12345", 95)
+
+
 class TestUrllibTransport:
     def _transport(self) -> UrllibTransport:
         fake = FakeTime()
@@ -243,6 +250,19 @@ class TestUrllibTransport:
         monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         with pytest.raises(TransportError):
             self._transport().send(HttpRequest("GET", "https://x.test/api"))
+
+    def test_truncated_response_is_transport_error(self, monkeypatch):
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout=None: Truncated())
+        with pytest.raises(TransportError, match="IncompleteRead"):
+            self._transport().send(HttpRequest("GET", "https://x.test/api"))
+
+    def test_client_retries_a_truncated_response(self, monkeypatch):
+        replies = iter([Truncated(), io.BytesIO(b'{"search": [{"id": "Q64"}]}')])
+        monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout=None: next(replies))
+        sleeps: list[float] = []
+        client = WikidataClient(self._transport(), sleep=sleeps.append)
+        assert client.search_candidates("Berlin") == ["Q64"]
+        assert sleeps == [1.0]
 
     def test_empty_user_agent_rejected(self):
         with pytest.raises(ValueError):
@@ -351,6 +371,8 @@ class TestRecordAndReplay:
     def test_make_transport_rejects_bad_input(self, tmp_path):
         with pytest.raises(ValueError, match="cache directory"):
             make_transport("replay")
+        with pytest.raises(ValueError, match="cache directory"):
+            make_transport("record", "")
         with pytest.raises(ValueError, match="unknown cache mode"):
             make_transport("offline", tmp_path)
 
@@ -426,11 +448,12 @@ class TestSearchCandidates:
 
     def test_parses_hits_in_api_order(self):
         client, _ = make_client(lambda r: json_body(self._payload()))
-        hits = client.search_candidates("Berlin")
-        assert [c.qid for c in hits] == ["Q64", "Q614184"]
-        assert hits[0].description_sv == "Tysklands huvudstad"
-        assert hits[1].description_sv is None
-        assert hits[0].label == "Berlin"
+        assert client.search_candidates("Berlin") == ["Q64", "Q614184"]
+
+    def test_keeps_the_first_five_hits(self):
+        payload = {"search": [{"id": f"Q{n}"} for n in (7, 3, 9, 1, 8, 2, 5)]}
+        client, _ = make_client(lambda r: json_body(payload))
+        assert client.search_candidates("Berlin") == ["Q7", "Q3", "Q9", "Q1", "Q8"]
 
     def test_request_matches_recorded_fixture_shape(self):
         client, transport = make_client(lambda r: json_body({"search": []}))
@@ -448,13 +471,6 @@ class TestSearchCandidates:
         with pytest.raises(ValueError):
             client.search_candidates("   ")
         assert transport.requests == []
-
-    def test_limit_bounds_enforced(self):
-        client, _ = make_client(lambda r: json_body({"search": []}))
-        with pytest.raises(ValueError):
-            client.search_candidates("Berlin", limit=0)
-        with pytest.raises(ValueError):
-            client.search_candidates("Berlin", limit=51)
 
     def test_api_error_field_raises(self):
         client, _ = make_client(
@@ -568,8 +584,8 @@ class TestFetchCoordinates:
         client, _ = make_client(
             lambda r: sparql_rows(("Q1754", "Point(18.068611 59.329444)"))
         )
-        records = client.fetch_coordinates(["Q1754"])
-        assert records == [CoordinateRecord("Q1754", 59.329444, 18.068611)]
+        points = client.fetch_coordinates(["Q1754"])
+        assert points == {"Q1754": GeoPoint(59.329444, 18.068611)}
 
     def test_batches_of_two_hundred(self):
         qids = [f"Q{i}" for i in range(1, 451)]
@@ -595,8 +611,7 @@ class TestFetchCoordinates:
         client, _ = make_client(
             lambda r: sparql_rows(("Q64", "Point(13.383333 52.516667)"))
         )
-        records = client.fetch_coordinates(["Q64", "Q99670857"])
-        assert [r.qid for r in records] == ["Q64"]
+        assert list(client.fetch_coordinates(["Q64", "Q99670857"])) == ["Q64"]
         assert client.warnings == 0
 
     def test_unparseable_rows_counted_not_fatal(self):
@@ -618,20 +633,23 @@ class TestFetchCoordinates:
                                 "item": {"value": "http://example.org/entity/Q1"},
                                 "coords": {"value": "Point(18.07 59.33)"},
                             },
+                            {
+                                "item": {"value": "http://www.wikidata.org/entity/P625"},
+                                "coords": {"value": "Point(18.07 59.33)"},
+                            },
                         ]
                     }
                 }
             )
 
         client, _ = make_client(handler)
-        records = client.fetch_coordinates(["Q64", "Q1", "Q2"])
-        assert [r.qid for r in records] == ["Q64"]
-        assert client.warnings == 3
+        assert list(client.fetch_coordinates(["Q64", "Q1", "Q2"])) == ["Q64"]
+        assert client.warnings == 4
 
     def test_non_string_item_is_counted_not_fatal(self):
         row = {"item": {"value": 64}, "coords": {"value": "Point(13.38 52.52)"}}
         client, _ = make_client(lambda r: json_body({"results": {"bindings": [row]}}))
-        assert client.fetch_coordinates(["Q64"]) == []
+        assert client.fetch_coordinates(["Q64"]) == {}
         assert client.warnings == 1
 
     def test_first_coordinate_per_item_wins(self):
@@ -641,8 +659,8 @@ class TestFetchCoordinates:
                 ("Q64", "Point(0 0)"),
             )
         )
-        records = client.fetch_coordinates(["Q64"])
-        assert records == [CoordinateRecord("Q64", 52.516667, 13.383333)]
+        points = client.fetch_coordinates(["Q64"])
+        assert points == {"Q64": GeoPoint(52.516667, 13.383333)}
 
     def test_missing_bindings_raises(self):
         client, _ = make_client(lambda r: json_body({"head": {}}))
@@ -653,11 +671,3 @@ class TestFetchCoordinates:
         client, _ = make_client(lambda r: sparql_rows())
         with pytest.raises(ValueError):
             client.fetch_coordinates([])
-
-    def test_coordinate_record_validates(self):
-        with pytest.raises(ValueError):
-            CoordinateRecord("Q64", 95.0, 0.0)
-        with pytest.raises(ValueError):
-            CoordinateRecord("Q64", 0.0, 200.0)
-        with pytest.raises(ValueError):
-            CoordinateRecord("banana", 0.0, 0.0)
