@@ -27,6 +27,7 @@ import os
 import re
 import tempfile
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -76,28 +77,6 @@ _ENTRY_START = re.compile(
 _HYPHEN_BREAK = r"-[^\S\n]*\n\s*"
 _HYPHEN_BEFORE_LATIN1_LOWER = re.compile(rf"{_HYPHEN_BREAK}(?=[{re.escape(_LATIN1_LOWER)}])")
 _HYPHEN_BEFORE_WIDE = re.compile(rf"{_HYPHEN_BREAK}(?=[^\x00-\xff\s])")
-
-# Serialized field order.  Optional fields are omitted until the stage
-# that fills them has run, so freshly ingested records stay short.
-_REQUIRED_FIELDS = ("id", "volume", "page", "headword", "definition", "raw_text")
-_OPTIONAL_FIELDS = ("is_location", "qid", "similarity", "lat", "lon")
-_ALL_FIELDS = _REQUIRED_FIELDS + _OPTIONAL_FIELDS
-# The fields a line holds before ``raw_text``.
-_HEAD_FIELDS = _REQUIRED_FIELDS[:-1]
-# The one encoder of dataset lines: ``json.dumps(record, ensure_ascii=False)``
-# without building an encoder per call.
-_JSON = json.JSONEncoder(ensure_ascii=False)
-# What that encoder escapes in a string: '"', "\\" and U+0000–U+001F.
-_JSON_ESCAPED = '"\\' + "".join(map(chr, range(0x20)))
-# The exact types each field's JSON value may have: optional fields may
-# also be null, a ``bool`` is no number, and a float must be finite.
-_NULL = type(None)
-_FIELD_TYPES = {
-    "id": (str,), "volume": (int,), "page": (int,), "headword": (str,),
-    "definition": (str,), "raw_text": (str,), "is_location": (bool, _NULL),
-    "qid": (str, _NULL), "similarity": (int, float, _NULL),
-    "lat": (int, float, _NULL), "lon": (int, float, _NULL),
-}
 
 
 @dataclass(frozen=True)
@@ -332,32 +311,137 @@ def _read_pages(located: list[tuple[int, int, Path]]) -> Iterator[RawPage]:
 
 # ── Dataset serialization (JSON lines, fixed field order) ───────────────
 
+# What a JSON string must escape (RFC 8259 §7), and all that
+# ``encode_basestring`` escapes: '"', "\\" and U+0000–U+001F.
+_JSON_ESCAPED = '"\\' + "".join(map(chr, range(0x20)))
+
+
+def _json_string(text: str) -> str:
+    """``text`` as ``encode_basestring`` writes it.  A text holding
+    nothing to escape is only quoted: its 34 substring tests take about
+    a tenth of the time of the encoder's scan of a long text."""
+    for char in _JSON_ESCAPED:
+        if char in text:
+            return encode_basestring(text)
+    return f'"{text}"'
+
+
+def _int_number(value: int) -> str:
+    float(value)  # OverflowError past the float range
+    return int.__repr__(value)
+
+
+def _float_number(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"{value!r} is not finite")
+    return float.__repr__(value)
+
+
+# Each field of a dataset line, in the order a line holds them, with
+# the JSON writer of each exact type its value may have: a ``bool`` is
+# no number, and a number must be finite as a float.  The writers write
+# what ``JSONEncoder(ensure_ascii=False)`` writes for the value.  Save
+# writes each value through its writer; load checks each value's type
+# against the same table, and a number through its writer.  The fields
+# after ``raw_text`` are optional: unset (None, null) until the stage
+# that fills them has run, and left out of the line until then.
+_STRING = {str: encode_basestring}
+_INTEGER = {int: int.__repr__}
+_NUMBER = {int: _int_number, float: _float_number}
+_RAW_TEXT = {str: _json_string}
+_BOOLEAN = {bool: {True: "true", False: "false"}.__getitem__}
+_FIELDS = {
+    "id": _STRING, "volume": _INTEGER, "page": _INTEGER, "headword": _STRING,
+    "definition": _STRING, "raw_text": _RAW_TEXT, "is_location": _BOOLEAN,
+    "qid": _STRING, "similarity": _NUMBER, "lat": _NUMBER, "lon": _NUMBER,
+}
+_REQUIRED_FIELDS = tuple(_FIELDS)[:6]
+_OPTIONAL_FIELDS = tuple(_FIELDS)[6:]
+_REQUIRED_NAMES = frozenset(_REQUIRED_FIELDS)
+
+
+def _field_problem(name: str, value: object, strings: bool) -> str | None:
+    """What is wrong with ``value`` as field ``name``, or None.  Only
+    when ``strings`` is set is a string checked for a lone surrogate,
+    which decodes from a JSON escape but cannot be sent in a request
+    or written back as UTF-8."""
+    if value is None and name in _OPTIONAL_FIELDS:
+        return None
+    writers = _FIELDS[name]
+    try:
+        writer = writers[type(value)]
+        if writers is _NUMBER:
+            writer(value)
+    except (KeyError, ValueError, OverflowError):
+        expected = " or ".join(kind.__name__ for kind in writers)
+        return f"field {name!r} must be {expected}, got {value!r:.40}"
+    if strings and type(value) is str:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as err:
+            return (f"field {name!r} is not UTF-8 text: "
+                    f"{value[err.start]!r} at index {err.start}")
+    return None
+
+
+def _checked_entry(record: dict, strings: bool) -> Entry:
+    """``entry_from_record`` without the ``where`` prefix on its errors."""
+    if not isinstance(record, dict):
+        raise DatasetError("record is not an object")
+    if not record.keys() <= _FIELDS.keys():
+        raise DatasetError(f"unknown fields {sorted(record.keys() - _FIELDS.keys())}")
+    if not record.keys() >= _REQUIRED_NAMES:
+        raise DatasetError(f"missing fields {[n for n in _REQUIRED_FIELDS if n not in record]}")
+    for name, value in record.items():
+        writers = _FIELDS[name]
+        kind = type(value)
+        if (
+            kind not in writers
+            or (strings and kind is str)
+            or (writers is _NUMBER and not (kind is float and math.isfinite(value)))
+        ):
+            problem = _field_problem(name, value, strings)
+            if problem is not None:
+                raise DatasetError(problem)
+    return Entry(**record)
+
 
 def entry_from_record(record: dict, where: str = "dataset") -> Entry:
-    if not isinstance(record, dict):
-        raise DatasetError(f"{where}: record is not an object")
-    unknown = set(record) - set(_ALL_FIELDS)
-    if unknown:
-        raise DatasetError(f"{where}: unknown fields {sorted(unknown)}")
-    missing = [name for name in _REQUIRED_FIELDS if name not in record]
-    if missing:
-        raise DatasetError(f"{where}: missing fields {missing}")
-    for name, value in record.items():
-        kinds = _FIELD_TYPES[name]
-        if type(value) not in kinds or (type(value) is float and not math.isfinite(value)):
-            expected = " or ".join(kind.__name__ for kind in kinds if kind is not _NULL)
-            raise DatasetError(f"{where}: field {name!r} must be {expected}, got {value!r:.40}")
-        if type(value) is str:
-            # A lone surrogate decodes from a JSON escape but cannot be
-            # sent in a request or written back as UTF-8.
-            try:
-                value.encode("utf-8")
-            except UnicodeEncodeError as err:
-                raise DatasetError(
-                    f"{where}: field {name!r} is not UTF-8 text: "
-                    f"{value[err.start]!r} at index {err.start}"
-                ) from None
-    return Entry(**record)
+    """The entry a decoded dataset record holds.
+
+    The record must be an object with every required field and no
+    unknown one.  In record order, each value must have one of its
+    field's exact types in ``_FIELDS`` (a number also finite as a
+    float), and each string must hold no lone surrogate.  Anything
+    else raises DatasetError, its message starting with ``where``."""
+    try:
+        return _checked_entry(record, True)
+    except DatasetError as err:
+        raise DatasetError(f"{where}: {err}") from None
+
+
+def _jsonl_lines(
+    path: str | os.PathLike[str], error_type: type[Exception], problem: str
+) -> Iterator[tuple[int, bytes, object]]:
+    """``(line number, line bytes, record)`` for each non-blank line;
+    see ``iter_jsonl``."""
+    with open(path, "rb") as handle:
+        lineno = 0
+        for raw in handle:
+            # A lone "\r" ends a line too, as in text mode.
+            lines = raw.splitlines() if b"\r" in raw else (raw,)
+            for raw_line in lines:
+                lineno += 1
+                try:
+                    line = raw_line.decode("utf-8").strip()
+                    if not line:
+                        continue
+                    record = json.loads(line)
+                # ValueError covers a line that is not UTF-8 or not
+                # JSON, and an integer past 4,300 digits.
+                except (ValueError, RecursionError) as err:
+                    raise error_type(f"{path}:{lineno}: {problem}: {err}") from err
+                yield lineno, raw_line, record
 
 
 def iter_jsonl(
@@ -366,32 +450,35 @@ def iter_jsonl(
     problem: str = "invalid JSON",
 ) -> Iterator[tuple[str, object]]:
     """Yield ``("path:line", record)`` for each non-blank line of a
-    JSON-lines file.  A line that is not JSON raises ``error_type``
-    naming the file, the line and ``problem``."""
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise error_type(f"{where}: {problem}: {err}") from err
-            yield where, record
+    JSON-lines file.  Each line is decoded as strict UTF-8 (a string
+    can then hold a lone surrogate only through a ``\\u`` escape) and
+    ends at "\\n", "\\r\\n" or "\\r".  A line that is not UTF-8, is not
+    JSON, holds an integer of more than 4,300 digits or nests too deep
+    to decode raises ``error_type`` naming the file, the line and
+    ``problem``."""
+    for lineno, _, record in _jsonl_lines(path, error_type, problem):
+        yield f"{path}:{lineno}", record
 
 
 def iter_dataset(path: str | os.PathLike[str]) -> Iterator[Entry]:
     """Stream entries from a JSON-lines dataset file.
 
     Malformed lines and duplicate ids raise DatasetError with the file
-    and line number.  Streaming: memory use is one entry, not one file.
+    and line number.  Each record is checked as ``entry_from_record``
+    checks it, but only a line holding a ``\\u`` escape has its strings
+    checked for a lone surrogate: strict UTF-8 lets none through
+    otherwise.  Streaming: memory use is one entry, not one file.
     """
     seen: set[str] = set()
-    for where, record in iter_jsonl(path, DatasetError):
-        entry = entry_from_record(record, where)
-        if entry.id in seen:
-            raise DatasetError(f"{where}: duplicate entry id {entry.id!r}")
+    for lineno, line, record in _jsonl_lines(path, DatasetError, "invalid JSON"):
+        try:
+            # The one-byte search runs at memchr speed; most lines hold
+            # no backslash at all.
+            entry = _checked_entry(record, b"\\" in line and b"\\u" in line)
+            if entry.id in seen:
+                raise DatasetError(f"duplicate entry id {entry.id!r}")
+        except DatasetError as err:
+            raise DatasetError(f"{path}:{lineno}: {err}") from None
         seen.add(entry.id)
         yield entry
 
@@ -423,38 +510,68 @@ def atomic_writer(path: str | os.PathLike[str]) -> Iterator[IO[str]]:
         raise
 
 
-def _json_string(text: str) -> str:
-    """``text`` as ``_JSON`` encodes it.  A text holding nothing to
-    escape is only quoted: its 34 substring tests take about a tenth of
-    the time of the encoder's scan of a long text."""
-    for char in _JSON_ESCAPED:
-        if char in text:
-            return _JSON.encode(text)
-    return f'"{text}"'
-
-
 def save_dataset(entries: Iterable[Entry], path: str | os.PathLike[str]) -> int:
     """Write entries as JSON lines, atomically (see ``atomic_writer``).
 
-    Each line is ``json.dumps(record, ensure_ascii=False)`` of the
-    entry's fields in field order, leaving out unset optional ones.
-    The line is written in three parts: the fields before ``raw_text``,
-    ``raw_text`` itself (only quoted when nothing in it needs escaping,
-    see ``_json_string``), and the optional fields.
-    Returns the number of entries written.
+    Each line holds the entry's fields in field order, leaving out
+    unset optional ones, byte for byte as ``json.dumps(record,
+    ensure_ascii=False)`` writes it: each value goes through its
+    field's writer in ``_FIELDS``, chosen by its exact type.
+    ``raw_text`` is written as a piece of its own, and only quoted when
+    nothing in it needs escaping (see ``_json_string``), as is a
+    definition that starts such a ``raw_text``.
+
+    A value its field does not take (a wrong type, a float that is not
+    finite, a number past the float range) raises DatasetError naming
+    the entry and the field, as does a duplicate id; the file is then
+    left as it was.  Returns the number of entries written.
     """
     seen: set[str] = set()
     count = 0
     with atomic_writer(path) as handle:
+        write = handle.write
         for entry in entries:
-            if entry.id in seen:
-                raise DatasetError(f"duplicate entry id {entry.id!r}")
-            seen.add(entry.id)
-            head = _JSON.encode({name: getattr(entry, name) for name in _HEAD_FIELDS})
-            tail = {name: value for name in _OPTIONAL_FIELDS
-                    if (value := getattr(entry, name)) is not None}
-            handle.write(f'{head[:-1]}, "raw_text": ')
-            handle.write(_json_string(entry.raw_text))
-            handle.write(f", {_JSON.encode(tail)[1:]}\n" if tail else "}\n")
+            id_, definition, raw_text = entry.id, entry.definition, entry.raw_text
+            try:
+                raw_json = _RAW_TEXT[type(raw_text)](raw_text)
+                # Ingest cuts the definition from the start of the
+                # raw_text, so when the raw_text is only quoted (no
+                # escape made it longer), the definition can be too.
+                if (len(raw_json) == len(raw_text) + 2 and type(definition) is str
+                        and raw_text.startswith(definition)):
+                    definition_json = f'"{definition}"'
+                else:
+                    definition_json = _STRING[type(definition)](definition)
+                volume, page, headword = entry.volume, entry.page, entry.headword
+                head = (
+                    f'{{"id": {_STRING[type(id_)](id_)}, '
+                    f'"volume": {_INTEGER[type(volume)](volume)}, '
+                    f'"page": {_INTEGER[type(page)](page)}, '
+                    f'"headword": {_STRING[type(headword)](headword)}, '
+                    f'"definition": {definition_json}, "raw_text": '
+                )
+                tail = ""
+                if (is_location := entry.is_location) is not None:
+                    tail = f', "is_location": {_BOOLEAN[type(is_location)](is_location)}'
+                if (qid := entry.qid) is not None:
+                    tail += f', "qid": {_STRING[type(qid)](qid)}'
+                if (similarity := entry.similarity) is not None:
+                    tail += f', "similarity": {_NUMBER[type(similarity)](similarity)}'
+                if (lat := entry.lat) is not None:
+                    tail += f', "lat": {_NUMBER[type(lat)](lat)}'
+                if (lon := entry.lon) is not None:
+                    tail += f', "lon": {_NUMBER[type(lon)](lon)}'
+            except (KeyError, ValueError, OverflowError):
+                for name in _FIELDS:
+                    problem = _field_problem(name, getattr(entry, name), False)
+                    if problem is not None:
+                        raise DatasetError(f"entry {id_!r}: {problem}") from None
+                raise
+            if id_ in seen:
+                raise DatasetError(f"duplicate entry id {id_!r}")
+            seen.add(id_)
+            write(head)
+            write(raw_json)
+            write(tail + "}\n")
             count += 1
     return count

@@ -123,14 +123,15 @@ class HashedTrigramEmbedder:
     integers, and one ``np.bincount`` counts every row of the slice.
     Each code point gets a small alphabet index on first sight, and a
     trigram's bucket sits in a dense int16 table at ``(a*K + b)*K + c``
-    for an alphabet of K code points, filled through ``bucket`` on
-    first sight.  The table is rebuilt when the alphabet grows, so it
-    holds K**3 * 2 bytes.  A slice with a code point at or past
-    U+3000, or one that would grow the alphabet past 96, takes the sort
-    path instead: each trigram becomes one int64 key, one sort finds
-    the distinct keys, and a key → bucket dict memoizes them.  Threads
-    may share an embedder; two threads filling the same entry store the
-    same bucket, so the race is harmless.
+    for an alphabet of K code points, filled on first sight by one
+    vectorized FNV-1a over every missed trigram of the slice.  The
+    table is rebuilt when the alphabet grows, so it holds K**3 * 2
+    bytes.  A slice with a code point at or past U+3000, or one that
+    would grow the alphabet past 96, takes the sort path instead: each
+    trigram becomes one int64 key, one sort finds the distinct keys,
+    and a key → bucket dict memoizes them.  Threads may share an
+    embedder; two threads filling the same entry store the same
+    bucket, so the race is harmless.
     """
 
     name = "trigram"
@@ -140,6 +141,8 @@ class HashedTrigramEmbedder:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
         self._buckets: dict[int, int] = {}
+        # (alphabet, its UTF-8 bytes, their counts) for ``_fnv_buckets``.
+        self._utf8: tuple[str, np.ndarray, np.ndarray] = ("", np.empty(0), np.empty(0))
         # (code point → alphabet index, alphabet, flat K**3 table); None
         # when a bucket does not fit in the table's int16.
         self._dense: tuple[np.ndarray, str, np.ndarray] | None = None
@@ -167,11 +170,11 @@ class HashedTrigramEmbedder:
         for start in range(0, len(texts), _SLICE_TEXTS):
             stop = start + _SLICE_TEXTS
             matrix[start:stop] = self._counts(texts[start:stop])
-        # sqrt(row . row) is how ``vector_norm`` takes a vector's norm,
-        # and with integer counts every sum of squares is exact anyway.
-        # Row by row, no squared copy of the matrix is made.  All-zero
-        # rows divide by 1 and stay zero.
-        norms = np.sqrt([row.dot(row) for row in matrix])
+        # sqrt(row . row) is how ``vector_norm`` takes a vector's norm;
+        # with integer counts every sum of squares is exact, so the
+        # order ``einsum`` adds in cannot change it.  No squared copy
+        # of the matrix is made.  All-zero rows divide by 1 and stay zero.
+        norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         norms[norms == 0.0] = 1.0
         matrix /= norms[:, None]
         return list(matrix)
@@ -232,18 +235,35 @@ class HashedTrigramEmbedder:
         buckets = table[flat]
         missed = flat[buckets < 0]
         if len(missed):
-            # Gathered 1,024 at a time, so no list holds a Python int
-            # for every missed trigram of the slice: the first slices
-            # miss nearly all of theirs.
-            keys: set[int] = set()
-            for start in range(0, len(missed), 1024):
-                keys.update(missed[start : start + 1024].tolist())
-            for key in keys:
-                a, bc = divmod(key, size * size)
-                b, c = divmod(bc, size)
-                table[key] = self.bucket(alphabet[a] + alphabet[b] + alphabet[c])
+            table[missed] = self._fnv_buckets(missed, alphabet)
             buckets = table[flat]
         return buckets
+
+    def _fnv_buckets(self, keys: np.ndarray, alphabet: str) -> np.ndarray:
+        """``bucket`` of the trigram at each dense table index in
+        ``keys``, for all of them at once: FNV-1a over the UTF-8 bytes
+        of the trigram's three code points, in wrapping ``uint64``.
+        Every code point of the alphabet is below U+3000, so it takes
+        one to three bytes."""
+        size = len(alphabet)
+        # The UTF-8 bytes of each alphabet code point, zero-padded to
+        # three, and how many there are; kept until the alphabet grows.
+        seen, utf8, lengths = self._utf8
+        if seen != alphabet:
+            encoded = [char.encode("utf-8") for char in alphabet]
+            utf8 = np.array([list(code.ljust(3, b"\0")) for code in encoded], dtype=np.uint64)
+            lengths = np.array([len(code) for code in encoded])
+            self._utf8 = alphabet, utf8, lengths
+        hashes = np.full(len(keys), _FNV_OFFSET, dtype=np.uint64)
+        prime = np.uint64(_FNV_PRIME)
+        for ids in (keys // (size * size), keys // size % size, keys % size):
+            # Every code point has a first byte; the second and third
+            # step only the hashes of code points that have them.
+            hashes = (hashes ^ utf8[ids, 0]) * prime
+            for byte in (1, 2):
+                stepped = (hashes ^ utf8[ids, byte]) * prime
+                hashes = np.where(lengths[ids] > byte, stepped, hashes)
+        return hashes % np.uint64(self.dim)
 
     def _sorted_buckets(
         self, codes: np.ndarray, inside: np.ndarray, rows: np.ndarray

@@ -30,7 +30,9 @@ already known.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
 import re
 import threading
@@ -115,15 +117,23 @@ class HttpRequest:
         return f"{self.url}?{urllib.parse.urlencode(list(self.params))}"
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _query_pair(name: str, value: str) -> str:
+    """One ``name=value`` of a query string, as ``urlencode`` writes it.
+    The few parameters every request repeats stay in the cache."""
+    return urllib.parse.urlencode(((name, value),))
+
+
 def canonical_request_key(request: HttpRequest) -> str:
     """Stable cache key for a request.
 
-    Method, bare URL, query parameters sorted by (name, value), and a
-    hash of the body.  Reordering parameters therefore never changes
-    the key; changing any value always does.
+    Method, bare URL, query parameters sorted by (name, value) and
+    written as ``urlencode`` writes them, and a hash of the body.
+    Reordering parameters therefore never changes the key; changing any
+    value always does.
     """
     body_hash = hashlib.sha256(request.body or b"").hexdigest()
-    query = urllib.parse.urlencode(sorted(request.params))
+    query = "&".join(itertools.starmap(_query_pair, sorted(request.params)))
     material = f"{request.method.upper()} {request.url}?{query} body:{body_hash}"
     return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
@@ -231,26 +241,28 @@ class ReplayTransport:
         with self._count_lock:
             self.request_count += 1
         path = self.path_for(request)
-        if path.exists():
-            # ValueError covers bad JSON, bad base64 and text that is not UTF-8.
-            try:
-                record = json.loads(path.read_text(encoding="utf-8"))
-                body = record["body"]
-                if not isinstance(body, str):
-                    raise TypeError(f"body is {type(body).__name__}, not a string")
-                encoding = record.get("encoding", "utf-8")
-                if encoding == "base64":
-                    # validate=True checks only the alphabet; the round
-                    # trip also refuses extra padding ("QUJD====").
-                    decoded = b64decode(body, validate=True)
-                    if b64encode(decoded).decode("ascii") != body:
-                        raise ValueError("base64 body is not in canonical form")
-                    return decoded
-                if encoding != "utf-8":
-                    raise ValueError(f"unknown body encoding {encoding!r}")
-                return body.encode("utf-8")
-            except (KeyError, TypeError, ValueError) as err:
-                raise ProtocolError(f"corrupt cache file {path}: {err}") from err
+        # A missing file is the miss; ValueError covers bad JSON, bad
+        # base64 and text that is not UTF-8.
+        try:
+            record = json.loads(path.read_text(encoding="utf-8"))
+            body = record["body"]
+            if not isinstance(body, str):
+                raise TypeError(f"body is {type(body).__name__}, not a string")
+            encoding = record.get("encoding", "utf-8")
+            if encoding == "base64":
+                # validate=True checks only the alphabet; the round
+                # trip also refuses extra padding ("QUJD====").
+                decoded = b64decode(body, validate=True)
+                if b64encode(decoded).decode("ascii") != body:
+                    raise ValueError("base64 body is not in canonical form")
+                return decoded
+            if encoding != "utf-8":
+                raise ValueError(f"unknown body encoding {encoding!r}")
+            return body.encode("utf-8")
+        except FileNotFoundError:
+            pass
+        except (KeyError, TypeError, ValueError) as err:
+            raise ProtocolError(f"corrupt cache file {path}: {err}") from err
         if self.live is None:
             raise ReplayCacheMiss(
                 f"no recorded response for {request.method} {request.full_url()}"

@@ -233,6 +233,55 @@ def dataset_line(entry) -> str:
     return json.dumps(record, ensure_ascii=False)
 
 
+_DATASET_REQUIRED = ("id", "volume", "page", "headword", "definition", "raw_text")
+_DATASET_FIELDS = _DATASET_REQUIRED + ("is_location", "qid", "similarity", "lat", "lon")
+_NULL = type(None)
+_DATASET_TYPES = {
+    "id": (str,), "volume": (int,), "page": (int,), "headword": (str,),
+    "definition": (str,), "raw_text": (str,), "is_location": (bool, _NULL),
+    "qid": (str, _NULL), "similarity": (int, float, _NULL),
+    "lat": (int, float, _NULL), "lon": (int, float, _NULL),
+}
+# The smallest integer that rounds past the largest float: halfway
+# between it, (2 - 2**-52) * 2**1023, and 2**1024, rounding to even.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+def check_dataset_record(record, where: str = "dataset") -> None:
+    """The dataset record check as first written, kept as the reference
+    the loader must match, message for message: the record must be an
+    object with no unknown and no missing field, and then each field in
+    record order must hold one of its exact types (a finite float, or
+    for ``similarity``, ``lat`` and ``lon`` an integer no float
+    overflows on), and a string must encode to UTF-8.  Raises
+    ValueError with the message the loader's DatasetError carries."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: record is not an object")
+    unknown = set(record) - set(_DATASET_FIELDS)
+    if unknown:
+        raise ValueError(f"{where}: unknown fields {sorted(unknown)}")
+    missing = [name for name in _DATASET_REQUIRED if name not in record]
+    if missing:
+        raise ValueError(f"{where}: missing fields {missing}")
+    for name, value in record.items():
+        kinds = _DATASET_TYPES[name]
+        if (
+            type(value) not in kinds
+            or (type(value) is float and not math.isfinite(value))
+            or (type(value) is int and float in kinds and abs(value) >= _FLOAT_OVERFLOW)
+        ):
+            expected = " or ".join(kind.__name__ for kind in kinds if kind is not _NULL)
+            raise ValueError(f"{where}: field {name!r} must be {expected}, got {value!r:.40}")
+        if type(value) is str:
+            try:
+                value.encode("utf-8")
+            except UnicodeEncodeError as err:
+                raise ValueError(
+                    f"{where}: field {name!r} is not UTF-8 text: "
+                    f"{value[err.start]!r} at index {err.start}"
+                ) from None
+
+
 # ── Classifier probability and metrics ───────────────────────────────────
 
 

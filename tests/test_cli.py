@@ -462,6 +462,28 @@ def test_importing_the_cli_leaves_out_the_http_stack():
     assert result.stdout.strip() == "[]"
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(workspace):
+    """Two ``geolex run`` processes with different string hash seeds
+    write the same bytes: no artifact may follow set or dict order
+    that hashing decides."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("EMBED_URL", "WD_CACHE_MODE", "WD_CACHE_DIR")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    artifacts = [workspace.dataset, workspace.model, workspace.geojson,
+                 workspace.histogram, workspace.svg]
+    written = []
+    for seed in ("1", "2"):
+        for path in artifacts:
+            path.unlink(missing_ok=True)
+        subprocess.run(
+            [sys.executable, "-m", "geolex.cli", "run", "--config", str(workspace.config_path)],
+            env={**env, "PYTHONHASHSEED": seed}, capture_output=True, check=True, timeout=120,
+        )
+        written.append([path.read_bytes() for path in artifacts])
+    assert written[0] == written[1]
+
+
 class TestRelinkInvalidation:
     def test_min_sim_rerun_clears_links_and_coordinates(self, workspace, no_network):
         assert workspace.run_all_stages() == 0
@@ -832,6 +854,26 @@ class TestExitCodes:
         assert workspace.run("report") == 7
         err = capsys.readouterr().err
         assert f"report: {workspace.dataset}:{lineno}: field '{field}' must be" in err
+
+    @pytest.mark.parametrize("literal, message", [
+        (b"1" + b"0" * 400, "field 'lat' must be int or float, got 1000"),
+        (b"1" * 4301, "invalid JSON: Exceeds the limit (4300 digits)"),
+        (b'"59.8\x80"', "invalid JSON: 'utf-8' codec can't decode byte 0x80"),
+    ], ids=["past-float-range", "past-4300-digits", "not-utf-8"])
+    def test_report_names_the_line_of_a_number_or_byte_it_cannot_read(
+        self, workspace, no_network, capsys, literal, message
+    ):
+        assert workspace.run_all_stages() == 0
+        lines = workspace.dataset.read_bytes().splitlines()
+        lineno, line = next((n, line) for n, line in enumerate(lines, start=1)
+                            if b'"9:211:2"' in line)
+        record = json.loads(line)
+        lines[lineno - 1] = line.replace(f'"lat": {record["lat"]!r}'.encode(), b'"lat": ' + literal)
+        assert lines[lineno - 1] != line
+        workspace.dataset.write_bytes(b"\n".join(lines) + b"\n")
+        capsys.readouterr()
+        assert workspace.run("report") == 7
+        assert f"report: {workspace.dataset}:{lineno}: {message}" in capsys.readouterr().err
 
     def test_partial_failure_emits_summaries_before_error(
         self, workspace, no_network, capsys

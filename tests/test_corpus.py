@@ -497,7 +497,8 @@ class TestDatasetSerialization:
         ("headword", None), ("definition", ["A."]), ("raw_text", None),
         ("is_location", "no"), ("is_location", 1), ("qid", 1754),
         ("similarity", True), ("lat", "59.8"), ("lat", float("nan")),
-        ("lon", float("inf")),
+        ("lon", float("inf")), pytest.param("lat", 10**400, id="lat-10**400"),
+        pytest.param("similarity", -(2**1024), id="similarity--2**1024"),
     ])
     def test_mistyped_field_rejected_naming_the_line(self, tmp_path, field, value):
         record = {"id": "1:1:1", "volume": 1, "page": 1, "headword": "A",
@@ -610,6 +611,10 @@ class TestSavedLines:
         )
         path = tmp_path_factory.mktemp("ingest") / "d.jsonl"
         save_dataset(entries, path)
+        # Each definition starts its raw_text, so save may quote it as it is.
+        assert path.read_bytes() == "".join(
+            oracles.dataset_line(e) + "\n" for e in entries
+        ).encode("utf-8")
         assert load_dataset(path) == entries
 
 
@@ -646,6 +651,255 @@ class TestLongTextSave:
             self.LONG[1:],
             self.LONG + char,
         ])
+
+
+# The smallest integer no float can hold: it rounds to 2**1024.
+FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
+class BadLine(Exception):
+    pass
+
+
+class TestJsonlLines:
+    """``iter_jsonl`` names the file and line of every line it cannot
+    read, for the dataset, annotation and embedding-cache readers."""
+
+    @pytest.mark.parametrize("bad, message", [
+        (b'{"a": ' + b"1" * 4301 + b"}", "Exceeds the limit"),
+        (b'{"a": "\xff"}', "can't decode byte 0xff"),
+        # A surrogate encoded as if it were a code point: strict UTF-8
+        # refuses it, where json.loads on bytes would let it through.
+        (b'{"a": "\xed\xa0\x80"}', "can't decode byte 0xed"),
+        (b"[" * 100_000, "maximum recursion depth"),
+    ], ids=["past-4300-digits", "not-utf-8", "utf-8-surrogate", "nested-too-deep"])
+    def test_an_unreadable_line_names_its_line(self, tmp_path, bad, message):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b'{"ok": 1}\n\n' + bad + b"\n")
+        records = iter_jsonl(path, BadLine)
+        assert next(records) == (f"{path}:1", {"ok": 1})
+        with pytest.raises(BadLine, match=rf"r\.jsonl:3: invalid JSON: .*{message}"):
+            next(records)
+
+    def test_lines_end_where_text_mode_ends_them(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b'{"a": 1}\r{"b": 2}\r\n[3]\n\r\n \x0c\n[4]\r\r\n{"c": "\xc3\xa5"}\r')
+        with open(path, encoding="utf-8") as handle:
+            expected = [(f"{path}:{n}", json.loads(line))
+                        for n, line in enumerate(handle, start=1) if line.strip()]
+        assert list(iter_jsonl(path, BadLine)) == expected
+        assert [where[-2:] for where, _ in expected] == [":1", ":2", ":3", ":6", ":8"]
+
+    @pytest.mark.parametrize("bad, message", [
+        (b'{"entry_id": "1:1:1", "is_location": ' + b"1" * 5000 + b"}", "Exceeds the limit"),
+        (b'{"entry_id": "1:1:\xe5", "is_location": true}', "can't decode byte 0xe5"),
+    ], ids=["past-4300-digits", "not-utf-8"])
+    def test_annotations_and_embedding_cache_name_the_line(self, tmp_path, bad, message):
+        from geolex.classifier import load_annotations
+        from geolex.embedding import CachedEmbedder, HashedTrigramEmbedder
+        from geolex.errors import ProtocolError
+
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(b'{"entry_id": "1:1:1", "is_location": true}\n' + bad + b"\n")
+        with pytest.raises(DatasetError, match=rf"r\.jsonl:2: invalid JSON: .*{message}"):
+            load_annotations(path)
+        path.write_bytes(bad + b"\n")
+        with pytest.raises(ProtocolError, match=rf"r\.jsonl:1: bad cache record: .*{message}"):
+            CachedEmbedder(HashedTrigramEmbedder(), path)
+
+
+def a_location(**fields) -> Entry:
+    entry = Entry("1:1:1", 1, 1, "Åmål", "Åmål, stad.", "Åmål, stad vid Vänern.",
+                  is_location=True, qid="Q54", similarity=0.5, lat=59.0, lon=12.7)
+    for name, value in fields.items():
+        setattr(entry, name, value)
+    return entry
+
+
+class TestDatasetNumbers:
+    """A number goes into the dataset only if a float can hold it, and
+    is written as ``json.dumps`` writes it."""
+
+    @pytest.mark.parametrize("value", [
+        -0.0, 5e-324, 1e16, 1e-7, 1.7976931348623157e308, 0, 59, -180,
+        2**53 + 1, pytest.param(FLOAT_OVERFLOW - 1, id="largest-int-a-float-holds"),
+    ])
+    def test_a_number_is_written_as_json_dumps_writes_it(self, tmp_path, value):
+        entry = a_location(similarity=value, lat=value, lon=value)
+        path = tmp_path / "d.jsonl"
+        save_dataset([entry], path)
+        assert path.read_bytes() == (oracles.dataset_line(entry) + "\n").encode("utf-8")
+        (loaded,) = load_dataset(path)
+        assert [(type(v), v) for v in (loaded.similarity, loaded.lat, loaded.lon)] == [
+            (type(value), value)] * 3
+
+    @pytest.mark.parametrize("field", ["similarity", "lat", "lon"])
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="10**400"),
+        pytest.param(-FLOAT_OVERFLOW, id="minus-float-overflow"),
+    ])
+    def test_save_refuses_a_number_no_float_holds(self, tmp_path, field, value):
+        path = tmp_path / "d.jsonl"
+        save_dataset([a_location()], path)
+        before = path.read_bytes()
+        entries = [a_location(id="1:1:2"), a_location(id="1:1:3", **{field: value})]
+        with pytest.raises(DatasetError,
+                           match=rf"^entry '1:1:3': field '{field}' must be int or float, got"):
+            save_dataset(entries, path)
+        assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("field, value, expected", [
+        ("id", None, "str"), ("volume", True, "int"), ("page", 1.0, "int"),
+        ("headword", b"A", "str"), ("raw_text", None, "str"), ("is_location", 1, "bool"),
+        ("qid", 1754, "str"), ("similarity", True, "int or float"), ("lat", "59.8", "int or float"),
+    ])
+    def test_save_refuses_a_value_of_a_type_its_field_does_not_take(
+        self, tmp_path, field, value, expected
+    ):
+        entry = a_location(**{field: value})
+        with pytest.raises(DatasetError,
+                           match=rf"^entry .*: field '{field}' must be {expected}, got "):
+            save_dataset([entry], tmp_path / "d.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "-" + str(FLOAT_OVERFLOW), "1e400"],
+                             ids=["ten-to-the-400", "minus-float-overflow", "1e400"])
+    def test_load_refuses_a_number_no_float_holds(self, tmp_path, literal):
+        line = oracles.dataset_line(a_location())
+        assert line.count("59.0") == 1
+        path = tmp_path / "d.jsonl"
+        path.write_text(f"{line}\n{line.replace('1:1:1', '1:1:2').replace('59.0', literal)}\n",
+                        encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"d\.jsonl:2: field 'lat' must be int or float"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("bad, message", [
+        (b'"volume": ' + b"1" * 4301, "Exceeds the limit"),
+        (b'"volume": 1, "qid": "Q\xff"', "can't decode byte 0xff"),
+    ], ids=["past-4300-digits", "not-utf-8"])
+    def test_load_names_the_line_of_an_unreadable_record(self, tmp_path, bad, message):
+        path = tmp_path / "d.jsonl"
+        line = (oracles.dataset_line(a_location()) + "\n").encode("utf-8")
+        path.write_bytes(line + line.replace(b'"volume": 1', bad))
+        with pytest.raises(DatasetError, match=rf"d\.jsonl:2: invalid JSON: .*{message}"):
+            load_dataset(path)
+
+
+# JSON values of every type, for a field to hold instead of its own.
+odd_values = st.sampled_from([
+    "x", "", 0, 1, -7, 1.5, -0.0, True, False, None, [], {}, ["A."], {"a": 1},
+])
+# Numbers at and past the edges of the float range.
+edge_numbers = st.sampled_from([
+    float("nan"), float("inf"), float("-inf"), 10**400, FLOAT_OVERFLOW, -FLOAT_OVERFLOW,
+    FLOAT_OVERFLOW - 1, 1.7976931348623157e308, 5e-324, -0.0, 2**53 + 1,
+])
+record_text = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\\x00\x1få\U0001F30D'),
+    st.characters(blacklist_categories=("Cs",)),
+), max_size=8)
+STRING_FIELDS = ["id", "headword", "definition", "raw_text", "qid"]
+FIELD_NAMES = ["id", "volume", "page", "headword", "definition", "raw_text",
+               "is_location", "qid", "similarity", "lat", "lon"]
+OPTIONAL_VALUES = {
+    "is_location": st.booleans(), "qid": record_text,
+    "similarity": st.integers(-2, 2) | st.floats(allow_nan=False, allow_infinity=False),
+    "lat": st.integers(-90, 90) | st.floats(-90, 90),
+    "lon": st.integers(-180, 180) | st.floats(-180, 180),
+}
+
+
+@st.composite
+def dataset_lines(draw) -> str:
+    """A dataset line, valid or broken in a few ways at once: a field of
+    another JSON type, a number at or past the edge of the float range
+    (NaN and Infinity included), a missing, unknown or null field, a
+    lone surrogate escape in a string; spelled with any key
+    order and spacing, and with or without ``\\u`` escapes."""
+    record = {"id": draw(record_text), "volume": draw(st.integers(1, 40)),
+              "page": draw(st.integers(1, 999)), "headword": draw(record_text),
+              "definition": draw(record_text), "raw_text": draw(record_text)}
+    for name, values in OPTIONAL_VALUES.items():
+        if draw(st.booleans()):
+            record[name] = draw(values | st.none())
+    surrogate = False
+    for _ in range(draw(st.integers(0, 2))):
+        change = draw(st.sampled_from(["retype", "number", "drop", "unknown", "null",
+                                       "surrogate"]))
+        name = draw(st.sampled_from(FIELD_NAMES))
+        if change == "retype":
+            record[name] = draw(odd_values)
+        elif change == "number":
+            record[name] = draw(edge_numbers)
+        elif change == "drop":
+            record.pop(name, None)
+        elif change == "unknown":
+            record[draw(st.sampled_from(["qid2", "Id", "notes"]))] = draw(odd_values)
+        elif change == "null":
+            record[name] = None
+        else:
+            name = draw(st.sampled_from(STRING_FIELDS))
+            text = record.get(name) if isinstance(record.get(name), str) else "Q1"
+            at = draw(st.integers(0, len(text)))
+            record[name] = text[:at] + "\ud800" + text[at:]
+            surrogate = True
+    order = draw(st.permutations(list(record)))
+    separators = draw(st.sampled_from([(", ", ": "), (",", ":"), (" ,  ", " :\t")]))
+    return json.dumps({name: record[name] for name in order},
+                      ensure_ascii=surrogate or draw(st.booleans()), separators=separators)
+
+
+class TestLoadAgainstTheOracle:
+    """``load_dataset`` accepts exactly the records the reference check
+    accepts, and refuses the others with its message and line."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(lines=st.lists(dataset_lines(), min_size=1, max_size=3))
+    def test_load_agrees_with_the_reference_check(self, tmp_path_factory, lines):
+        path = tmp_path_factory.mktemp("mutants") / "d.jsonl"
+        path.write_text("".join(f" {line}\n" for line in lines), encoding="utf-8")
+        expected: list[Entry] = []
+        problem = None
+        for lineno, line in enumerate(lines, start=1):
+            where = f"{path}:{lineno}"
+            record = json.loads(line)
+            try:
+                oracles.check_dataset_record(record, where)
+            except ValueError as err:
+                problem = str(err)
+                break
+            if record["id"] in [entry.id for entry in expected]:
+                problem = f"{where}: duplicate entry id {record['id']!r}"
+                break
+            expected.append(Entry(**record))
+        if problem is None:
+            assert load_dataset(path) == expected
+        else:
+            with pytest.raises(DatasetError) as caught:
+                load_dataset(path)
+            assert str(caught.value) == problem
+
+    @settings(deadline=None, max_examples=200)
+    @given(line=dataset_lines())
+    def test_entry_from_record_agrees_with_the_reference_check(self, line):
+        record = json.loads(line)
+        try:
+            oracles.check_dataset_record(record, "here")
+        except ValueError as err:
+            with pytest.raises(DatasetError) as caught:
+                entry_from_record(record, "here")
+            assert str(caught.value) == str(err)
+        else:
+            assert entry_from_record(record, "here") == Entry(**record)
+
+    @pytest.mark.parametrize("field", STRING_FIELDS)
+    def test_escapes_that_decode_to_text_are_read(self, tmp_path, field):
+        entry = a_location(**{field: "å \U0001F30D"})
+        path = tmp_path / "d.jsonl"
+        line = json.dumps(json.loads(oracles.dataset_line(entry)))
+        assert "\\u00e5 \\ud83c\\udf0d" in line
+        path.write_text(line + "\n", encoding="utf-8")
+        assert load_dataset(path) == [entry]
 
 
 class TestEntryFields:

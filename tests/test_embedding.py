@@ -368,6 +368,29 @@ class TestBatchMatchesScalarReference:
             sizes.append(len(dense_alphabet(embedder)))
         assert sizes == sorted(sizes) and sizes[-1] <= CAP
 
+    @settings(deadline=None, max_examples=40)
+    @given(
+        alphabet=st.lists(
+            st.characters(max_codepoint=CEILING - 1, exclude_categories=("Cs",)),
+            min_size=1, max_size=CAP, unique=True,
+        ),
+        dim=st.sampled_from([1, 7, 384, 32767]),
+        data=st.data(),
+    )
+    def test_dense_table_holds_the_per_trigram_hash(self, alphabet, dim, data):
+        # Texts over at most 96 code points below U+3000, whose UTF-8
+        # takes one to three bytes: every table entry filled at once
+        # must be the bucket the per-trigram hash gives.
+        texts = data.draw(st.lists(st.text(alphabet=alphabet, max_size=60), max_size=8))
+        embedder = HashedTrigramEmbedder(dim=dim)
+        for vector, text in zip(embedder.embed_batch(texts), texts):
+            assert np.array_equal(vector, oracles.scalar_embed(text, dim))
+        _, seen, table = embedder._dense
+        size = len(seen)
+        for key in np.flatnonzero(table >= 0).tolist():
+            trigram = seen[key // size // size] + seen[key // size % size] + seen[key % size]
+            assert table[key] == embedder.bucket(trigram)
+
     def test_alphabet_growth_keeps_the_filled_entries(self):
         # A de Bruijn sequence holds all 27 trigrams over "abc", so the
         # first table is full before the alphabet grows around it.

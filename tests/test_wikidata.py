@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import http.client
 import io
 import json
@@ -11,6 +12,8 @@ import urllib.parse
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pipeline_fixtures as fx
 from conftest import run_on_threads
@@ -140,6 +143,28 @@ class TestCanonicalRequestKey:
         a = HttpRequest("GET", "https://x.test/api", headers=(("Accept", "x"),))
         b = HttpRequest("GET", "https://x.test/api")
         assert canonical_request_key(a) == canonical_request_key(b)
+
+
+# Query parameter text with what ``urlencode`` must quote: spaces,
+# "&", "=", "+", "%", non-ASCII text, and the empty string.
+param_text = st.text(alphabet=st.one_of(
+    st.sampled_from(" &=+%?#/åÅ\U0001F30D"), st.characters(blacklist_categories=("Cs",)),
+), max_size=8)
+
+
+class TestRequestKeyBytes:
+    @settings(max_examples=100, deadline=None)
+    @given(method=st.sampled_from(["GET", "post"]), url=st.sampled_from(["https://x.test/api"]),
+           params=st.lists(st.tuples(param_text, param_text), max_size=6),
+           body=st.none() | st.binary(max_size=8))
+    def test_key_is_the_sorted_urlencode_key(self, method, url, params, body):
+        """The key a recorded cache is stored under: method, URL, the
+        ``urlencode`` of the sorted parameters and the body's hash."""
+        request = HttpRequest(method, url, params=tuple(params), body=body)
+        query = urllib.parse.urlencode(sorted(params))
+        material = (f"{method.upper()} {url}?{query} "
+                    f"body:{hashlib.sha256(body or b'').hexdigest()}")
+        assert canonical_request_key(request) == hashlib.sha256(material.encode()).hexdigest()
 
 
 class FakeTime:
@@ -347,6 +372,15 @@ class TestRecordAndReplay:
         assert len(live.requests) == 1
         replay = ReplayTransport(tmp_path)
         assert replay.send(request) == b'{"answer": 42}'
+
+    def test_record_mode_writes_a_file_on_a_miss(self, tmp_path):
+        cache_dir = tmp_path / "not-yet"
+        request = HttpRequest("GET", "https://x.test/api", params=(("q", "Åmål"),))
+        recorder = ReplayTransport(cache_dir, FakeTransport(lambda r: b'{"ok": 1}'))
+        assert recorder.send(request) == b'{"ok": 1}'
+        path = recorder.path_for(request)
+        assert sorted(cache_dir.iterdir()) == [path]
+        assert json.loads(path.read_text(encoding="utf-8"))["body"] == '{"ok": 1}'
 
     def test_replay_finds_request_with_reordered_params(self, tmp_path):
         recorded = HttpRequest("GET", "https://x.test/api", params=(("a", "1"), ("b", "2")))
