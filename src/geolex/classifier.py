@@ -266,7 +266,9 @@ def load_model(path: str | os.PathLike[str]) -> LogisticModel:
     with open(path, encoding="utf-8") as handle:
         try:
             document = json.load(handle)
-        except json.JSONDecodeError as err:
+        # ValueError covers a file that is not UTF-8 or not JSON, and an
+        # integer past 4,300 digits.
+        except (ValueError, RecursionError) as err:
             raise DatasetError(f"{path}: invalid model file: {err}") from err
     try:
         weights = document["weights"]

@@ -37,6 +37,7 @@ import argparse
 import functools
 import json
 import sys
+import tempfile
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -69,6 +70,11 @@ PIPELINE_STAGES = ("ingest", "train", "classify", "link", "coords", "report")
 
 # Stages that change entries; a command that ran one saves the dataset.
 _CHANGES_DATASET = frozenset({"ingest", "classify", "link", "coords"})
+
+# The buffer of ingest's spill file: the raw texts go to disk, and come
+# back for the dataset write, in blocks of this many bytes.  A 1 MiB
+# buffer saved few more system calls and raised the peak RSS by 1 MB.
+SPILL_BUFFER = 1 << 16
 
 
 class StageError(Exception):
@@ -181,7 +187,18 @@ def stage_ingest(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
             read += 1
             yield page
 
-    segmented = corpus.segment_pages(counted())
+    # Each raw_text waits for the one dataset write in an unnamed file
+    # beside the dataset: not in memory, nor in a temporary directory
+    # that may itself be memory.  The file outlives this stage when
+    # entries' SpilledText handles refer to it, and ``main`` closes it.
+    spill = tempfile.TemporaryFile(dir=Path(config.dataset).parent, buffering=SPILL_BUFFER)
+    try:
+        segmented = corpus.segment_pages(counted(), spill=spill)
+    except BaseException:
+        spill.close()
+        raise
+    if not segmented:
+        spill.close()
     if not read:
         raise StageError(f"no raw pages found under {config.raw_dir}")
     entries[:] = segmented
@@ -495,23 +512,28 @@ def main(argv: list[str] | None = None) -> int:
     entries: list[corpus.Entry] = []
     summaries: list[RunSummary] = []
     failures: list[tuple[str, Exception]] = []
-    for name in stages:
-        try:
-            summaries.append(STAGE_RUNNERS[name](config, entries, load))
-            load = False
-        except STAGE_FAILURES as err:
-            failures.append((name, err))
-            break
-    # The one write holds the changes of the last stage that made any,
-    # and is timed and fails as part of that stage.
-    changed = next((s for s in reversed(summaries) if s.stage in _CHANGES_DATASET), None)
-    if changed is not None:
-        started = time.perf_counter()
-        try:
-            corpus.save_dataset(entries, config.dataset)
-        except STAGE_FAILURES as err:
-            failures.append((changed.stage, err))
-        changed.wall_time_s += time.perf_counter() - started
+    try:
+        for name in stages:
+            try:
+                summaries.append(STAGE_RUNNERS[name](config, entries, load))
+                load = False
+            except STAGE_FAILURES as err:
+                failures.append((name, err))
+                break
+        # The one write holds the changes of the last stage that made
+        # any, and is timed and fails as part of that stage.
+        changed = next((s for s in reversed(summaries) if s.stage in _CHANGES_DATASET), None)
+        if changed is not None:
+            started = time.perf_counter()
+            try:
+                corpus.save_dataset(entries, config.dataset)
+            except STAGE_FAILURES as err:
+                failures.append((changed.stage, err))
+            changed.wall_time_s += time.perf_counter() - started
+    finally:
+        # The entries ingest made share one spill file (see stage_ingest).
+        if entries and type(entries[0].raw_text) is corpus.SpilledText:
+            entries[0].raw_text.source.close()
     _emit(summaries)
     for name, err in failures:
         print(f"{name}: {_describe(err, config)}", file=sys.stderr)

@@ -14,7 +14,8 @@ Line-break hyphenation from the typesetting is undone while joining
 Each entry also stores a short definition: the first 200 characters of
 the entry text, cut back to the last sentence boundary inside that
 window.  Downstream stages (classification, linking) read only the
-definition, never the full text.
+definition, never the full text, so ingest can keep each text in a
+spill file until the dataset is written (see ``SpilledText``).
 """
 
 from __future__ import annotations
@@ -96,13 +97,40 @@ class RawPage:
             raise ValueError(f"page {self.volume}:{self.page_no} has no text")
 
 
+class SpilledText:
+    """A ``raw_text`` that ``segment_pages`` wrote to a spill file: the
+    UTF-8 bytes of its JSON string lie at ``offset`` in ``source``,
+    ``size`` bytes long.  ``len()`` is the text's length in characters.
+    ``plain_prefix`` is the definition ingest cut from the text when
+    nothing in the text needed a JSON escape, else None."""
+
+    __slots__ = ("source", "offset", "size", "chars", "plain_prefix")
+
+    def __init__(self, source: IO[bytes], offset: int, size: int, chars: int,
+                 plain_prefix: str | None) -> None:
+        self.source = source
+        self.offset = offset
+        self.size = size
+        self.chars = chars
+        self.plain_prefix = plain_prefix
+
+    def __len__(self) -> int:
+        return self.chars
+
+    def json_bytes(self) -> bytes:
+        """The text's JSON string, as UTF-8, read back from the spill."""
+        self.source.seek(self.offset)
+        return self.source.read(self.size)
+
+
 @dataclass(slots=True)
 class Entry:
     """One encyclopedia entry, with optional enrichment fields.
 
-    Ingest sets the six required fields.  ``is_location``, ``qid``,
-    ``similarity``, ``lat`` and ``lon`` start unset and are filled in by
-    the classify, link and coords stages.
+    Ingest sets the six required fields; ``raw_text`` is a
+    ``SpilledText`` when ingest was given a spill file.  ``is_location``,
+    ``qid``, ``similarity``, ``lat`` and ``lon`` start unset and are
+    filled in by the classify, link and coords stages.
     """
 
     id: str
@@ -110,7 +138,7 @@ class Entry:
     page: int
     headword: str
     definition: str
-    raw_text: str
+    raw_text: str | SpilledText
     is_location: bool | None = None
     qid: str | None = None
     similarity: float | None = None
@@ -185,7 +213,7 @@ def _starts(text: str) -> list[int]:
     ]
 
 
-def segment_pages(pages: Iterable[RawPage]) -> list[Entry]:
+def segment_pages(pages: Iterable[RawPage], *, spill: IO[bytes] | None = None) -> list[Entry]:
     """Split a stream of pages into entries.
 
     Pages must arrive sorted by (volume, page_no) with no duplicates.
@@ -201,25 +229,46 @@ def segment_pages(pages: Iterable[RawPage]) -> list[Entry]:
     page slice from its first character to the next start, plus the
     text before the first start of each page it continues onto; the
     slices are joined and normalised by ``_entry_text``.
+
+    Given a ``spill`` file open for binary writing, each entry's
+    headword and definition are taken from its text, then the text's
+    JSON string (see ``_json_string``) is appended to the spill as
+    UTF-8, and the entry keeps a ``SpilledText`` in its place, which
+    ``save_dataset`` copies into the entry's line.  The spill must stay
+    open, and its bytes unchanged, until then.
     """
     entries: list[Entry] = []
+    spilled = spill.tell() if spill is not None else 0
     last_key: tuple[int, int] | None = None
     current_volume: int | None = None
     current_pieces: list[str] = []
     current_start: tuple[int, int] | None = None  # (page_no, ordinal)
+    current_plain = False  # whether the entry's pages hold nothing to escape
 
     def flush() -> None:
+        nonlocal spilled
         if current_start is None:
             return
         page_no, ordinal = current_start
         raw_text = _entry_text(current_pieces)
+        headword = extract_headword(raw_text)
+        definition = truncate_definition(raw_text)
+        if spill is not None:
+            raw_json = f'"{raw_text}"' if current_plain else _json_string(raw_text)
+            data = raw_json.encode("utf-8")
+            spill.write(data)
+            raw_text = SpilledText(
+                spill, spilled, len(data), len(raw_text),
+                definition if len(raw_json) == len(raw_text) + 2 else None,
+            )
+            spilled += len(data)
         entries.append(
             Entry(
                 id=f"{current_volume}:{page_no}:{ordinal}",
                 volume=current_volume,
                 page=page_no,
-                headword=extract_headword(raw_text),
-                definition=truncate_definition(raw_text),
+                headword=headword,
+                definition=definition,
                 raw_text=raw_text,
             )
         )
@@ -242,10 +291,14 @@ def segment_pages(pages: Iterable[RawPage]) -> list[Entry]:
             if line_break in text:
                 text = text.replace(line_break, "\n")
         text = "\n" + text
+        # An entry whose pages hold nothing JSON escapes is spilled only
+        # quoted: one scan per page instead of one per entry.
+        page_plain = spill is not None and not any(c in text for c in _ESCAPED_IN_ENTRY_TEXT)
         starts = _starts(text)
         before = text[: starts[0]] if starts else text
         if current_start is not None:
             current_pieces.append(before)
+            current_plain = current_plain and page_plain
         elif not before.isspace():
             logger.debug(
                 "dropping pre-entry text on page %s:%s: %r",
@@ -255,6 +308,7 @@ def segment_pages(pages: Iterable[RawPage]) -> list[Entry]:
             flush()
             current_start = (page.page_no, ordinal)
             current_pieces = [text[begin:end]]
+            current_plain = page_plain
     flush()
     return entries
 
@@ -314,6 +368,9 @@ def _read_pages(located: list[tuple[int, int, Path]]) -> Iterator[RawPage]:
 # What a JSON string must escape (RFC 8259 §7), and all that
 # ``encode_basestring`` escapes: '"', "\\" and U+0000–U+001F.
 _JSON_ESCAPED = '"\\' + "".join(map(chr, range(0x20)))
+# Those an entry's text can hold: ``_entry_text`` turns the others,
+# all whitespace, into spaces.
+_ESCAPED_IN_ENTRY_TEXT = "".join(c for c in _JSON_ESCAPED if c not in _WHITESPACE)
 
 
 def _json_string(text: str) -> str:
@@ -344,11 +401,13 @@ def _float_number(value: float) -> str:
 # writes each value through its writer; load checks each value's type
 # against the same table, and a number through its writer.  The fields
 # after ``raw_text`` are optional: unset (None, null) until the stage
-# that fills them has run, and left out of the line until then.
+# that fills them has run, and left out of the line until then.  A
+# ``SpilledText``, which no load makes, is written as the UTF-8 bytes
+# ingest spilled.
 _STRING = {str: encode_basestring}
 _INTEGER = {int: int.__repr__}
 _NUMBER = {int: _int_number, float: _float_number}
-_RAW_TEXT = {str: _json_string}
+_RAW_TEXT = {str: _json_string, SpilledText: SpilledText.json_bytes}
 _BOOLEAN = {bool: {True: "true", False: "false"}.__getitem__}
 _FIELDS = {
     "id": _STRING, "volume": _INTEGER, "page": _INTEGER, "headword": _STRING,
@@ -373,7 +432,8 @@ def _field_problem(name: str, value: object, strings: bool) -> str | None:
         if writers is _NUMBER:
             writer(value)
     except (KeyError, ValueError, OverflowError):
-        expected = " or ".join(kind.__name__ for kind in writers)
+        # Named as JSON decodes to them: no line holds a SpilledText.
+        expected = " or ".join(kind.__name__ for kind in writers if kind is not SpilledText)
         return f"field {name!r} must be {expected}, got {value!r:.40}"
     if strings and type(value) is str:
         try:
@@ -488,8 +548,9 @@ def load_dataset(path: str | os.PathLike[str]) -> list[Entry]:
 
 
 @contextlib.contextmanager
-def atomic_writer(path: str | os.PathLike[str]) -> Iterator[IO[str]]:
-    """Open a UTF-8 text handle whose content replaces ``path`` whole.
+def atomic_writer(path: str | os.PathLike[str], binary: bool = False) -> Iterator[IO]:
+    """Open a UTF-8 text handle, or with ``binary`` a bytes handle,
+    whose content replaces ``path`` whole.
 
     Writes go to a temporary ``*.tmp`` file in the same directory,
     which replaces the target only when the ``with`` block completes.
@@ -501,7 +562,7 @@ def atomic_writer(path: str | os.PathLike[str]) -> Iterator[IO[str]]:
         prefix=path.name + ".", suffix=".tmp", dir=path.parent or Path(".")
     )
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with (os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8")) as handle:
             yield handle
         os.replace(tmp_name, path)
     except BaseException:
@@ -515,11 +576,12 @@ def save_dataset(entries: Iterable[Entry], path: str | os.PathLike[str]) -> int:
 
     Each line holds the entry's fields in field order, leaving out
     unset optional ones, byte for byte as ``json.dumps(record,
-    ensure_ascii=False)`` writes it: each value goes through its
-    field's writer in ``_FIELDS``, chosen by its exact type.
-    ``raw_text`` is written as a piece of its own, and only quoted when
-    nothing in it needs escaping (see ``_json_string``), as is a
-    definition that starts such a ``raw_text``.
+    ensure_ascii=False)`` writes it, in UTF-8: each value goes through
+    its field's writer in ``_FIELDS``, chosen by its exact type.
+    ``raw_text`` is written as a piece of its own: a ``SpilledText``
+    as the bytes ingest spilled, a ``str`` only quoted when nothing in
+    it needs escaping (see ``_json_string``).  A definition that starts
+    such an escape-free ``raw_text`` is only quoted too.
 
     A value its field does not take (a wrong type, a float that is not
     finite, a number past the float range) raises DatasetError naming
@@ -528,7 +590,7 @@ def save_dataset(entries: Iterable[Entry], path: str | os.PathLike[str]) -> int:
     """
     seen: set[str] = set()
     count = 0
-    with atomic_writer(path) as handle:
+    with atomic_writer(path, binary=True) as handle:
         write = handle.write
         for entry in entries:
             id_, definition, raw_text = entry.id, entry.definition, entry.raw_text
@@ -537,8 +599,13 @@ def save_dataset(entries: Iterable[Entry], path: str | os.PathLike[str]) -> int:
                 # Ingest cuts the definition from the start of the
                 # raw_text, so when the raw_text is only quoted (no
                 # escape made it longer), the definition can be too.
-                if (len(raw_json) == len(raw_text) + 2 and type(definition) is str
-                        and raw_text.startswith(definition)):
+                if type(raw_text) is SpilledText:
+                    plain = raw_text.plain_prefix is definition
+                else:
+                    plain = (len(raw_json) == len(raw_text) + 2 and type(definition) is str
+                             and raw_text.startswith(definition))
+                    raw_json = raw_json.encode("utf-8")
+                if plain:
                     definition_json = f'"{definition}"'
                 else:
                     definition_json = _STRING[type(definition)](definition)
@@ -570,8 +637,8 @@ def save_dataset(entries: Iterable[Entry], path: str | os.PathLike[str]) -> int:
             if id_ in seen:
                 raise DatasetError(f"duplicate entry id {id_!r}")
             seen.add(id_)
-            write(head)
+            write(head.encode("utf-8"))
             write(raw_json)
-            write(tail + "}\n")
+            write(f"{tail}}}\n".encode("utf-8"))
             count += 1
     return count

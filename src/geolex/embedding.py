@@ -372,7 +372,7 @@ def _trim_torn_line(path: Path) -> None:
         return
     try:
         json.loads(torn)
-    except ValueError:
+    except (ValueError, RecursionError):
         os.truncate(path, size - len(torn))
     else:
         with open(path, "ab") as handle:

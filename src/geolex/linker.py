@@ -10,14 +10,15 @@ Each result's ``considered`` holds every ``(qid, similarity)`` pair,
 best first.
 
 ``link_batch`` is the one way to link; one entry is a batch of one.
-It queues one search per distinct headword, in first-seen order, and
-takes the results in input order.  The distinct candidate items, in
-first-seen order, are cut into description requests of 50 ids; each
-request is queued as soon as its 50 ids are known, behind the searches
-still waiting, and the last, partial one after the final search.  Once
-every description is in, the entries are embedded and ranked chunk by
-chunk, each distinct text of a chunk embedded once and its vector's
-norm taken once.  A batch never aborts on a single
+It searches once per distinct headword, in first-seen order, and
+takes the results in input order; on a pool, at most a few searches
+per worker are queued or running at a time.  The distinct candidate
+items, in first-seen order, are cut into description requests of 50
+ids; each request is queued as soon as its 50 ids are known, behind
+the searches already queued, and the last, partial one after the
+final search.  Once every description is in, the entries are embedded
+and ranked chunk by chunk, each distinct text of a chunk embedded once
+and its vector's norm taken once.  A batch never aborts on a single
 bad entry: a failed search marks every entry with that headword, a
 failed description request marks every entry with a candidate in it,
 a failed embedding call marks its chunk, and a blank headword, which
@@ -27,7 +28,7 @@ result with an error note ("Type: message") and the batch carries on.
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -43,6 +44,11 @@ from .wikidata import ENTITY_BATCH_SIZE, SEARCH_LIMIT, WikidataClient, qid_numbe
 NO_MIN_SIMILARITY = -1.0
 
 _REMOTE_ERRORS = (TransportError, ProtocolError, ReplayCacheMiss)
+
+# Searches a pool keeps queued or running, per worker: enough that a
+# worker always has one to send while another sleeps out a retry
+# backoff, few enough that the futures stay few.
+SEARCH_WINDOW_PER_WORKER = 4
 
 
 # A candidate item and its similarity to the definition: (qid, similarity).
@@ -102,11 +108,12 @@ def link_batch(
     rest of the batch is unaffected.  ``workers`` > 1 sends the
     searches and the description requests on a pool of that many
     threads, each with one request open at a time, so ``workers`` is
-    the bound on requests in flight.  Every search is queued at once; a
-    description request is queued as soon as the searches before it
-    have filled its 50 ids, so it can go out while later searches run
-    or wait out a retry backoff.  Leaving early, on an exception or
-    Ctrl-C, cancels the requests still queued.  With ``workers`` = 1
+    the bound on requests in flight.  Searches are queued as earlier
+    ones finish, at most ``SEARCH_WINDOW_PER_WORKER`` per worker at a
+    time; a description request is queued as soon as the searches
+    before it have filled its 50 ids, so it can go out while later
+    searches run or wait out a retry backoff.  Leaving early, on an
+    exception or Ctrl-C, cancels the requests still queued.  With ``workers`` = 1
     every request is sent from the calling thread, which is fastest
     when no request waits on a network (replay): all searches first,
     then the description requests, in the same order a pool queues
@@ -117,23 +124,25 @@ def link_batch(
     results: list[LinkResult | None] = [None] * len(entries)
     hits: list[list[str] | Exception] = []
     with ExitStack() as stack:
+        # One search per distinct headword in first-seen order; the
+        # results are taken in that order, which is the order of their
+        # first entries.  A ``ValueError`` is a blank headword.
+        headwords = list(dict.fromkeys(entry.headword for entry in entries))
+        search = _remote(client.search_candidates, ValueError)
         if workers > 1 and len(entries) > 1:
             executor = ThreadPoolExecutor(max_workers=workers)
             # Leaving early (a bug, Ctrl-C) cancels the queued requests
             # and waits only for those already sent.
             stack.callback(executor.shutdown, cancel_futures=True)
+            searched = _windowed_map(
+                executor, search, headwords, SEARCH_WINDOW_PER_WORKER * workers
+            )
         else:
             executor = _CallingThread()
-
-        # Every search goes out (or into the queue) here, one per
-        # distinct headword in first-seen order; the results are taken
-        # in that order, which is the order of their first entries.  A
-        # ``ValueError`` is a blank headword.
-        headwords = list(dict.fromkeys(entry.headword for entry in entries))
-        searched = executor.map(_remote(client.search_candidates, ValueError), headwords)
+            searched = executor.map(search, headwords)
         # The distinct candidates, in first-seen order, are cut into
         # batches of 50; each is queued as soon as it is full, behind
-        # the searches still waiting, so its ids never depend on thread
+        # the searches already queued, so its ids never depend on thread
         # timing.
         fetch = _remote(client.fetch_descriptions)
         found_by_headword: dict[str, list[str] | Exception] = {}
@@ -227,6 +236,25 @@ def _rank_chunk(
         chosen = qid if similarity >= min_similarity else None
         results.append(LinkResult(entry.id, chosen, similarity, ranking))
     return results
+
+
+def _windowed_map(executor: ThreadPoolExecutor, call, args: list, window: int):
+    """``executor.map(call, args)``, results in order, with at most
+    ``window`` calls queued or running at once.  A call is queued as
+    soon as an earlier one finishes, not when its result is taken, so
+    one slow call holds back the results after it, not the calls."""
+    pending: dict[Future, int] = {}
+    done: dict[int, object] = {}
+    queued = 0
+    for taken in range(len(args)):
+        while taken not in done:
+            while len(pending) < window and queued < len(args):
+                pending[executor.submit(call, args[queued])] = queued
+                queued += 1
+            finished, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in finished:
+                done[pending.pop(future)] = future.result()
+        yield done.pop(taken)
 
 
 class _CallingThread:

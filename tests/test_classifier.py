@@ -378,6 +378,18 @@ class TestModelPersistence:
         with pytest.raises(DatasetError, match=f"^{re.escape(str(path))}: invalid model file"):
             load_model(path)
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"weights": [1.0], "bias": 0.0, "note": "\xff"}', "can't decode byte 0xff"),
+        (b'{"weights": [1.0], "bias": ' + b"1" * 4301 + b"}", "Exceeds the limit"),
+        (b"[" * 100_000, "maximum recursion depth"),
+    ], ids=["not-utf-8", "past-4300-digits", "nested-too-deep"])
+    def test_unreadable_file_is_named(self, tmp_path, content, message):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(DatasetError,
+                           match=f"^{re.escape(str(path))}: invalid model file: .*{message}"):
+            load_model(path)
+
     def test_dim_mismatch_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text(

@@ -363,6 +363,42 @@ class TestDatasetOwnership:
         assert not workspace.dataset.exists()
         assert not list(workspace.root.glob("*.tmp"))
 
+    @pytest.mark.parametrize("case", ["ingest", "run", "run-link-fails", "run-stage-bug"])
+    def test_the_spill_lies_beside_the_dataset_and_leaves_nothing(
+        self, workspace, no_network, monkeypatch, case
+    ):
+        import tempfile
+
+        real_temporary_file = tempfile.TemporaryFile
+        spills = []
+
+        def recorded(*args, **kwargs):
+            spill = real_temporary_file(*args, **kwargs)
+            spills.append((Path(kwargs["dir"]), spill))
+            return spill
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+        before = set(workspace.root.iterdir())
+        if case == "ingest":
+            assert workspace.run("ingest") == 0
+        elif case == "run":
+            assert workspace.run_all_stages() == 0
+        elif case == "run-link-fails":
+            fx.build_replay_cache(workspace.cache_dir)["search:Stockholm"].unlink()
+            assert workspace.run_all_stages() == 5
+        else:
+            def broken(*args, **kwargs):
+                raise TypeError("a bug, not a stage failure")
+
+            monkeypatch.setattr(linker, "link_batch", broken)
+            with pytest.raises(TypeError, match="a bug"):
+                workspace.run_all_stages()
+        assert [(where, spill.closed) for where, spill in spills] == [
+            (workspace.dataset.parent, True)]
+        made = {path.name for path in set(workspace.root.iterdir()) - before}
+        assert made <= {workspace.dataset.name, workspace.model.name, workspace.geojson.name,
+                        workspace.histogram.name, workspace.svg.name}
+
     @pytest.mark.parametrize(
         "command, saver",
         [("classify", "classify"), ("link", "link"), ("coords", "coords"), ("run", "coords")],
@@ -654,7 +690,7 @@ class TestErrorBoundary:
     def test_unexpected_exception_propagates(self, workspace, monkeypatch):
         from geolex import corpus
 
-        def broken(pages):
+        def broken(pages, *, spill=None):
             raise TypeError("a bug, not a stage failure")
 
         monkeypatch.setattr(corpus, "segment_pages", broken)

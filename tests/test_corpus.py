@@ -8,6 +8,7 @@ import json
 import logging
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -612,10 +613,16 @@ class TestSavedLines:
         path = tmp_path_factory.mktemp("ingest") / "d.jsonl"
         save_dataset(entries, path)
         # Each definition starts its raw_text, so save may quote it as it is.
-        assert path.read_bytes() == "".join(
-            oracles.dataset_line(e) + "\n" for e in entries
-        ).encode("utf-8")
+        expected = "".join(oracles.dataset_line(e) + "\n" for e in entries).encode("utf-8")
+        assert path.read_bytes() == expected
         assert load_dataset(path) == entries
+        with tempfile.TemporaryFile() as spill:
+            spilled = segment_pages(
+                (RawPage(1 + n // 2, 1 + n, text) for n, text in enumerate(pages)), spill=spill
+            )
+            assert [len(e.raw_text) for e in spilled] == [len(e.raw_text) for e in entries]
+            save_dataset(spilled, path)
+        assert path.read_bytes() == expected
 
 
 class TestLongTextSave:
@@ -651,6 +658,43 @@ class TestLongTextSave:
             self.LONG[1:],
             self.LONG + char,
         ])
+
+
+class TestSpilledRawText:
+    """With a spill file, ingest keeps each ``raw_text`` there, and
+    save copies it into the same line the text itself gives."""
+
+    # Each character JSON escapes, and some it writes as they are.
+    CHARS = ['"', "\\", *map(chr, range(0x20)), "\x7f", "å", "ω", "\u2028", "\U0001F30D"]
+
+    def pages(self) -> list[RawPage]:
+        lines = [f"Ort{n}, {c}stad{c} vid{c} sjön.{c} Ligger {c}i {c}länet." * (1 + n % 3)
+                 for n, c in enumerate(self.CHARS)]
+        long = "Åmål, stad vid Vänern; ωμέγα \U0001F30D \x7f " * 4000
+        return [
+            RawPage(1, 1, "\n".join(lines[:20])), RawPage(1, 2, "\n".join(lines[20:])),
+            RawPage(2, 1, f"{long}\nÅmål, {long}\""),
+            # Pages with nothing to escape, an entry running on from one
+            # onto the next, then onto a page with a quote.
+            RawPage(3, 1, f"{long}\nÖrebro, stad\tvid"), RawPage(3, 2, "ån.\nUmeå, stad"),
+            RawPage(3, 3, 'vid "Umeälven".\nLuleå, stad.'),
+        ]
+
+    def test_saved_lines_are_the_lines_of_the_texts(self, tmp_path):
+        entries = segment_pages(self.pages())
+        assert len(entries) > len(self.CHARS)
+        assert max(len(e.raw_text) for e in entries) > 128 * 1024
+        for order in (entries, entries[::-1]):
+            expected = "".join(oracles.dataset_line(e) + "\n" for e in order).encode("utf-8")
+            with tempfile.TemporaryFile(dir=tmp_path) as spill:
+                spilled = segment_pages(self.pages(), spill=spill)
+                assert [len(e.raw_text) for e in spilled] == [len(e.raw_text) for e in entries]
+                assert [(e.id, e.headword, e.definition) for e in spilled] == [
+                    (e.id, e.headword, e.definition) for e in entries]
+                by_id = {e.id: e for e in spilled}
+                assert save_dataset([by_id[e.id] for e in order], tmp_path / "d.jsonl") == len(order)
+            assert (tmp_path / "d.jsonl").read_bytes() == expected
+        assert load_dataset(tmp_path / "d.jsonl") == entries[::-1]
 
 
 # The smallest integer no float can hold: it rounds to 2**1024.

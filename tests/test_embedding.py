@@ -745,6 +745,16 @@ class TestCachedEmbedder:
             np.testing.assert_array_equal(got, want)
         assert asked == ["abcde", "abcd"]  # the new text, then the torn one
 
+    def test_deeply_nested_torn_line_is_dropped(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        provider = CountingProvider()
+        CachedEmbedder(provider, path).embed_batch(["ab"])
+        kept = path.read_bytes()
+        path.write_bytes(kept + b"[" * 100_000)
+        CachedEmbedder(provider, path).embed_batch(["ab"])
+        assert path.read_bytes() == kept
+        assert provider.embed_calls == 1
+
     def test_complete_last_line_without_newline_is_kept(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         provider = CountingProvider()

@@ -7,6 +7,7 @@ import itertools
 import json
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -416,6 +417,45 @@ class TestLinkBatch:
         # shows it is the bound
         assert set(transport.peak) == {"wbsearchentities", "wbgetentities"}
         assert all(1 < peak <= 3 for peak in transport.peak.values()), transport.peak
+
+    def test_a_pool_queues_a_few_searches_per_worker(self, monkeypatch, no_network):
+        entries, results = places(60)  # 300 candidates: six description requests
+        lock = threading.Lock()
+        undone: set = set()
+        peak = 0
+
+        class CountingPool(ThreadPoolExecutor):
+            """Keeps the most futures that were queued or running at once."""
+
+            def submit(self, fn, /, *args):
+                nonlocal peak
+                future = super().submit(fn, *args)
+                with lock:
+                    undone.add(future)
+                    peak = max(peak, len(undone))
+                future.add_done_callback(finished)
+                return future
+
+        def finished(future):
+            with lock:
+                undone.discard(future)
+
+        class SlowSearch(fx.FixtureTransport):
+            def send(self, request):
+                time.sleep(0.005)
+                return super().send(request)
+
+        monkeypatch.setattr(linker, "ThreadPoolExecutor", CountingPool)
+        transport = SlowSearch(results)
+        outcome = link_batch(
+            entries, HashedTrigramEmbedder(), WikidataClient(transport=transport), workers=2
+        )
+        assert all(r.error is None and r.chosen is not None for r in outcome)
+        assert sorted(self.searched(transport)) == sorted(e.headword for e in entries)
+        ids = [qid for hits in results.values() for qid, _, _ in hits]
+        assert sorted(transport.asked_ids()) == [ids[n:n + 50] for n in range(0, 300, 50)]
+        # the searches in the window, and the description requests
+        assert 1 < peak <= 2 * linker.SEARCH_WINDOW_PER_WORKER + 6, peak
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_description_requests_go_out_while_searches_run(self, workers, no_network):
