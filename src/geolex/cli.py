@@ -34,6 +34,7 @@ is a bug and propagates with its traceback, writing nothing.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -177,7 +178,9 @@ def _classify(config: PipelineConfig, provider, entries: list[corpus.Entry]) -> 
 Counts = tuple[int, int, int, dict[str, float]]
 
 
-def stage_ingest(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
+def stage_ingest(
+    config: PipelineConfig, entries: list[corpus.Entry], cleanup: contextlib.ExitStack
+) -> Counts:
     pages = corpus.read_raw_pages(config.raw_dir)
     read = 0
 
@@ -189,16 +192,11 @@ def stage_ingest(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
 
     # Each raw_text waits for the one dataset write in an unnamed file
     # beside the dataset: not in memory, nor in a temporary directory
-    # that may itself be memory.  The file outlives this stage when
-    # entries' SpilledText handles refer to it, and ``main`` closes it.
-    spill = tempfile.TemporaryFile(dir=Path(config.dataset).parent, buffering=SPILL_BUFFER)
-    try:
-        segmented = corpus.segment_pages(counted(), spill=spill)
-    except BaseException:
-        spill.close()
-        raise
-    if not segmented:
-        spill.close()
+    # that may itself be memory.  ``main`` closes it after the write.
+    spill = cleanup.enter_context(
+        tempfile.TemporaryFile(dir=Path(config.dataset).parent, buffering=SPILL_BUFFER)
+    )
+    segmented = corpus.segment_pages(counted(), spill=spill)
     if not read:
         raise StageError(f"no raw pages found under {config.raw_dir}")
     entries[:] = segmented
@@ -357,18 +355,23 @@ def stage_report(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
 
 
 def _run_stage(
-    name: str, stage, config: PipelineConfig, entries: list[corpus.Entry], load: bool
+    name: str, stage, config: PipelineConfig, entries: list[corpus.Entry], load: bool,
+    cleanup: contextlib.ExitStack,
 ) -> RunSummary:
     """Run one stage on the command's entries, timed together with the
-    dataset load that ``load`` asks for first."""
+    dataset load that ``load`` asks for first.  Ingest opens its spill
+    on ``cleanup``, which the command closes after the dataset write."""
     started = time.perf_counter()
     if load:
         entries[:] = corpus.load_dataset(config.dataset)
-    inputs, outputs, errors, ratios = stage(config, entries)
+    if stage is stage_ingest:
+        inputs, outputs, errors, ratios = stage_ingest(config, entries, cleanup)
+    else:
+        inputs, outputs, errors, ratios = stage(config, entries)
     return RunSummary(name, inputs, outputs, errors, time.perf_counter() - started, ratios)
 
 
-# Stage name -> ``(config, entries, load) -> RunSummary``.
+# Stage name -> ``(config, entries, load, cleanup) -> RunSummary``.
 STAGE_RUNNERS = {
     name: functools.partial(_run_stage, name, stage)
     for name, stage in zip(PIPELINE_STAGES, (
@@ -512,10 +515,10 @@ def main(argv: list[str] | None = None) -> int:
     entries: list[corpus.Entry] = []
     summaries: list[RunSummary] = []
     failures: list[tuple[str, Exception]] = []
-    try:
+    with contextlib.ExitStack() as cleanup:
         for name in stages:
             try:
-                summaries.append(STAGE_RUNNERS[name](config, entries, load))
+                summaries.append(STAGE_RUNNERS[name](config, entries, load, cleanup))
                 load = False
             except STAGE_FAILURES as err:
                 failures.append((name, err))
@@ -530,10 +533,6 @@ def main(argv: list[str] | None = None) -> int:
             except STAGE_FAILURES as err:
                 failures.append((changed.stage, err))
             changed.wall_time_s += time.perf_counter() - started
-    finally:
-        # The entries ingest made share one spill file (see stage_ingest).
-        if entries and type(entries[0].raw_text) is corpus.SpilledText:
-            entries[0].raw_text.source.close()
     _emit(summaries)
     for name, err in failures:
         print(f"{name}: {_describe(err, config)}", file=sys.stderr)

@@ -243,7 +243,6 @@ def segment_pages(pages: Iterable[RawPage], *, spill: IO[bytes] | None = None) -
     current_volume: int | None = None
     current_pieces: list[str] = []
     current_start: tuple[int, int] | None = None  # (page_no, ordinal)
-    current_plain = False  # whether the entry's pages hold nothing to escape
 
     def flush() -> None:
         nonlocal spilled
@@ -254,7 +253,7 @@ def segment_pages(pages: Iterable[RawPage], *, spill: IO[bytes] | None = None) -
         headword = extract_headword(raw_text)
         definition = truncate_definition(raw_text)
         if spill is not None:
-            raw_json = f'"{raw_text}"' if current_plain else _json_string(raw_text)
+            raw_json = _json_string(raw_text)
             data = raw_json.encode("utf-8")
             spill.write(data)
             raw_text = SpilledText(
@@ -291,14 +290,10 @@ def segment_pages(pages: Iterable[RawPage], *, spill: IO[bytes] | None = None) -
             if line_break in text:
                 text = text.replace(line_break, "\n")
         text = "\n" + text
-        # An entry whose pages hold nothing JSON escapes is spilled only
-        # quoted: one scan per page instead of one per entry.
-        page_plain = spill is not None and not any(c in text for c in _ESCAPED_IN_ENTRY_TEXT)
         starts = _starts(text)
         before = text[: starts[0]] if starts else text
         if current_start is not None:
             current_pieces.append(before)
-            current_plain = current_plain and page_plain
         elif not before.isspace():
             logger.debug(
                 "dropping pre-entry text on page %s:%s: %r",
@@ -308,7 +303,6 @@ def segment_pages(pages: Iterable[RawPage], *, spill: IO[bytes] | None = None) -
             flush()
             current_start = (page.page_no, ordinal)
             current_pieces = [text[begin:end]]
-            current_plain = page_plain
     flush()
     return entries
 
@@ -368,9 +362,6 @@ def _read_pages(located: list[tuple[int, int, Path]]) -> Iterator[RawPage]:
 # What a JSON string must escape (RFC 8259 §7), and all that
 # ``encode_basestring`` escapes: '"', "\\" and U+0000–U+001F.
 _JSON_ESCAPED = '"\\' + "".join(map(chr, range(0x20)))
-# Those an entry's text can hold: ``_entry_text`` turns the others,
-# all whitespace, into spaces.
-_ESCAPED_IN_ENTRY_TEXT = "".join(c for c in _JSON_ESCAPED if c not in _WHITESPACE)
 
 
 def _json_string(text: str) -> str:

@@ -28,7 +28,8 @@ result with an error note ("Type: message") and the batch carries on.
 
 from __future__ import annotations
 
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -45,9 +46,9 @@ NO_MIN_SIMILARITY = -1.0
 
 _REMOTE_ERRORS = (TransportError, ProtocolError, ReplayCacheMiss)
 
-# Searches a pool keeps queued or running, per worker: enough that a
-# worker always has one to send while another sleeps out a retry
-# backoff, few enough that the futures stay few.
+# Searches a pool keeps queued or running, per worker: enough that the
+# workers stay busy while the oldest search sleeps out a retry backoff,
+# few enough that the futures stay few.
 SEARCH_WINDOW_PER_WORKER = 4
 
 
@@ -105,19 +106,18 @@ def link_batch(
     """Link entries, results in input order.
 
     A failing entry yields an unlinked result with an error note; the
-    rest of the batch is unaffected.  ``workers`` > 1 sends the
-    searches and the description requests on a pool of that many
-    threads, each with one request open at a time, so ``workers`` is
-    the bound on requests in flight.  Searches are queued as earlier
-    ones finish, at most ``SEARCH_WINDOW_PER_WORKER`` per worker at a
-    time; a description request is queued as soon as the searches
-    before it have filled its 50 ids, so it can go out while later
-    searches run or wait out a retry backoff.  Leaving early, on an
-    exception or Ctrl-C, cancels the requests still queued.  With ``workers`` = 1
-    every request is sent from the calling thread, which is fastest
-    when no request waits on a network (replay): all searches first,
-    then the description requests, in the same order a pool queues
-    them.
+    rest of the batch is unaffected.  ``workers`` > 1 sends the searches
+    and the description requests on a pool of that many threads, each
+    with one request open at a time, so ``workers`` is the bound on
+    requests in flight.  Searches are queued as the results of earlier
+    ones are taken, at most ``SEARCH_WINDOW_PER_WORKER`` per worker at a
+    time; a description request is queued as soon as the searches before
+    it have filled its 50 ids, so it can go out while later searches run
+    or wait out a retry backoff.  Leaving early, on an exception or
+    Ctrl-C, cancels the requests still queued.  With ``workers`` = 1
+    every request is sent from the calling thread, which is fastest when
+    no request waits on a network (replay): all searches first, then the
+    description requests, in the same order a pool queues them.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -240,21 +240,15 @@ def _rank_chunk(
 
 def _windowed_map(executor: ThreadPoolExecutor, call, args: list, window: int):
     """``executor.map(call, args)``, results in order, with at most
-    ``window`` calls queued or running at once.  A call is queued as
-    soon as an earlier one finishes, not when its result is taken, so
-    one slow call holds back the results after it, not the calls."""
-    pending: dict[Future, int] = {}
-    done: dict[int, object] = {}
-    queued = 0
-    for taken in range(len(args)):
-        while taken not in done:
-            while len(pending) < window and queued < len(args):
-                pending[executor.submit(call, args[queued])] = queued
-                queued += 1
-            finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in finished:
-                done[pending.pop(future)] = future.result()
-        yield done.pop(taken)
+    ``window`` calls queued or running at once: the next call is queued
+    only after the oldest one's result is taken."""
+    pending: deque[Future] = deque()
+    for arg in args:
+        if len(pending) == window:
+            yield pending.popleft().result()
+        pending.append(executor.submit(call, arg))
+    while pending:
+        yield pending.popleft().result()
 
 
 class _CallingThread:
