@@ -10,20 +10,20 @@ Each result's ``considered`` holds every ``(qid, similarity)`` pair,
 best first.
 
 ``link_batch`` is the one way to link; one entry is a batch of one.
-It searches once per distinct headword, in first-seen order, and
-takes the results in input order; on a pool, at most a few searches
-per worker are queued or running at a time.  The distinct candidate
-items, in first-seen order, are cut into description requests of 50
-ids; each request is queued as soon as its 50 ids are known, behind
-the searches already queued, and the last, partial one after the
-final search.  Once every description is in, the entries are embedded
-and ranked chunk by chunk, each distinct text of a chunk embedded once
-and its vector's norm taken once.  A batch never aborts on a single
-bad entry: a failed search marks every entry with that headword, a
-failed description request marks every entry with a candidate in it,
-a failed embedding call marks its chunk, and a blank headword, which
-cannot be searched, marks its entries.  A marked entry gets an unlinked
-result with an error note ("Type: message") and the batch carries on.
+It searches once per distinct headword, in first-seen order, each
+search sent when its result is needed: on the calling thread one at a
+time, on a pool a few per worker ahead.  The distinct candidate items,
+in first-seen order, are cut into description requests of 50 ids; each
+request is queued as soon as its 50 ids are known, and the last,
+partial one after the final search.  Once every description is in, the
+entries are embedded and ranked chunk by chunk, each distinct text of a
+chunk embedded once and its vector's norm taken once.  A batch never
+aborts on a single bad entry: a failed search marks every entry with
+that headword, a failed description request marks every entry with a
+candidate in it, a failed embedding call marks its chunk, and a blank
+headword, which cannot be searched, marks its entries.  A marked entry
+gets an unlinked result with an error note ("Type: message") and the
+batch carries on.
 """
 
 from __future__ import annotations
@@ -109,24 +109,21 @@ def link_batch(
     rest of the batch is unaffected.  ``workers`` > 1 sends the searches
     and the description requests on a pool of that many threads, each
     with one request open at a time, so ``workers`` is the bound on
-    requests in flight.  Searches are queued as the results of earlier
-    ones are taken, at most ``SEARCH_WINDOW_PER_WORKER`` per worker at a
-    time; a description request is queued as soon as the searches before
-    it have filled its 50 ids, so it can go out while later searches run
-    or wait out a retry backoff.  Leaving early, on an exception or
-    Ctrl-C, cancels the requests still queued.  With ``workers`` = 1
-    every request is sent from the calling thread, which is fastest when
-    no request waits on a network (replay): all searches first, then the
-    description requests, in the same order a pool queues them.
+    requests in flight.  With ``workers`` = 1 every request is sent from
+    the calling thread, which is fastest when no request waits on a
+    network (replay).  Either way a search is sent when its result is
+    needed, and a pool keeps up to ``SEARCH_WINDOW_PER_WORKER`` per
+    worker queued or running ahead of the one taken.  A description
+    request is queued as soon as the searches before it have filled its
+    50 ids, so on a pool it can go out while later searches run or wait
+    out a retry backoff.  Leaving early, on an exception or Ctrl-C,
+    cancels the requests still queued.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    results: list[LinkResult | None] = [None] * len(entries)
-    hits: list[list[str] | Exception] = []
     with ExitStack() as stack:
-        # One search per distinct headword in first-seen order; the
-        # results are taken in that order, which is the order of their
-        # first entries.  A ``ValueError`` is a blank headword.
+        # One search per distinct headword, in first-seen order.  A
+        # ``ValueError`` is a blank headword.
         headwords = list(dict.fromkeys(entry.headword for entry in entries))
         search = _remote(client.search_candidates, ValueError)
         if workers > 1 and len(entries) > 1:
@@ -139,31 +136,23 @@ def link_batch(
             )
         else:
             executor = _CallingThread()
-            searched = executor.map(search, headwords)
+            # Lazy: each search runs as its result is taken, with no future.
+            searched = map(search, headwords)
         # The distinct candidates, in first-seen order, are cut into
         # batches of 50; each is queued as soon as it is full, behind
         # the searches already queued, so its ids never depend on thread
         # timing.
         fetch = _remote(client.fetch_descriptions)
-        found_by_headword: dict[str, list[str] | Exception] = {}
+        hits: dict[str, list[str] | Exception] = {}
         batches: list[tuple[list[str], Future]] = []
         seen: set[str] = set()
         batch: list[str] = []
-        for i, entry in enumerate(entries):
-            if entry.headword not in found_by_headword:
-                found_by_headword[entry.headword] = next(searched)
-            found = found_by_headword[entry.headword]
-            hits.append(found)
-            if isinstance(found, Exception):
-                results[i] = _failed(entry, found)
-                continue
-            if not found:
-                results[i] = LinkResult(entry.id, None, 0.0, [])
-            for qid in found:
-                if qid in seen:
-                    continue
-                seen.add(qid)
-                batch.append(qid)
+        for headword, found in zip(headwords, searched):
+            hits[headword] = found
+            for qid in () if isinstance(found, Exception) else found:
+                if qid not in seen:
+                    seen.add(qid)
+                    batch.append(qid)
                 if len(batch) == ENTITY_BATCH_SIZE:
                     batches.append((batch, executor.submit(fetch, batch)))
                     batch = []
@@ -178,12 +167,20 @@ def link_batch(
                 failed.update(dict.fromkeys(batch, answer))
             else:
                 descriptions.update(answer)
-        for i, found in enumerate(hits):
-            if results[i] is not None:
-                continue
-            errors = [failed[qid] for qid in found if qid in failed]
-            if errors:
-                results[i] = _failed(entries[i], errors[0])
+
+    # Each entry's search failed, found nothing, lost a description
+    # request, or leaves a placeholder for the ranking below.
+    results: list[LinkResult | None] = []
+    for entry in entries:
+        found = hits[entry.headword]
+        if isinstance(found, Exception):
+            results.append(_failed(entry, found))
+        elif not found:
+            results.append(LinkResult(entry.id, None, 0.0, []))
+        elif lost := [failed[qid] for qid in found if qid in failed]:
+            results.append(_failed(entry, lost[0]))
+        else:
+            results.append(None)
 
     # Rank in chunks, so one embedding call holds at most
     # EMBED_CHUNK vectors (a definition plus SEARCH_LIMIT descriptions
@@ -192,9 +189,8 @@ def link_batch(
     step = EMBED_CHUNK // (1 + SEARCH_LIMIT)
     for start in range(0, len(ranked), step):
         chunk = ranked[start : start + step]
-        chunk_results = _rank_chunk(
-            [(entries[i], hits[i]) for i in chunk], descriptions, provider, min_similarity
-        )
+        pairs = [(entries[i], hits[entries[i].headword]) for i in chunk]
+        chunk_results = _rank_chunk(pairs, descriptions, provider, min_similarity)
         for i, result in zip(chunk, chunk_results):
             results[i] = result
     return results
@@ -252,13 +248,8 @@ def _windowed_map(executor: ThreadPoolExecutor, call, args: list, window: int):
 
 
 class _CallingThread:
-    """An executor's ``map`` and ``submit`` that run each call at once,
-    on the calling thread.  ``map`` makes no future: link may search
-    tens of thousands of headwords, and a future takes about 1.7 KB."""
-
-    @staticmethod
-    def map(call, args):
-        return iter([call(arg) for arg in args])
+    """An executor's ``submit`` that runs the call at once, on the
+    calling thread."""
 
     @staticmethod
     def submit(call, arg) -> Future:

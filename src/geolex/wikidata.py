@@ -18,14 +18,14 @@ All HTTP goes through a transport object chosen by cache mode:
 Cache keys canonicalize the request (method + URL + sorted query
 parameters + body hash), so a recorded response is found again even if
 parameter order changes.  The client retries transport-level failures
-with 1s/2s/4s backoff and spaces request starts at least 0.1s apart.
-It sets no bound on requests in flight: in live and record modes link
-sends from a pool of ``concurrency`` threads, one request open per
-thread; replay link and every other caller send from one thread.
-Link queues every search first and each description request as soon
-as the searches before it have filled its ids, so while one thread
-sleeps out a search's backoff the others send the description requests
-already known.
+with 1s/2s/4s backoff and spaces request starts at least 0.1s apart,
+across every stage of the process.  It sets no bound on requests in
+flight: in live and record modes link sends from a pool of
+``concurrency`` threads, one request open per thread; replay link and
+every other caller send from one thread.  Link sends each search when
+its ids are needed, a pool keeping a few per worker ahead, and each
+description request as soon as its ids are known, so while one thread
+sleeps out a search's backoff the others send the requests queued.
 """
 
 from __future__ import annotations
@@ -298,8 +298,14 @@ def make_transport(
         raise ValueError(f"cache mode {mode!r} needs a cache directory")
     if mode == "replay":
         return ReplayTransport(cache_dir)
-    live = UrllibTransport(user_agent=user_agent, rate_limiter=RateLimiter(min_interval))
+    live = UrllibTransport(user_agent=user_agent, rate_limiter=_shared_limiter(min_interval))
     return live if mode == "live" else ReplayTransport(cache_dir, live)
+
+
+@functools.cache
+def _shared_limiter(min_interval: float) -> RateLimiter:
+    """One limiter per interval, shared by every stage's transport."""
+    return RateLimiter(min_interval)
 
 
 # ── Client ───────────────────────────────────────────────────────────────

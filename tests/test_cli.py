@@ -2,18 +2,23 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import threading
 import time
+import urllib.parse
+import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
 
 import oracles
 import pipeline_fixtures as fx
-from geolex import cli, linker
+from geolex import cli, linker, wikidata
 from geolex.corpus import load_dataset, save_dataset
 
 
@@ -30,7 +35,6 @@ def fail_berlin_live(workspace, monkeypatch) -> None:
     replay-fatal) and fail every request that names Berlin.  The
     description request, which then leaves out Berlin's candidates, is
     recorded up front."""
-    from geolex import wikidata
     from geolex.errors import TransportError
 
     real_send = wikidata.WikidataClient._send
@@ -488,6 +492,84 @@ class TestLinkThreads:
         assert read_bytes(workspace.dataset) == replayed
 
 
+@contextlib.contextmanager
+def serve_cache(cache_dir):
+    """Serve a recorded cache over HTTP on 127.0.0.1: each request is
+    answered with the body recorded for the same request to the real
+    Wikidata endpoints.  Yields the (api_url, sparql_url) to send to."""
+    replay = wikidata.ReplayTransport(cache_dir)
+    endpoints = {
+        urllib.parse.urlsplit(url).path: url
+        for url in (wikidata.DEFAULT_API_URL, wikidata.DEFAULT_SPARQL_URL)
+    }
+
+    class Handler(BaseHTTPRequestHandler):
+        def log_message(self, format, *args):  # noqa: A002 - signature fixed by base class
+            pass
+
+        def do_GET(self):  # noqa: N802 - name fixed by base class
+            self.answer(None)
+
+        def do_POST(self):  # noqa: N802 - name fixed by base class
+            self.answer(self.rfile.read(int(self.headers["Content-Length"])))
+
+        def answer(self, body: bytes | None) -> None:
+            split = urllib.parse.urlsplit(self.path)
+            params = tuple(urllib.parse.parse_qsl(split.query, keep_blank_values=True))
+            payload = replay.send(
+                wikidata.HttpRequest(self.command, endpoints[split.path], params, body)
+            )
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True
+    )
+    thread.start()
+    try:
+        port = server.server_address[1]
+        yield tuple(f"http://127.0.0.1:{port}{path}" for path in endpoints)
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+class TestLiveRun:
+    def test_request_starts_stay_spaced_across_stages(self, workspace, monkeypatch):
+        rate_limit_s = 0.1
+        starts: list[float] = []
+        real_urlopen = urllib.request.urlopen
+
+        def timed_urlopen(request, *args, **kwargs):
+            assert urllib.parse.urlsplit(request.full_url).hostname == "127.0.0.1"
+            starts.append(time.monotonic())
+            return real_urlopen(request, *args, **kwargs)
+
+        monkeypatch.setattr(urllib.request, "urlopen", timed_urlopen)
+        monkeypatch.setenv("no_proxy", "*")  # the fixture server is local
+        with serve_cache(workspace.cache_dir) as (api_url, sparql_url):
+            config = json.loads(workspace.config_path.read_text(encoding="utf-8"))
+            config.update(cache_mode="live", rate_limit_s=rate_limit_s,
+                          wikidata_api_url=api_url, wikidata_sparql_url=sparql_url)
+            workspace.config_path.write_text(json.dumps(config), encoding="utf-8")
+            assert workspace.run_all_stages() == 0
+
+        linked = {e.id: e.qid for e in load_dataset(workspace.dataset) if e.is_location}
+        assert linked == fx.EXPECTED_LINKS
+        # searches, the description request, and coords' SPARQL query
+        assert len(starts) == len(fx.LOCATION_HEADWORDS) + 2
+        starts.sort()
+        gaps = [later - earlier for earlier, later in zip(starts, starts[1:])]
+        # A start is read just after the limiter grants its slot; a
+        # thread switch in between may shorten a gap by a few ms.
+        assert min(gaps) >= rate_limit_s - 0.01, gaps
+
+
 def test_importing_the_cli_leaves_out_the_http_stack():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -562,8 +644,6 @@ class TestFixtureTraffic:
     def test_run_and_second_coords_read_every_recorded_response(
         self, workspace, no_network, monkeypatch
     ):
-        from geolex import wikidata
-
         recorded = {path.name for path in workspace.cache_dir.iterdir()}
         read: set[str] = set()
         real_send = wikidata.ReplayTransport.send
@@ -835,8 +915,6 @@ class TestExitCodes:
     def test_lone_surrogate_in_a_headword_fails_link_before_any_request(
         self, workspace, no_network, monkeypatch, capsys
     ):
-        from geolex import wikidata
-
         assert workspace.run_all_stages() == 0
         lines = workspace.dataset.read_text(encoding="utf-8").splitlines()
         index = next(i for i, line in enumerate(lines) if '"headword": "Berlin"' in line)
@@ -953,7 +1031,6 @@ class TestLiveFailureTolerance:
         assert workspace.run("train") == 0
         assert workspace.run("classify") == 0
 
-        from geolex import wikidata
         from geolex.errors import TransportError
 
         def dead_send(self, request):

@@ -392,7 +392,8 @@ class TestSegmentationOracle:
         pages = list(read_raw_pages(tmp_path / "raw"))
         entries = segment_pages(pages)
         assert as_tuples(entries) == oracles.segment_by_lines(pages)
-        truth = [json.loads(line) for line in (tmp_path / "truth.jsonl").open(encoding="utf-8")]
+        truth_lines = (tmp_path / "truth.jsonl").read_text(encoding="utf-8").splitlines()
+        truth = [json.loads(line) for line in truth_lines]
         assert [(e.id, e.headword) for e in entries] == [
             (t["entry_id"], t["headword"]) for t in truth
         ]

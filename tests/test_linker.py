@@ -490,9 +490,13 @@ class TestLinkBatch:
             # a description request arrived before the last search returned
             assert transport.held is True
         else:
-            # on one thread, every search goes out before any description
+            # on one thread, each description request goes out as soon
+            # as the searches before it have filled its 50 ids
             actions = [dict(request.params)["action"] for request in transport.requests]
-            assert actions == ["wbsearchentities"] * 25 + ["wbgetentities"] * 3
+            assert actions == (
+                (["wbsearchentities"] * 10 + ["wbgetentities"]) * 2
+                + ["wbsearchentities"] * 5 + ["wbgetentities"]
+            )
 
     def test_an_error_cancels_the_queued_requests(self, no_network):
         entries, results = places(40)
