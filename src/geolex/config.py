@@ -138,7 +138,11 @@ def load_config(
             raw = json.loads(file_path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {file_path}") from None
-        except json.JSONDecodeError as err:
+        except OSError as err:  # a directory, say
+            raise ConfigError(f"{file_path}: cannot read config file: {err.strerror}") from err
+        # ValueError covers a file that is not UTF-8 or not JSON, and an
+        # integer past 4,300 digits.
+        except (ValueError, RecursionError) as err:
             raise ConfigError(f"{file_path}: invalid JSON: {err}") from err
         if not isinstance(raw, dict):
             raise ConfigError(f"{file_path}: config must be a flat JSON object")

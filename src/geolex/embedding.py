@@ -7,9 +7,10 @@ vector (which cosine treats as similar-to-nothing).
 
 Two providers:
 
-* ``HashedTrigramEmbedder`` — character-trigram feature hashing.  Pure
-  arithmetic on integer trigram keys, no model weights, no I/O,
-  identical output across processes and platforms.  The default.
+* ``HashedTrigramEmbedder`` — character-trigram feature hashing.
+  Stateless arithmetic on the UTF-8 bytes of each trigram, no model
+  weights, no I/O, identical output across processes and platforms.
+  The default.
 * ``RemoteEmbedder`` — thin client for an external embedding service,
   for plugging a real sentence encoder behind the same interface.  It
   sends through ``wikidata.UrllibTransport``, the pipeline's one HTTP
@@ -44,26 +45,19 @@ DEFAULT_DIM = 384
 # one chunk of vectors instead of one per text.
 EMBED_CHUNK = 1024
 
-# Texts ``HashedTrigramEmbedder`` turns into trigram keys at a time.
+# Texts ``HashedTrigramEmbedder`` hashes the trigrams of at a time.
 _SLICE_TEXTS = 64
 _NEWLINE = ord("\n")
-# The dense bucket table covers code points below _DENSE_CODES and an
-# alphabet of at most _DENSE_ALPHABET of them: an int32 index of at most
-# 48 KB and an int16 table of at most 96**3 * 2 B = 1.8 MB.  Other
-# slices, and every slice when ``dim`` does not fit in int16, take the
-# sort path.
-_DENSE_CODES = 0x3000
-_DENSE_ALPHABET = 96
-# On the sort path a code point fits in 21 bits, so a trigram's key is
-# c0 << 42 | c1 << 21 | c2, taken as c0 * 2**42 + c1 * 2**21 + c2.
-_CODE_MASK = (1 << 21) - 1
-_SHIFT_C0 = 1 << 42
-_SHIFT_C1 = 1 << 21
 
 # FNV-1a, 64-bit: standard offset basis and prime.
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = (1 << 64) - 1
+# UTF-8: the first code point that takes 2, 3 and 4 bytes, and the lead
+# byte's marker by the count of continuation bytes after it.
+_UTF8_STARTS = np.array([0x80, 0x800, 0x10000], dtype=np.uint64)
+_UTF8_LEAD = np.array([0, 0xC0, 0xE0, 0xF0], dtype=np.uint64)
+_SIX = np.uint64(6)
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -120,18 +114,10 @@ class HashedTrigramEmbedder:
     anywhere, so the same text gives the same vector in any process.
 
     ``embed_batch`` works on the code points of 64 texts at a time as
-    integers, and one ``np.bincount`` counts every row of the slice.
-    Each code point gets a small alphabet index on first sight, and a
-    trigram's bucket sits in a dense int16 table at ``(a*K + b)*K + c``
-    for an alphabet of K code points, filled on first sight by one
-    vectorized FNV-1a over every missed trigram of the slice.  The
-    table is rebuilt when the alphabet grows, so it holds K**3 * 2
-    bytes.  A slice with a code point at or past U+3000, or one that
-    would grow the alphabet past 96, takes the sort path instead: each
-    trigram becomes one int64 key, one sort finds the distinct keys,
-    and a key → bucket dict memoizes them.  Threads may share an
-    embedder; two threads filling the same entry store the same
-    bucket, so the race is harmless.
+    integers.  One vectorized FNV-1a hashes every trigram of the slice
+    at once, and one ``np.bincount`` counts every row.  A bucket is a
+    pure function of its trigram, so nothing is memoized and the
+    embedder holds no state but ``dim``.
     """
 
     name = "trigram"
@@ -140,14 +126,6 @@ class HashedTrigramEmbedder:
         if dim < 1:
             raise ValueError(f"dim must be >= 1, got {dim}")
         self.dim = dim
-        self._buckets: dict[int, int] = {}
-        # (alphabet, its UTF-8 bytes, their counts) for ``_fnv_buckets``.
-        self._utf8: tuple[str, np.ndarray, np.ndarray] = ("", np.empty(0), np.empty(0))
-        # (code point → alphabet index, alphabet, flat K**3 table); None
-        # when a bucket does not fit in the table's int16.
-        self._dense: tuple[np.ndarray, str, np.ndarray] | None = None
-        if dim <= np.iinfo(np.int16).max:
-            self._dense = np.empty(0, dtype=np.int32), "", np.empty(0, dtype=np.int16)
 
     @staticmethod
     def normalize_text(text: str) -> str:
@@ -165,8 +143,8 @@ class HashedTrigramEmbedder:
         """One vector per text: the rows of a single ``(n, dim)`` matrix."""
         texts = [self.normalize_text(text) for text in texts]
         matrix = np.zeros((len(texts), self.dim), dtype=np.float64)
-        # The key arrays of a slice take about 70 bytes per character,
-        # so a slice, not the whole call, bounds their peak memory.
+        # A slice's hash arrays take about 30 bytes per character besides
+        # its counts, so a slice, not the whole call, bounds their peak.
         for start in range(0, len(texts), _SLICE_TEXTS):
             stop = start + _SLICE_TEXTS
             matrix[start:stop] = self._counts(texts[start:stop])
@@ -189,106 +167,63 @@ class HashedTrigramEmbedder:
         breaks = codes == _NEWLINE
         inside = ~(breaks[:-2] | breaks[1:-1] | breaks[2:])
         rows = np.cumsum(breaks)[:-2][inside]
-        buckets = self._dense_buckets(codes, breaks, inside)
-        if buckets is None:
-            rows, buckets = self._sorted_buckets(codes.astype(np.int64), inside, rows)
+        buckets = self._trigram_buckets(codes, inside)
         counts = np.bincount(rows * self.dim + buckets, minlength=len(texts) * self.dim)
         return counts.reshape(len(texts), self.dim)
 
-    def _dense_buckets(
-        self, codes: np.ndarray, breaks: np.ndarray, inside: np.ndarray
-    ) -> np.ndarray | None:
-        """The bucket of each trigram ``inside`` the slice, looked up in
-        the dense table; ``None`` when a code point is at or past
-        ``_DENSE_CODES`` or the alphabet would outgrow ``_DENSE_ALPHABET``.
-
-        The state is read once and published with one assignment, so a
-        thread never mixes one state's index with another's table.  Two
-        threads filling the same entry store the same bucket."""
-        state = self._dense
-        top = int(codes.max(initial=0))
-        if state is None or top >= _DENSE_CODES:
-            return None
-        index, alphabet, table = state
-        if top >= len(index):
-            # The index reaches only as far as the code points seen.
-            padding = np.full(top + 1 - len(index), -1, dtype=np.int32)
-            index = np.concatenate((index, padding))
-        ids = index[codes]
-        unseen = (ids < 0) & ~breaks
-        if unseen.any():
-            fresh = sorted(set(codes[unseen].tolist()))
-            size = len(alphabet)
-            if size + len(fresh) > _DENSE_ALPHABET:
-                return None
-            index = index.copy()
-            index[fresh] = np.arange(size, size + len(fresh))
-            alphabet += "".join(map(chr, fresh))
-            grown = len(alphabet)
-            cube = np.full((grown, grown, grown), -1, dtype=np.int16)
-            cube[:size, :size, :size] = table.reshape(size, size, size)
-            table = cube.reshape(-1)
-            self._dense = index, alphabet, table
-            ids = index[codes]
-        size = len(alphabet)
-        flat = ((ids[:-2] * size + ids[1:-1]) * size + ids[2:])[inside]
-        buckets = table[flat]
-        missed = flat[buckets < 0]
-        if len(missed):
-            table[missed] = self._fnv_buckets(missed, alphabet)
-            buckets = table[flat]
-        return buckets
-
-    def _fnv_buckets(self, keys: np.ndarray, alphabet: str) -> np.ndarray:
-        """``bucket`` of the trigram at each dense table index in
-        ``keys``, for all of them at once: FNV-1a over the UTF-8 bytes
-        of the trigram's three code points, in wrapping ``uint64``.
-        Every code point of the alphabet is below U+3000, so it takes
-        one to three bytes."""
-        size = len(alphabet)
-        # The UTF-8 bytes of each alphabet code point, zero-padded to
-        # three, and how many there are; kept until the alphabet grows.
-        seen, utf8, lengths = self._utf8
-        if seen != alphabet:
-            encoded = [char.encode("utf-8") for char in alphabet]
-            utf8 = np.array([list(code.ljust(3, b"\0")) for code in encoded], dtype=np.uint64)
-            lengths = np.array([len(code) for code in encoded])
-            self._utf8 = alphabet, utf8, lengths
-        hashes = np.full(len(keys), _FNV_OFFSET, dtype=np.uint64)
+    def _trigram_buckets(self, codes: np.ndarray, inside: np.ndarray) -> np.ndarray:
+        """``bucket`` of each trigram ``inside`` the slice whose code
+        points are ``codes``, for all of them at once: FNV-1a over the
+        UTF-8 bytes of the trigram's three code points, in wrapping
+        ``uint64``.  Every shift and mask stays in ``uint64``, so NumPy 1
+        and NumPy 2 promote alike."""
+        count = len(codes)
+        # A code point past ASCII is wide: its UTF-8 is a lead byte and
+        # ``tail`` continuation bytes, 1 to 3, of six bits each.
+        wide = np.flatnonzero(codes >= 0x80)
+        wide_codes = codes[wide].astype(np.uint64)
+        lone = wide[(wide_codes >= np.uint64(0xD800)) & (wide_codes <= np.uint64(0xDFFF))]
+        for at in lone.tolist():
+            for start in range(max(at - 2, 0), min(at + 1, count - 2)):
+                if inside[start]:
+                    # refuses the lone surrogate with UnicodeEncodeError
+                    self.bucket("".join(map(chr, codes[start : start + 3].tolist())))
+        tail = np.searchsorted(_UTF8_STARTS, wide_codes, side="right").astype(np.uint64)
+        # hashes[j] is the window that starts at code point j - 2, and
+        # ``first`` holds each code point's first byte at its index + 2,
+        # so every code point steps three windows in range.  The two
+        # windows each side that hang past the slice are dropped.
+        first = np.zeros(count + 4, dtype=np.uint64)
+        first[2:-2] = codes
+        first[wide + 2] = _UTF8_LEAD[tail] | wide_codes >> tail * _SIX
+        # Per continuation byte, in byte order: the code points that
+        # have it, as the ``hashes`` index of the window each starts, and
+        # the byte itself.
+        steps = []
+        for byte in range(3):
+            more = tail > np.uint64(byte)
+            wide, wide_codes, tail = wide[more], wide_codes[more], tail[more]
+            if not len(wide):
+                break
+            shift = (tail - np.uint64(byte + 1)) * _SIX
+            steps.append((wide + 2, np.uint64(0x80) | wide_codes >> shift & np.uint64(0x3F)))
+        hashes = np.full(count + 2, _FNV_OFFSET, dtype=np.uint64)
         prime = np.uint64(_FNV_PRIME)
-        for ids in (keys // (size * size), keys // size % size, keys % size):
-            # Every code point has a first byte; the second and third
-            # step only the hashes of code points that have them.
-            hashes = (hashes ^ utf8[ids, 0]) * prime
-            for byte in (1, 2):
-                stepped = (hashes ^ utf8[ids, byte]) * prime
-                hashes = np.where(lengths[ids] > byte, stepped, hashes)
-        return hashes % np.uint64(self.dim)
-
-    def _sorted_buckets(
-        self, codes: np.ndarray, inside: np.ndarray, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``rows`` and the bucket of each trigram ``inside`` the slice,
-        both in the order of the sorted trigram keys."""
-        keys = (codes[:-2] * _SHIFT_C0 + codes[1:-1] * _SHIFT_C1 + codes[2:])[inside]
-        # Sorting puts equal keys side by side; ``first`` marks the first
-        # of each run, and its running count numbers the distinct keys.
-        # np.unique, or the default quicksort, would do the same, but the
-        # numpy code they page in added about 0.3 MB (0.15 MB) to the
-        # peak RSS of a benchmark run.
-        order = keys.argsort(kind="stable")
-        keys = keys[order]
-        first = np.ones(len(keys), dtype=bool)
-        first[1:] = keys[1:] != keys[:-1]
-        distinct = keys[first].tolist()
-        table = self._buckets
-        found = list(map(table.get, distinct))
-        if None in found:
-            for i, key in enumerate(distinct):
-                if found[i] is None:
-                    trigram = chr(key >> 42) + chr(key >> 21 & _CODE_MASK) + chr(key & _CODE_MASK)
-                    found[i] = table[key] = self.bucket(trigram)
-        return rows[order], np.array(found, dtype=np.int64)[np.cumsum(first) - 1]
+        for offset in range(3):
+            hashes ^= first[offset : offset + count + 2]
+            hashes *= prime
+            # A window holds one code point per offset, so no index
+            # repeats within ``at``.
+            for at, continuation in steps:
+                stepped = hashes[at - offset]
+                stepped ^= continuation
+                stepped *= prime
+                hashes[at - offset] = stepped
+        hashes = hashes[2:count][inside]
+        # hashes - hashes // dim * dim is hashes % dim: NumPy divides by
+        # a scalar in about half the time it takes the remainder.
+        dim = np.uint64(self.dim)
+        return (hashes - hashes // dim * dim).astype(np.int64)
 
 
 class RemoteEmbedder:
@@ -333,7 +268,7 @@ class RemoteEmbedder:
         body = self.transport.send(request)
         try:
             parsed = json.loads(body)
-        except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        except (ValueError, RecursionError) as err:
             raise ProtocolError(f"embedding service returned non-JSON: {err}") from err
         vectors = parsed.get("vectors") if isinstance(parsed, dict) else None
         if not isinstance(vectors, list) or len(vectors) != len(texts):

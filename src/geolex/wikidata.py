@@ -184,8 +184,6 @@ class UrllibTransport:
             raise ValueError("user_agent must be non-empty")
         self.user_agent = user_agent
         self.rate_limiter = rate_limiter or RateLimiter()
-        self.request_count = 0
-        self._count_lock = threading.Lock()
 
     def send(self, request: HttpRequest) -> bytes:
         # Imported here, not at module level: urllib.request pulls in
@@ -194,8 +192,6 @@ class UrllibTransport:
         import urllib.request
 
         self.rate_limiter.wait()
-        with self._count_lock:
-            self.request_count += 1
         headers = dict(request.headers)
         headers.setdefault("User-Agent", self.user_agent)
         http_request = urllib.request.Request(
@@ -231,18 +227,15 @@ class ReplayTransport:
     def __init__(self, cache_dir: str | Path, live=None):
         self.cache_dir = Path(cache_dir)
         self.live = live
-        self.request_count = 0
-        self._count_lock = threading.Lock()
 
     def path_for(self, request: HttpRequest) -> Path:
         return self.cache_dir / f"{canonical_request_key(request)}.json"
 
     def send(self, request: HttpRequest) -> bytes:
-        with self._count_lock:
-            self.request_count += 1
         path = self.path_for(request)
         # A missing file is the miss; ValueError covers bad JSON, bad
-        # base64 and text that is not UTF-8.
+        # base64 and text that is not UTF-8, RecursionError JSON nested
+        # too deep.
         try:
             record = json.loads(path.read_text(encoding="utf-8"))
             body = record["body"]
@@ -261,7 +254,7 @@ class ReplayTransport:
             return body.encode("utf-8")
         except FileNotFoundError:
             pass
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, RecursionError) as err:
             raise ProtocolError(f"corrupt cache file {path}: {err}") from err
         if self.live is None:
             raise ReplayCacheMiss(
@@ -314,7 +307,9 @@ def _shared_limiter(min_interval: float) -> RateLimiter:
 def _parse_json_body(body: bytes, request: HttpRequest) -> dict:
     try:
         parsed = json.loads(body)
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+    # ValueError covers a body that is not UTF-8 or not JSON, and an
+    # integer past 4,300 digits.
+    except (ValueError, RecursionError) as err:
         raise ProtocolError(f"non-JSON response from {request.url}: {err}") from err
     if not isinstance(parsed, dict):
         raise ProtocolError(f"unexpected response shape from {request.url}")

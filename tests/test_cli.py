@@ -804,6 +804,12 @@ class TestExitCodes:
         assert code == 1
         assert "config:" in capsys.readouterr().err
 
+    def test_unreadable_config_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xe5")
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config: {path}: invalid JSON: ")
+
     def test_invalid_config_value_exits_one(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text('{"cache_mode": "offline"}', encoding="utf-8")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import pytest
 
@@ -79,6 +80,21 @@ class TestConfigFile:
         path = tmp_path / "config.json"
         path.write_text("{broken", encoding="utf-8")
         with pytest.raises(ConfigError, match="invalid JSON"):
+            load_config(path, env={})
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xe5", "invalid JSON: 'utf-8' codec can't decode byte 0xe5"),
+        (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+        (b"1" * 5000, "invalid JSON: Exceeds the limit"),
+        (None, "cannot read config file: Is a directory"),
+    ], ids=["latin1", "deep", "digits", "directory"])
+    def test_unreadable_file_is_an_error_naming_it(self, tmp_path, content, message):
+        path = tmp_path / "config.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
             load_config(path, env={})
 
     def test_non_object_rejected(self, tmp_path):

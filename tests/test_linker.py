@@ -360,6 +360,23 @@ class TestLinkBatch:
         )
         assert all(r.chosen is not None for r in outcome[:10])
 
+    # too deep to parse, and past Python's integer digit limit
+    @pytest.mark.parametrize("body", [b"[" * 100_000, b"1" * 5000], ids=["deep", "digits"])
+    def test_unparsable_answer_marks_the_entries_of_its_request(self, body):
+        entries, results = places(11)  # 55 distinct candidates
+        broken = results["Ort10"][2][0]  # in the second description request
+
+        class Unparsable(fx.FixtureTransport):
+            def send(self, request):
+                answer = super().send(request)
+                return body if broken in dict(request.params).get("ids", "") else answer
+
+        client = WikidataClient(transport=Unparsable(results))
+        outcome = link_batch(entries, HashedTrigramEmbedder(), client)
+        assert [r.entry_id for r in outcome if r.error] == [entries[10].id]
+        assert outcome[10].error.startswith("ProtocolError: non-JSON response from ")
+        assert all(r.chosen is not None for r in outcome[:10])
+
     def test_unencodable_description_marks_the_entries_of_its_request(self):
         entries, results = places(11)  # 55 distinct candidates
         # one more entry shares a candidate with each of the two requests
@@ -617,7 +634,7 @@ class TestLinkBatch:
             batch, HashedTrigramEmbedder(), WikidataClient(transport=recorder), workers=3
         )
         assert sorted(self.searched(live)) == ["Ort0", "Ort1", "Ort2"]
-        assert recorder.request_count == 3 + 1
+        assert len(live.requests) == 3 + 1
         assert all(r.error is None and r.chosen is not None for r in recorded)
 
     def test_failed_embedding_call_marks_its_chunk(self):

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pipeline_fixtures as fx
-from conftest import run_on_threads
 from geolex.errors import ProtocolError, ReplayCacheMiss, TransportError
 from geolex.geo import GeoPoint
 from geolex.wikidata import (
@@ -238,7 +237,6 @@ class TestUrllibTransport:
         body = transport.send(HttpRequest("GET", "https://x.test/api"))
         assert body == b'{"ok": true}'
         assert captured["request"].get_header("User-agent") == DEFAULT_USER_AGENT
-        assert transport.request_count == 1
 
     def test_caller_headers_win_over_default(self, monkeypatch):
         captured = {}
@@ -331,10 +329,12 @@ class TestResponseCache:
         }), encoding="utf-8")
         assert ReplayTransport(tmp_path).send(request) == b'{"ok": true}'
 
-    def test_corrupt_file_raises_protocol_error(self, tmp_path):
+    # "[" * 100_000 nests past the recursion limit.
+    @pytest.mark.parametrize("content", ["}{ not json", "[" * 100_000], ids=["bad", "deep"])
+    def test_corrupt_file_raises_protocol_error(self, tmp_path, content):
         request = HttpRequest("GET", "https://x.test/api")
         path = fx.record(tmp_path, request, b"{}")
-        path.write_text("}{ not json", encoding="utf-8")
+        path.write_text(content, encoding="utf-8")
         with pytest.raises(ProtocolError, match="corrupt"):
             ReplayTransport(tmp_path).send(request)
 
@@ -409,31 +409,6 @@ class TestRecordAndReplay:
             make_transport("record", "")
         with pytest.raises(ValueError, match="unknown cache mode"):
             make_transport("offline", tmp_path)
-
-
-def send_from_threads(transport, request: HttpRequest, threads: int, sends: int) -> None:
-    def work(slot: int) -> None:
-        for _ in range(sends):
-            transport.send(request)
-
-    run_on_threads(work, threads)
-
-
-class TestConcurrentRequestCount:
-    def test_replay_counts_every_send(self, tmp_path):
-        request = HttpRequest("GET", "https://x.test/api")
-        fx.record(tmp_path, request, b"{}")
-        replay = ReplayTransport(tmp_path)
-        send_from_threads(replay, request, threads=2, sends=500)
-        assert replay.request_count == 1000
-
-    def test_live_counts_every_send(self, monkeypatch):
-        monkeypatch.setattr(
-            urllib.request, "urlopen", lambda request, timeout=None: io.BytesIO(b"{}")
-        )
-        live = UrllibTransport(rate_limiter=RateLimiter(0.0))
-        send_from_threads(live, HttpRequest("GET", "https://x.test/api"), threads=2, sends=500)
-        assert live.request_count == 1000
 
 
 class TestRetries:
@@ -525,9 +500,15 @@ class TestSearchCandidates:
         with pytest.raises(ProtocolError):
             client.search_candidates("Berlin")
 
-    def test_non_json_response_raises(self):
-        client, _ = make_client(lambda r: b"<html>rate limited</html>")
-        with pytest.raises(ProtocolError):
+    # "[" * 100_000 nests past the recursion limit; 5,000 digits are
+    # past Python's limit for an integer read from text.
+    @pytest.mark.parametrize(
+        "body", [b"<html>rate limited</html>", b"[" * 100_000, b"1" * 5000],
+        ids=["html", "deep", "digits"],
+    )
+    def test_non_json_response_raises(self, body):
+        client, _ = make_client(lambda r: body)
+        with pytest.raises(ProtocolError, match="non-JSON response"):
             client.search_candidates("Berlin")
 
 
