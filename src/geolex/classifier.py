@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import atomic_writer, iter_jsonl
+from .corpus import atomic_writer, iter_jsonl, read_json
 from .errors import DatasetError
 
 DEFAULT_LEARNING_RATE = 0.1
@@ -263,13 +263,7 @@ def load_model(path: str | os.PathLike[str]) -> LogisticModel:
     threshold must be finite numbers (not booleans), ``trained_on`` an
     integer and ``hyperparams`` an object.  Anything else raises
     DatasetError naming the file."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        # ValueError covers a file that is not UTF-8 or not JSON, and an
-        # integer past 4,300 digits.
-        except (ValueError, RecursionError) as err:
-            raise DatasetError(f"{path}: invalid model file: {err}") from err
+    document = read_json(path, DatasetError, f"{path}: invalid model file")
     try:
         weights = document["weights"]
         numbers = [*weights, document["bias"], document.get("threshold", DEFAULT_THRESHOLD)]
@@ -300,7 +294,7 @@ def load_annotations(path: str | os.PathLike[str]) -> list[tuple[str, bool]]:
     """Read (entry_id, is_location) pairs from a JSON-lines file."""
     annotations: list[tuple[str, bool]] = []
     seen: set[str] = set()
-    for where, record in iter_jsonl(path, DatasetError):
+    for where, _, record in iter_jsonl(path, DatasetError):
         if not isinstance(record, dict) or "entry_id" not in record or "is_location" not in record:
             raise DatasetError(f"{where}: need entry_id and is_location fields")
         entry_id = record["entry_id"]

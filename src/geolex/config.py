@@ -9,12 +9,12 @@ not silently run with defaults.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from .corpus import read_json
 from .embedding import DEFAULT_DIM
 from .geo import DEFAULT_BUCKET_KM, DEFAULT_MAP_WIDTH_PX, GeoPoint, check_map_width
 from .linker import NO_MIN_SIMILARITY
@@ -135,15 +135,9 @@ def load_config(
     if path is not None:
         file_path = Path(path)
         try:
-            raw = json.loads(file_path.read_text(encoding="utf-8"))
+            raw = read_json(file_path, ConfigError, f"{file_path}: invalid JSON")
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {file_path}") from None
-        except OSError as err:  # a directory, say
-            raise ConfigError(f"{file_path}: cannot read config file: {err.strerror}") from err
-        # ValueError covers a file that is not UTF-8 or not JSON, and an
-        # integer past 4,300 digits.
-        except (ValueError, RecursionError) as err:
-            raise ConfigError(f"{file_path}: invalid JSON: {err}") from err
         if not isinstance(raw, dict):
             raise ConfigError(f"{file_path}: config must be a flat JSON object")
         overrides = {}

@@ -471,44 +471,60 @@ def entry_from_record(record: dict, where: str = "dataset") -> Entry:
         raise DatasetError(f"{where}: {err}") from None
 
 
-def _jsonl_lines(
-    path: str | os.PathLike[str], error_type: type[Exception], problem: str
-) -> Iterator[tuple[int, bytes, object]]:
-    """``(line number, line bytes, record)`` for each non-blank line;
-    see ``iter_jsonl``."""
-    with open(path, "rb") as handle:
-        lineno = 0
-        for raw in handle:
-            # A lone "\r" ends a line too, as in text mode.
-            lines = raw.splitlines() if b"\r" in raw else (raw,)
-            for raw_line in lines:
-                lineno += 1
-                try:
-                    line = raw_line.decode("utf-8").strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                # ValueError covers a line that is not UTF-8 or not
-                # JSON, and an integer past 4,300 digits.
-                except (ValueError, RecursionError) as err:
-                    raise error_type(f"{path}:{lineno}: {problem}: {err}") from err
-                yield lineno, raw_line, record
+@contextlib.contextmanager
+def _input_file(path: str | os.PathLike[str], error_type: type[Exception]) -> Iterator[IO[bytes]]:
+    """``path`` open for reading bytes.  A missing file raises
+    FileNotFoundError as it is; any other OSError, on opening or
+    reading, raises ``error_type`` naming the file."""
+    try:
+        with open(path, "rb") as handle:
+            yield handle
+    except FileNotFoundError:
+        raise
+    except OSError as err:  # a directory, say
+        raise error_type(f"{path}: cannot read: {err.strerror}") from err
+
+
+def parse_json(data: bytes, error_type: type[Exception], where: str) -> object:
+    """The JSON document in ``data``, read as strict UTF-8 as RFC 8259
+    asks (no BOM, UTF-16, UTF-32 or encoded surrogate).  Bytes that are
+    not UTF-8 or not JSON, an integer past 4,300 digits or nesting too
+    deep raise ``error_type(f"{where}: {reason}")``.  ``NaN`` and
+    ``Infinity`` decode to floats; each reader checks its numbers."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (ValueError, RecursionError) as err:
+        raise error_type(f"{where}: {err}") from err
+
+
+def read_json(path: str | os.PathLike[str], error_type: type[Exception], where: str) -> object:
+    """``parse_json`` of the whole file at ``path``, read as
+    ``_input_file`` reads it."""
+    with _input_file(path, error_type) as handle:
+        data = handle.read()
+    return parse_json(data, error_type, where)
 
 
 def iter_jsonl(
     path: str | os.PathLike[str],
     error_type: type[Exception],
     problem: str = "invalid JSON",
-) -> Iterator[tuple[str, object]]:
-    """Yield ``("path:line", record)`` for each non-blank line of a
-    JSON-lines file.  Each line is decoded as strict UTF-8 (a string
-    can then hold a lone surrogate only through a ``\\u`` escape) and
-    ends at "\\n", "\\r\\n" or "\\r".  A line that is not UTF-8, is not
-    JSON, holds an integer of more than 4,300 digits or nests too deep
-    to decode raises ``error_type`` naming the file, the line and
-    ``problem``."""
-    for lineno, _, record in _jsonl_lines(path, error_type, problem):
-        yield f"{path}:{lineno}", record
+) -> Iterator[tuple[str, bytes, object]]:
+    """Yield ``("path:line", line bytes, record)`` for each line of a
+    JSON-lines file that holds more than ASCII whitespace.  A line ends
+    at "\\n", "\\r\\n" or "\\r" and is read by ``parse_json``, which
+    raises ``error_type`` naming the file, the line and ``problem``.
+    ``_input_file`` opens the file."""
+    name = str(path)  # formatted once: a Path formats slower than a str
+    with _input_file(path, error_type) as handle:
+        lineno = 0
+        for raw in handle:
+            # A lone "\r" ends a line too, as in text mode.
+            for line in raw.splitlines() if b"\r" in raw else (raw,):
+                lineno += 1
+                if stripped := line.strip():
+                    where = f"{name}:{lineno}"
+                    yield where, line, parse_json(stripped, error_type, f"{where}: {problem}")
 
 
 def iter_dataset(path: str | os.PathLike[str]) -> Iterator[Entry]:
@@ -521,7 +537,7 @@ def iter_dataset(path: str | os.PathLike[str]) -> Iterator[Entry]:
     otherwise.  Streaming: memory use is one entry, not one file.
     """
     seen: set[str] = set()
-    for lineno, line, record in _jsonl_lines(path, DatasetError, "invalid JSON"):
+    for where, line, record in iter_jsonl(path, DatasetError):
         try:
             # The one-byte search runs at memchr speed; most lines hold
             # no backslash at all.
@@ -529,7 +545,7 @@ def iter_dataset(path: str | os.PathLike[str]) -> Iterator[Entry]:
             if entry.id in seen:
                 raise DatasetError(f"duplicate entry id {entry.id!r}")
         except DatasetError as err:
-            raise DatasetError(f"{path}:{lineno}: {err}") from None
+            raise DatasetError(f"{where}: {err}") from None
         seen.add(entry.id)
         yield entry
 

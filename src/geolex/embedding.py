@@ -35,7 +35,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import iter_jsonl
+from .corpus import _input_file, iter_jsonl, parse_json
 from .errors import ProtocolError
 from .wikidata import HttpRequest, RateLimiter, UrllibTransport
 
@@ -266,10 +266,7 @@ class RemoteEmbedder:
             headers=(("Content-Type", "application/json"),),
         )
         body = self.transport.send(request)
-        try:
-            parsed = json.loads(body)
-        except (ValueError, RecursionError) as err:
-            raise ProtocolError(f"embedding service returned non-JSON: {err}") from err
+        parsed = parse_json(body, ProtocolError, "embedding service returned non-JSON")
         vectors = parsed.get("vectors") if isinstance(parsed, dict) else None
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise ProtocolError(
@@ -293,9 +290,10 @@ class RemoteEmbedder:
 
 def _trim_torn_line(path: Path) -> None:
     """End ``path`` at a line break.  A last line without one is an
-    append cut short: dropped when it does not parse, closed with its
-    newline when it does, so the next append starts a fresh line."""
-    with open(path, "rb") as handle:
+    append cut short: dropped when ``parse_json``, the load's parser,
+    refuses it, closed with its newline when not, so the next append
+    starts a fresh line."""
+    with _input_file(path, ProtocolError) as handle:
         size = handle.seek(0, os.SEEK_END)
         tail = b""
         while b"\n" not in tail and len(tail) < size:
@@ -306,8 +304,8 @@ def _trim_torn_line(path: Path) -> None:
     if not torn:
         return
     try:
-        json.loads(torn)
-    except (ValueError, RecursionError):
+        parse_json(torn, ProtocolError, f"{path}: torn last line")
+    except ProtocolError:
         os.truncate(path, size - len(torn))
     else:
         with open(path, "ab") as handle:
@@ -334,7 +332,7 @@ class CachedEmbedder:
         if not self._path.exists():
             return
         _trim_torn_line(self._path)
-        for where, record in iter_jsonl(self._path, ProtocolError, "bad cache record"):
+        for where, _, record in iter_jsonl(self._path, ProtocolError, "bad cache record"):
             try:
                 raw, key = record["vector"], record["key"]
             except (KeyError, TypeError) as err:

@@ -12,8 +12,8 @@ All HTTP goes through a transport object chosen by cache mode:
 * ``replay`` — ``ReplayTransport``: disk only.  A miss raises
   ReplayCacheMiss; no network connection is ever opened.
 * ``record`` — ``ReplayTransport`` with a live fallback: serve hits
-  from disk, send misses through ``UrllibTransport`` and store the
-  response for later replay, in the same file format.
+  from disk, send misses through ``UrllibTransport`` and store each
+  JSON response as UTF-8 text for later replay; any other is refused.
 
 Cache keys canonicalize the request (method + URL + sorted query
 parameters + body hash), so a recorded response is found again even if
@@ -39,13 +39,12 @@ import threading
 import time
 import urllib.error
 import urllib.parse
-from base64 import b64decode, b64encode
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import atomic_writer
+from .corpus import atomic_writer, parse_json, read_json
 from .errors import ProtocolError, ReplayCacheMiss, TransportError, http_status_error
 from .geo import GeoPoint
 
@@ -216,12 +215,11 @@ class ReplayTransport:
 
     A hit returns the recorded body.  A miss raises ReplayCacheMiss and
     opens no connection, unless a ``live`` transport is given (record
-    mode): then the request goes through ``live`` and its response is
-    written atomically for later replay.  Bodies from these endpoints
-    are UTF-8 JSON and are stored as text; anything undecodable falls
-    back to base64 so the cache can hold any response byte-for-byte.
-    A record whose ``encoding`` is neither absent, ``"utf-8"`` nor
-    ``"base64"`` is a corrupt file.
+    mode): then the request goes through ``live``, and a response that
+    ``parse_json`` takes is written atomically, as UTF-8 text, for later
+    replay; any other raises ProtocolError.  A file ``read_json``
+    refuses, or that is not an object with a string ``body`` and no
+    ``encoding`` but ``"utf-8"``, is a corrupt file: a ProtocolError.
     """
 
     def __init__(self, cache_dir: str | Path, live=None):
@@ -233,44 +231,33 @@ class ReplayTransport:
 
     def send(self, request: HttpRequest) -> bytes:
         path = self.path_for(request)
-        # A missing file is the miss; ValueError covers bad JSON, bad
-        # base64 and text that is not UTF-8, RecursionError JSON nested
-        # too deep.
+        corrupt = f"corrupt cache file {path}"
+        # A missing file is the miss; ValueError covers an unknown
+        # encoding and a body that cannot be encoded as UTF-8.
         try:
-            record = json.loads(path.read_text(encoding="utf-8"))
+            record = read_json(path, ProtocolError, corrupt)
             body = record["body"]
             if not isinstance(body, str):
                 raise TypeError(f"body is {type(body).__name__}, not a string")
-            encoding = record.get("encoding", "utf-8")
-            if encoding == "base64":
-                # validate=True checks only the alphabet; the round
-                # trip also refuses extra padding ("QUJD====").
-                decoded = b64decode(body, validate=True)
-                if b64encode(decoded).decode("ascii") != body:
-                    raise ValueError("base64 body is not in canonical form")
-                return decoded
-            if encoding != "utf-8":
-                raise ValueError(f"unknown body encoding {encoding!r}")
+            if record.get("encoding", "utf-8") != "utf-8":
+                raise ValueError(f"unknown body encoding {record['encoding']!r}")
             return body.encode("utf-8")
         except FileNotFoundError:
             pass
-        except (KeyError, TypeError, ValueError, RecursionError) as err:
-            raise ProtocolError(f"corrupt cache file {path}: {err}") from err
+        except (KeyError, TypeError, ValueError) as err:
+            raise ProtocolError(f"{corrupt}: {err}") from err
         if self.live is None:
             raise ReplayCacheMiss(
                 f"no recorded response for {request.method} {request.full_url()}"
             )
         body = self.live.send(request)
-        try:
-            stored: dict = {"body": body.decode("utf-8")}
-        except UnicodeDecodeError:
-            stored = {"body": b64encode(body).decode("ascii"), "encoding": "base64"}
+        parse_json(body, ProtocolError, f"non-JSON response from {request.url}")
         record = {
             "request_key": path.stem,
             "method": request.method,
             "url": request.full_url(),
             "fetched_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            **stored,
+            "body": body.decode("utf-8"),
         }
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         with atomic_writer(path) as handle:
@@ -305,12 +292,7 @@ def _shared_limiter(min_interval: float) -> RateLimiter:
 
 
 def _parse_json_body(body: bytes, request: HttpRequest) -> dict:
-    try:
-        parsed = json.loads(body)
-    # ValueError covers a body that is not UTF-8 or not JSON, and an
-    # integer past 4,300 digits.
-    except (ValueError, RecursionError) as err:
-        raise ProtocolError(f"non-JSON response from {request.url}: {err}") from err
+    parsed = parse_json(body, ProtocolError, f"non-JSON response from {request.url}")
     if not isinstance(parsed, dict):
         raise ProtocolError(f"unexpected response shape from {request.url}")
     return parsed

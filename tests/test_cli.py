@@ -1032,6 +1032,29 @@ class TestLiveFailureTolerance:
         assert by_id["2:57:2"] is None  # Berlin lost its link
         assert by_id["9:211:2"] == "Q1754"  # everyone else linked
 
+    def test_unreadable_record_costs_only_its_entry_in_record_mode(
+        self, workspace, no_network, capsys
+    ):
+        for stage in ("ingest", "train", "classify"):
+            assert workspace.run(stage) == 0
+        labels = fx.build_replay_cache(workspace.cache_dir)
+        labels["search:Berlin"].unlink()
+        labels["search:Berlin"].mkdir()
+        fx.record_descriptions(
+            workspace.cache_dir, [h for h in fx.LOCATION_HEADWORDS if h != "Berlin"]
+        )
+        capsys.readouterr()
+        assert workspace.run("link", "--cache-mode", "record") == 0
+        failures = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("link: entry ")]
+        assert failures == [
+            f"link: entry 2:57:2: ProtocolError: {labels['search:Berlin']}: "
+            "cannot read: Is a directory"
+        ]
+        by_id = {e.id: e.qid for e in load_dataset(workspace.dataset)}
+        assert by_id == {entry_id: None if entry_id == "2:57:2" else fx.EXPECTED_LINKS.get(entry_id)
+                         for entry_id in fx.ENTRY_IDS}
+
     def test_total_failure_aborts_even_live(self, workspace, no_network, capsys, monkeypatch):
         assert workspace.run("ingest") == 0
         assert workspace.run("train") == 0

@@ -86,7 +86,7 @@ class TestConfigFile:
         (b"\xe5", "invalid JSON: 'utf-8' codec can't decode byte 0xe5"),
         (b"[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
         (b"1" * 5000, "invalid JSON: Exceeds the limit"),
-        (None, "cannot read config file: Is a directory"),
+        (None, "cannot read: Is a directory"),
     ], ids=["latin1", "deep", "digits", "directory"])
     def test_unreadable_file_is_an_error_naming_it(self, tmp_path, content, message):
         path = tmp_path / "config.json"

@@ -40,6 +40,12 @@ def fixture_pages() -> list[RawPage]:
     return [RawPage(v, p, t) for v, p, t in fx.PAGES]
 
 
+def jsonl_records(path, error_type):
+    """The ``(where, record)`` pairs of ``iter_jsonl``, without the
+    line bytes."""
+    return ((where, record) for where, _, record in iter_jsonl(path, error_type))
+
+
 class TestTruncateDefinition:
     def test_short_text_unchanged(self):
         text = "Stockholm, Sveriges hufvudstad."
@@ -469,7 +475,7 @@ class TestDatasetSerialization:
         class BadLine(Exception):
             pass
 
-        records = iter_jsonl(path, BadLine)
+        records = jsonl_records(path, BadLine)
         assert next(records) == (f"{path}:1", {"a": 1})
         assert next(records) == (f"{path}:4", [2])
         with pytest.raises(BadLine, match=r":5: invalid JSON"):
@@ -721,7 +727,7 @@ class TestJsonlLines:
     def test_an_unreadable_line_names_its_line(self, tmp_path, bad, message):
         path = tmp_path / "r.jsonl"
         path.write_bytes(b'{"ok": 1}\n\n' + bad + b"\n")
-        records = iter_jsonl(path, BadLine)
+        records = jsonl_records(path, BadLine)
         assert next(records) == (f"{path}:1", {"ok": 1})
         with pytest.raises(BadLine, match=rf"r\.jsonl:3: invalid JSON: .*{message}"):
             next(records)
@@ -732,7 +738,7 @@ class TestJsonlLines:
         with open(path, encoding="utf-8") as handle:
             expected = [(f"{path}:{n}", json.loads(line))
                         for n, line in enumerate(handle, start=1) if line.strip()]
-        assert list(iter_jsonl(path, BadLine)) == expected
+        assert list(jsonl_records(path, BadLine)) == expected
         assert [where[-2:] for where, _ in expected] == [":1", ":2", ":3", ":6", ":8"]
 
     @pytest.mark.parametrize("bad, message", [

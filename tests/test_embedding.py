@@ -737,6 +737,16 @@ class TestCachedEmbedder:
         assert path.read_bytes() == kept
         assert provider.embed_calls == 1
 
+    def test_torn_line_after_a_bom_is_dropped_as_the_load_would_refuse_it(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        provider = CountingProvider()
+        CachedEmbedder(provider, path).embed_batch(["ab", "abc"])
+        kept, last = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(kept + b"\xef\xbb\xbf" + last.rstrip(b"\n"))
+        CachedEmbedder(provider, path).embed_batch(["ab", "abc"])
+        assert path.read_bytes() == kept + last
+        assert provider.embed_calls == 3  # "ab", "abc", then "abc" again
+
     def test_complete_last_line_without_newline_is_kept(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         provider = CountingProvider()

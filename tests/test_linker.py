@@ -291,6 +291,21 @@ class TestLinkBatch:
         assert by_id["9:211:2"].chosen == "Q1754"
         assert by_id["30:5:1"].chosen == "Q1741"
 
+    def test_unreadable_replay_file_marks_only_its_entries(self, replay_client, no_network):
+        client, labels = replay_client
+        labels["search:Berlin"].unlink()
+        labels["search:Berlin"].mkdir()  # a directory where the record should be
+        fx.record_descriptions(labels["descriptions"].parent, ["Aachen"])
+        entries = fixture_entries()
+        berlin, aachen = link_batch(
+            [entries["2:57:2"], entries["1:101:1"]], HashedTrigramEmbedder(), client
+        )
+        assert berlin.chosen is None
+        assert berlin.error == (
+            f"ProtocolError: {labels['search:Berlin']}: cannot read: Is a directory"
+        )
+        assert (aachen.chosen, aachen.error) == (fx.EXPECTED_LINKS["1:101:1"], None)
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_blank_headword_fails_only_its_entries(self, tmp_path, workers, no_network):
         stockholm = fixture_entries()["9:211:2"]

@@ -299,13 +299,15 @@ class TestResponseCache:
         fx.record(tmp_path, request, body)
         assert ReplayTransport(tmp_path).send(request) == body
 
-    def test_binary_body_round_trips_via_base64(self, tmp_path):
+    # Bytes that are not UTF-8, JSON in UTF-16, and JSON after a BOM.
+    @pytest.mark.parametrize("body", [
+        bytes(range(256)), '{"ok": 1}'.encode("utf-16"), b'\xef\xbb\xbf{"ok": 1}',
+    ], ids=["binary", "utf-16", "bom"])
+    def test_record_mode_stores_only_a_json_body(self, tmp_path, body):
         request = HttpRequest("GET", "https://x.test/blob")
-        body = bytes(range(256))
-        path = fx.record(tmp_path, request, body)
-        assert ReplayTransport(tmp_path).send(request) == body
-        record = json.loads(path.read_text(encoding="utf-8"))
-        assert record["encoding"] == "base64"
+        with pytest.raises(ProtocolError, match="non-JSON response from https://x.test/blob"):
+            fx.record(tmp_path, request, body)
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_file_records_request_metadata(self, tmp_path):
         request = HttpRequest("GET", "https://x.test/api", params=(("q", "v"),))
@@ -341,9 +343,10 @@ class TestResponseCache:
     @pytest.mark.parametrize("stored", [
         {"body": None},
         {"body": 7},
+        # Base64 records, which earlier versions wrote for a body that
+        # is not UTF-8, no longer replay.
         {"body": "not base64!", "encoding": "base64"},
         {"body": "QUJ", "encoding": "base64"},
-        # b64decode(..., validate=True) reads both as b"ABC".
         {"body": "QUJD=", "encoding": "base64"},
         {"body": "QUJD====", "encoding": "base64"},
         {"body": "{}", "encoding": "gzip"},
