@@ -9,15 +9,16 @@ One subcommand per stage, plus ``run`` for the whole chain:
     coords    fetch latitude/longitude for linked items
     report    GeoJSON + distance histogram + SVG map
 
-The stage loop in ``main`` owns the dataset, and every stage takes and
-updates that one list of entries.  A command that starts with
-``ingest`` (``ingest`` itself and ``run``) keeps the entries ingest
-made and never reads the dataset; any other command reads it once,
-before its first stage.  The loop writes the dataset once, atomically,
-when the stages end, if ``ingest``, ``classify``, ``link`` or ``coords``
-ran; a failed stage leaves the entries as it found them, so a failed
-``run`` writes what the stages before it made.  Stages are idempotent:
-re-running a stage on its own output produces byte-identical files.
+``main`` makes one ``Command`` per invocation and passes it to every
+stage; it builds the entries, the embedding provider and the Wikidata
+client once, on first use.  A command that starts with ``ingest``
+(``ingest`` itself and ``run``) keeps the entries ingest made and never
+reads the dataset; any other command reads it once, in its first stage.
+``main`` writes the dataset once, atomically, when the stages end, if
+``ingest``, ``classify``, ``link`` or ``coords`` ran; a failed stage
+leaves the entries as it found them, so a failed ``run`` writes what
+the stages before it made.  Stages are idempotent: re-running a stage
+on its own output produces byte-identical files.
 Summaries go to stdout as JSON lines followed by a small table;
 diagnostics go to stderr.
 
@@ -127,35 +128,45 @@ class RunSummary:
 # ── Shared plumbing ──────────────────────────────────────────────────────
 
 
-def _build_provider(config: PipelineConfig):
-    if config.embed_provider == "local":
-        provider = HashedTrigramEmbedder(dim=config.embed_dim)
-    else:
-        provider = RemoteEmbedder(config.embed_url, dim=config.embed_dim)
-    if config.embed_cache:
-        provider = CachedEmbedder(provider, config.embed_cache)
-    return provider
+@dataclass
+class Command:
+    """One CLI invocation.  Its parts are built on first use and kept;
+    ``cleanup`` closes ingest's spill after the dataset write."""
+
+    config: PipelineConfig
+    cleanup: contextlib.ExitStack = field(default_factory=contextlib.ExitStack)
+
+    @functools.cached_property
+    def entries(self) -> list[corpus.Entry]:
+        return corpus.load_dataset(self.config.dataset)
+
+    @functools.cached_property
+    def provider(self):
+        config = self.config
+        if config.embed_provider == "local":
+            provider = HashedTrigramEmbedder(dim=config.embed_dim)
+        else:
+            provider = RemoteEmbedder(config.embed_url, dim=config.embed_dim)
+        if config.embed_cache:
+            provider = CachedEmbedder(provider, config.embed_cache)
+        return provider
+
+    @functools.cached_property
+    def client(self) -> WikidataClient:
+        config = self.config
+        transport = make_transport(config.cache_mode, cache_dir=config.cache_dir,
+                                   user_agent=config.user_agent,
+                                   min_interval=config.rate_limit_s)
+        return WikidataClient(transport, api_url=config.wikidata_api_url,
+                              sparql_url=config.wikidata_sparql_url)
 
 
-def _build_client(config: PipelineConfig) -> WikidataClient:
-    transport = make_transport(
-        config.cache_mode,
-        cache_dir=config.cache_dir,
-        user_agent=config.user_agent,
-        min_interval=config.rate_limit_s,
-    )
-    return WikidataClient(
-        transport,
-        api_url=config.wikidata_api_url,
-        sparql_url=config.wikidata_sparql_url,
-    )
-
-
-def _classify(config: PipelineConfig, provider, entries: list[corpus.Entry]) -> list[bool]:
+def _classify(command: Command, entries: list[corpus.Entry]) -> list[bool]:
     """The model's location flag for each entry, in order.  Definitions
     go to the provider ``EMBED_CHUNK`` at a time, and each chunk's
     vectors are freed before the next chunk is embedded."""
-    model = classifier.load_model(config.model)
+    provider = command.provider
+    model = classifier.load_model(command.config.model)
     if model.dim != provider.dim:
         raise StageError(
             f"model expects {model.dim}-dim vectors, provider yields {provider.dim}"
@@ -170,17 +181,16 @@ def _classify(config: PipelineConfig, provider, entries: list[corpus.Entry]) -> 
 
 
 # ── Stages ───────────────────────────────────────────────────────────────
-# Each takes the config and the command's entries, updates the entries in
-# place and returns its input, output and error counts, then its ratios.
-# A stage computes before it changes an entry, so one that raises leaves
-# the entries as it found them.
+# Each takes the command, reads its entries first (ingest makes them),
+# updates them in place and returns its input, output and error counts,
+# then its ratios.  A stage computes before it changes an entry, so one
+# that raises leaves the entries as it found them.
 
 Counts = tuple[int, int, int, dict[str, float]]
 
 
-def stage_ingest(
-    config: PipelineConfig, entries: list[corpus.Entry], cleanup: contextlib.ExitStack
-) -> Counts:
+def stage_ingest(command: Command) -> Counts:
+    config = command.config
     pages = corpus.read_raw_pages(config.raw_dir)
     read = 0
 
@@ -193,17 +203,18 @@ def stage_ingest(
     # Each raw_text waits for the one dataset write in an unnamed file
     # beside the dataset: not in memory, nor in a temporary directory
     # that may itself be memory.  ``main`` closes it after the write.
-    spill = cleanup.enter_context(
+    spill = command.cleanup.enter_context(
         tempfile.TemporaryFile(dir=Path(config.dataset).parent, buffering=SPILL_BUFFER)
     )
     segmented = corpus.segment_pages(counted(), spill=spill)
     if not read:
         raise StageError(f"no raw pages found under {config.raw_dir}")
-    entries[:] = segmented
-    return read, len(entries), 0, {}
+    command.entries = segmented
+    return read, len(segmented), 0, {}
 
 
-def stage_train(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
+def stage_train(command: Command) -> Counts:
+    entries, config = command.entries, command.config
     annotations = classifier.load_annotations(config.annotations)
     if not annotations:
         raise StageError(f"no annotations in {config.annotations}")
@@ -211,8 +222,7 @@ def stage_train(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
     for entry_id, _ in annotations:
         if entry_id not in by_id:
             raise StageError(f"annotation for unknown entry {entry_id!r}")
-    provider = _build_provider(config)
-    vectors = provider.embed_batch(
+    vectors = command.provider.embed_batch(
         [by_id[entry_id].definition for entry_id, _ in annotations]
     )
     labels = [label for _, label in annotations]
@@ -230,9 +240,9 @@ def stage_train(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
     }
 
 
-def stage_classify(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
-    provider = _build_provider(config)
-    for entry, is_location in zip(entries, _classify(config, provider, entries)):
+def stage_classify(command: Command) -> Counts:
+    entries = command.entries
+    for entry, is_location in zip(entries, _classify(command, entries)):
         entry.is_location = is_location
         # Only a location may carry a link.
         if not is_location:
@@ -242,8 +252,8 @@ def stage_classify(config: PipelineConfig, entries: list[corpus.Entry]) -> Count
     return len(entries), len(entries), 0, ratios
 
 
-def stage_link(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
-    provider = _build_provider(config)
+def stage_link(command: Command) -> Counts:
+    entries, config, provider = command.entries, command.config, command.provider
 
     # Entries never run through classify can still be linked when a
     # model is available: they get classified in memory, the stored
@@ -256,7 +266,7 @@ def stage_link(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
                 "dataset has entries without is_location; run classify first "
                 f"or provide a model at {config.model}"
             )
-        flags = _classify(config, provider, unclassified)
+        flags = _classify(command, unclassified)
         transient = {entry.id: flag for entry, flag in zip(unclassified, flags)}
         print(
             f"link: classified {len(unclassified)} unlabeled entries in memory",
@@ -264,13 +274,12 @@ def stage_link(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
         )
 
     locations = [e for e in entries if transient.get(e.id, e.is_location)]
-    client = _build_client(config)
     # Replay waits on no network, so threads would only contend for the
     # GIL; link runs on this thread there.
     results = linker.link_batch(
         locations,
         provider,
-        client,
+        command.client,
         min_similarity=config.min_sim,
         workers=1 if config.cache_mode == "replay" else config.concurrency,
     )
@@ -297,14 +306,13 @@ def stage_link(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
     return len(locations), linked, len(failures), ratios
 
 
-def stage_coords(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
-    linked = [e for e in entries if e.qid is not None]
+def stage_coords(command: Command) -> Counts:
+    linked = [e for e in command.entries if e.qid is not None]
     pending = [e for e in linked if e.lat is None or e.lon is None]
     fetched = skipped_rows = 0
     if pending:
-        client = _build_client(config)
-        points = client.fetch_coordinates([e.qid for e in pending])
-        skipped_rows = client.warnings
+        points = command.client.fetch_coordinates([e.qid for e in pending])
+        skipped_rows = command.client.warnings
         for entry in pending:
             point = points.get(entry.qid)
             if point is not None:
@@ -315,7 +323,8 @@ def stage_coords(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
     return len(pending), fetched, skipped_rows, ratios
 
 
-def stage_report(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
+def stage_report(command: Command) -> Counts:
+    entries, config = command.entries, command.config
     places = []
     for entry in entries:
         # Only an explicit False excludes: entries linked without a
@@ -354,24 +363,14 @@ def stage_report(config: PipelineConfig, entries: list[corpus.Entry]) -> Counts:
     return len(entries), len(places), 0, ratios
 
 
-def _run_stage(
-    name: str, stage, config: PipelineConfig, entries: list[corpus.Entry], load: bool,
-    cleanup: contextlib.ExitStack,
-) -> RunSummary:
-    """Run one stage on the command's entries, timed together with the
-    dataset load that ``load`` asks for first.  Ingest opens its spill
-    on ``cleanup``, which the command closes after the dataset write."""
+def _run_stage(name: str, stage, command: Command) -> RunSummary:
+    """Run one stage, timed with what it builds first: the dataset load too."""
     started = time.perf_counter()
-    if load:
-        entries[:] = corpus.load_dataset(config.dataset)
-    if stage is stage_ingest:
-        inputs, outputs, errors, ratios = stage_ingest(config, entries, cleanup)
-    else:
-        inputs, outputs, errors, ratios = stage(config, entries)
+    inputs, outputs, errors, ratios = stage(command)
     return RunSummary(name, inputs, outputs, errors, time.perf_counter() - started, ratios)
 
 
-# Stage name -> ``(config, entries, load, cleanup) -> RunSummary``.
+# Stage name -> ``(command) -> RunSummary``.
 STAGE_RUNNERS = {
     name: functools.partial(_run_stage, name, stage)
     for name, stage in zip(PIPELINE_STAGES, (
@@ -509,17 +508,13 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config: {err}", file=sys.stderr)
         return STAGE_EXIT_CODES["config"]
     stages = _stages_for(args.command, config)
-    # Saving and loading again gives back ingest's entries, so only a
-    # command that does not start with ingest reads the dataset.
-    load = stages[0] != "ingest"
-    entries: list[corpus.Entry] = []
     summaries: list[RunSummary] = []
     failures: list[tuple[str, Exception]] = []
-    with contextlib.ExitStack() as cleanup:
+    command = Command(config)
+    with command.cleanup:
         for name in stages:
             try:
-                summaries.append(STAGE_RUNNERS[name](config, entries, load, cleanup))
-                load = False
+                summaries.append(STAGE_RUNNERS[name](command))
             except STAGE_FAILURES as err:
                 failures.append((name, err))
                 break
@@ -529,7 +524,7 @@ def main(argv: list[str] | None = None) -> int:
         if changed is not None:
             started = time.perf_counter()
             try:
-                corpus.save_dataset(entries, config.dataset)
+                corpus.save_dataset(command.entries, config.dataset)
             except STAGE_FAILURES as err:
                 failures.append((changed.stage, err))
             changed.wall_time_s += time.perf_counter() - started

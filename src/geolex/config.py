@@ -23,6 +23,7 @@ from .wikidata import (
     DEFAULT_MIN_INTERVAL_S,
     DEFAULT_SPARQL_URL,
     DEFAULT_USER_AGENT,
+    check_user_agent,
 )
 
 CACHE_MODES = ("live", "record", "replay")
@@ -99,14 +100,16 @@ class PipelineConfig:
             raise ConfigError(f"rate_limit_s must be >= 0, got {self.rate_limit_s}")
         if self.bucket_km <= 0:
             raise ConfigError(f"bucket_km must be positive, got {self.bucket_km}")
-        try:
-            GeoPoint(self.ref_lat, self.ref_lon)
-        except ValueError as err:
-            raise ConfigError(f"ref_lat={self.ref_lat}, ref_lon={self.ref_lon}: {err}") from None
-        try:
-            check_map_width(self.map_width_px)
-        except ValueError as err:
-            raise ConfigError(f"map_width_px: {err}") from None
+        for name, check in (
+            (f"ref_lat={self.ref_lat}, ref_lon={self.ref_lon}",
+             lambda: GeoPoint(self.ref_lat, self.ref_lon)),
+            ("map_width_px", lambda: check_map_width(self.map_width_px)),
+            ("user_agent", lambda: check_user_agent(self.user_agent)),
+        ):
+            try:
+                check()
+            except ValueError as err:
+                raise ConfigError(f"{name}: {err}") from None
         return self
 
 
@@ -147,14 +150,9 @@ def load_config(
             overrides[name] = _coerce(name, value, _FIELD_TYPES[name])
         config = replace(config, **overrides)
     env = os.environ if env is None else env
-    env_overrides = {
-        field_name: env[var]
-        for var, field_name in _ENV_OVERRIDES.items()
-        if env.get(var)
-    }
-    if env_overrides:
-        config = replace(config, **env_overrides)
-    return config.validate()
+    return replace(config, **{
+        field_name: env[var] for var, field_name in _ENV_OVERRIDES.items() if env.get(var)
+    }).validate()
 
 
 def apply_overrides(config: PipelineConfig, **overrides) -> PipelineConfig:
@@ -163,6 +161,4 @@ def apply_overrides(config: PipelineConfig, **overrides) -> PipelineConfig:
     for name in actual:
         if name not in _FIELD_TYPES:
             raise ConfigError(f"unknown config field {name!r}")
-    if not actual:
-        return config.validate()
     return replace(config, **actual).validate()

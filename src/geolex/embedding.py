@@ -289,10 +289,10 @@ class RemoteEmbedder:
 
 
 def _trim_torn_line(path: Path) -> None:
-    """End ``path`` at a line break.  A last line without one is an
-    append cut short: dropped when ``parse_json``, the load's parser,
-    refuses it, closed with its newline when not, so the next append
-    starts a fresh line."""
+    """End ``path`` at a line break, once every line before it has
+    loaded.  A last line without one is an append cut short: dropped
+    when ``parse_json``, the load's parser, refuses it, closed with its
+    newline when not, so the next append starts a fresh line."""
     with _input_file(path, ProtocolError) as handle:
         size = handle.seek(0, os.SEEK_END)
         tail = b""
@@ -318,8 +318,9 @@ class CachedEmbedder:
     One JSON line per cached text, keyed by SHA-256 of the text, stored
     at a single file path.  Thread-safe; lookups hit memory, misses go
     to the wrapped provider and are appended to the file, one write per
-    batch.  A last line torn by a crash mid-append is dropped on open
-    (see ``_trim_torn_line``); any other bad line is a ProtocolError.
+    batch.  A last line torn by a crash mid-append is dropped once the
+    lines before it load (see ``_trim_torn_line``); any other bad line
+    is a ProtocolError and leaves the file as it is.
     """
 
     def __init__(self, provider, path: str | os.PathLike[str]):
@@ -331,8 +332,8 @@ class CachedEmbedder:
         self._memory: dict[str, np.ndarray] = {}
         if not self._path.exists():
             return
-        _trim_torn_line(self._path)
-        for where, _, record in iter_jsonl(self._path, ProtocolError, "bad cache record"):
+        records = iter_jsonl(self._path, ProtocolError, "bad cache record", torn_tail=True)
+        for where, _, record in records:
             try:
                 raw, key = record["vector"], record["key"]
             except (KeyError, TypeError) as err:
@@ -340,6 +341,7 @@ class CachedEmbedder:
             if not isinstance(key, str):
                 raise ProtocolError(f"{where}: bad cache record: key is not a string")
             self._memory[key] = _checked_vector(raw, self.dim, f"{where}: cached vector")
+        _trim_torn_line(self._path)
 
     @staticmethod
     def text_key(text: str) -> str:

@@ -18,14 +18,14 @@ All HTTP goes through a transport object chosen by cache mode:
 Cache keys canonicalize the request (method + URL + sorted query
 parameters + body hash), so a recorded response is found again even if
 parameter order changes.  The client retries transport-level failures
-with 1s/2s/4s backoff and spaces request starts at least 0.1s apart,
-across every stage of the process.  It sets no bound on requests in
-flight: in live and record modes link sends from a pool of
-``concurrency`` threads, one request open per thread; replay link and
-every other caller send from one thread.  Link sends each search when
-its ids are needed, a pool keeping a few per worker ahead, and each
-description request as soon as its ids are known, so while one thread
-sleeps out a search's backoff the others send the requests queued.
+with 1s/2s/4s backoff, and a live transport spaces its request starts
+at least 0.1s apart.  It sets no bound on requests in flight: in live
+and record modes link sends from a pool of ``concurrency`` threads, one
+request open per thread; replay link and every other caller send from
+one thread.  Link sends each search when its ids are needed, a pool
+keeping a few per worker ahead, and each description request as soon as
+its ids are known, so while one thread sleeps out a search's backoff
+the others send the requests queued.
 """
 
 from __future__ import annotations
@@ -170,6 +170,13 @@ class RateLimiter:
             self._last_start = now
 
 
+def check_user_agent(user_agent: str) -> str:
+    """``user_agent`` if an HTTP header can carry it, else ValueError."""
+    if not (user_agent.strip() and user_agent.isascii() and user_agent.isprintable()):
+        raise ValueError(f"user agent must be printable ASCII and not blank, got {user_agent!r}")
+    return user_agent
+
+
 class UrllibTransport:
     """Live HTTP.  Sends a User-Agent on every request (the endpoints
     reject anonymous clients) and shares one rate limiter."""
@@ -179,9 +186,7 @@ class UrllibTransport:
         user_agent: str = DEFAULT_USER_AGENT,
         rate_limiter: RateLimiter | None = None,
     ):
-        if not user_agent.strip():
-            raise ValueError("user_agent must be non-empty")
-        self.user_agent = user_agent
+        self.user_agent = check_user_agent(user_agent)
         self.rate_limiter = rate_limiter or RateLimiter()
 
     def send(self, request: HttpRequest) -> bytes:
@@ -271,21 +276,15 @@ def make_transport(
     user_agent: str = DEFAULT_USER_AGENT,
     min_interval: float = DEFAULT_MIN_INTERVAL_S,
 ):
-    """Build the transport for a cache mode (live, record, replay)."""
+    """The transport for a cache mode (live, record, replay), with its own rate limiter."""
     if mode not in ("live", "record", "replay"):
         raise ValueError(f"unknown cache mode {mode!r}; expected live, record, or replay")
     if mode != "live" and not cache_dir:
         raise ValueError(f"cache mode {mode!r} needs a cache directory")
     if mode == "replay":
         return ReplayTransport(cache_dir)
-    live = UrllibTransport(user_agent=user_agent, rate_limiter=_shared_limiter(min_interval))
+    live = UrllibTransport(user_agent=user_agent, rate_limiter=RateLimiter(min_interval))
     return live if mode == "live" else ReplayTransport(cache_dir, live)
-
-
-@functools.cache
-def _shared_limiter(min_interval: float) -> RateLimiter:
-    """One limiter per interval, shared by every stage's transport."""
-    return RateLimiter(min_interval)
 
 
 # ── Client ───────────────────────────────────────────────────────────────

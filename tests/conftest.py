@@ -61,16 +61,20 @@ def make_workspace(root: Path) -> Workspace:
         "histogram": str(root / "distance_histogram.csv"),
         "svg": str(root / "map.svg"),
     }
-    config_path = root / "config.json"
-    config_path.write_text(json.dumps(config, indent=2), encoding="utf-8")
+    (root / "config.json").write_text(json.dumps(config, indent=2), encoding="utf-8")
+    return workspace_at(root)
+
+
+def workspace_at(root: Path) -> Workspace:
+    """The workspace whose files ``make_workspace`` lays out under ``root``."""
     return Workspace(
         root=root,
-        config_path=config_path,
-        raw_dir=raw_dir,
+        config_path=root / "config.json",
+        raw_dir=root / "raw",
         dataset=root / "dataset.jsonl",
         annotations=root / "annotations.jsonl",
         model=root / "model.json",
-        cache_dir=cache_dir,
+        cache_dir=root / "wd_cache",
         geojson=root / "places.geojson",
         histogram=root / "distance_histogram.csv",
         svg=root / "map.svg",

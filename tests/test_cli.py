@@ -456,6 +456,48 @@ class TestDatasetOwnership:
         assert not workspace.model.exists()
 
 
+class TestOncePerCommand:
+    @pytest.mark.parametrize("command, loads", [("run", 0), ("link", 1)])
+    def test_command_builds_its_parts_once(
+        self, workspace, no_network, monkeypatch, command, loads
+    ):
+        """With an embedding cache set, one command builds one cached
+        embedder, which reads the cache file once, one transport, which
+        link and coords share, and reads the dataset at most once."""
+        from geolex import embedding
+
+        cache = workspace.root / "embeddings.jsonl"
+        payload = json.loads(workspace.config_path.read_text(encoding="utf-8"))
+        payload["embed_cache"] = str(cache)
+        workspace.config_path.write_text(json.dumps(payload), encoding="utf-8")
+        assert workspace.run_all_stages() == 0
+        assert cache.exists()
+
+        built = {"embedder": 0, "cache read": 0, "transport": 0}
+        real_init, real_iter = embedding.CachedEmbedder.__init__, embedding.iter_jsonl
+        real_make_transport = cli.make_transport
+
+        def init(self, *args, **kwargs):
+            built["embedder"] += 1
+            real_init(self, *args, **kwargs)
+
+        def iter_jsonl(path, *args, **kwargs):
+            built["cache read"] += Path(path) == cache
+            return real_iter(path, *args, **kwargs)
+
+        def make_transport(*args, **kwargs):
+            built["transport"] += 1
+            return real_make_transport(*args, **kwargs)
+
+        monkeypatch.setattr(embedding.CachedEmbedder, "__init__", init)
+        monkeypatch.setattr(embedding, "iter_jsonl", iter_jsonl)
+        monkeypatch.setattr(cli, "make_transport", make_transport)
+        counts = count_dataset_io(monkeypatch)
+        assert workspace.run(command) == 0
+        assert built == {"embedder": 1, "cache read": 1, "transport": 1}
+        assert counts["load"] == loads
+
+
 class TestLinkThreads:
     """Replay links on the calling thread; live and record keep a pool
     of ``concurrency`` threads."""
@@ -542,15 +584,26 @@ def serve_cache(cache_dir):
 class TestLiveRun:
     def test_request_starts_stay_spaced_across_stages(self, workspace, monkeypatch):
         rate_limit_s = 0.1
-        starts: list[float] = []
+        opened: list[str] = []
+        grants: list[float] = []
         real_urlopen = urllib.request.urlopen
+        real_wait = wikidata.RateLimiter.wait
+        granting = threading.Lock()
 
-        def timed_urlopen(request, *args, **kwargs):
+        def counted_urlopen(request, *args, **kwargs):
             assert urllib.parse.urlsplit(request.full_url).hostname == "127.0.0.1"
-            starts.append(time.monotonic())
+            opened.append(request.full_url)
             return real_urlopen(request, *args, **kwargs)
 
-        monkeypatch.setattr(urllib.request, "urlopen", timed_urlopen)
+        def recorded_wait(limiter):
+            # The slot a wait grants is the limiter's last start; the
+            # lock keeps another wait from moving it before it is read.
+            with granting:
+                real_wait(limiter)
+                grants.append(limiter._last_start)
+
+        monkeypatch.setattr(urllib.request, "urlopen", counted_urlopen)
+        monkeypatch.setattr(wikidata.RateLimiter, "wait", recorded_wait)
         monkeypatch.setenv("no_proxy", "*")  # the fixture server is local
         with serve_cache(workspace.cache_dir) as (api_url, sparql_url):
             config = json.loads(workspace.config_path.read_text(encoding="utf-8"))
@@ -562,12 +615,12 @@ class TestLiveRun:
         linked = {e.id: e.qid for e in load_dataset(workspace.dataset) if e.is_location}
         assert linked == fx.EXPECTED_LINKS
         # searches, the description request, and coords' SPARQL query
-        assert len(starts) == len(fx.LOCATION_HEADWORDS) + 2
-        starts.sort()
-        gaps = [later - earlier for earlier, later in zip(starts, starts[1:])]
-        # A start is read just after the limiter grants its slot; a
-        # thread switch in between may shorten a gap by a few ms.
-        assert min(gaps) >= rate_limit_s - 0.01, gaps
+        assert len(opened) == len(fx.LOCATION_HEADWORDS) + 2
+        assert len(grants) == len(opened)
+        grants.sort()
+        gaps = [later - earlier for earlier, later in zip(grants, grants[1:])]
+        # One limiter for link and coords spaces every granted slot.
+        assert min(gaps) >= rate_limit_s - 1e-9, gaps
 
 
 def test_importing_the_cli_leaves_out_the_http_stack():
@@ -819,6 +872,8 @@ class TestExitCodes:
         ("map_width_px", 1601, "config: map_width_px: map width must be even"),
         ("embed_provider", "remote", 'config: embed_provider "remote" needs a service URL'),
         ("cache_dir", "", 'config: cache_mode "replay" needs a cache_dir'),
+        ("user_agent", "geolex \u03a9", "config: user_agent: user agent must be printable ASCII"),
+        ("user_agent", "geolex\r\nX-Evil: 1", "config: user_agent: user agent must be printable"),
     ])
     def test_bad_setting_exits_one_before_any_stage(
         self, workspace, capsys, monkeypatch, key, value, message
@@ -828,7 +883,8 @@ class TestExitCodes:
         payload[key] = value
         workspace.config_path.write_text(json.dumps(payload), encoding="utf-8")
         assert workspace.run("run") == 1
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1, err
         assert not workspace.dataset.exists()
 
     def test_ingest_failure_exits_two(self, workspace, capsys):

@@ -167,6 +167,9 @@ class TestValidation:
         ("bucket_km", math.nan, "bucket_km"),
         ("map_width_px", 1601, "map_width_px"),
         ("map_width_px", 0, "map_width_px"),
+        ("user_agent", "", "user_agent"),
+        ("user_agent", "geolex \u03a9", "user_agent: user agent must be printable ASCII"),
+        ("user_agent", "geolex\r\nX-Evil: 1", "user_agent: user agent must be printable ASCII"),
     ])
     def test_invalid_values_rejected(self, field, value, fragment):
         from dataclasses import replace

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import run_on_threads
 from geolex import embedding
-from geolex.cli import _build_provider
+from geolex.cli import Command
 from geolex.config import apply_overrides, load_config
 from geolex.embedding import (
     CachedEmbedder,
@@ -498,7 +498,7 @@ class TestRemoteEmbedder:
         config = apply_overrides(
             load_config(env={"EMBED_URL": "http://env.test"}), embed_provider="remote"
         )
-        assert _build_provider(config).url == "http://env.test"
+        assert Command(config).provider.url == "http://env.test"
 
     def test_missing_url_rejected(self, monkeypatch):
         # The config is the one reader of EMBED_URL; the embedder is not.
@@ -506,7 +506,7 @@ class TestRemoteEmbedder:
         with pytest.raises(ValueError, match="EMBED_URL"):
             RemoteEmbedder("", dim=2)
         with pytest.raises(ValueError, match="EMBED_URL"):
-            _build_provider(apply_overrides(load_config(env={}), embed_provider="remote"))
+            Command(apply_overrides(load_config(env={}), embed_provider="remote")).provider
 
     def test_wrong_vector_count_is_protocol_error(self):
         transport = FakeTransport([vectors_body([[1.0, 0.0]])])
@@ -755,6 +755,18 @@ class TestCachedEmbedder:
         CachedEmbedder(provider, path).embed_batch(["abcd"])
         CachedEmbedder(provider, path).embed_batch(["ab", "abc", "abcd"])
         assert provider.embed_calls == 3
+
+    def test_cache_that_fails_to_load_keeps_its_bytes(self, tmp_path):
+        # UTF-16 ends in "\n\x00": a last "line" of one byte, which
+        # only a trim made before the load would cut.
+        path = tmp_path / "cache.jsonl"
+        CachedEmbedder(CountingProvider(), path).embed_batch(["ab"])
+        path.write_bytes(path.read_text(encoding="utf-8").encode("utf-16"))
+        before = path.read_bytes()
+        assert before.endswith(b"\n\x00")
+        with pytest.raises(ProtocolError, match=re.escape(f"{path}:1: bad cache record")):
+            CachedEmbedder(CountingProvider(), path)
+        assert path.read_bytes() == before
 
     def test_torn_line_in_the_middle_is_still_rejected(self, tmp_path):
         path = tmp_path / "cache.jsonl"

@@ -287,9 +287,12 @@ class TestUrllibTransport:
         assert client.search_candidates("Berlin") == ["Q64"]
         assert sleeps == [1.0]
 
-    def test_empty_user_agent_rejected(self):
-        with pytest.raises(ValueError):
-            UrllibTransport(user_agent="  ")
+    # Each would fail only at send: UnicodeEncodeError for the first,
+    # "Invalid header value" for the second.
+    @pytest.mark.parametrize("user_agent", ["  ", "geolex \u03a9", "geolex\r\nX-Evil: 1"])
+    def test_user_agent_http_cannot_send_is_rejected(self, user_agent):
+        with pytest.raises(ValueError, match="user agent must be printable ASCII"):
+            UrllibTransport(user_agent=user_agent)
 
 
 class TestResponseCache:
