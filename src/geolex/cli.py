@@ -14,6 +14,7 @@ stage; it builds the entries, the embedding provider and the Wikidata
 client once, on first use.  A command that starts with ``ingest``
 (``ingest`` itself and ``run``) keeps the entries ingest made and never
 reads the dataset; any other command reads it once, in its first stage.
+Each ``raw_text`` waits in ``Command.spill``, a file beside the dataset.
 ``main`` writes the dataset once, atomically, when the stages end, if
 ``ingest``, ``classify``, ``link`` or ``coords`` ran; a failed stage
 leaves the entries as it found them, so a failed ``run`` writes what
@@ -38,12 +39,13 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator
+from typing import IO, Iterator
 
 from . import classifier, corpus, geo, linker
 from .config import (
@@ -73,7 +75,7 @@ PIPELINE_STAGES = ("ingest", "train", "classify", "link", "coords", "report")
 # Stages that change entries; a command that ran one saves the dataset.
 _CHANGES_DATASET = frozenset({"ingest", "classify", "link", "coords"})
 
-# The buffer of ingest's spill file: the raw texts go to disk, and come
+# The buffer of the spill file: the raw texts go to disk, and come
 # back for the dataset write, in blocks of this many bytes.  A 1 MiB
 # buffer saved few more system calls and raised the peak RSS by 1 MB.
 SPILL_BUFFER = 1 << 16
@@ -131,14 +133,22 @@ class RunSummary:
 @dataclass
 class Command:
     """One CLI invocation.  Its parts are built on first use and kept;
-    ``cleanup`` closes ingest's spill after the dataset write."""
+    ``cleanup`` closes the spill after the dataset write."""
 
     config: PipelineConfig
     cleanup: contextlib.ExitStack = field(default_factory=contextlib.ExitStack)
 
     @functools.cached_property
+    def spill(self) -> IO[bytes]:
+        """The unnamed file beside the dataset that holds each raw_text:
+        not memory, nor a temporary directory that may be memory."""
+        return self.cleanup.enter_context(tempfile.TemporaryFile(
+            dir=Path(self.config.dataset).parent, buffering=SPILL_BUFFER))
+
+    @functools.cached_property
     def entries(self) -> list[corpus.Entry]:
-        return corpus.load_dataset(self.config.dataset)
+        os.stat(self.config.dataset)  # a missing dataset, not its directory, is named
+        return corpus.load_dataset(self.config.dataset, self.spill)
 
     @functools.cached_property
     def provider(self):
@@ -200,13 +210,7 @@ def stage_ingest(command: Command) -> Counts:
             read += 1
             yield page
 
-    # Each raw_text waits for the one dataset write in an unnamed file
-    # beside the dataset: not in memory, nor in a temporary directory
-    # that may itself be memory.  ``main`` closes it after the write.
-    spill = command.cleanup.enter_context(
-        tempfile.TemporaryFile(dir=Path(config.dataset).parent, buffering=SPILL_BUFFER)
-    )
-    segmented = corpus.segment_pages(counted(), spill=spill)
+    segmented = corpus.segment_pages(counted(), spill=command.spill)
     if not read:
         raise StageError(f"no raw pages found under {config.raw_dir}")
     command.entries = segmented

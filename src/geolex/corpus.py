@@ -14,13 +14,14 @@ Line-break hyphenation from the typesetting is undone while joining
 Each entry also stores a short definition: the first 200 characters of
 the entry text, cut back to the last sentence boundary inside that
 window.  Downstream stages (classification, linking) read only the
-definition, never the full text, so ingest can keep each text in a
-spill file until the dataset is written (see ``SpilledText``).
+definition, never the full text, so ingest and every dataset load keep
+each text in a spill file until the dataset is written (``SpilledText``).
 """
 
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import logging
 import math
@@ -97,30 +98,48 @@ class RawPage:
             raise ValueError(f"page {self.volume}:{self.page_no} has no text")
 
 
+@dataclass(slots=True, repr=False)
 class SpilledText:
-    """A ``raw_text`` that ``segment_pages`` wrote to a spill file: the
-    UTF-8 bytes of its JSON string lie at ``offset`` in ``source``,
-    ``size`` bytes long.  ``len()`` is the text's length in characters.
-    ``plain_prefix`` is the definition ingest cut from the text when
-    nothing in the text needed a JSON escape, else None."""
+    """An entry's ``raw_text``: the UTF-8 of its JSON string, ``size`` bytes
+    at ``offset`` in the spill file ``source`` (see ``spill_text``).
+    ``len()`` counts its characters; two are equal when their bytes are."""
 
-    __slots__ = ("source", "offset", "size", "chars", "plain_prefix")
-
-    def __init__(self, source: IO[bytes], offset: int, size: int, chars: int,
-                 plain_prefix: str | None) -> None:
-        self.source = source
-        self.offset = offset
-        self.size = size
-        self.chars = chars
-        self.plain_prefix = plain_prefix
+    source: IO[bytes]
+    offset: int
+    size: int
+    chars: int
+    plain_prefix: str | None
 
     def __len__(self) -> int:
         return self.chars
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is SpilledText and self.json_bytes() == other.json_bytes()
 
     def json_bytes(self) -> bytes:
         """The text's JSON string, as UTF-8, read back from the spill."""
         self.source.seek(self.offset)
         return self.source.read(self.size)
+
+    def text(self) -> str:
+        """The text, decoded from the spill."""
+        return parse_json(self.json_bytes(), DatasetError, "spilled text")
+
+
+def spill_text(spill: IO[bytes], text: str, definition: str,
+               data: bytes | memoryview | None = None) -> SpilledText:
+    """Append ``text``'s JSON string (``_json_string``) to ``spill`` as
+    UTF-8: ``data`` if given, which must be those bytes, escape-free.
+    ``plain_prefix`` is ``definition`` if it starts an escape-free text.
+    Read no text from a spill before its last append."""
+    plain = data is not None
+    if not plain:
+        raw_json = _json_string(text)
+        plain, data = len(raw_json) == len(text) + 2, raw_json.encode("utf-8")
+    offset = spill.tell()
+    spill.write(data)
+    return SpilledText(spill, offset, len(data), len(text),
+                       definition if plain and text.startswith(definition) else None)
 
 
 @dataclass(slots=True)
@@ -128,7 +147,7 @@ class Entry:
     """One encyclopedia entry, with optional enrichment fields.
 
     Ingest sets the six required fields; ``raw_text`` is a
-    ``SpilledText`` when ingest was given a spill file.  ``is_location``,
+    ``SpilledText``, as ingest and a load both make it.  ``is_location``,
     ``qid``, ``similarity``, ``lat`` and ``lon`` start unset and are
     filled in by the classify, link and coords stages.
     """
@@ -138,7 +157,7 @@ class Entry:
     page: int
     headword: str
     definition: str
-    raw_text: str | SpilledText
+    raw_text: SpilledText
     is_location: bool | None = None
     qid: str | None = None
     similarity: float | None = None
@@ -230,47 +249,27 @@ def segment_pages(pages: Iterable[RawPage], *, spill: IO[bytes] | None = None) -
     text before the first start of each page it continues onto; the
     slices are joined and normalised by ``_entry_text``.
 
-    Given a ``spill`` file open for binary writing, each entry's
-    headword and definition are taken from its text, then the text's
-    JSON string (see ``_json_string``) is appended to the spill as
-    UTF-8, and the entry keeps a ``SpilledText`` in its place, which
-    ``save_dataset`` copies into the entry's line.  The spill must stay
-    open, and its bytes unchanged, until then.
+    Each entry's headword and definition come from its text, then
+    ``spill_text`` appends the text to ``spill`` (a binary file, or a new
+    ``io.BytesIO``), which must stay open until the entries are saved.
     """
+    spill = spill or io.BytesIO()
     entries: list[Entry] = []
-    spilled = spill.tell() if spill is not None else 0
     last_key: tuple[int, int] | None = None
     current_volume: int | None = None
     current_pieces: list[str] = []
     current_start: tuple[int, int] | None = None  # (page_no, ordinal)
 
     def flush() -> None:
-        nonlocal spilled
         if current_start is None:
             return
         page_no, ordinal = current_start
         raw_text = _entry_text(current_pieces)
-        headword = extract_headword(raw_text)
         definition = truncate_definition(raw_text)
-        if spill is not None:
-            raw_json = _json_string(raw_text)
-            data = raw_json.encode("utf-8")
-            spill.write(data)
-            raw_text = SpilledText(
-                spill, spilled, len(data), len(raw_text),
-                definition if len(raw_json) == len(raw_text) + 2 else None,
-            )
-            spilled += len(data)
-        entries.append(
-            Entry(
-                id=f"{current_volume}:{page_no}:{ordinal}",
-                volume=current_volume,
-                page=page_no,
-                headword=headword,
-                definition=definition,
-                raw_text=raw_text,
-            )
-        )
+        entries.append(Entry(
+            f"{current_volume}:{page_no}:{ordinal}", current_volume, page_no,
+            extract_headword(raw_text), definition, spill_text(spill, raw_text, definition),
+        ))
 
     for page in pages:
         key = (page.volume, page.page_no)
@@ -392,17 +391,15 @@ def _float_number(value: float) -> str:
 # writes each value through its writer; load checks each value's type
 # against the same table, and a number through its writer.  The fields
 # after ``raw_text`` are optional: unset (None, null) until the stage
-# that fills them has run, and left out of the line until then.  A
-# ``SpilledText``, which no load makes, is written as the UTF-8 bytes
-# ingest spilled.
+# that fills them has run, and left out of the line until then.  An
+# entry's ``raw_text`` is the ``SpilledText`` of the record's string.
 _STRING = {str: encode_basestring}
 _INTEGER = {int: int.__repr__}
 _NUMBER = {int: _int_number, float: _float_number}
-_RAW_TEXT = {str: _json_string, SpilledText: SpilledText.json_bytes}
 _BOOLEAN = {bool: {True: "true", False: "false"}.__getitem__}
 _FIELDS = {
     "id": _STRING, "volume": _INTEGER, "page": _INTEGER, "headword": _STRING,
-    "definition": _STRING, "raw_text": _RAW_TEXT, "is_location": _BOOLEAN,
+    "definition": _STRING, "raw_text": _STRING, "is_location": _BOOLEAN,
     "qid": _STRING, "similarity": _NUMBER, "lat": _NUMBER, "lon": _NUMBER,
 }
 _REQUIRED_FIELDS = tuple(_FIELDS)[:6]
@@ -423,8 +420,7 @@ def _field_problem(name: str, value: object, strings: bool) -> str | None:
         if writers is _NUMBER:
             writer(value)
     except (KeyError, ValueError, OverflowError):
-        # Named as JSON decodes to them: no line holds a SpilledText.
-        expected = " or ".join(kind.__name__ for kind in writers if kind is not SpilledText)
+        expected = " or ".join(kind.__name__ for kind in writers)
         return f"field {name!r} must be {expected}, got {value!r:.40}"
     if strings and type(value) is str:
         try:
@@ -435,14 +431,16 @@ def _field_problem(name: str, value: object, strings: bool) -> str | None:
     return None
 
 
-def _checked_entry(record: dict, strings: bool) -> Entry:
-    """``entry_from_record`` without the ``where`` prefix on its errors."""
+def _checked_entry(record: dict, where: str, strings: bool, spill: IO[bytes],
+                   data: bytes | memoryview | None) -> Entry:
+    """``entry_from_record``; ``strings`` turns on the lone-surrogate check."""
     if not isinstance(record, dict):
-        raise DatasetError("record is not an object")
+        raise DatasetError(f"{where}: record is not an object")
     if not record.keys() <= _FIELDS.keys():
-        raise DatasetError(f"unknown fields {sorted(record.keys() - _FIELDS.keys())}")
+        raise DatasetError(f"{where}: unknown fields {sorted(record.keys() - _FIELDS.keys())}")
     if not record.keys() >= _REQUIRED_NAMES:
-        raise DatasetError(f"missing fields {[n for n in _REQUIRED_FIELDS if n not in record]}")
+        missing = [n for n in _REQUIRED_FIELDS if n not in record]
+        raise DatasetError(f"{where}: missing fields {missing}")
     for name, value in record.items():
         writers = _FIELDS[name]
         kind = type(value)
@@ -453,22 +451,23 @@ def _checked_entry(record: dict, strings: bool) -> Entry:
         ):
             problem = _field_problem(name, value, strings)
             if problem is not None:
-                raise DatasetError(problem)
-    return Entry(**record)
+                raise DatasetError(f"{where}: {problem}")
+    entry = Entry(**record)
+    entry.raw_text = spill_text(spill, entry.raw_text, entry.definition, data)
+    return entry
 
 
-def entry_from_record(record: dict, where: str = "dataset") -> Entry:
+def entry_from_record(record: dict, where: str = "dataset",
+                      spill: IO[bytes] | None = None) -> Entry:
     """The entry a decoded dataset record holds.
 
     The record must be an object with every required field and no
     unknown one.  In record order, each value must have one of its
     field's exact types in ``_FIELDS`` (a number also finite as a
     float), and each string must hold no lone surrogate.  Anything
-    else raises DatasetError, its message starting with ``where``."""
-    try:
-        return _checked_entry(record, True)
-    except DatasetError as err:
-        raise DatasetError(f"{where}: {err}") from None
+    else raises DatasetError, its message starting with ``where``.
+    ``spill_text`` appends the text to ``spill``, or a new ``io.BytesIO``."""
+    return _checked_entry(record, where, True, spill or io.BytesIO(), None)
 
 
 @contextlib.contextmanager
@@ -534,31 +533,36 @@ def iter_jsonl(
                     yield where, line, parse_json(stripped, error_type, f"{where}: {problem}")
 
 
-def iter_dataset(path: str | os.PathLike[str]) -> Iterator[Entry]:
+def iter_dataset(path: str | os.PathLike[str], spill: IO[bytes] | None = None) -> Iterator[Entry]:
     """Stream entries from a JSON-lines dataset file.
 
     Malformed lines and duplicate ids raise DatasetError with the file
     and line number.  Each record is checked as ``entry_from_record``
     checks it, but only a line holding a ``\\u`` escape has its strings
     checked for a lone surrogate: strict UTF-8 lets none through
-    otherwise.  Streaming: memory use is one entry, not one file.
+    otherwise.  Each text goes to ``spill`` as ``entry_from_record``
+    spills it.  Streaming: memory use is one entry, not one file.
     """
+    spill = spill or io.BytesIO()
     seen: set[str] = set()
     for where, line, record in iter_jsonl(path, DatasetError):
-        try:
-            # The one-byte search runs at memchr speed; most lines hold
-            # no backslash at all.
-            entry = _checked_entry(record, b"\\" in line and b"\\u" in line)
-            if entry.id in seen:
-                raise DatasetError(f"duplicate entry id {entry.id!r}")
-        except DatasetError as err:
-            raise DatasetError(f"{where}: {err}") from None
+        data = None
+        # Most lines hold no backslash (a memchr-speed search): every '"' is
+        # a quote and the text holds nothing to escape.  Its bytes are sliced
+        # where save writes it, if no "raw_text" follows (JSON keeps the last).
+        if b"\\" not in line and (start := line.find(b'"raw_text": "') + 12) > 11:
+            end = line.index(b'"', start + 1) + 1
+            if line.find(b'"raw_text"', end) == -1:
+                data = memoryview(line)[start:end]
+        entry = _checked_entry(record, where, data is None and b"\\u" in line, spill, data)
+        if entry.id in seen:
+            raise DatasetError(f"{where}: duplicate entry id {entry.id!r}")
         seen.add(entry.id)
         yield entry
 
 
-def load_dataset(path: str | os.PathLike[str]) -> list[Entry]:
-    return list(iter_dataset(path))
+def load_dataset(path: str | os.PathLike[str], spill: IO[bytes] | None = None) -> list[Entry]:
+    return list(iter_dataset(path, spill))
 
 
 @contextlib.contextmanager
@@ -592,10 +596,8 @@ def save_dataset(entries: Iterable[Entry], path: str | os.PathLike[str]) -> int:
     unset optional ones, byte for byte as ``json.dumps(record,
     ensure_ascii=False)`` writes it, in UTF-8: each value goes through
     its field's writer in ``_FIELDS``, chosen by its exact type.
-    ``raw_text`` is written as a piece of its own: a ``SpilledText``
-    as the bytes ingest spilled, a ``str`` only quoted when nothing in
-    it needs escaping (see ``_json_string``).  A definition that starts
-    such an escape-free ``raw_text`` is only quoted too.
+    ``raw_text`` is written as the bytes spilled for it, and a
+    definition that is its ``plain_prefix`` is only quoted.
 
     A value its field does not take (a wrong type, a float that is not
     finite, a number past the float range) raises DatasetError naming
@@ -608,18 +610,12 @@ def save_dataset(entries: Iterable[Entry], path: str | os.PathLike[str]) -> int:
         write = handle.write
         for entry in entries:
             id_, definition, raw_text = entry.id, entry.definition, entry.raw_text
+            if type(raw_text) is not SpilledText:
+                raise DatasetError(f"entry {id_!r}: field 'raw_text' must be SpilledText, "
+                                   f"got {raw_text!r:.40}")
+            raw_json = raw_text.json_bytes()
             try:
-                raw_json = _RAW_TEXT[type(raw_text)](raw_text)
-                # Ingest cuts the definition from the start of the
-                # raw_text, so when the raw_text is only quoted (no
-                # escape made it longer), the definition can be too.
-                if type(raw_text) is SpilledText:
-                    plain = raw_text.plain_prefix is definition
-                else:
-                    plain = (len(raw_json) == len(raw_text) + 2 and type(definition) is str
-                             and raw_text.startswith(definition))
-                    raw_json = raw_json.encode("utf-8")
-                if plain:
+                if raw_text.plain_prefix is definition:
                     definition_json = f'"{definition}"'
                 else:
                     definition_json = _STRING[type(definition)](definition)
@@ -643,7 +639,7 @@ def save_dataset(entries: Iterable[Entry], path: str | os.PathLike[str]) -> int:
                 if (lon := entry.lon) is not None:
                     tail += f', "lon": {_NUMBER[type(lon)](lon)}'
             except (KeyError, ValueError, OverflowError):
-                for name in _FIELDS:
+                for name in _REQUIRED_FIELDS[:5] + _OPTIONAL_FIELDS:  # raw_text is checked above
                     problem = _field_problem(name, getattr(entry, name), False)
                     if problem is not None:
                         raise DatasetError(f"entry {id_!r}: {problem}") from None

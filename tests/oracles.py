@@ -226,7 +226,8 @@ def dataset_line(entry) -> str:
     """One dataset line, built field by field and dumped whole: the six
     required fields, then each optional one that is set."""
     record = {name: getattr(entry, name)
-              for name in ("id", "volume", "page", "headword", "definition", "raw_text")}
+              for name in ("id", "volume", "page", "headword", "definition")}
+    record["raw_text"] = entry.raw_text.text()
     for name in ("is_location", "qid", "similarity", "lat", "lon"):
         if getattr(entry, name) is not None:
             record[name] = getattr(entry, name)

@@ -384,17 +384,17 @@ def test_8_full_scale_statement_and_architecture(tmp_path, capsys):
     # yields entries without materializing the whole file
     import types
 
-    from geolex.corpus import Entry, save_dataset
+    from geolex.corpus import entry_from_record, save_dataset
 
     big = [
-        Entry(
-            id=f"1:{page}:{ordinal}",
-            volume=1,
-            page=page,
-            headword=f"Ort{page}x{ordinal}",
-            definition=f"Ort{page}x{ordinal}, en ort.",
-            raw_text=f"Ort{page}x{ordinal}, en ort.",
-        )
+        entry_from_record({
+            "id": f"1:{page}:{ordinal}",
+            "volume": 1,
+            "page": page,
+            "headword": f"Ort{page}x{ordinal}",
+            "definition": f"Ort{page}x{ordinal}, en ort.",
+            "raw_text": f"Ort{page}x{ordinal}, en ort.",
+        })
         for page in range(1, 501)
         for ordinal in (1, 2)
     ]

@@ -263,9 +263,9 @@ def count_dataset_io(monkeypatch) -> dict[str, int]:
     counts = {"load": 0, "save": 0}
     real_load, real_save = corpus.load_dataset, corpus.save_dataset
 
-    def load_dataset(path):
+    def load_dataset(path, spill=None):
         counts["load"] += 1
-        return real_load(path)
+        return real_load(path, spill)
 
     def save_dataset(entries, path):
         counts["save"] += 1
@@ -402,6 +402,35 @@ class TestDatasetOwnership:
         made = {path.name for path in set(workspace.root.iterdir()) - before}
         assert made <= {workspace.dataset.name, workspace.model.name, workspace.geojson.name,
                         workspace.histogram.name, workspace.svg.name}
+
+    @pytest.mark.parametrize("stage", ["train", "classify", "link", "report"])
+    def test_a_command_that_loads_spills_every_text_beside_the_dataset(
+        self, workspace, no_network, monkeypatch, stage
+    ):
+        import tempfile
+
+        from geolex import corpus
+
+        assert workspace.run_all_stages() == 0
+        real_temporary_file, real_load = tempfile.TemporaryFile, corpus.load_dataset
+        spills, sources = [], set()
+
+        def recorded(*args, **kwargs):
+            spill = real_temporary_file(*args, **kwargs)
+            spills.append((Path(kwargs["dir"]), spill))
+            return spill
+
+        def load_dataset(path, spill=None):
+            entries = real_load(path, spill)
+            sources.update(entry.raw_text.source for entry in entries)
+            return entries
+
+        monkeypatch.setattr(tempfile, "TemporaryFile", recorded)
+        monkeypatch.setattr(corpus, "load_dataset", load_dataset)
+        assert workspace.run(stage) == 0
+        assert [(where, spill.closed) for where, spill in spills] == [
+            (workspace.dataset.parent, True)]
+        assert sources == {spills[0][1]}
 
     @pytest.mark.parametrize(
         "command, saver",
@@ -915,6 +944,13 @@ class TestExitCodes:
     def test_classify_without_dataset_exits_four(self, workspace, no_network, capsys):
         assert workspace.run("classify") == 4
         assert "dataset not found" in capsys.readouterr().err
+
+    def test_a_dataset_in_a_missing_directory_is_named_as_missing(
+        self, workspace, no_network, capsys
+    ):
+        missing = workspace.root / "not-there" / "dataset.jsonl"
+        assert workspace.run("report", "--dataset", str(missing)) == 7
+        assert capsys.readouterr().err == f"report: dataset not found: {missing}\n"
 
     def test_link_without_labels_or_model_exits_five(
         self, workspace, no_network, capsys

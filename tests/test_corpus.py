@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import io
 import json
 import logging
 import re
@@ -31,6 +32,7 @@ from geolex.corpus import (
     read_raw_pages,
     save_dataset,
     segment_pages,
+    spill_text,
     truncate_definition,
 )
 from geolex.errors import DatasetError
@@ -38,6 +40,15 @@ from geolex.errors import DatasetError
 
 def fixture_pages() -> list[RawPage]:
     return [RawPage(v, p, t) for v, p, t in fx.PAGES]
+
+
+def make_entry(*args, **fields) -> Entry:
+    """An ``Entry`` whose ``raw_text``, given as text, is spilled as a
+    load spills it; a value of another type is kept, for save to refuse."""
+    entry = Entry(*args, **fields)
+    if type(entry.raw_text) is str:
+        entry.raw_text = spill_text(io.BytesIO(), entry.raw_text, entry.definition)
+    return entry
 
 
 def jsonl_records(path, error_type):
@@ -156,7 +167,7 @@ class TestEntryStartHeuristic:
     def test_blank_line(self):
         assert not oracles.looks_like_entry_start("   ")
         entries = segment_pages([RawPage(1, 1, "   \nprovinsen, 4,155 kvkm.\n \t\nAal, fisk.")])
-        assert [(e.id, e.raw_text) for e in entries] == [("1:1:1", "Aal, fisk.")]
+        assert [(e.id, e.raw_text.text()) for e in entries] == [("1:1:1", "Aal, fisk.")]
 
     @pytest.mark.parametrize("line, starts", [
         ("Ωμέγα, grekisk bokstaf", True),
@@ -241,7 +252,7 @@ class TestSegmentation:
         ]
         entries = segment_pages(pages)
         assert len(entries) == 1
-        assert entries[0].raw_text == (
+        assert entries[0].raw_text.text() == (
             "Abborre, allmänt bekant insjöfisk af familjen Percidæ, "
             "med taggiga fenstrålar."
         )
@@ -254,7 +265,7 @@ class TestSegmentation:
         # construct with a non-alpha start instead.
         pages = [RawPage(1, 1, "Aachen, stad vid gränsen-\n(tysk) ort.\n")]
         entries = segment_pages(pages)
-        assert entries[0].raw_text == "Aachen, stad vid gränsen- (tysk) ort."
+        assert entries[0].raw_text.text() == "Aachen, stad vid gränsen- (tysk) ort."
 
     def test_fixture_corpus_segments_to_twelve(self):
         entries = segment_pages(fixture_pages())
@@ -266,7 +277,7 @@ class TestSegmentation:
         # is lost or invented: the alphanumeric stream is identical.
         entries = segment_pages(fixture_pages())
         from_pages = re.sub(r"[\W_]+", "", "".join(t for _, _, t in fx.PAGES))
-        from_entries = re.sub(r"[\W_]+", "", "".join(e.raw_text for e in entries))
+        from_entries = re.sub(r"[\W_]+", "", "".join(e.raw_text.text() for e in entries))
         assert from_pages == from_entries
 
     def test_volumes_are_independent(self):
@@ -285,7 +296,7 @@ class TestSegmentation:
         entries = segment_pages(pages)
         # volume 2's orphan continuation has no entry to join and is dropped
         assert [e.id for e in entries] == ["1:9:1", "2:1:1"]
-        assert entries[0].raw_text.endswith("allde-")
+        assert entries[0].raw_text.text().endswith("allde-")
 
     def test_pre_entry_front_matter_dropped(self):
         page = RawPage(1, 1, "tryckt i stockholm\nAal, tysk form.\n")
@@ -312,7 +323,7 @@ class TestSegmentation:
 
     def test_definition_is_truncation_of_raw_text(self):
         for entry in segment_pages(fixture_pages()):
-            assert entry.definition == truncate_definition(entry.raw_text)
+            assert entry.definition == truncate_definition(entry.raw_text.text())
             assert len(entry.definition) <= 200
 
     @pytest.mark.parametrize("newline", ["\r\n", "\x0c", "\u2028"])
@@ -322,7 +333,7 @@ class TestSegmentation:
             "fenstrålar.", "Aal, tysk form.", "",
         ])
         entries = segment_pages([RawPage(1, 1, text), RawPage(1, 2, "fisk\u2029Aachen, stad.")])
-        assert [(e.id, e.raw_text) for e in entries] == [
+        assert [(e.id, e.raw_text.text()) for e in entries] == [
             ("1:1:1", "Abborre, insjöfisk af familjen Percidæ, med taggiga fenstrålar."),
             ("1:1:2", "Aal, tysk form. fisk"),
             ("1:2:1", "Aachen, stad."),
@@ -358,7 +369,8 @@ def numbered(texts_and_new_volume: list[tuple[str, bool]]) -> list[RawPage]:
 
 
 def as_tuples(entries: list[Entry]) -> list[tuple]:
-    return [(e.id, e.volume, e.page, e.headword, e.definition, e.raw_text) for e in entries]
+    return [(e.id, e.volume, e.page, e.headword, e.definition, e.raw_text.text())
+            for e in entries]
 
 
 def load_bench_generator():
@@ -448,9 +460,9 @@ class TestDatasetSerialization:
             }
 
     def test_field_order_is_fixed(self, tmp_path):
-        entry = Entry("1:1:1", 1, 1, "Aachen", "Aachen, stad.", "Aachen, stad.",
-                      is_location=True, qid="Q1017", similarity=0.5,
-                      lat=50.77, lon=6.08)
+        entry = make_entry("1:1:1", 1, 1, "Aachen", "Aachen, stad.", "Aachen, stad.",
+                           is_location=True, qid="Q1017", similarity=0.5,
+                           lat=50.77, lon=6.08)
         path = tmp_path / "d.jsonl"
         save_dataset([entry], path)
         record = json.loads(path.read_text(encoding="utf-8"))
@@ -482,7 +494,7 @@ class TestDatasetSerialization:
             next(records)
 
     def test_duplicate_id_rejected_on_load(self, tmp_path):
-        entry = Entry("1:1:1", 1, 1, "Aal", "Aal, fisk.", "Aal, fisk.")
+        entry = make_entry("1:1:1", 1, 1, "Aal", "Aal, fisk.", "Aal, fisk.")
         path = tmp_path / "d.jsonl"
         line = oracles.dataset_line(entry)
         path.write_text(line + "\n" + line + "\n", encoding="utf-8")
@@ -490,7 +502,7 @@ class TestDatasetSerialization:
             load_dataset(path)
 
     def test_duplicate_id_rejected_on_save(self, tmp_path):
-        entry = Entry("1:1:1", 1, 1, "Aal", "Aal, fisk.", "Aal, fisk.")
+        entry = make_entry("1:1:1", 1, 1, "Aal", "Aal, fisk.", "Aal, fisk.")
         with pytest.raises(DatasetError, match="duplicate"):
             save_dataset([entry, entry], tmp_path / "d.jsonl")
 
@@ -551,7 +563,7 @@ class TestDatasetSerialization:
         before = path.read_bytes()
 
         def bad_entries():
-            yield Entry("9:9:1", 9, 9, "Aal", "Aal, fisk.", "Aal, fisk.")
+            yield make_entry("9:9:1", 9, 9, "Aal", "Aal, fisk.", "Aal, fisk.")
             raise RuntimeError("source died mid-stream")
 
         with pytest.raises(RuntimeError):
@@ -567,7 +579,7 @@ awkward_text = st.text(alphabet=st.one_of(
 ))
 numbers = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
 entries_st = st.lists(
-    st.builds(Entry, id=awkward_text, volume=st.integers(), page=st.integers(),
+    st.builds(make_entry, id=awkward_text, volume=st.integers(), page=st.integers(),
               headword=awkward_text, definition=awkward_text, raw_text=awkward_text),
     max_size=6, unique_by=lambda e: e.id,
 )
@@ -641,8 +653,8 @@ class TestLongTextSave:
     LATIN1 = "Åmål, stad vid Vänern; \xa0\x7f " * 3000
 
     def check(self, tmp_path, raw_texts: list[str]) -> None:
-        entries = [Entry(f"1:1:{n}", 1, 1, "Åmål", "Åmål, stad.", raw_text,
-                         is_location=n % 2 == 0, qid="Q54" if n % 2 == 0 else None)
+        entries = [make_entry(f"1:1:{n}", 1, 1, "Åmål", "Åmål, stad.", raw_text,
+                              is_location=n % 2 == 0, qid="Q54" if n % 2 == 0 else None)
                    for n, raw_text in enumerate(raw_texts, start=1)]
         path = tmp_path / "d.jsonl"
         save_dataset(entries, path)
@@ -704,6 +716,39 @@ class TestSpilledRawText:
         assert load_dataset(tmp_path / "d.jsonl") == entries[::-1]
 
 
+# A dataset record whose texts hold non-ASCII letters and a "/".
+LOADED = {"id": "1:1:1", "volume": 1, "page": 1, "headword": "Åmål",
+          "definition": "Åmål, stad.", "raw_text": "Åmål, stad vid Vänern/Dalsland.",
+          "is_location": True, "qid": "Q54"}
+
+
+class TestLoadedRawText:
+    """A loaded text saves as save lays it out, whatever the layout of
+    the line it was read from: sliced from the line, or encoded again
+    from the decoded text, it gives the same bytes."""
+
+    @pytest.mark.parametrize("line", [
+        json.dumps(LOADED),
+        json.dumps(LOADED, ensure_ascii=False).replace("/", "\\/"),
+        json.dumps(LOADED, ensure_ascii=False, separators=(",", ":")),
+        json.dumps(dict(reversed(LOADED.items())), ensure_ascii=False),
+        # JSON keeps the last of two keys.
+        json.dumps(LOADED, ensure_ascii=False)[:-1] + ', "raw_text": "Åmål."}',
+        json.dumps({**LOADED, "headword": 'Å", "raw_text": "x'}, ensure_ascii=False),
+    ], ids=["u-escapes", "escaped-solidus", "no-spaces", "keys-reversed", "raw-text-twice",
+            "key-inside-a-string"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_save_writes_what_the_line_decodes_to(self, tmp_path, line, end):
+        path = tmp_path / "d.jsonl"
+        following = oracles.dataset_line(a_location(id="1:1:2"))
+        path.write_bytes(f"{line}{end}{following}{end}".encode("utf-8"))
+        save_dataset(load_dataset(path), path)
+        record = json.loads(line)
+        canonical = {name: record[name] for name in FIELD_NAMES if name in record}
+        expected = f"{json.dumps(canonical, ensure_ascii=False)}\n{following}\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+
+
 # The smallest integer no float can hold: it rounds to 2**1024.
 FLOAT_OVERFLOW = 2**1024 - 2**970
 
@@ -760,11 +805,10 @@ class TestJsonlLines:
 
 
 def a_location(**fields) -> Entry:
-    entry = Entry("1:1:1", 1, 1, "Åmål", "Åmål, stad.", "Åmål, stad vid Vänern.",
-                  is_location=True, qid="Q54", similarity=0.5, lat=59.0, lon=12.7)
-    for name, value in fields.items():
-        setattr(entry, name, value)
-    return entry
+    return make_entry(**{
+        "id": "1:1:1", "volume": 1, "page": 1, "headword": "Åmål", "definition": "Åmål, stad.",
+        "raw_text": "Åmål, stad vid Vänern.", "is_location": True, "qid": "Q54",
+        "similarity": 0.5, "lat": 59.0, "lon": 12.7, **fields})
 
 
 class TestDatasetNumbers:
@@ -801,7 +845,7 @@ class TestDatasetNumbers:
 
     @pytest.mark.parametrize("field, value, expected", [
         ("id", None, "str"), ("volume", True, "int"), ("page", 1.0, "int"),
-        ("headword", b"A", "str"), ("raw_text", None, "str"), ("is_location", 1, "bool"),
+        ("headword", b"A", "str"), ("raw_text", None, "SpilledText"), ("is_location", 1, "bool"),
         ("qid", 1754, "str"), ("similarity", True, "int or float"), ("lat", "59.8", "int or float"),
     ])
     def test_save_refuses_a_value_of_a_type_its_field_does_not_take(
@@ -810,6 +854,13 @@ class TestDatasetNumbers:
         entry = a_location(**{field: value})
         with pytest.raises(DatasetError,
                            match=rf"^entry .*: field '{field}' must be {expected}, got "):
+            save_dataset([entry], tmp_path / "d.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_text_that_is_not_spilled_is_refused_at_save(self, tmp_path):
+        entry = Entry("1:1:1", 1, 1, "Aal", "Aal, fisk.", "Aal, fisk.")
+        with pytest.raises(DatasetError,
+                           match=r"^entry '1:1:1': field 'raw_text' must be SpilledText, got 'Aal"):
             save_dataset([entry], tmp_path / "d.jsonl")
         assert list(tmp_path.iterdir()) == []
 
@@ -922,7 +973,7 @@ class TestLoadAgainstTheOracle:
             if record["id"] in [entry.id for entry in expected]:
                 problem = f"{where}: duplicate entry id {record['id']!r}"
                 break
-            expected.append(Entry(**record))
+            expected.append(make_entry(**record))
         if problem is None:
             assert load_dataset(path) == expected
         else:
@@ -941,7 +992,7 @@ class TestLoadAgainstTheOracle:
                 entry_from_record(record, "here")
             assert str(caught.value) == str(err)
         else:
-            assert entry_from_record(record, "here") == Entry(**record)
+            assert entry_from_record(record, "here") == make_entry(**record)
 
     @pytest.mark.parametrize("field", STRING_FIELDS)
     def test_escapes_that_decode_to_text_are_read(self, tmp_path, field):
@@ -955,17 +1006,17 @@ class TestLoadAgainstTheOracle:
 
 class TestEntryFields:
     def saved_entry(self, tmp_path) -> Entry:
-        entry = Entry("1:1:1", 1, 1, "Åmål", "Åmål, stad.", "Åmål, stad \"vid\" Vänern.",
-                      is_location=True, qid="Q54")
+        entry = make_entry("1:1:1", 1, 1, "Åmål", "Åmål, stad.", "Åmål, stad \"vid\" Vänern.",
+                           is_location=True, qid="Q54")
         save_dataset([entry], tmp_path / "d.jsonl")
         return entry
 
     def test_equality_repr_and_replace_see_the_decoded_text(self, tmp_path):
         entry = self.saved_entry(tmp_path)
-        twin = Entry("1:1:1", 1, 1, "Åmål", "Åmål, stad.", 'Åmål, stad "vid" Vänern.',
-                     is_location=True, qid="Q54")
+        twin = make_entry("1:1:1", 1, 1, "Åmål", "Åmål, stad.", 'Åmål, stad "vid" Vänern.',
+                          is_location=True, qid="Q54")
         assert entry == twin
-        assert repr(entry) == repr(twin)
+        assert entry.raw_text.text() == twin.raw_text.text() == 'Åmål, stad "vid" Vänern.'
         assert "_head" not in repr(entry)
         moved = dataclasses.replace(entry, id="1:1:2")
         assert (moved.id, moved.raw_text, moved.qid) == ("1:1:2", twin.raw_text, "Q54")

@@ -3,13 +3,11 @@ inputs.  Each input ends as the reader's declared error, with a
 one-line message, or as an acceptance the README's *Input files*
 table documents; through the CLI, each error ends as its stage's exit
 code with one line on stderr.
-
-Not covered: a file that exists but may not be read.  ``chmod`` does
-not stop a process that runs as root, as these tests may.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import shutil
 from dataclasses import dataclass
@@ -20,7 +18,7 @@ from typing import Callable
 import pytest
 
 from conftest import make_workspace
-from geolex import cli
+from geolex import cli, corpus
 from geolex.classifier import load_annotations, load_model
 from geolex.config import ConfigError, load_config
 from geolex.corpus import load_dataset
@@ -80,6 +78,13 @@ def read_api_body(tmp_path, data):
     return WikidataClient(answering(data)).search_candidates("Berlin")
 
 
+def read_sparql_body(tmp_path, data):
+    """The coordinates found, and the rows skipped."""
+    client = WikidataClient(answering(data))
+    points = client.fetch_coordinates(["Q64"])
+    return {qid: (point.lat, point.lon) for qid, point in points.items()}, client.warnings
+
+
 def read_remote_embedder_body(tmp_path, data):
     embedder = RemoteEmbedder("https://x.test/embed", dim=2, transport=answering(data))
     return [vector.tolist() for vector in embedder.embed_batch(["Aal"])]
@@ -133,10 +138,16 @@ READERS = {
         read_replay_file, ProtocolError, b'{"body": "@S", "encoding": @N}',
         b'"utf-8"', b"{}", b"{}",
     ),
-    # The SPARQL body goes through the same parse as this one.
     "api body": Reader(
         read_api_body, ProtocolError, b'{"search": [{"id": "@S", "pageid": @N}]}',
         b"64", b"Q64", ["Q64"], on_disk=False,
+    ),
+    # ``@N`` is a member the client does not read.
+    "sparql body": Reader(
+        read_sparql_body, ProtocolError,
+        b'{"results": {"bindings": [{"item": {"value": "http://www.wikidata.org/entity/@S"}, '
+        b'"coords": {"value": "Point(13.4 52.5)"}}]}, "took": @N}',
+        b"12", b"Q64", ({"Q64": (52.5, 13.4)}, 0), on_disk=False,
     ),
     "remote-embedder body": Reader(
         read_remote_embedder_body, ProtocolError, b'{"model": "@S", "vectors": [[@N, 0]]}',
@@ -188,6 +199,10 @@ ACCEPTED = {
     ("model", "surrogate-escape"): [0.5, 0.25],
     ("api body", "nan"): ["Q64"],
     ("api body", "infinity"): ["Q64"],
+    ("sparql body", "nan"): READERS["sparql body"].good,
+    ("sparql body", "infinity"): READERS["sparql body"].good,
+    # A row whose item is no item id is skipped and counted.
+    ("sparql body", "surrogate-escape"): ({}, 1),
     ("remote-embedder body", "surrogate-escape"): [[1.0, 0.0]],
 }
 
@@ -216,6 +231,23 @@ def test_hostile_input_ends_as_the_declared_error_or_an_acceptance(tmp_path, nam
     assert "\n" not in message
     if reader.on_disk and (name, source) not in NAMELESS:
         assert str(tmp_path) in message  # names the file
+
+
+@pytest.mark.parametrize("name", [name for name, reader in READERS.items() if reader.on_disk])
+def test_a_file_that_may_not_be_read_ends_as_the_declared_error(tmp_path, monkeypatch, name):
+    # ``chmod`` does not stop a process that runs as root, so the refusal
+    # comes from the one ``open`` every on-disk reader goes through.
+    def refused(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    reader = READERS[name]
+    monkeypatch.setattr(corpus, "open", refused, raising=False)
+    with pytest.raises(reader.error) as caught:
+        reader.read(tmp_path, reader.document())
+    message = str(caught.value)
+    assert "\n" not in message
+    assert str(tmp_path) in message
+    assert "Permission denied" in message
 
 
 @pytest.fixture(scope="module")
