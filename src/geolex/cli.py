@@ -419,12 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", parents=[common], help="mark entries location / non-location")
     p.add_argument("--dataset")
     p.add_argument("--model")
-    p.add_argument(
-        "--in-place",
-        action="store_true",
-        help="rewrite the dataset in place (the only supported mode; "
-        "accepted for explicitness)",
-    )
 
     p = sub.add_parser("link", parents=[common], help="link location entries to Wikidata items")
     p.add_argument("--dataset")

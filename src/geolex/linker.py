@@ -1,26 +1,24 @@
 """Candidate ranking and entry → Wikidata linking.
 
 For each location entry: search Wikidata for the headword, which
-yields up to five item ids, fetch the Swedish description of every
-item, embed the entry's definition and the descriptions with the same
-provider, and keep the item whose description is most cosine-similar
-to the definition.  Ties break toward the lower item number.  An item
-without a description scores 0 (its text embeds to the zero vector).
-Each result's ``considered`` holds every ``(qid, similarity)`` pair,
-best first.
+yields up to five item ids, each with its Swedish description, embed
+the entry's definition and the descriptions with the same provider,
+and keep the item whose description is most cosine-similar to the
+definition.  Ties break toward the lower item number.  An item without
+a description scores 0 (its text embeds to the zero vector).  Each
+result's ``considered`` holds every ``(qid, similarity)`` pair, best
+first.
 
 ``link_batch`` is the one way to link; one entry is a batch of one.
-It searches once per distinct headword, in first-seen order, each
-search sent when its result is needed: on the calling thread one at a
-time, on a pool a few per worker ahead.  The distinct candidate items,
-in first-seen order, are cut into description requests of 50 ids; each
-request is queued as soon as its 50 ids are known, and the last,
-partial one after the final search.  Once every description is in, the
-entries are embedded and ranked chunk by chunk, each distinct text of a
-chunk embedded once and its vector's norm taken once.  A batch never
-aborts on a single bad entry: a failed search marks every entry with
-that headword, a failed description request marks every entry with a
-candidate in it, a failed embedding call marks its chunk, and a blank
+It works in two steps.  It searches once per distinct headword, in
+first-seen order, each search sent when its result is needed: on the
+calling thread one at a time, on a pool a few per worker ahead.  An
+item keeps the description of the first search that found it.  Then
+the entries are embedded and ranked chunk by chunk, each distinct text
+of a chunk embedded once and its vector's norm taken once.  A batch
+never aborts on a single bad entry: a failed search marks every entry
+with that headword (a hit with a malformed description fails its
+search), a failed embedding call marks its chunk, and a blank
 headword, which cannot be searched, marks its entries.  A marked entry
 gets an unlinked result with an error note ("Type: message") and the
 batch carries on.
@@ -39,7 +37,7 @@ import numpy as np
 from .corpus import Entry
 from .embedding import EMBED_CHUNK, cosine_from_norms, vector_norm
 from .errors import ProtocolError, ReplayCacheMiss, TransportError
-from .wikidata import ENTITY_BATCH_SIZE, SEARCH_LIMIT, WikidataClient, qid_number
+from .wikidata import SEARCH_LIMIT, WikidataClient, qid_number
 
 # Similarity gate disabled by default: cosine never goes below -1.
 NO_MIN_SIMILARITY = -1.0
@@ -60,7 +58,10 @@ ScoredCandidate = tuple[str, float]
 class LinkResult:
     """Outcome for one entry: chosen item (or None) plus the full
     ranking that produced the choice, ``(qid, similarity)`` pairs best
-    first."""
+    first, each item scored by the description its search hit carried.
+    ``error`` notes a failed search (a hit with a malformed description
+    fails it) or embedding call; such an entry is unlinked and ranks
+    nothing."""
 
     entry_id: str
     chosen: str | None
@@ -107,69 +108,45 @@ def link_batch(
 
     A failing entry yields an unlinked result with an error note; the
     rest of the batch is unaffected.  ``workers`` > 1 sends the searches
-    and the description requests on a pool of that many threads, each
-    with one request open at a time, so ``workers`` is the bound on
-    requests in flight.  With ``workers`` = 1 every request is sent from
-    the calling thread, which is fastest when no request waits on a
-    network (replay).  Either way a search is sent when its result is
-    needed, and a pool keeps up to ``SEARCH_WINDOW_PER_WORKER`` per
-    worker queued or running ahead of the one taken.  A description
-    request is queued as soon as the searches before it have filled its
-    50 ids, so on a pool it can go out while later searches run or wait
-    out a retry backoff.  Leaving early, on an exception or Ctrl-C,
-    cancels the requests still queued.
+    on a pool of that many threads, each with one request open at a
+    time, so ``workers`` is the bound on requests in flight.  With
+    ``workers`` = 1 every search is sent from the calling thread, which
+    is fastest when no request waits on a network (replay).  Either way
+    a search is sent when its result is needed, and a pool keeps up to
+    ``SEARCH_WINDOW_PER_WORKER`` per worker queued or running ahead of
+    the one taken.  Leaving early, on an exception or Ctrl-C, cancels
+    the searches still queued.  Each item is ranked by the description
+    of the first search that found it.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    # One search per distinct headword, in first-seen order.  A
+    # ``ValueError`` is a blank headword.
+    headwords = list(dict.fromkeys(entry.headword for entry in entries))
+    search = _remote(client.search_candidates, ValueError)
+    hits: dict[str, list[str] | Exception] = {}
+    descriptions: dict[str, str | None] = {}
     with ExitStack() as stack:
-        # One search per distinct headword, in first-seen order.  A
-        # ``ValueError`` is a blank headword.
-        headwords = list(dict.fromkeys(entry.headword for entry in entries))
-        search = _remote(client.search_candidates, ValueError)
         if workers > 1 and len(entries) > 1:
             executor = ThreadPoolExecutor(max_workers=workers)
-            # Leaving early (a bug, Ctrl-C) cancels the queued requests
+            # Leaving early (a bug, Ctrl-C) cancels the queued searches
             # and waits only for those already sent.
             stack.callback(executor.shutdown, cancel_futures=True)
             searched = _windowed_map(
                 executor, search, headwords, SEARCH_WINDOW_PER_WORKER * workers
             )
         else:
-            executor = _CallingThread()
-            # Lazy: each search runs as its result is taken, with no future.
+            # Lazy: each search runs as its result is taken.
             searched = map(search, headwords)
-        # The distinct candidates, in first-seen order, are cut into
-        # batches of 50; each is queued as soon as it is full, behind
-        # the searches already queued, so its ids never depend on thread
-        # timing.
-        fetch = _remote(client.fetch_descriptions)
-        hits: dict[str, list[str] | Exception] = {}
-        batches: list[tuple[list[str], Future]] = []
-        seen: set[str] = set()
-        batch: list[str] = []
         for headword, found in zip(headwords, searched):
+            if not isinstance(found, Exception):
+                for qid, description in found:
+                    descriptions.setdefault(qid, description)
+                found = [qid for qid, _ in found]
             hits[headword] = found
-            for qid in () if isinstance(found, Exception) else found:
-                if qid not in seen:
-                    seen.add(qid)
-                    batch.append(qid)
-                if len(batch) == ENTITY_BATCH_SIZE:
-                    batches.append((batch, executor.submit(fetch, batch)))
-                    batch = []
-        if batch:
-            batches.append((batch, executor.submit(fetch, batch)))
 
-        descriptions: dict[str, str | None] = {}
-        failed: dict[str, Exception] = {}
-        for batch, future in batches:
-            answer = future.result()
-            if isinstance(answer, Exception):
-                failed.update(dict.fromkeys(batch, answer))
-            else:
-                descriptions.update(answer)
-
-    # Each entry's search failed, found nothing, lost a description
-    # request, or leaves a placeholder for the ranking below.
+    # Each entry's search failed, found nothing, or leaves a placeholder
+    # for the ranking below.
     results: list[LinkResult | None] = []
     for entry in entries:
         found = hits[entry.headword]
@@ -177,8 +154,6 @@ def link_batch(
             results.append(_failed(entry, found))
         elif not found:
             results.append(LinkResult(entry.id, None, 0.0, []))
-        elif lost := [failed[qid] for qid in found if qid in failed]:
-            results.append(_failed(entry, lost[0]))
         else:
             results.append(None)
 
@@ -245,17 +220,6 @@ def _windowed_map(executor: ThreadPoolExecutor, call, args: list, window: int):
         pending.append(executor.submit(call, arg))
     while pending:
         yield pending.popleft().result()
-
-
-class _CallingThread:
-    """An executor's ``submit`` that runs the call at once, on the
-    calling thread."""
-
-    @staticmethod
-    def submit(call, arg) -> Future:
-        future: Future = Future()
-        future.set_result(call(arg))
-        return future
 
 
 def _remote(call, *also: type[Exception]):

@@ -1,8 +1,11 @@
-"""Wikidata access: entity search, descriptions, and SPARQL coordinates.
+"""Wikidata access: entity search and SPARQL coordinates.
 
-The client answers in item ids (QIDs): a search returns the ids of its
-first ``SEARCH_LIMIT`` hits in API order; descriptions and coordinates
-(``GeoPoint``s) come back in dicts keyed by id.
+The client answers in item ids (QIDs): a search returns its first
+``SEARCH_LIMIT`` hits in API order, each hit's id with the Swedish
+description the search answer carries, and coordinates (``GeoPoint``s)
+come back in a dict keyed by id.  A description whose ``display`` names
+another language is a fallback and counts as absent, as
+``wbgetentities`` with ``languages=sv`` has no fallback.
 
 All HTTP goes through a transport object chosen by cache mode:
 
@@ -20,12 +23,11 @@ parameters + body hash), so a recorded response is found again even if
 parameter order changes.  The client retries transport-level failures
 with 1s/2s/4s backoff, and a live transport spaces its request starts
 at least 0.1s apart.  It sets no bound on requests in flight: in live
-and record modes link sends from a pool of ``concurrency`` threads, one
-request open per thread; replay link and every other caller send from
-one thread.  Link sends each search when its ids are needed, a pool
-keeping a few per worker ahead, and each description request as soon as
-its ids are known, so while one thread sleeps out a search's backoff
-the others send the requests queued.
+and record modes link sends its searches from a pool of
+``concurrency`` threads, one request open per thread, a few per worker
+ahead, so while one thread sleeps out a search's backoff the others
+send the searches queued; replay link and every other caller send from
+one thread.
 """
 
 from __future__ import annotations
@@ -297,6 +299,32 @@ def _parse_json_body(body: bytes, request: HttpRequest) -> dict:
     return parsed
 
 
+def _checked_description(value, where: str) -> str:
+    """``value`` if it is a string that encodes as UTF-8, else a
+    ProtocolError naming ``where``."""
+    if not isinstance(value, str):
+        raise ProtocolError(f"{where} has no string value")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise ProtocolError(f"{where} cannot be encoded as UTF-8") from err
+    return value
+
+
+def _hit_description(qid: str, hit: dict) -> str | None:
+    """The Swedish description of one ``wbsearchentities`` hit, ``None``
+    when it has none or when its ``display`` names another language: the
+    search falls back to other languages, ``wbgetentities`` with
+    ``languages=sv`` does not."""
+    try:
+        language = hit.get("display", {}).get("description", {}).get("language", _LANGUAGE)
+    except AttributeError as err:
+        raise ProtocolError(f"search hit {qid}: 'display' is not an object of objects") from err
+    if "description" not in hit or language != _LANGUAGE:
+        return None
+    return _checked_description(hit["description"], f"search hit {qid}: description")
+
+
 def _entity_description(qid: str, entity: dict) -> str | None:
     """The Swedish description of one ``wbgetentities`` entity,
     ``None`` when it has none."""
@@ -308,16 +336,7 @@ def _entity_description(qid: str, entity: dict) -> str | None:
     described = descriptions[_LANGUAGE]
     if not isinstance(described, dict):
         raise ProtocolError(f"entity {qid}: description {_LANGUAGE!r} is not an object")
-    value = described.get("value")
-    if not isinstance(value, str):
-        raise ProtocolError(f"entity {qid}: description {_LANGUAGE!r} has no string value")
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError as err:
-        raise ProtocolError(
-            f"entity {qid}: description {_LANGUAGE!r} cannot be encoded as UTF-8"
-        ) from err
-    return value
+    return _checked_description(described.get("value"), f"entity {qid}: description {_LANGUAGE!r}")
 
 
 def _qid_from_entity_uri(uri: str) -> str:
@@ -336,7 +355,7 @@ def _dedupe(qids: Iterable[str]) -> list[str]:
 
 
 class WikidataClient:
-    """Entity search, description fetch, and coordinate queries.
+    """Entity search and coordinate queries.
 
     ``warnings`` counts SPARQL result rows that were skipped as
     unparseable; everything else either succeeds or raises.
@@ -380,9 +399,12 @@ class WikidataClient:
             raise ProtocolError(f"{action} API error: {data['error']}")
         return data
 
-    def search_candidates(self, headword: str) -> list[str]:
-        """Item ids of the entity search for a headword, best match
-        first, at most ``SEARCH_LIMIT``."""
+    def search_candidates(self, headword: str) -> list[tuple[str, str | None]]:
+        """The entity search for a headword, best match first, at most
+        ``SEARCH_LIMIT`` hits: each hit's item id and its Swedish
+        description, ``None`` where it has none or shows one in another
+        language.  A hit without a valid id, or whose description is no
+        string or cannot be encoded as UTF-8, raises ProtocolError."""
         if not headword or not headword.strip():
             raise ValueError("cannot search for an empty headword")
         data = self._get(
@@ -395,14 +417,16 @@ class WikidataClient:
         hits = data.get("search")
         if not isinstance(hits, list):
             raise ProtocolError(f"search response missing 'search' list for {headword!r}")
-        qids = []
+        candidates = []
         for hit in hits[:SEARCH_LIMIT]:
             try:
-                qids.append(validate_qid(hit["id"]))
+                qid = validate_qid(hit["id"])
             except (KeyError, TypeError, ValueError) as err:
                 raise ProtocolError(f"search hit without a valid item id: {hit!r}") from err
-        return qids
+            candidates.append((qid, _hit_description(qid, hit)))
+        return candidates
 
+    # Unused by the pipeline; kept while bench/launcher.py patches it by name.
     def fetch_descriptions(self, qids: Sequence[str]) -> dict[str, str | None]:
         """Authoritative descriptions for items, ``None`` where absent
         (including items that do not exist).  An entity whose

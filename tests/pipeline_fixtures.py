@@ -8,10 +8,10 @@ one entry.
 
 ``build_replay_cache`` writes every response the pipeline will request
 for this corpus into a cache directory, so full runs work with the
-network unplugged: one search per location headword, one description
-request for all their candidates, and the coordinate queries.  The
-request parameter sets are spelled out literally here; if the client
-ever changes its request shape, replay misses will say so.
+network unplugged: one search per location headword, whose hits carry
+their descriptions, and the coordinate queries.  The request parameter
+sets are spelled out literally here; if the client ever changes its
+request shape, replay misses will say so.
 """
 
 from __future__ import annotations
@@ -360,9 +360,10 @@ def record(cache_dir: Path, request: HttpRequest, body: bytes) -> Path:
 
 
 def record_descriptions(cache_dir: Path, headwords) -> Path:
-    """Record the one description request link sends when exactly the
-    searches for ``headwords`` succeed: the distinct candidates of
-    those headwords, in first-seen order (fewer than 50 here)."""
+    """Record the one description request link used to send, before
+    search hits carried the descriptions, when exactly the searches for
+    ``headwords`` succeeded: the distinct candidates of those
+    headwords, in first-seen order (fewer than 50 here)."""
     hits = {qid: (qid, label, text)
             for headword in headwords
             for qid, label, text in SEARCH_RESULTS[headword]}
@@ -385,7 +386,6 @@ def build_replay_cache(cache_dir: Path) -> dict[str, Path]:
         files[f"search:{headword}"] = record(
             cache_dir, search_request(headword), _search_body(headword, hits)
         )
-    files["descriptions"] = record_descriptions(cache_dir, LOCATION_HEADWORDS)
     files["sparql:coordinates"] = record_coordinates(cache_dir, EXPECTED_SPARQL_QIDS)
 
     # A second coords pass re-queries only the items still without a
@@ -398,15 +398,14 @@ def build_replay_cache(cache_dir: Path) -> dict[str, Path]:
 
 
 class FixtureTransport:
-    """Answers searches and description requests for any subset of ids
-    straight from ``results`` (default: ``SEARCH_RESULTS``), so tests
-    can link any entries without a recorded cache.  Keeps every request
-    it was sent, in arrival order."""
+    """Answers searches straight from ``results`` (default:
+    ``SEARCH_RESULTS``), so tests can link any entries without a
+    recorded cache; any other request fails the test.  Keeps every
+    request it was sent, in arrival order."""
 
     def __init__(self, results=None):
         self.results = SEARCH_RESULTS if results is None else results
         self.requests: list[HttpRequest] = []
-        self._by_qid = {hit[0]: hit for hits in self.results.values() for hit in hits}
 
     def send(self, request: HttpRequest) -> bytes:
         self.requests.append(request)
@@ -415,12 +414,4 @@ class FixtureTransport:
             term = params["search"]
             hits = self.results.get(term, [])[: int(params["limit"])]
             return _search_body(term, hits)
-        if params.get("action") == "wbgetentities":
-            ids = params["ids"].split("|")
-            return _entities_body([self._by_qid[qid] for qid in ids if qid in self._by_qid])
         raise AssertionError(f"unexpected request {request.full_url()}")
-
-    def asked_ids(self) -> list[list[str]]:
-        """The ids of every description request, in arrival order."""
-        sent = (dict(request.params) for request in self.requests)
-        return [p["ids"].split("|") for p in sent if p.get("action") == "wbgetentities"]

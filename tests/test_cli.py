@@ -32,9 +32,7 @@ def read_bytes(path) -> bytes:
 
 def fail_berlin_live(workspace, monkeypatch) -> None:
     """Switch the workspace to record mode (read-through, not
-    replay-fatal) and fail every request that names Berlin.  The
-    description request, which then leaves out Berlin's candidates, is
-    recorded up front."""
+    replay-fatal) and fail every request that names Berlin."""
     from geolex.errors import TransportError
 
     real_send = wikidata.WikidataClient._send
@@ -48,9 +46,6 @@ def fail_berlin_live(workspace, monkeypatch) -> None:
     config_payload = json.loads(workspace.config_path.read_text(encoding="utf-8"))
     config_payload["cache_mode"] = "record"
     workspace.config_path.write_text(json.dumps(config_payload), encoding="utf-8")
-    fx.record_descriptions(
-        workspace.cache_dir, [h for h in fx.LOCATION_HEADWORDS if h != "Berlin"]
-    )
 
 
 class TestFullRun:
@@ -228,12 +223,13 @@ class TestStageByStage:
         assert stockholm.qid == "Q1754"
         assert stockholm.similarity is not None
 
-    def test_classify_accepts_in_place_flag(self, workspace, no_network):
+    def test_classify_refuses_the_in_place_flag(self, workspace, no_network, capsys):
         assert workspace.run("ingest") == 0
         assert workspace.run("train") == 0
-        assert workspace.run("classify", "--in-place") == 0
-        entries = load_dataset(workspace.dataset)
-        assert sum(1 for e in entries if e.is_location) == 7
+        with pytest.raises(SystemExit) as exc_info:
+            workspace.run("classify", "--in-place")
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --in-place" in capsys.readouterr().err
 
     def test_min_sim_flag_gates_links(self, workspace, no_network):
         assert workspace.run("ingest") == 0
@@ -313,10 +309,6 @@ class TestDatasetOwnership:
         failing = make_workspace(tmp_path / "failing")
         labels = fx.build_replay_cache(failing.cache_dir)
         labels["search:Stockholm"].unlink()
-        fx.record_descriptions(
-            failing.cache_dir,
-            [h for h in fx.LOCATION_HEADWORDS if h != "Stockholm"],
-        )
         capsys.readouterr()
         assert failing.run_all_stages() == 5
         captured = capsys.readouterr()
@@ -344,10 +336,6 @@ class TestDatasetOwnership:
     ):
         labels = fx.build_replay_cache(workspace.cache_dir)
         labels["search:Stockholm"].unlink()
-        fx.record_descriptions(
-            workspace.cache_dir,
-            [h for h in fx.LOCATION_HEADWORDS if h != "Stockholm"],
-        )
         fail_dataset_replace(workspace, monkeypatch)
         assert workspace.run_all_stages() == 5
         err = capsys.readouterr().err
@@ -643,8 +631,8 @@ class TestLiveRun:
 
         linked = {e.id: e.qid for e in load_dataset(workspace.dataset) if e.is_location}
         assert linked == fx.EXPECTED_LINKS
-        # searches, the description request, and coords' SPARQL query
-        assert len(opened) == len(fx.LOCATION_HEADWORDS) + 2
+        # searches and coords' SPARQL query
+        assert len(opened) == len(fx.LOCATION_HEADWORDS) + 1
         assert len(grants) == len(opened)
         grants.sort()
         gaps = [later - earlier for earlier, later in zip(grants, grants[1:])]
@@ -738,6 +726,31 @@ class TestFixtureTraffic:
         assert workspace.run_all_stages() == 0
         assert workspace.run("coords") == 0  # re-asks for the ungeocoded Iowa item
         assert read == recorded
+
+    def test_a_cache_recorded_with_description_requests_replays_the_same(
+        self, tmp_path, no_network, monkeypatch
+    ):
+        from conftest import make_workspace
+
+        plain = make_workspace(tmp_path / "plain")
+        assert plain.run_all_stages() == 0
+        # Caches recorded before search hits carried the descriptions
+        # also hold the description request link then sent.
+        older = make_workspace(tmp_path / "older")
+        fx.record_descriptions(older.cache_dir, fx.LOCATION_HEADWORDS)
+        actions: list[str | None] = []
+        real_send = wikidata.ReplayTransport.send
+
+        def send(self, request):
+            actions.append(dict(request.params).get("action"))
+            return real_send(self, request)
+
+        monkeypatch.setattr(wikidata.ReplayTransport, "send", send)
+        assert older.run_all_stages() == 0
+        assert "wbgetentities" not in actions
+        assert actions.count("wbsearchentities") == len(fx.LOCATION_HEADWORDS)
+        for artifact in ("dataset", "model", "geojson", "histogram", "svg"):
+            assert getattr(older, artifact).read_bytes() == getattr(plain, artifact).read_bytes()
 
 
 def plotted_ids(geojson_path) -> set[str]:
@@ -968,11 +981,6 @@ class TestExitCodes:
         capsys.readouterr()
         labels = fx.build_replay_cache(workspace.cache_dir)
         labels["search:Stockholm"].unlink()
-        # the description request then leaves out Stockholm's candidates
-        fx.record_descriptions(
-            workspace.cache_dir,
-            [h for h in fx.LOCATION_HEADWORDS if h != "Stockholm"],
-        )
         assert workspace.run("link") == 5
         err = capsys.readouterr().err
         assert "link: entry 9:211:2: ReplayCacheMiss" in err
@@ -990,10 +998,6 @@ class TestExitCodes:
         capsys.readouterr()
         labels = fx.build_replay_cache(workspace.cache_dir)
         labels["search:Stockholm"].write_text(json.dumps(stored), encoding="utf-8")
-        fx.record_descriptions(
-            workspace.cache_dir,
-            [h for h in fx.LOCATION_HEADWORDS if h != "Stockholm"],
-        )
         assert workspace.run("link") == 5
         err = capsys.readouterr().err
         assert "link: entry 9:211:2: ProtocolError: corrupt cache file" in err
@@ -1132,9 +1136,6 @@ class TestLiveFailureTolerance:
         labels = fx.build_replay_cache(workspace.cache_dir)
         labels["search:Berlin"].unlink()
         labels["search:Berlin"].mkdir()
-        fx.record_descriptions(
-            workspace.cache_dir, [h for h in fx.LOCATION_HEADWORDS if h != "Berlin"]
-        )
         capsys.readouterr()
         assert workspace.run("link", "--cache-mode", "record") == 0
         failures = [line for line in capsys.readouterr().err.splitlines()

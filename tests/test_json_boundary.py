@@ -140,7 +140,7 @@ READERS = {
     ),
     "api body": Reader(
         read_api_body, ProtocolError, b'{"search": [{"id": "@S", "pageid": @N}]}',
-        b"64", b"Q64", ["Q64"], on_disk=False,
+        b"64", b"Q64", [("Q64", None)], on_disk=False,
     ),
     # ``@N`` is a member the client does not read.
     "sparql body": Reader(
@@ -197,8 +197,8 @@ ACCEPTED = {
     ("embedding cache", "surrogate-escape"): b'{"key": "\\ud800", "vector": [1.0, 0.0]}\n',
     # A value the reader does not use.
     ("model", "surrogate-escape"): [0.5, 0.25],
-    ("api body", "nan"): ["Q64"],
-    ("api body", "infinity"): ["Q64"],
+    ("api body", "nan"): READERS["api body"].good,
+    ("api body", "infinity"): READERS["api body"].good,
     ("sparql body", "nan"): READERS["sparql body"].good,
     ("sparql body", "infinity"): READERS["sparql body"].good,
     # A row whose item is no item id is skipped and counted.

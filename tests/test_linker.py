@@ -59,17 +59,21 @@ def places(count: int):
     return entries, results
 
 
-class ShardDown(fx.FixtureTransport):
-    """Fails every description request that asks for ``poisoned``."""
+class RewrittenHit(fx.FixtureTransport):
+    """Answers as ``FixtureTransport``, except that the search for
+    ``headword`` has its hit number ``index`` updated with ``fields``."""
 
-    def __init__(self, results, poisoned: str):
+    def __init__(self, results, headword: str, index: int, fields: dict):
         super().__init__(results)
-        self.poisoned = poisoned
+        self.headword, self.index, self.fields = headword, index, fields
 
     def send(self, request):
-        if self.poisoned in dict(request.params).get("ids", "").split("|"):
-            raise TransportError("entity shard down")
-        return super().send(request)
+        body = super().send(request)
+        if dict(request.params)["search"] != self.headword:
+            return body
+        payload = json.loads(body)
+        payload["search"][self.index].update(self.fields)
+        return json.dumps(payload).encode("utf-8")  # ASCII: "\ud800" stays escaped
 
 
 class CountingEmbedder(HashedTrigramEmbedder):
@@ -274,11 +278,6 @@ class TestLinkBatch:
     ):
         client, labels = replay_client
         labels["search:Berlin"].unlink()  # puncture one response
-        # the description request then leaves out Berlin's candidates
-        fx.record_descriptions(
-            labels["descriptions"].parent,
-            [h for h in fx.LOCATION_HEADWORDS if h != "Berlin"],
-        )
         batch = self.location_entries()
         results = link_batch(batch, HashedTrigramEmbedder(), client)
         by_id = {r.entry_id: r for r in results}
@@ -295,7 +294,6 @@ class TestLinkBatch:
         client, labels = replay_client
         labels["search:Berlin"].unlink()
         labels["search:Berlin"].mkdir()  # a directory where the record should be
-        fx.record_descriptions(labels["descriptions"].parent, ["Aachen"])
         entries = fixture_entries()
         berlin, aachen = link_batch(
             [entries["2:57:2"], entries["1:101:1"]], HashedTrigramEmbedder(), client
@@ -330,92 +328,59 @@ class TestLinkBatch:
         client, _ = replay_client
         assert link_batch([], HashedTrigramEmbedder(), client) == []
 
-    def test_over_fifty_ids_take_two_requests_and_a_failed_one_marks_its_entries(self):
-        entries, results = places(11)  # 55 distinct candidates
-        # one more entry shares a candidate with each of the two requests
-        results["Delad"] = [results["Ort0"][0], results["Ort10"][0]]
-        entries.append(Entry("1:99:1", 1, 99, "Delad", "Delad, ort.", "Delad, ort."))
-        ids = [qid for hits in results.values() for qid, _, _ in hits][:55]
-        for poisoned, marked in (
-            (ids[0], {f"Ort{n}" for n in range(10)} | {"Delad"}),
-            (ids[50], {"Ort10", "Delad"}),
-        ):
-            client = WikidataClient(transport=ShardDown(results, poisoned), backoff_s=())
-            outcome = link_batch(entries, HashedTrigramEmbedder(), client, workers=2)
-            by_headword = {e.headword: r for e, r in zip(entries, outcome)}
-            failed = {h for h, r in by_headword.items() if r.error is not None}
-            assert failed == marked
-            assert all(
-                by_headword[h].error == "TransportError: entity shard down"
-                for h in marked
-            )
-            assert all(r.chosen is not None for h, r in by_headword.items() if h not in marked)
+    @pytest.mark.parametrize("description, problem", [
+        (5, "has no string value"),
+        ("\ud800", "cannot be encoded as UTF-8"),
+    ], ids=["number", "lone-surrogate"])
+    def test_malformed_description_fails_only_its_search(self, description, problem):
+        batch, results = self.repeated_places()  # Ort1, Ort0, Ort1, Ort2, Ort0, Ort1
+        broken = results["Ort1"][2][0]
+        transport = RewrittenHit(results, "Ort1", 2, {"description": description})
+        outcome = link_batch(batch, HashedTrigramEmbedder(), WikidataClient(transport=transport))
+        assert self.searched(transport) == ["Ort1", "Ort0", "Ort2"]
+        failed = [(e.headword, r.error) for e, r in zip(batch, outcome) if r.error is not None]
+        assert failed == [("Ort1", f"ProtocolError: search hit {broken}: description {problem}")] * 3
+        assert all(r.chosen is not None for e, r in zip(batch, outcome) if e.headword != "Ort1")
 
-        transport = fx.FixtureTransport(results)
-        link_batch(entries, HashedTrigramEmbedder(), WikidataClient(transport=transport))
-        assert transport.asked_ids() == [ids[:50], ids[50:]]
+    def test_a_description_in_another_language_ranks_as_none(self, no_network):
+        stockholm = fixture_entries()["9:211:2"]  # links to Q1754 on the plain fixture
+        # A search may fall back to another language; ``display`` says which.
+        english = {"display": {"description": {"value": "x", "language": "en"}}}
+        transport = RewrittenHit(fx.SEARCH_RESULTS, "Stockholm", 0, english)
+        client = WikidataClient(transport=transport)
+        (result,) = link_batch([stockholm], HashedTrigramEmbedder(), client)
+        assert result.error is None
+        assert dict(result.considered)["Q1754"] == 0.0
+        assert result.chosen != "Q1754"
 
-    def test_malformed_entity_marks_the_entries_of_its_request(self):
-        entries, results = places(11)  # 55 distinct candidates
-        broken = results["Ort10"][2][0]  # in the second description request
-
-        class MalformedEntity(fx.FixtureTransport):
-            def send(self, request):
-                body = super().send(request)
-                payload = json.loads(body)
-                if broken in payload.get("entities", {}):
-                    payload["entities"][broken]["descriptions"] = []
-                return json.dumps(payload).encode("utf-8")
-
-        client = WikidataClient(transport=MalformedEntity(results))
+    def test_an_item_keeps_the_description_of_the_first_search_that_found_it(self, no_network):
+        entries, results = places(2)
+        shared = results["Ort0"][0][0]
+        results["Ort1"][0] = (shared, "Ort1", "musikalbum från 1994")
+        client = WikidataClient(transport=fx.FixtureTransport(results))
         outcome = link_batch(entries, HashedTrigramEmbedder(), client)
-        assert [r.entry_id for r in outcome if r.error] == [entries[10].id]
-        assert outcome[10].error == (
-            f"ProtocolError: entity {broken}: 'descriptions' is not an object"
-        )
-        assert all(r.chosen is not None for r in outcome[:10])
+        for entry, result in zip(entries, outcome):
+            expected = oracles.text_similarity(entry.definition, results["Ort0"][0][2])
+            assert dict(result.considered)[shared] == pytest.approx(expected, abs=1e-9)
 
     # too deep to parse, and past Python's integer digit limit
     @pytest.mark.parametrize("body", [b"[" * 100_000, b"1" * 5000], ids=["deep", "digits"])
-    def test_unparsable_answer_marks_the_entries_of_its_request(self, body):
-        entries, results = places(11)  # 55 distinct candidates
-        broken = results["Ort10"][2][0]  # in the second description request
+    def test_unparsable_search_answer_fails_only_its_headword(self, body):
+        entries, results = places(3)
 
         class Unparsable(fx.FixtureTransport):
             def send(self, request):
                 answer = super().send(request)
-                return body if broken in dict(request.params).get("ids", "") else answer
+                return body if dict(request.params)["search"] == "Ort1" else answer
 
         client = WikidataClient(transport=Unparsable(results))
         outcome = link_batch(entries, HashedTrigramEmbedder(), client)
-        assert [r.entry_id for r in outcome if r.error] == [entries[10].id]
-        assert outcome[10].error.startswith("ProtocolError: non-JSON response from ")
-        assert all(r.chosen is not None for r in outcome[:10])
-
-    def test_unencodable_description_marks_the_entries_of_its_request(self):
-        entries, results = places(11)  # 55 distinct candidates
-        # one more entry shares a candidate with each of the two requests
-        results["Delad"] = [results["Ort0"][0], results["Ort10"][0]]
-        entries.append(Entry("1:99:1", 1, 99, "Delad", "Delad, ort.", "Delad, ort."))
-        broken = results["Ort10"][2][0]  # in the second description request
-
-        class LoneSurrogate(fx.FixtureTransport):
-            def send(self, request):
-                payload = json.loads(super().send(request))
-                if broken in payload.get("entities", {}):
-                    payload["entities"][broken]["descriptions"]["sv"]["value"] = "\ud800"
-                return json.dumps(payload).encode("utf-8")  # ASCII: "\\ud800"
-
-        client = WikidataClient(transport=LoneSurrogate(results))
-        outcome = link_batch(entries, HashedTrigramEmbedder(), client)
-        assert [r.entry_id for r in outcome if r.error] == [entries[10].id, "1:99:1"]
-        assert outcome[10].error == outcome[11].error == (
-            f"ProtocolError: entity {broken}: description 'sv' cannot be encoded as UTF-8"
-        )
-        assert all(r.chosen is not None for r in outcome[:10])
+        assert [r.entry_id for r in outcome if r.error] == [entries[1].id]
+        assert outcome[1].error.startswith("ProtocolError: non-JSON response from ")
+        assert outcome[0].chosen is not None and outcome[2].chosen is not None
 
     def test_workers_bound_the_requests_in_flight(self):
-        entries, results = places(60)  # 300 candidates: six description requests
+        entries, results = places(60)
 
         class InFlight(fx.FixtureTransport):
             """Holds every request open briefly and keeps, per API
@@ -444,14 +409,13 @@ class TestLinkBatch:
             entries, HashedTrigramEmbedder(), WikidataClient(transport=transport), workers=3
         )
         assert all(r.error is None and r.chosen is not None for r in outcome)
-        assert len(transport.asked_ids()) == 6
         # more than one open shows the pool ran; never more than three
         # shows it is the bound
-        assert set(transport.peak) == {"wbsearchentities", "wbgetentities"}
-        assert all(1 < peak <= 3 for peak in transport.peak.values()), transport.peak
+        assert set(transport.peak) == {"wbsearchentities"}
+        assert 1 < transport.peak["wbsearchentities"] <= 3, transport.peak
 
     def test_a_pool_queues_a_few_searches_per_worker(self, monkeypatch, no_network):
-        entries, results = places(60)  # 300 candidates: six description requests
+        entries, results = places(60)
         lock = threading.Lock()
         undone: set = set()
         peak = 0
@@ -484,51 +448,7 @@ class TestLinkBatch:
         )
         assert all(r.error is None and r.chosen is not None for r in outcome)
         assert sorted(self.searched(transport)) == sorted(e.headword for e in entries)
-        ids = [qid for hits in results.values() for qid, _, _ in hits]
-        assert sorted(transport.asked_ids()) == [ids[n:n + 50] for n in range(0, 300, 50)]
-        # the searches in the window, and the description requests
-        assert 1 < peak <= 2 * linker.SEARCH_WINDOW_PER_WORKER + 6, peak
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_description_requests_go_out_while_searches_run(self, workers, no_network):
-        entries, results = places(25)  # 125 candidates: three requests
-        ids = [qid for hits in results.values() for qid, _, _ in hits]
-
-        class HoldLastSearch(fx.FixtureTransport):
-            """On a pool, holds the last headword's search until a
-            description request arrives, or for five seconds."""
-
-            def __init__(self, results):
-                super().__init__(results)
-                self.described = threading.Event()
-                self.held: bool | None = None
-
-            def send(self, request):
-                params = dict(request.params)
-                if params["action"] == "wbgetentities":
-                    self.described.set()
-                elif params["search"] == "Ort24" and workers > 1:
-                    self.held = self.described.wait(timeout=5.0)
-                return super().send(request)
-
-        transport = HoldLastSearch(results)
-        client = WikidataClient(transport=transport)
-        outcome = link_batch(entries, HashedTrigramEmbedder(), client, workers=workers)
-        assert all(r.error is None and r.chosen is not None for r in outcome)
-        asked = transport.asked_ids()
-        # on a pool, two requests sent at once may arrive in either order
-        assert (asked if workers == 1 else sorted(asked)) == [ids[:50], ids[50:100], ids[100:]]
-        if workers > 1:
-            # a description request arrived before the last search returned
-            assert transport.held is True
-        else:
-            # on one thread, each description request goes out as soon
-            # as the searches before it have filled its 50 ids
-            actions = [dict(request.params)["action"] for request in transport.requests]
-            assert actions == (
-                (["wbsearchentities"] * 10 + ["wbgetentities"]) * 2
-                + ["wbsearchentities"] * 5 + ["wbgetentities"]
-            )
+        assert 1 < peak <= 2 * linker.SEARCH_WINDOW_PER_WORKER, peak
 
     def test_an_error_cancels_the_queued_requests(self, no_network):
         entries, results = places(40)
@@ -551,7 +471,7 @@ class TestLinkBatch:
         # the searches still queued when the bug surfaced were never sent
         assert len(self.searched(transport)) < len(entries) // 2, self.searched(transport)
 
-    def test_shared_candidates_are_fetched_and_embedded_once(self, no_network):
+    def test_shared_candidates_are_embedded_once(self, no_network):
         entries = fixture_entries()
         berlin, wien = entries["2:57:2"], entries["30:5:1"]
         twin = dataclasses.replace(berlin, id="2:57:9")
@@ -561,9 +481,7 @@ class TestLinkBatch:
             [berlin, wien, twin], embedder, WikidataClient(transport=transport)
         )
         assert [r.chosen for r in results] == ["Q64", "Q1741", "Q64"]
-        assert transport.asked_ids() == [
-            ["Q64", "Q93000002", "Q93000007", "Q1741", "Q93000006"]
-        ]
+        assert self.searched(transport) == ["Berlin", "Wien"]
         (texts,) = embedder.calls
         assert len(texts) == len(set(texts))
         assert set(texts) == {berlin.definition, wien.definition, ""} | {
@@ -577,7 +495,7 @@ class TestLinkBatch:
         recorded = link_batch(
             entries, HashedTrigramEmbedder(), WikidataClient(transport=recorder), workers=3
         )
-        assert len(list(tmp_path.iterdir())) == 24 + 3
+        assert len(list(tmp_path.iterdir())) == 24
         replayed = link_batch(
             entries,
             HashedTrigramEmbedder(),
@@ -649,7 +567,7 @@ class TestLinkBatch:
             batch, HashedTrigramEmbedder(), WikidataClient(transport=recorder), workers=3
         )
         assert sorted(self.searched(live)) == ["Ort0", "Ort1", "Ort2"]
-        assert len(live.requests) == 3 + 1
+        assert len(live.requests) == 3
         assert all(r.error is None and r.chosen is not None for r in recorded)
 
     def test_failed_embedding_call_marks_its_chunk(self):

@@ -10,9 +10,10 @@ a ``qid``, and coordinates that belong to that ``qid``.  A successful
 writes only what its finished stages made.
 
 A failure is allowed where the fixture cannot answer: a deleted
-response; a link after an odd number of flips, whose description
-request then differs from the recorded one; or a coords after a
-``--min-sim`` that dropped links, whose query then names other items.
+response; a link or coords after an odd number of flips, whose
+searches or coordinate query then differ from the recorded ones; or a
+coords after a ``--min-sim`` that dropped links, whose query then names
+other items.
 A ``run`` with none of these must succeed.
 """
 

@@ -284,7 +284,7 @@ class TestUrllibTransport:
         monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout=None: next(replies))
         sleeps: list[float] = []
         client = WikidataClient(self._transport(), sleep=sleeps.append)
-        assert client.search_candidates("Berlin") == ["Q64"]
+        assert client.search_candidates("Berlin") == [("Q64", None)]
         assert sleeps == [1.0]
 
     # Each would fail only at send: UnicodeEncodeError for the first,
@@ -463,12 +463,40 @@ class TestSearchCandidates:
 
     def test_parses_hits_in_api_order(self):
         client, _ = make_client(lambda r: json_body(self._payload()))
-        assert client.search_candidates("Berlin") == ["Q64", "Q614184"]
+        assert client.search_candidates("Berlin") == [
+            ("Q64", "Tysklands huvudstad"), ("Q614184", None)
+        ]
 
     def test_keeps_the_first_five_hits(self):
         payload = {"search": [{"id": f"Q{n}"} for n in (7, 3, 9, 1, 8, 2, 5)]}
         client, _ = make_client(lambda r: json_body(payload))
-        assert client.search_candidates("Berlin") == ["Q7", "Q3", "Q9", "Q1", "Q8"]
+        assert client.search_candidates("Berlin") == [
+            (f"Q{n}", None) for n in (7, 3, 9, 1, 8)
+        ]
+
+    # ``display`` names the language of the description a search shows;
+    # only a Swedish one counts, as for ``wbgetentities&languages=sv``.
+    @pytest.mark.parametrize("display, described", [
+        ({"description": {"value": "huvudstad", "language": "sv"}}, "huvudstad"),
+        ({"label": {"value": "Berlin", "language": "sv"}}, "huvudstad"),
+        ({"description": {"value": "capital", "language": "en"}}, None),
+        ({"description": {"value": "Hauptstadt", "language": "de"}}, None),
+    ])
+    def test_a_description_counts_only_in_swedish(self, display, described):
+        payload = {"search": [{"id": "Q64", "description": "huvudstad", "display": display}]}
+        client, _ = make_client(lambda r: json_body(payload))
+        assert client.search_candidates("Berlin") == [("Q64", described)]
+
+    @pytest.mark.parametrize("hit", [
+        {"id": "Q64", "description": None},
+        {"id": "Q64", "description": ["huvudstad"]},
+        {"id": "Q64", "description": "huvudstad", "display": []},
+        {"id": "Q64", "description": "huvudstad", "display": {"description": "sv"}},
+    ])
+    def test_malformed_description_raises_naming_the_item(self, hit):
+        client, _ = make_client(lambda r: json_body({"search": [hit]}))
+        with pytest.raises(ProtocolError, match="search hit Q64: "):
+            client.search_candidates("Berlin")
 
     def test_request_matches_recorded_fixture_shape(self):
         client, transport = make_client(lambda r: json_body({"search": []}))
