@@ -505,32 +505,23 @@ def read_json(path: str | os.PathLike[str], error_type: type[Exception], where: 
 
 
 def iter_jsonl(
-    path: str | os.PathLike[str],
-    error_type: type[Exception],
-    problem: str = "invalid JSON",
-    torn_tail: bool = False,
+    path: str | os.PathLike[str], error_type: type[Exception]
 ) -> Iterator[tuple[str, bytes, object]]:
     """Yield ``("path:line", line bytes, record)`` for each line of a
     JSON-lines file that holds more than ASCII whitespace.  A line ends
     at "\\n", "\\r\\n" or "\\r" and is read by ``parse_json``, which
-    raises ``error_type`` naming the file, the line and ``problem``.
-    With ``torn_tail``, a last line without "\\n" that ``parse_json``
-    refuses ends the file instead.  ``_input_file`` opens the file."""
+    raises ``error_type`` naming the file and the line.  ``_input_file``
+    opens the file."""
     name = str(path)  # formatted once: a Path formats slower than a str
     with _input_file(path, error_type) as handle:
         lineno = 0
         for raw in handle:
-            if torn_tail and not raw.endswith(b"\n"):
-                try:
-                    parse_json(raw, error_type, name)
-                except error_type:
-                    return
             # A lone "\r" ends a line too, as in text mode.
             for line in raw.splitlines() if b"\r" in raw else (raw,):
                 lineno += 1
                 if stripped := line.strip():
                     where = f"{name}:{lineno}"
-                    yield where, line, parse_json(stripped, error_type, f"{where}: {problem}")
+                    yield where, line, parse_json(stripped, error_type, f"{where}: invalid JSON")
 
 
 def iter_dataset(path: str | os.PathLike[str], spill: IO[bytes] | None = None) -> Iterator[Entry]:

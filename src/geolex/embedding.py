@@ -1,6 +1,6 @@
 """Text-to-vector providers and the similarity math the linker runs on.
 
-Every provider exposes the same small surface: ``name``, ``dim`` and
+Every provider exposes the same small surface: ``dim`` and
 ``embed_batch(texts)``, one vector per text.  Output vectors are
 float64, L2-normalized, and the empty text maps to the all-zero
 vector (which cosine treats as similar-to-nothing).
@@ -17,7 +17,8 @@ Two providers:
   sender.
 
 ``CachedEmbedder`` wraps either with an on-disk text-hash → vector
-cache so repeated runs don't recompute (or re-request) anything.
+cache of fixed-size binary records, so repeated runs don't recompute
+(or re-request) anything.
 
 ``vector_norm`` and ``cosine_from_norms`` let the linker take each
 distinct vector's norm once: a cosine is the dot product over the two
@@ -35,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import _input_file, iter_jsonl, parse_json
+from .corpus import _input_file, atomic_writer, parse_json
 from .errors import ProtocolError
 from .wikidata import HttpRequest, RateLimiter, UrllibTransport
 
@@ -58,6 +59,10 @@ _MASK64 = (1 << 64) - 1
 _UTF8_STARTS = np.array([0x80, 0x800, 0x10000], dtype=np.uint64)
 _UTF8_LEAD = np.array([0, 0xC0, 0xE0, 0xF0], dtype=np.uint64)
 _SIX = np.uint64(6)
+
+# The bytes a cache record's key may hold: ``text_key``'s hex digits.
+_HEX_DIGIT = np.zeros(256, dtype=bool)
+_HEX_DIGIT[list(b"0123456789abcdef")] = True
 
 
 def fnv1a_64(data: bytes) -> int:
@@ -119,8 +124,6 @@ class HashedTrigramEmbedder:
     pure function of its trigram, so nothing is memoized and the
     embedder holds no state but ``dim``.
     """
-
-    name = "trigram"
 
     def __init__(self, dim: int = DEFAULT_DIM):
         if dim < 1:
@@ -244,8 +247,6 @@ class RemoteEmbedder:
     still comes back a unit vector.
     """
 
-    name = "remote"
-
     def __init__(self, url: str, dim: int = DEFAULT_DIM, transport=None):
         if not url:
             raise ValueError("no embedding service URL: set embed_url or EMBED_URL")
@@ -288,60 +289,61 @@ class RemoteEmbedder:
         return out
 
 
-def _trim_torn_line(path: Path) -> None:
-    """End ``path`` at a line break, once every line before it has
-    loaded.  A last line without one is an append cut short: dropped
-    when ``parse_json``, the load's parser, refuses it, closed with its
-    newline when not, so the next append starts a fresh line."""
-    with _input_file(path, ProtocolError) as handle:
-        size = handle.seek(0, os.SEEK_END)
-        tail = b""
-        while b"\n" not in tail and len(tail) < size:
-            start = max(0, size - len(tail) - 65536)
-            handle.seek(start)
-            tail = handle.read(size - len(tail) - start) + tail
-    torn = tail.rpartition(b"\n")[2]
-    if not torn:
-        return
-    try:
-        parse_json(torn, ProtocolError, f"{path}: torn last line")
-    except ProtocolError:
-        os.truncate(path, size - len(torn))
-    else:
-        with open(path, "ab") as handle:
-            handle.write(b"\n")
-
-
 class CachedEmbedder:
     """On-disk cache in front of another provider.
 
-    One JSON line per cached text, keyed by SHA-256 of the text, stored
-    at a single file path.  Thread-safe; lookups hit memory, misses go
-    to the wrapped provider and are appended to the file, one write per
-    batch.  A last line torn by a crash mid-append is dropped once the
-    lines before it load (see ``_trim_torn_line``); any other bad line
-    is a ProtocolError and leaves the file as it is.
+    The file starts with a one-line ASCII header that names the format
+    and ``dim``, then holds one fixed-size record per cached text: the
+    64 hex digits of ``text_key``, then ``dim`` little-endian float64.
+    Open reads the file into one buffer and views every record with one
+    ``np.frombuffer``, so each cached vector is a view of that buffer; a
+    missing or empty file gets the header, written atomically.  Thread-safe;
+    lookups hit memory, misses go to the wrapped provider and are
+    appended to the file, one write per batch.  A record cut short at
+    the end, as a crash mid-append leaves it, is cut off once the
+    records before it load.  A file without the header (another
+    format or ``dim``), a key that is not 64 hex digits (a record
+    shifted by damage mid-file shows as one) and a vector that is not
+    finite are each a ProtocolError naming the file, which is left as
+    it is.
     """
 
     def __init__(self, provider, path: str | os.PathLike[str]):
         self.provider = provider
-        self.name = f"cached-{provider.name}"
         self.dim = provider.dim
         self._path = Path(path)
         self._lock = threading.Lock()
-        self._memory: dict[str, np.ndarray] = {}
-        if not self._path.exists():
-            return
-        records = iter_jsonl(self._path, ProtocolError, "bad cache record", torn_tail=True)
-        for where, _, record in records:
-            try:
-                raw, key = record["vector"], record["key"]
-            except (KeyError, TypeError) as err:
-                raise ProtocolError(f"{where}: bad cache record: {err}") from err
-            if not isinstance(key, str):
-                raise ProtocolError(f"{where}: bad cache record: key is not a string")
-            self._memory[key] = _checked_vector(raw, self.dim, f"{where}: cached vector")
-        _trim_torn_line(self._path)
+        self._record = np.dtype([("key", "S64"), ("vector", "<f8", (self.dim,))])
+        name = f"geolex-embedding-cache 1 dim={self.dim} key=sha256-hex vector=float64-le"
+        # Padded to a multiple of 8 bytes, so every vector read is aligned.
+        header = f"{name}{' ' * (7 - len(name) % 8)}\n".encode("ascii")
+        try:
+            with _input_file(self._path, ProtocolError) as handle:
+                data = np.empty(os.fstat(handle.fileno()).st_size, np.uint8)
+                data = data[: handle.readinto(data)]
+        except FileNotFoundError:
+            data = np.empty(0, np.uint8)
+        if not data.size:
+            self._path.parent.mkdir(parents=True, exist_ok=True)
+            with atomic_writer(self._path, binary=True) as handle:
+                handle.write(header)
+            data = np.frombuffer(header, np.uint8)
+        if data[: len(header)].tobytes() != header:
+            raise ProtocolError(f"{self._path}: does not start with {header!r}")
+        count, torn = divmod(data.size - len(header), self._record.itemsize)
+        records = np.frombuffer(data, self._record, count, len(header))
+        digits = np.frombuffer(records["key"].tobytes(), np.uint8).reshape(count, 64)
+        bad_key = ~_HEX_DIGIT[digits].all(axis=1)
+        bad_vector = ~np.isfinite(records["vector"]).all(axis=1)
+        if (bad_key | bad_vector).any():
+            at = int(np.argmax(bad_key | bad_vector))
+            problem = "key is not 64 hex digits" if bad_key[at] else "vector is not finite"
+            raise ProtocolError(f"{self._path}: record {at + 1}: {problem}")
+        if torn:
+            os.truncate(self._path, data.size - torn)
+        self._memory: dict[str, np.ndarray] = dict(
+            zip(records["key"].astype("U64").tolist(), records["vector"])
+        )
 
     @staticmethod
     def text_key(text: str) -> str:
@@ -356,14 +358,15 @@ class CachedEmbedder:
         if miss_texts:
             fresh = self.provider.embed_batch(miss_texts)
             with self._lock:
-                lines = []
+                new = {}
                 for i, vector in zip(missing, fresh):
                     if keys[i] not in self._memory:
-                        self._memory[keys[i]] = vector
-                        lines.append(json.dumps({"key": keys[i], "vector": vector.tolist()}))
-                if lines:
-                    self._path.parent.mkdir(parents=True, exist_ok=True)
-                    with open(self._path, "a", encoding="utf-8") as handle:
-                        handle.write("\n".join(lines) + "\n")
+                        self._memory[keys[i]] = new[keys[i]] = vector
+                if new:
+                    records = np.empty(len(new), self._record)
+                    records["key"] = list(new)
+                    records["vector"] = list(new.values())
+                    with open(self._path, "ab") as handle:
+                        handle.write(records.tobytes())
         with self._lock:
             return [self._memory[key] for key in keys]

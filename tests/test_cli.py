@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import json
 import os
@@ -164,6 +165,24 @@ class TestFullRun:
             "svg": read_bytes(workspace.svg),
         }
         assert first == second
+
+    def test_an_embedding_cache_changes_no_artifact(self, tmp_path, no_network):
+        from conftest import make_workspace
+
+        plain = make_workspace(tmp_path / "plain")
+        assert plain.run_all_stages() == 0
+        cached = make_workspace(tmp_path / "cached")
+        cache = tmp_path / "embeddings.bin"
+        payload = json.loads(cached.config_path.read_text(encoding="utf-8"))
+        payload["embed_cache"] = str(cache)
+        cached.config_path.write_text(json.dumps(payload), encoding="utf-8")
+        sizes = []
+        for warmth in ("cold", "warm"):
+            assert cached.run_all_stages() == 0, warmth
+            for artifact in ("dataset", "model", "geojson", "histogram", "svg"):
+                assert read_bytes(getattr(cached, artifact)) == read_bytes(getattr(plain, artifact))
+            sizes.append(cache.stat().st_size)
+        assert sizes[0] == sizes[1] > 0  # the warm run embedded nothing
 
 
 class TestStageByStage:
@@ -479,39 +498,39 @@ class TestOncePerCommand:
         self, workspace, no_network, monkeypatch, command, loads
     ):
         """With an embedding cache set, one command builds one cached
-        embedder, which reads the cache file once, one transport, which
+        embedder, which opens the cache file once, one transport, which
         link and coords share, and reads the dataset at most once."""
         from geolex import embedding
 
-        cache = workspace.root / "embeddings.jsonl"
+        cache = workspace.root / "embeddings.bin"
         payload = json.loads(workspace.config_path.read_text(encoding="utf-8"))
         payload["embed_cache"] = str(cache)
         workspace.config_path.write_text(json.dumps(payload), encoding="utf-8")
         assert workspace.run_all_stages() == 0
         assert cache.exists()
 
-        built = {"embedder": 0, "cache read": 0, "transport": 0}
-        real_init, real_iter = embedding.CachedEmbedder.__init__, embedding.iter_jsonl
+        built = {"embedder": 0, "cache open": 0, "transport": 0}
+        real_init, real_open = embedding.CachedEmbedder.__init__, builtins.open
         real_make_transport = cli.make_transport
 
         def init(self, *args, **kwargs):
             built["embedder"] += 1
             real_init(self, *args, **kwargs)
 
-        def iter_jsonl(path, *args, **kwargs):
-            built["cache read"] += Path(path) == cache
-            return real_iter(path, *args, **kwargs)
+        def counting_open(file, *args, **kwargs):
+            built["cache open"] += isinstance(file, (str, Path)) and Path(file) == cache
+            return real_open(file, *args, **kwargs)
 
         def make_transport(*args, **kwargs):
             built["transport"] += 1
             return real_make_transport(*args, **kwargs)
 
         monkeypatch.setattr(embedding.CachedEmbedder, "__init__", init)
-        monkeypatch.setattr(embedding, "iter_jsonl", iter_jsonl)
+        monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(cli, "make_transport", make_transport)
         counts = count_dataset_io(monkeypatch)
         assert workspace.run(command) == 0
-        assert built == {"embedder": 1, "cache read": 1, "transport": 1}
+        assert built == {"embedder": 1, "cache open": 1, "transport": 1}
         assert counts["load"] == loads
 
 

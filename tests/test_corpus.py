@@ -759,7 +759,7 @@ class BadLine(Exception):
 
 class TestJsonlLines:
     """``iter_jsonl`` names the file and line of every line it cannot
-    read, for the dataset, annotation and embedding-cache readers."""
+    read, for the dataset and annotation readers."""
 
     @pytest.mark.parametrize("bad, message", [
         (b'{"a": ' + b"1" * 4301 + b"}", "Exceeds the limit"),
@@ -790,18 +790,13 @@ class TestJsonlLines:
         (b'{"entry_id": "1:1:1", "is_location": ' + b"1" * 5000 + b"}", "Exceeds the limit"),
         (b'{"entry_id": "1:1:\xe5", "is_location": true}', "can't decode byte 0xe5"),
     ], ids=["past-4300-digits", "not-utf-8"])
-    def test_annotations_and_embedding_cache_name_the_line(self, tmp_path, bad, message):
+    def test_annotations_name_the_line(self, tmp_path, bad, message):
         from geolex.classifier import load_annotations
-        from geolex.embedding import CachedEmbedder, HashedTrigramEmbedder
-        from geolex.errors import ProtocolError
 
         path = tmp_path / "r.jsonl"
         path.write_bytes(b'{"entry_id": "1:1:1", "is_location": true}\n' + bad + b"\n")
         with pytest.raises(DatasetError, match=rf"r\.jsonl:2: invalid JSON: .*{message}"):
             load_annotations(path)
-        path.write_bytes(bad + b"\n")
-        with pytest.raises(ProtocolError, match=rf"r\.jsonl:1: bad cache record: .*{message}"):
-            CachedEmbedder(HashedTrigramEmbedder(), path)
 
 
 def a_location(**fields) -> Entry:

@@ -612,15 +612,12 @@ class TestRemoteEmbedderHttp:
 
 
 class CountingProvider:
-    name = "counting"
-
     def __init__(self, dim=4):
         self.dim = dim
         self.embed_calls = 0
 
     def embed_batch(self, texts):
         self.embed_calls += len(texts)
-        rng = np.random.default_rng(abs(hash("stable")) % 1000)
         out = []
         for text in texts:
             v = np.zeros(self.dim)
@@ -629,17 +626,26 @@ class CountingProvider:
         return out
 
 
+RECORD = 64 + 4 * 8  # a key's hex digits and CountingProvider's 4 float64
+
+
+def cache_with(path, texts, dim=4):
+    """A cache at ``path`` holding ``texts``, and its header's length."""
+    CachedEmbedder(CountingProvider(dim), path).embed_batch(texts)
+    return path.read_bytes().index(b"\n") + 1
+
+
 class TestCachedEmbedder:
     def test_second_call_hits_cache(self, tmp_path):
         provider = CountingProvider()
-        cached = CachedEmbedder(provider, tmp_path / "cache.jsonl")
+        cached = CachedEmbedder(provider, tmp_path / "cache.bin")
         [first] = cached.embed_batch(["abc"])
         [second] = cached.embed_batch(["abc"])
         np.testing.assert_array_equal(first, second)
         assert provider.embed_calls == 1
 
     def test_cache_survives_reopen(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
+        path = tmp_path / "cache.bin"
         provider = CountingProvider()
         CachedEmbedder(provider, path).embed_batch(["abc"])
         reopened = CachedEmbedder(provider, path)
@@ -648,7 +654,7 @@ class TestCachedEmbedder:
 
     def test_batch_only_fetches_misses(self, tmp_path):
         provider = CountingProvider()
-        cached = CachedEmbedder(provider, tmp_path / "cache.jsonl")
+        cached = CachedEmbedder(provider, tmp_path / "cache.bin")
         cached.embed_batch(["abc"])
         cached.embed_batch(["abc", "defg", "abc"])
         assert provider.embed_calls == 2  # abc once, defg once
@@ -664,48 +670,77 @@ class TestCachedEmbedder:
             return open(file, mode, *args, **kwargs)
 
         monkeypatch.setattr(embedding, "open", spy_open, raising=False)
-        path = tmp_path / "cache.jsonl"
+        path = tmp_path / "cache.bin"
         cached = CachedEmbedder(CountingProvider(), path)
+        header = path.stat().st_size
         cached.embed_batch(["ab", "abc", "abcd"])
         assert appends == [str(path)]
-        assert len(path.read_text(encoding="utf-8").splitlines()) == 3
+        assert path.stat().st_size == header + 3 * RECORD
+
+    @pytest.mark.parametrize("kind", ["missing", "empty", "missing-directory"])
+    def test_missing_or_empty_file_starts_a_cache(self, tmp_path, kind):
+        path = tmp_path / "new" / "cache.bin" if kind == "missing-directory" else tmp_path / "c"
+        if kind == "empty":
+            path.write_bytes(b"")
+        provider = CountingProvider()
+        CachedEmbedder(provider, path)
+        header = path.read_bytes()
+        assert header.startswith(b"geolex-embedding-cache ") and b"dim=4 " in header
+        assert header.endswith(b"\n") and header.count(b"\n") == 1
+        CachedEmbedder(provider, path).embed_batch(["ab"])
+        CachedEmbedder(provider, path).embed_batch(["ab"])
+        assert path.stat().st_size == len(header) + RECORD
+        assert provider.embed_calls == 1
+
+    def test_records_are_sha256_hex_then_little_endian_float64(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        header = cache_with(path, ["ab", "abc"])
+        body = path.read_bytes()[header:]
+        assert body == b"".join(
+            CachedEmbedder.text_key(text).encode("ascii")
+            + np.array(vector, dtype="<f8").tobytes()
+            for text, vector in zip(["ab", "abc"], CountingProvider().embed_batch(["ab", "abc"]))
+        )
 
     def test_corrupt_cache_rejected(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        path.write_text('{"key": "k"}\n', encoding="utf-8")
-        with pytest.raises(ProtocolError, match="cache"):
+        path = tmp_path / "cache.bin"
+        path.write_bytes(b"not a cache\n" + bytes(RECORD))
+        with pytest.raises(ProtocolError, match=re.escape(f"{path}: does not start with")):
             CachedEmbedder(CountingProvider(), path)
 
-    @pytest.mark.parametrize("record, fragment", [
-        ({"key": [1], "vector": [1.0, 0.0, 0.0, 0.0]}, "key is not a string"),
-        ({"key": "k", "vector": [10**400, 0, 0, 0]}, "cached vector is not a list of numbers"),
-        ({"key": "k", "vector": ["a", "b", "c", "d"]}, "cached vector is not a list of numbers"),
-        ({"key": "k", "vector": [[1.0], [1.0, 2.0], [], []]}, "cached vector is not a list"),
-        ({"key": "k", "vector": [1.0, 0.0]}, "cached vector has shape (2,)"),
-    ])
-    def test_malformed_record_rejected_naming_its_line(self, tmp_path, record, fragment):
-        path = tmp_path / "cache.jsonl"
-        CachedEmbedder(CountingProvider(), path).embed_batch(["ab"])
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record) + "\n")
-        with pytest.raises(ProtocolError, match=re.escape(f"{path}:2: ") + ".*" + re.escape(fragment)):
+    @pytest.mark.parametrize("key", [
+        "AB" * 32,  # upper case: text_key writes lower-case digits
+        "g" * 64,
+        "0" * 63 + "\x00",
+        "0" * 32 + "\n" + "0" * 31,
+    ], ids=["upper-case", "not-hex", "nul", "newline"])
+    def test_malformed_record_rejected_naming_it(self, tmp_path, key):
+        path = tmp_path / "cache.bin"
+        cache_with(path, ["ab"])
+        with open(path, "ab") as handle:
+            handle.write(key.encode("ascii") + np.zeros(4).tobytes())
+        with pytest.raises(ProtocolError,
+                           match=re.escape(f"{path}: record 2: key is not 64 hex digits")):
             CachedEmbedder(CountingProvider(), path)
 
-    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["NaN", "Infinity", "-Infinity"])
     def test_non_finite_cached_vector_rejected(self, tmp_path, bad):
-        path = tmp_path / "cache.jsonl"
-        CachedEmbedder(CountingProvider(), path).embed_batch(["ab", "abc"])
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        record = json.loads(lines[1])
-        record["vector"][0] = float(bad)
-        lines[1] = json.dumps(record) + "\n"
-        path.write_text("".join(lines), encoding="utf-8")
-        assert bad in path.read_text(encoding="utf-8")
-        with pytest.raises(ProtocolError, match=re.escape(f"{path}:2: cached vector is not finite")):
+        path = tmp_path / "cache.bin"
+        header = cache_with(path, ["ab", "abc", "abcd"])
+        data = bytearray(path.read_bytes())
+        at = header + RECORD + 64 + 8  # record 2, its second number
+        data[at : at + 8] = np.float64(bad).tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ProtocolError,
+                           match=re.escape(f"{path}: record 2: vector is not finite")):
             CachedEmbedder(CountingProvider(), path)
 
-    def test_torn_last_line_is_dropped_and_the_next_append_starts_fresh(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
+    @pytest.mark.parametrize("cut", [1, 40, RECORD - 1])
+    def test_torn_last_record_is_dropped_and_the_next_append_lands_on_a_boundary(
+        self, tmp_path, cut
+    ):
+        path = tmp_path / "cache.bin"
         asked: list[str] = []
 
         class RecordingProvider(CountingProvider):
@@ -715,65 +750,66 @@ class TestCachedEmbedder:
 
         provider = RecordingProvider()
         first = CachedEmbedder(provider, path).embed_batch(["ab", "abc", "abcd"])
-        path.write_bytes(path.read_bytes()[:-40])  # a crash mid-append
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-cut])  # a crash mid-append
         asked.clear()
 
         reopened = CachedEmbedder(provider, path)
-        assert path.read_bytes().endswith(b"\n")
+        assert path.read_bytes() == whole[:-RECORD]
         reopened.embed_batch(["abcde"])
+        assert path.stat().st_size == len(whole)  # three whole records again
         again = CachedEmbedder(provider, path)
         vectors = again.embed_batch(["ab", "abc", "abcd", "abcde"])
         for got, want in zip(vectors, first):
             np.testing.assert_array_equal(got, want)
         assert asked == ["abcde", "abcd"]  # the new text, then the torn one
 
-    def test_deeply_nested_torn_line_is_dropped(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
+    def test_cache_whose_only_record_is_torn_loads_empty(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        header = cache_with(path, ["ab"])
+        path.write_bytes(path.read_bytes()[: header + 10])
         provider = CountingProvider()
         CachedEmbedder(provider, path).embed_batch(["ab"])
-        kept = path.read_bytes()
-        path.write_bytes(kept + b"[" * 100_000)
-        CachedEmbedder(provider, path).embed_batch(["ab"])
-        assert path.read_bytes() == kept
         assert provider.embed_calls == 1
+        assert path.stat().st_size == header + RECORD
 
-    def test_torn_line_after_a_bom_is_dropped_as_the_load_would_refuse_it(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        provider = CountingProvider()
-        CachedEmbedder(provider, path).embed_batch(["ab", "abc"])
-        kept, last = path.read_bytes().splitlines(keepends=True)
-        path.write_bytes(kept + b"\xef\xbb\xbf" + last.rstrip(b"\n"))
-        CachedEmbedder(provider, path).embed_batch(["ab", "abc"])
-        assert path.read_bytes() == kept + last
-        assert provider.embed_calls == 3  # "ab", "abc", then "abc" again
-
-    def test_complete_last_line_without_newline_is_kept(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        provider = CountingProvider()
-        CachedEmbedder(provider, path).embed_batch(["ab", "abc"])
-        path.write_bytes(path.read_bytes()[:-1])
-        CachedEmbedder(provider, path).embed_batch(["abcd"])
-        CachedEmbedder(provider, path).embed_batch(["ab", "abc", "abcd"])
-        assert provider.embed_calls == 3
-
-    def test_cache_that_fails_to_load_keeps_its_bytes(self, tmp_path):
-        # UTF-16 ends in "\n\x00": a last "line" of one byte, which
-        # only a trim made before the load would cut.
-        path = tmp_path / "cache.jsonl"
-        CachedEmbedder(CountingProvider(), path).embed_batch(["ab"])
-        path.write_bytes(path.read_text(encoding="utf-8").encode("utf-16"))
+    @pytest.mark.parametrize("damage, message", [
+        # A bad record mid-file and a torn tail: the tail is not cut.
+        (lambda data, header: data[: header + RECORD] + b"G" * 64 + data[header + RECORD + 64 :]
+         + b"\x00" * 7, "record 2: key is not 64 hex digits"),
+        # A cache written by an earlier version, one JSON line per text.
+        (lambda data, header: b'{"key": "%s", "vector": [1.0, 0.0, 0.0, 0.0]}\n'
+         % CachedEmbedder.text_key("ab").encode(), "does not start with"),
+    ], ids=["bad-record-and-torn-tail", "json-lines"])
+    def test_cache_that_fails_to_load_keeps_its_bytes(self, tmp_path, damage, message):
+        path = tmp_path / "cache.bin"
+        header = cache_with(path, ["ab", "abc", "abcd"])
+        path.write_bytes(damage(path.read_bytes(), header))
         before = path.read_bytes()
-        assert before.endswith(b"\n\x00")
-        with pytest.raises(ProtocolError, match=re.escape(f"{path}:1: bad cache record")):
+        with pytest.raises(ProtocolError, match=re.escape(f"{path}: {message}")):
             CachedEmbedder(CountingProvider(), path)
         assert path.read_bytes() == before
 
-    def test_torn_line_in_the_middle_is_still_rejected(self, tmp_path):
-        path = tmp_path / "cache.jsonl"
-        CachedEmbedder(CountingProvider(), path).embed_batch(["ab", "abc"])
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        path.write_text(lines[0][:-20] + "\n" + lines[1], encoding="utf-8")
-        with pytest.raises(ProtocolError, match=r":1: bad cache record"):
+    def test_cache_of_another_dim_is_refused(self, tmp_path):
+        path = tmp_path / "cache.bin"
+        cache_with(path, ["ab", "abc"], dim=2)
+        before = path.read_bytes()
+        with pytest.raises(ProtocolError, match=re.escape(f"{path}: does not start with b'")
+                           + ".*dim=4 "):
+            CachedEmbedder(CountingProvider(dim=4), path)
+        assert path.read_bytes() == before
+
+    def test_directory_cannot_be_read(self, tmp_path):
+        with pytest.raises(ProtocolError, match=re.escape(f"{tmp_path}: cannot read: ")):
+            CachedEmbedder(CountingProvider(), tmp_path)
+
+    def test_damaged_record_in_the_middle_is_rejected(self, tmp_path):
+        # 20 bytes lost from record 1 shift every record after it.
+        path = tmp_path / "cache.bin"
+        header = cache_with(path, ["ab", "abc", "abcd"])
+        data = path.read_bytes()
+        path.write_bytes(data[: header + RECORD - 20] + data[header + RECORD :])
+        with pytest.raises(ProtocolError, match=r": record 2: key is not 64 hex digits"):
             CachedEmbedder(CountingProvider(), path)
 
     def test_key_is_sha256_of_text(self):

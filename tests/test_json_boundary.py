@@ -61,13 +61,6 @@ def read_model(tmp_path, data):
     return load_model(put(tmp_path / "model.json", data)).weights.tolist()
 
 
-def read_embedding_cache(tmp_path, data):
-    """The cache file as opening the cache leaves it."""
-    path = put(tmp_path / "cache.jsonl", data)
-    CachedEmbedder(HashedTrigramEmbedder(dim=2), path)
-    return path.read_bytes()
-
-
 def read_replay_file(tmp_path, data):
     transport = ReplayTransport(tmp_path)
     put(transport.path_for(REQUEST), data)
@@ -130,10 +123,6 @@ READERS = {
         b'{"kind": "@S", "dim": 2, "weights": [@N, 0.25], "bias": 0.0, "threshold": 0.5}',
         b"0.5", b"logistic-location-classifier", [0.5, 0.25],
     ),
-    "embedding cache": Reader(
-        read_embedding_cache, ProtocolError, b'{"key": "@S", "vector": [@N, 0.0]}\n',
-        b"1.0", b"k", b'{"key": "k", "vector": [1.0, 0.0]}\n', lines=True,
-    ),
     "replay file": Reader(
         read_replay_file, ProtocolError, b'{"body": "@S", "encoding": @N}',
         b'"utf-8"', b"{}", b"{}",
@@ -188,13 +177,9 @@ ACCEPTED = {
     **{(name, "good"): reader.good for name, reader in READERS.items()},
     ("annotations", "empty"): [],
     ("dataset", "empty"): [],
-    ("embedding cache", "empty"): b"",
-    ("embedding cache", "torn"): READERS["embedding cache"].document(),  # the tail dropped
-    # A string only matched against others: no entry id or text key is
-    # a lone surrogate, so the annotation fails train and the cache
-    # line is never a hit.
+    # A string only matched against others: no entry id is a lone
+    # surrogate, so the annotation fails train.
     ("annotations", "surrogate-escape"): [("\ud800", True)],
-    ("embedding cache", "surrogate-escape"): b'{"key": "\\ud800", "vector": [1.0, 0.0]}\n',
     # A value the reader does not use.
     ("model", "surrogate-escape"): [0.5, 0.25],
     ("api body", "nan"): READERS["api body"].good,
@@ -280,7 +265,7 @@ def cli_args(name: str, path: Path, trained, tmp_path: Path) -> list[str]:
 
 
 STAGES = {"config": "config", "annotations": "train", "dataset": "classify",
-          "model": "classify", "embedding cache": "train"}
+          "model": "classify"}
 
 
 @pytest.mark.parametrize("name, source", [
@@ -299,3 +284,30 @@ def test_hostile_input_file_exits_with_its_stage_code(
     assert len(lines) == 1
     assert lines[0].startswith(f"{STAGES[name]}: ")
     assert (name, source) in NAMELESS or str(path) in lines[0]
+
+
+# The embedding cache is binary records, not JSON, but it is outside
+# input too: a file it refuses ends train the same way.
+UNUSABLE_CACHES = {
+    "directory": lambda path: path.mkdir(),
+    # A cache written by an earlier version, one JSON line per text.
+    "json-lines": lambda path: path.write_bytes(b'{"key": "k", "vector": [1.0, 0.0]}\n'),
+    "other-dim": lambda path: CachedEmbedder(HashedTrigramEmbedder(2), path).embed_batch(["Aal"]),
+}
+
+
+@pytest.mark.parametrize("source", UNUSABLE_CACHES)
+def test_unusable_embedding_cache_exits_with_trains_code(
+    trained, tmp_path, capsys, no_network, source
+):
+    path = tmp_path / "input"
+    UNUSABLE_CACHES[source](path)
+    before = None if path.is_dir() else path.read_bytes()
+    capsys.readouterr()
+    args = cli_args("embedding cache", path, trained, tmp_path)
+    assert cli.main(args) == cli.STAGE_EXIT_CODES["train"]
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("train: ")
+    assert str(path) in lines[0]
+    assert before is None or path.read_bytes() == before
