@@ -10,11 +10,13 @@ from __future__ import annotations
 import errno
 import json
 import shutil
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
+import numpy as np
 import pytest
 
 from conftest import make_workspace
@@ -22,7 +24,7 @@ from geolex import cli, corpus
 from geolex.classifier import load_annotations, load_model
 from geolex.config import ConfigError, load_config
 from geolex.corpus import load_dataset
-from geolex.embedding import CachedEmbedder, HashedTrigramEmbedder, RemoteEmbedder
+from geolex.embedding import DEFAULT_DIM, CachedEmbedder, HashedTrigramEmbedder, RemoteEmbedder
 from geolex.errors import DatasetError, ProtocolError
 from geolex.wikidata import HttpRequest, ReplayTransport, WikidataClient
 
@@ -235,6 +237,50 @@ def test_a_file_that_may_not_be_read_ends_as_the_declared_error(tmp_path, monkey
     assert "Permission denied" in message
 
 
+# The JSON-lines cache of earlier versions: every hostile variant of it
+# is a file without the binary cache's header.
+JSONL_CACHE = Reader(
+    None, ProtocolError, b'{"key": "@S", "vector": [@N, 0]}\n', b"1", b"k", None, lines=True,
+)
+
+
+def open_cache(path: Path) -> CachedEmbedder:
+    return CachedEmbedder(HashedTrigramEmbedder(2), path)
+
+
+@pytest.mark.parametrize("source", INPUTS)
+def test_hostile_input_as_the_embedding_cache_is_refused_with_its_bytes(tmp_path, source):
+    data = INPUTS[source](JSONL_CACHE)
+    path = put(tmp_path / "cache.bin", data)
+    if source == "empty":  # an empty file starts a cache
+        [vector] = open_cache(path).embed_batch(["Aal"])
+        np.testing.assert_array_equal(vector, HashedTrigramEmbedder(2).embed_batch(["Aal"])[0])
+        return
+    with pytest.raises(ProtocolError) as caught:
+        open_cache(path)
+    message = str(caught.value)
+    assert "\n" not in message
+    assert str(path) in message
+    assert path.is_dir() if data is None else path.read_bytes() == data
+
+
+def test_an_embedding_cache_that_may_not_be_read_is_refused(tmp_path, monkeypatch):
+    def refused(path, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+
+    path = tmp_path / "cache.bin"
+    open_cache(path).embed_batch(["Aal"])
+    before = path.read_bytes()
+    monkeypatch.setattr(corpus, "open", refused, raising=False)
+    with pytest.raises(ProtocolError) as caught:
+        open_cache(path)
+    message = str(caught.value)
+    assert "\n" not in message
+    assert str(path) in message
+    assert "Permission denied" in message
+    assert path.read_bytes() == before
+
+
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
     """A workspace after ingest and train."""
@@ -292,8 +338,20 @@ UNUSABLE_CACHES = {
     "directory": lambda path: path.mkdir(),
     # A cache written by an earlier version, one JSON line per text.
     "json-lines": lambda path: path.write_bytes(b'{"key": "k", "vector": [1.0, 0.0]}\n'),
-    "other-dim": lambda path: CachedEmbedder(HashedTrigramEmbedder(2), path).embed_batch(["Aal"]),
+    "other-dim": lambda path: open_cache(path).embed_batch(["Aal"]),
+    "bad-key": lambda path: damage_cache(path, 0, b"z"),
+    "non-finite": lambda path: damage_cache(path, 64, struct.pack("<d", float("inf"))),
 }
+
+
+def damage_cache(path: Path, at: int, data: bytes) -> None:
+    """A cache of two records at the default ``dim``, with ``data``
+    written over its first record from byte ``at``."""
+    CachedEmbedder(HashedTrigramEmbedder(DEFAULT_DIM), path).embed_batch(["Aal", "Bach"])
+    record = 64 + 8 * DEFAULT_DIM
+    with open(path, "r+b") as handle:
+        handle.seek(path.stat().st_size - 2 * record + at)
+        handle.write(data)
 
 
 @pytest.mark.parametrize("source", UNUSABLE_CACHES)
