@@ -5,7 +5,7 @@ One subcommand per stage, plus ``run`` for the whole chain:
     ingest    raw page dumps -> entry dataset
     train     annotated entries -> classifier model
     classify  mark every entry location / non-location
-    link      attach Wikidata items to location entries
+    link      attach Wikidata items to the entries classify marked
     coords    fetch latitude/longitude for linked items
     report    GeoJSON + distance histogram + SVG map
 
@@ -15,6 +15,8 @@ client once, on first use.  A command that starts with ``ingest``
 (``ingest`` itself and ``run``) keeps the entries ingest made and never
 reads the dataset; any other command reads it once, in its first stage.
 Each ``raw_text`` waits in ``Command.spill``, a file beside the dataset.
+Only ``classify`` runs the model and sets ``is_location``; ``link``
+reads the stored flags, so only a location ever carries a ``qid``.
 ``main`` writes the dataset once, atomically, when the stages end, if
 ``ingest``, ``classify``, ``link`` or ``coords`` ran; a failed stage
 leaves the entries as it found them, so a failed ``run`` writes what
@@ -171,25 +173,6 @@ class Command:
                               sparql_url=config.wikidata_sparql_url)
 
 
-def _classify(command: Command, entries: list[corpus.Entry]) -> list[bool]:
-    """The model's location flag for each entry, in order.  Definitions
-    go to the provider ``EMBED_CHUNK`` at a time, and each chunk's
-    vectors are freed before the next chunk is embedded."""
-    provider = command.provider
-    model = classifier.load_model(command.config.model)
-    if model.dim != provider.dim:
-        raise StageError(
-            f"model expects {model.dim}-dim vectors, provider yields {provider.dim}"
-        )
-    flags: list[bool] = []
-    for start in range(0, len(entries), EMBED_CHUNK):
-        chunk = entries[start : start + EMBED_CHUNK]
-        definitions = [e.definition for e in chunk]
-        # No name keeps the vectors, so they are freed before the next call.
-        flags += classifier.classify_batch(model, provider.embed_batch(definitions))
-    return flags
-
-
 # ── Stages ───────────────────────────────────────────────────────────────
 # Each takes the command, reads its entries first (ingest makes them),
 # updates them in place and returns its input, output and error counts,
@@ -245,44 +228,41 @@ def stage_train(command: Command) -> Counts:
 
 
 def stage_classify(command: Command) -> Counts:
-    entries = command.entries
-    for entry, is_location in zip(entries, _classify(command, entries)):
+    """Set every entry's location flag from the model.  Definitions go
+    to the provider ``EMBED_CHUNK`` at a time, and each chunk's vectors
+    are freed before the next chunk is embedded."""
+    entries, provider = command.entries, command.provider
+    model = classifier.load_model(command.config.model)
+    if model.dim != provider.dim:
+        raise StageError(
+            f"model expects {model.dim}-dim vectors, provider yields {provider.dim}"
+        )
+    flags: list[bool] = []
+    for start in range(0, len(entries), EMBED_CHUNK):
+        definitions = [e.definition for e in entries[start : start + EMBED_CHUNK]]
+        # No name keeps the vectors, so they are freed before the next call.
+        flags += classifier.classify_batch(model, provider.embed_batch(definitions))
+    for entry, is_location in zip(entries, flags):
         entry.is_location = is_location
         # Only a location may carry a link.
         if not is_location:
             entry.qid = entry.similarity = entry.lat = entry.lon = None
-    located = sum(entry.is_location for entry in entries)
-    ratios = {"location_fraction": located / len(entries)} if entries else {}
+    ratios = {"location_fraction": sum(flags) / len(entries)} if entries else {}
     return len(entries), len(entries), 0, ratios
 
 
 def stage_link(command: Command) -> Counts:
-    entries, config, provider = command.entries, command.config, command.provider
-
-    # Entries never run through classify can still be linked when a
-    # model is available: they get classified in memory, the stored
-    # records keep their missing flag.
-    transient: dict[str, bool] = {}
-    unclassified = [e for e in entries if e.is_location is None]
-    if unclassified:
-        if not Path(config.model).exists():
-            raise StageError(
-                "dataset has entries without is_location; run classify first "
-                f"or provide a model at {config.model}"
-            )
-        flags = _classify(command, unclassified)
-        transient = {entry.id: flag for entry, flag in zip(unclassified, flags)}
-        print(
-            f"link: classified {len(unclassified)} unlabeled entries in memory",
-            file=sys.stderr,
-        )
-
-    locations = [e for e in entries if transient.get(e.id, e.is_location)]
+    """Link the entries classify marked as locations; an entry it never
+    marked fails the stage before the provider or the client is built."""
+    entries, config = command.entries, command.config
+    if any(e.is_location is None for e in entries):
+        raise StageError("dataset has entries without is_location; run classify first")
+    locations = [e for e in entries if e.is_location]
     # Replay waits on no network, so threads would only contend for the
     # GIL; link runs on this thread there.
     results = linker.link_batch(
         locations,
-        provider,
+        command.provider,
         command.client,
         min_similarity=config.min_sim,
         workers=1 if config.cache_mode == "replay" else config.concurrency,
@@ -331,18 +311,18 @@ def stage_report(command: Command) -> Counts:
     entries, config = command.entries, command.config
     places = []
     for entry in entries:
-        # Only an explicit False excludes: entries linked without a
-        # stored classification keep is_location None.
-        if entry.is_location is False:
+        if not entry.is_location or entry.qid is None or entry.lat is None or entry.lon is None:
             continue
-        if entry.qid is None or entry.lat is None or entry.lon is None:
-            continue
+        try:
+            point = geo.GeoPoint(entry.lat, entry.lon)
+        except ValueError as err:
+            raise StageError(f"entry {entry.id!r}: {err}") from None
         places.append(
             geo.LinkedPlace(
                 entry_id=entry.id,
                 headword=entry.headword,
                 qid=entry.qid,
-                point=geo.GeoPoint(entry.lat, entry.lon),
+                point=point,
                 similarity=entry.similarity or 0.0,
             )
         )
@@ -422,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("link", parents=[common], help="link location entries to Wikidata items")
     p.add_argument("--dataset")
-    p.add_argument("--model", help="classifier for entries that never ran through classify")
     p.add_argument("--cache-mode", choices=list(CACHE_MODES), dest="cache_mode")
     p.add_argument("--cache-dir", dest="cache_dir")
     p.add_argument("--min-sim", type=float, dest="min_sim",

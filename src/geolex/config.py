@@ -19,6 +19,7 @@ from .embedding import DEFAULT_DIM
 from .geo import DEFAULT_BUCKET_KM, DEFAULT_MAP_WIDTH_PX, GeoPoint, check_map_width
 from .linker import NO_MIN_SIMILARITY
 from .wikidata import (
+    CACHE_MODES,
     DEFAULT_API_URL,
     DEFAULT_MIN_INTERVAL_S,
     DEFAULT_SPARQL_URL,
@@ -26,7 +27,6 @@ from .wikidata import (
     check_user_agent,
 )
 
-CACHE_MODES = ("live", "record", "replay")
 EMBED_PROVIDERS = ("local", "remote")
 
 _ENV_OVERRIDES = {

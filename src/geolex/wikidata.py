@@ -58,6 +58,7 @@ DEFAULT_BACKOFF_S = (1.0, 2.0, 4.0)
 SPARQL_BATCH_SIZE = 200
 ENTITY_BATCH_SIZE = 50  # the most ids wbgetentities takes per call
 SEARCH_LIMIT = 5
+CACHE_MODES = ("live", "record", "replay")
 # Seconds a live request may wait on its connection.
 _TIMEOUT_S = 30.0
 # Searches and descriptions are in Swedish, the encyclopedia's language.
@@ -279,7 +280,7 @@ def make_transport(
     min_interval: float = DEFAULT_MIN_INTERVAL_S,
 ):
     """The transport for a cache mode (live, record, replay), with its own rate limiter."""
-    if mode not in ("live", "record", "replay"):
+    if mode not in CACHE_MODES:
         raise ValueError(f"unknown cache mode {mode!r}; expected live, record, or replay")
     if mode != "live" and not cache_dir:
         raise ValueError(f"cache mode {mode!r} needs a cache directory")

@@ -227,20 +227,24 @@ class TestStageByStage:
         assert stages == [s for s in cli.PIPELINE_STAGES if s != "train"]
         assert "reusing model" in captured.err
 
-    def test_link_classifies_in_memory_with_model(
+    def test_link_after_train_without_classify_exits_five(
         self, workspace, no_network, capsys
     ):
         assert workspace.run("ingest") == 0
         assert workspace.run("train") == 0
-        assert workspace.run("link") == 0  # classify never ran
-        captured = capsys.readouterr()
-        assert "classified 12 unlabeled entries in memory" in captured.err
-        entries = load_dataset(workspace.dataset)
-        # stored labels stay unset; links land anyway
-        assert all(e.is_location is None for e in entries)
-        stockholm = next(e for e in entries if e.id == "9:211:2")
-        assert stockholm.qid == "Q1754"
-        assert stockholm.similarity is not None
+        before = read_bytes(workspace.dataset)
+        capsys.readouterr()
+        assert workspace.run("link") == 5  # the model is there; classify never ran
+        assert capsys.readouterr().err == (
+            "link: dataset has entries without is_location; run classify first\n"
+        )
+        assert read_bytes(workspace.dataset) == before
+
+    def test_link_refuses_the_model_flag(self, workspace, no_network, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            workspace.run("link", "--model", str(workspace.model))
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --model" in capsys.readouterr().err
 
     def test_classify_refuses_the_in_place_flag(self, workspace, no_network, capsys):
         assert workspace.run("ingest") == 0
@@ -790,11 +794,39 @@ class TestReportSelection:
         assert plotted_ids(workspace.geojson) == set(fx.expected_coordinates()) - {"2:57:2"}
         assert "Berlin" not in workspace.svg.read_text(encoding="utf-8")
 
-    def test_linked_entries_without_stored_label_are_plotted(self, workspace, no_network):
-        for stage in ("ingest", "train", "link", "coords", "report"):
-            assert workspace.run(stage) == 0, stage
-        assert all(e.is_location is None for e in load_dataset(workspace.dataset))
-        assert plotted_ids(workspace.geojson) == set(fx.expected_coordinates())
+    def test_linked_but_unclassified_entries_are_not_plotted_and_link_refuses_them(
+        self, workspace, no_network, capsys
+    ):
+        # The dataset an earlier geolex wrote through ingest → train →
+        # link → coords: every link and coordinate, no flag stored.
+        assert workspace.run_all_stages() == 0
+        entries = load_dataset(workspace.dataset)
+        for entry in entries:
+            entry.is_location = None
+        save_dataset(entries, workspace.dataset)
+        assert sum(e.lat is not None for e in entries) == 5
+        before = read_bytes(workspace.dataset)
+        capsys.readouterr()
+
+        assert workspace.run("report") == 0
+        assert plotted_ids(workspace.geojson) == set()
+        assert workspace.run("link") == 5
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "link: dataset has entries without is_location; run classify first"
+        )
+        assert read_bytes(workspace.dataset) == before
+
+    def test_out_of_range_latitude_fails_naming_the_entry(self, workspace, no_network, capsys):
+        assert workspace.run_all_stages() == 0
+        entries = load_dataset(workspace.dataset)
+        berlin = next(e for e in entries if e.id == "2:57:2")
+        berlin.lat = 1000.0
+        save_dataset(entries, workspace.dataset)
+        capsys.readouterr()
+        assert workspace.run("report") == 7
+        assert capsys.readouterr().err == (
+            "report: entry '2:57:2': latitude out of range: 1000.0\n"
+        )
 
 
 class TestClassifyOwnsLocationFields:
@@ -833,34 +865,36 @@ def spy_on_embed_batch(monkeypatch) -> list[list[str]]:
     return calls
 
 
-class TestInMemoryClassification:
-    def test_link_classifies_in_chunks_like_classify(
-        self, workspace, no_network, monkeypatch
-    ):
-        from geolex import linker
-
+class TestClassifyChunks:
+    def test_classify_embeds_in_chunks(self, workspace, no_network, monkeypatch):
         assert workspace.run("ingest") == 0
         assert workspace.run("train") == 0
         definitions = [e.definition for e in load_dataset(workspace.dataset)]
-        linked_ids: list[str] = []
-        real_link_batch = linker.link_batch
-
-        def link_batch(entries, *args, **kwargs):
-            linked_ids.extend(e.id for e in entries)
-            return real_link_batch(entries, *args, **kwargs)
-
-        monkeypatch.setattr(linker, "link_batch", link_batch)
         monkeypatch.setattr(cli, "EMBED_CHUNK", 5)
         calls = spy_on_embed_batch(monkeypatch)
-        assert workspace.run("link") == 0
-        # 12 definitions in calls of 5, 5 and 2; ranking follows
-        assert calls[:3] == [definitions[0:5], definitions[5:10], definitions[10:12]]
-
-        calls.clear()
         assert workspace.run("classify") == 0
-        assert [len(call) for call in calls] == [5, 5, 2]
-        stored = [e.id for e in load_dataset(workspace.dataset) if e.is_location]
-        assert linked_ids == stored
+        # 12 definitions in calls of 5, 5 and 2
+        assert calls == [definitions[0:5], definitions[5:10], definitions[10:12]]
+        assert sum(e.is_location for e in load_dataset(workspace.dataset)) == 7
+
+    def test_a_failed_later_chunk_sets_no_flag(self, workspace, no_network, monkeypatch):
+        from geolex.embedding import HashedTrigramEmbedder
+
+        assert workspace.run("ingest") == 0
+        second_chunk = [e.definition for e in load_dataset(workspace.dataset)][5:10]
+        real = HashedTrigramEmbedder.embed_batch
+
+        def embed_batch(self, texts):
+            if list(texts) == second_chunk:
+                raise ValueError("embedder down")
+            return real(self, texts)
+
+        monkeypatch.setattr(cli, "EMBED_CHUNK", 5)
+        monkeypatch.setattr(HashedTrigramEmbedder, "embed_batch", embed_batch)
+        assert workspace.run("run") == 4
+        # The run writes what ingest made: the first chunk's flags were
+        # computed, but none was set.
+        assert all(e.is_location is None for e in load_dataset(workspace.dataset))
 
 
 class TestErrorBoundary:
@@ -869,7 +903,7 @@ class TestErrorBoundary:
         payload["embed_dim"] = dim
         workspace.config_path.write_text(json.dumps(payload), encoding="utf-8")
 
-    @pytest.mark.parametrize("stage, code", [("classify", 4), ("link", 5)])
+    @pytest.mark.parametrize("stage, code", [("classify", 4)])
     def test_model_provider_dim_mismatch_exits_with_stage_code(
         self, workspace, no_network, capsys, stage, code
     ):
@@ -984,12 +1018,21 @@ class TestExitCodes:
         assert workspace.run("report", "--dataset", str(missing)) == 7
         assert capsys.readouterr().err == f"report: dataset not found: {missing}\n"
 
-    def test_link_without_labels_or_model_exits_five(
-        self, workspace, no_network, capsys
+    def test_link_without_labels_exits_five_before_building_its_parts(
+        self, workspace, no_network, capsys, monkeypatch
     ):
         assert workspace.run("ingest") == 0
+        capsys.readouterr()
+
+        def unbuilt(self):
+            raise AssertionError("link built a part it does not need")
+
+        for part in ("provider", "client"):
+            monkeypatch.setattr(cli.Command, part, property(unbuilt))
         assert workspace.run("link") == 5
-        assert "run classify first" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "link: dataset has entries without is_location; run classify first\n"
+        )
 
     def test_punctured_replay_cache_fails_link_with_entry_id(
         self, workspace, no_network, capsys

@@ -4,16 +4,18 @@ Random sequences of single stages and ``run`` go through ``main``, in
 process, on the 12-entry fixture, with replay.  Between them the
 machine flips Stockholm's annotation and deletes recorded responses.
 After every step the dataset must be internally consistent: a ``qid``
-only on a possible location, ``similarity`` and coordinates only with
-a ``qid``, and coordinates that belong to that ``qid``.  A successful
-``report`` plots exactly the entries that qualify; a failed command
-writes only what its finished stages made.
+only on an entry with ``is_location`` true, ``similarity`` and
+coordinates only with a ``qid``, and coordinates that belong to that
+``qid``.  A successful ``report`` plots exactly the entries marked as
+locations that have a ``qid`` and coordinates; a failed command writes
+only what its finished stages made.
 
 A failure is allowed where the fixture cannot answer: a deleted
 response; a link or coords after an odd number of flips, whose
 searches or coordinate query then differ from the recorded ones; or a
 coords after a ``--min-sim`` that dropped links, whose query then names
-other items.
+other items.  A link after an ingest that no classify followed fails
+too: it has no flags to read.
 A ``run`` with none of these must succeed.
 """
 
@@ -169,7 +171,7 @@ class StageOrder(RuleBasedStateMachine):
         plotted = {feature["properties"]["entry_id"] for feature in features}
         qualify = {
             entry.id for entry in load_dataset(self.workspace.dataset)
-            if entry.is_location is not False and entry.qid is not None
+            if entry.is_location is True and entry.qid is not None
             and entry.lat is not None and entry.lon is not None
         }
         assert plotted == qualify
@@ -180,7 +182,7 @@ class StageOrder(RuleBasedStateMachine):
             return
         for entry in load_dataset(self.workspace.dataset):
             if entry.qid is not None:
-                assert entry.is_location is not False, entry.id
+                assert entry.is_location is True, entry.id
             else:
                 assert (entry.similarity, entry.lat, entry.lon) == (None,) * 3, entry.id
             assert (entry.lat is None) == (entry.lon is None), entry.id
