@@ -471,12 +471,13 @@ def entry_from_record(record: dict, where: str = "dataset",
 
 
 @contextlib.contextmanager
-def _input_file(path: str | os.PathLike[str], error_type: type[Exception]) -> Iterator[IO[bytes]]:
-    """``path`` open for reading bytes.  A missing file raises
-    FileNotFoundError as it is; any other OSError, on opening or
-    reading, raises ``error_type`` naming the file."""
+def _input_file(path: str | os.PathLike[str], error_type: type[Exception],
+                mode: str = "rb") -> Iterator[IO[bytes]]:
+    """``path`` open for reading bytes, or in another binary ``mode``.
+    A missing file raises FileNotFoundError as it is; any other OSError,
+    on opening or reading, raises ``error_type`` naming the file."""
     try:
-        with open(path, "rb") as handle:
+        with open(path, mode) as handle:
             yield handle
     except FileNotFoundError:
         raise

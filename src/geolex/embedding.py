@@ -27,7 +27,6 @@ distinct vector's norm once: a cosine is the dot product over the two
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -347,6 +346,10 @@ class CachedEmbedder:
 
     @staticmethod
     def text_key(text: str) -> str:
+        # Imported here, not at module level: hashlib maps OpenSSL's
+        # libcrypto, which a run without an embedding cache never needs.
+        import hashlib
+
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:

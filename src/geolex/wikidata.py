@@ -12,14 +12,16 @@ All HTTP goes through a transport object chosen by cache mode:
 * ``live``   — ``UrllibTransport``: straight to the network,
   rate-limited.  It is the one place that opens a connection; the
   remote embedder sends through it too.
-* ``replay`` — ``ReplayTransport``: disk only.  A miss raises
-  ReplayCacheMiss; no network connection is ever opened.
+* ``replay`` — ``ReplayTransport``: the cache directory's replay log
+  only.  A miss raises ReplayCacheMiss; no network connection is ever
+  opened.
 * ``record`` — ``ReplayTransport`` with a live fallback: serve hits
-  from disk, send misses through ``UrllibTransport`` and store each
-  JSON response as UTF-8 text for later replay; any other is refused.
+  from the log, send misses through ``UrllibTransport`` and append
+  each JSON response to the log as UTF-8 text for later replay; any
+  other is refused.  One process records into a cache at a time.
 
-Cache keys canonicalize the request (method + URL + sorted query
-parameters + body hash), so a recorded response is found again even if
+The log is keyed by the canonical request (method + URL + sorted query
+parameters + body), so a recorded response is found again even if
 parameter order changes.  The client retries transport-level failures
 with 1s/2s/4s backoff, and a live transport spaces its request starts
 at least 0.1s apart.  It sets no bound on requests in flight: in live
@@ -32,21 +34,22 @@ one thread.
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import hashlib
 import itertools
 import json
+import os
 import re
 import threading
 import time
 import urllib.error
 import urllib.parse
+import weakref
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import atomic_writer, parse_json, read_json
+from .corpus import _input_file, atomic_writer, parse_json
 from .errors import ProtocolError, ReplayCacheMiss, TransportError, http_status_error
 from .geo import GeoPoint
 
@@ -59,6 +62,11 @@ SPARQL_BATCH_SIZE = 200
 ENTITY_BATCH_SIZE = 50  # the most ids wbgetentities takes per call
 SEARCH_LIMIT = 5
 CACHE_MODES = ("live", "record", "replay")
+# The replay log in a cache directory, and the line it starts with.
+LOG_NAME = "replay.log"
+_LOG_HEADER = b"geolex-replay-log 1 row=[request-key,utf-8-body]\n"
+# A per-request record of earlier versions: <sha256 of the request>.json.
+_OLD_RECORD_RE = re.compile(r"[0-9a-f]{64}\.json")
 # Seconds a live request may wait on its connection.
 _TIMEOUT_S = 30.0
 # Searches and descriptions are in Swedish, the encyclopedia's language.
@@ -127,17 +135,17 @@ def _query_pair(name: str, value: str) -> str:
 
 
 def canonical_request_key(request: HttpRequest) -> str:
-    """Stable cache key for a request.
+    """The request as the replay log keys it.
 
     Method, bare URL, query parameters sorted by (name, value) and
-    written as ``urlencode`` writes them, and a hash of the body.
-    Reordering parameters therefore never changes the key; changing any
-    value always does.
+    written as ``urlencode`` writes them, and the body read as Latin-1,
+    so that any bytes map to one key (the client's bodies are ASCII
+    forms).  Reordering parameters therefore never changes the key;
+    changing any value always does.  Headers are not part of it.
     """
-    body_hash = hashlib.sha256(request.body or b"").hexdigest()
     query = "&".join(itertools.starmap(_query_pair, sorted(request.params)))
-    material = f"{request.method.upper()} {request.url}?{query} body:{body_hash}"
-    return hashlib.sha256(material.encode("utf-8")).hexdigest()
+    body = (request.body or b"").decode("latin-1")
+    return f"{request.method.upper()} {request.url}?{query} body:{body}"
 
 
 class RateLimiter:
@@ -218,58 +226,127 @@ class UrllibTransport:
             raise TransportError(f"{request.method} {request.url}: {err}") from err
 
 
-class ReplayTransport:
-    """Recorded responses, one JSON file per request key under a directory.
+def _log_row(line: bytes, where: str) -> tuple[str, bytes]:
+    """The key and the body of one replay-log row, a JSON ``[key, body]``
+    of two strings; anything else is a ProtocolError naming ``where``."""
+    row = parse_json(line, ProtocolError, where)
+    if not (isinstance(row, list) and len(row) == 2 and all(isinstance(part, str) for part in row)):
+        raise ProtocolError(f"{where}: not a JSON [key, body] row of two strings")
+    try:
+        return row[0], row[1].encode("utf-8")
+    except UnicodeEncodeError as err:
+        raise ProtocolError(f"{where}: body cannot be encoded as UTF-8") from err
 
-    A hit returns the recorded body.  A miss raises ReplayCacheMiss and
-    opens no connection, unless a ``live`` transport is given (record
-    mode): then the request goes through ``live``, and a response that
-    ``parse_json`` takes is written atomically, as UTF-8 text, for later
-    replay; any other raises ProtocolError.  A file ``read_json``
-    refuses, or that is not an object with a string ``body`` and no
-    ``encoding`` but ``"utf-8"``, is a corrupt file: a ProtocolError.
+
+class ReplayTransport:
+    """Recorded responses, in one append-only log per cache directory.
+
+    The log, ``LOG_NAME``, is a header line that names the format, then
+    one line per recorded response: the JSON ``[key, body]`` of
+    ``canonical_request_key`` and the response text.  Open reads the log
+    once, checks every row and keeps an index from the key's ``hash`` to
+    the row's offset and length, so each hit is one ``os.pread`` on the
+    one open handle.  A row whose key is not the request's (two keys of
+    one 64-bit hash, some 2 chances in 10**11 at 26,000 rows) is no hit.
+    A miss raises ReplayCacheMiss and opens no connection, unless a
+    ``live`` transport is given (record mode): then the request goes
+    through ``live``, and a response that ``parse_json`` takes is
+    appended as one row, in one write under a lock; any other raises
+    ProtocolError.  Link's pool shares one transport safely, but only
+    one process may record into a cache directory at a time.
+
+    A last row without its newline, as a crash mid-append leaves it, is
+    never served; record mode cuts it off before its first append.  A
+    log that does not start with the header, a row that is not a JSON
+    ``[string, string]`` and a directory that holds an earlier version's
+    per-request ``<sha256>.json`` records but no log are each a
+    ProtocolError naming the file, its line or the directory, which is
+    left as it is.
     """
 
     def __init__(self, cache_dir: str | Path, live=None):
         self.cache_dir = Path(cache_dir)
         self.live = live
+        self._path = self.cache_dir / LOG_NAME
+        # hash(key) -> offset << 32 | length: ints, not the keys, which
+        # would cost several times more.
+        self._index: dict[int, int] = {}
+        self._lock = threading.Lock()
+        self._fd: int | None = None
+        try:
+            new = not os.stat(self._path).st_size
+        except FileNotFoundError:
+            new = True
+        if new:
+            self._refuse_old_records()
+            if live is None:
+                return  # no rows: every request misses
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+            with atomic_writer(self._path, binary=True) as handle:
+                handle.write(_LOG_HEADER)
+        with _input_file(self._path, ProtocolError, "rb" if live is None else "a+b") as handle:
+            self._size = self._load_index(handle)
+            self._fd = os.dup(handle.fileno())
+        self._release = weakref.finalize(self, os.close, self._fd)
 
-    def path_for(self, request: HttpRequest) -> Path:
-        return self.cache_dir / f"{canonical_request_key(request)}.json"
+    def close(self) -> None:
+        """Close the log; a transport never closed closes it when collected."""
+        if self._fd is not None:
+            self._release()
+
+    def _refuse_old_records(self) -> None:
+        with contextlib.suppress(FileNotFoundError):
+            if any(map(_OLD_RECORD_RE.fullmatch, os.listdir(self.cache_dir))):
+                raise ProtocolError(
+                    f"{self.cache_dir} holds the per-request replay records of an earlier "
+                    f"version, which no longer replay; record into an empty cache directory"
+                )
+
+    def _load_index(self, handle) -> int:
+        """Index every whole row; return the log's size without a torn tail."""
+        name = str(self._path)
+        handle.seek(0)
+        if handle.read(len(_LOG_HEADER)) != _LOG_HEADER:
+            raise ProtocolError(f"{name}: does not start with {_LOG_HEADER!r}")
+        offset = len(_LOG_HEADER)
+        for lineno, line in enumerate(handle, 2):
+            if not line.endswith(b"\n"):  # only the last line can lack it
+                if self.live is not None:
+                    handle.truncate(offset)
+                break
+            key, _ = _log_row(line, f"{name}:{lineno}")
+            self._index[hash(key)] = offset << 32 | len(line)
+            offset += len(line)
+        return offset
 
     def send(self, request: HttpRequest) -> bytes:
-        path = self.path_for(request)
-        corrupt = f"corrupt cache file {path}"
-        # A missing file is the miss; ValueError covers an unknown
-        # encoding and a body that cannot be encoded as UTF-8.
-        try:
-            record = read_json(path, ProtocolError, corrupt)
-            body = record["body"]
-            if not isinstance(body, str):
-                raise TypeError(f"body is {type(body).__name__}, not a string")
-            if record.get("encoding", "utf-8") != "utf-8":
-                raise ValueError(f"unknown body encoding {record['encoding']!r}")
-            return body.encode("utf-8")
-        except FileNotFoundError:
-            pass
-        except (KeyError, TypeError, ValueError) as err:
-            raise ProtocolError(f"{corrupt}: {err}") from err
+        key = canonical_request_key(request)
+        slot = hash(key)
+        span = self._index.get(slot)
+        if span is not None:
+            offset, length = span >> 32, span & 0xFFFF_FFFF
+            found, body = _log_row(os.pread(self._fd, length, offset),
+                                   f"{self._path} at byte {offset}")
+            if found == key:
+                return body
         if self.live is None:
             raise ReplayCacheMiss(
                 f"no recorded response for {request.method} {request.full_url()}"
             )
         body = self.live.send(request)
         parse_json(body, ProtocolError, f"non-JSON response from {request.url}")
-        record = {
-            "request_key": path.stem,
-            "method": request.method,
-            "url": request.full_url(),
-            "fetched_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "body": body.decode("utf-8"),
-        }
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        with atomic_writer(path) as handle:
-            handle.write(json.dumps(record, ensure_ascii=False))
+        row = (json.dumps([key, body.decode("utf-8")], ensure_ascii=False) + "\n").encode("utf-8")
+        with self._lock:
+            if self._index.get(slot) == span:  # no other thread stored it meanwhile
+                try:
+                    written = 0
+                    while written < len(row):
+                        written += os.write(self._fd, row[written:])
+                except BaseException:
+                    os.ftruncate(self._fd, self._size)  # no torn row before the next
+                    raise
+                self._index[slot] = self._size << 32 | len(row)
+                self._size += len(row)
         return body
 
 

@@ -23,8 +23,10 @@ from types import SimpleNamespace
 from geolex.wikidata import (
     DEFAULT_API_URL,
     DEFAULT_SPARQL_URL,
+    LOG_NAME,
     HttpRequest,
     ReplayTransport,
+    canonical_request_key,
 )
 
 # ── Raw pages ────────────────────────────────────────────────────────────
@@ -350,16 +352,46 @@ def sparql_request(qids) -> HttpRequest:
     )
 
 
-def record(cache_dir: Path, request: HttpRequest, body: bytes) -> Path:
+def record(cache_dir: Path, request: HttpRequest, body: bytes) -> str:
     """Store ``body`` as the recorded answer to ``request`` by sending
     it through a recording transport whose live side answers ``body``;
-    return the cache file.  A request already on file keeps its answer."""
-    recorder = ReplayTransport(cache_dir, SimpleNamespace(send=lambda request: body))
-    recorder.send(request)
-    return recorder.path_for(request)
+    return the request's key in the cache's log.  A request already on
+    file keeps its answer."""
+    ReplayTransport(cache_dir, SimpleNamespace(send=lambda request: body)).send(request)
+    return canonical_request_key(request)
 
 
-def record_descriptions(cache_dir: Path, headwords) -> Path:
+def log_rows(cache_dir: Path) -> list[bytes]:
+    """The rows of the cache's replay log, each with its newline."""
+    return (Path(cache_dir) / LOG_NAME).read_bytes().splitlines(keepends=True)[1:]
+
+
+def recorded_keys(cache_dir: Path) -> list[str]:
+    """The request key of every row of the cache's log, in log order."""
+    return [json.loads(row)[0] for row in log_rows(cache_dir)]
+
+
+def rewrite_row(cache_dir: Path, key: str, line: bytes) -> None:
+    """Put ``line`` (bytes with their newline, or none to drop the row)
+    where the cache's log holds the row recorded for ``key``."""
+    path = Path(cache_dir) / LOG_NAME
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    [at] = [i for i, row in enumerate(rows) if json.loads(row)[0] == key]
+    rows[at] = line
+    path.write_bytes(header + b"".join(rows))
+
+
+def drop_row(cache_dir: Path, key: str) -> None:
+    """Delete the row recorded for ``key``: replaying its request misses."""
+    rewrite_row(cache_dir, key, b"")
+
+
+def answer_row(cache_dir: Path, key: str, body: str) -> None:
+    """Record ``body`` instead as the answer to the request of ``key``."""
+    rewrite_row(cache_dir, key, json.dumps([key, body]).encode("utf-8") + b"\n")
+
+
+def record_descriptions(cache_dir: Path, headwords) -> str:
     """Record the one description request link used to send, before
     search hits carried the descriptions, when exactly the searches for
     ``headwords`` succeeded: the distinct candidates of those
@@ -370,31 +402,31 @@ def record_descriptions(cache_dir: Path, headwords) -> Path:
     return record(cache_dir, entities_request(list(hits)), _entities_body(hits.values()))
 
 
-def record_coordinates(cache_dir: Path, qids) -> Path:
+def record_coordinates(cache_dir: Path, qids) -> str:
     """Record the SPARQL coordinate query for ``qids``."""
     return record(cache_dir, sparql_request(qids), _sparql_body(qids))
 
 
-def build_replay_cache(cache_dir: Path) -> dict[str, Path]:
+def build_replay_cache(cache_dir: Path) -> dict[str, str]:
     """Record every response the fixture pipeline will need.
 
-    Returns a label -> cache-file map so tests can surgically delete
-    one recorded response and watch replay fail loudly.
+    Returns a label -> request-key map so tests can surgically drop or
+    damage one recorded row and watch replay fail loudly.
     """
-    files: dict[str, Path] = {}
+    keys: dict[str, str] = {}
     for headword, hits in SEARCH_RESULTS.items():
-        files[f"search:{headword}"] = record(
+        keys[f"search:{headword}"] = record(
             cache_dir, search_request(headword), _search_body(headword, hits)
         )
-    files["sparql:coordinates"] = record_coordinates(cache_dir, EXPECTED_SPARQL_QIDS)
+    keys["sparql:coordinates"] = record_coordinates(cache_dir, EXPECTED_SPARQL_QIDS)
 
     # A second coords pass re-queries only the items still without a
     # coordinate (the Iowa mislink target); record its empty answer so
     # replayed pipelines can re-run the stage.
     retry_qids = [qid for qid in EXPECTED_SPARQL_QIDS if qid not in COORD_WKT]
     if retry_qids:
-        files["sparql:retry"] = record_coordinates(cache_dir, retry_qids)
-    return files
+        keys["sparql:retry"] = record_coordinates(cache_dir, retry_qids)
+    return keys
 
 
 class FixtureTransport:

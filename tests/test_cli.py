@@ -331,7 +331,7 @@ class TestDatasetOwnership:
 
         failing = make_workspace(tmp_path / "failing")
         labels = fx.build_replay_cache(failing.cache_dir)
-        labels["search:Stockholm"].unlink()
+        fx.drop_row(failing.cache_dir, labels["search:Stockholm"])
         capsys.readouterr()
         assert failing.run_all_stages() == 5
         captured = capsys.readouterr()
@@ -358,7 +358,7 @@ class TestDatasetOwnership:
         self, workspace, no_network, monkeypatch, capsys
     ):
         labels = fx.build_replay_cache(workspace.cache_dir)
-        labels["search:Stockholm"].unlink()
+        fx.drop_row(workspace.cache_dir, labels["search:Stockholm"])
         fail_dataset_replace(workspace, monkeypatch)
         assert workspace.run_all_stages() == 5
         err = capsys.readouterr().err
@@ -399,7 +399,8 @@ class TestDatasetOwnership:
         elif case == "run":
             assert workspace.run_all_stages() == 0
         elif case == "run-link-fails":
-            fx.build_replay_cache(workspace.cache_dir)["search:Stockholm"].unlink()
+            labels = fx.build_replay_cache(workspace.cache_dir)
+            fx.drop_row(workspace.cache_dir, labels["search:Stockholm"])
             assert workspace.run_all_stages() == 5
         else:
             def broken(*args, **kwargs):
@@ -621,6 +622,53 @@ def serve_cache(cache_dir):
     assert not thread.is_alive()
 
 
+ARTIFACTS = ("dataset", "model", "geojson", "histogram", "svg")
+
+
+class TestRecordRun:
+    def test_a_record_run_leaves_one_log_that_replays_on_one_thread(
+        self, tmp_path, monkeypatch
+    ):
+        from conftest import make_workspace
+
+        plain = make_workspace(tmp_path / "plain")
+        assert plain.run_all_stages() == 0
+        fresh = make_workspace(tmp_path / "fresh")
+        cache = tmp_path / "recorded"
+        monkeypatch.setenv("no_proxy", "*")  # the fixture server is local
+        with serve_cache(plain.cache_dir) as (api_url, sparql_url):
+            config = json.loads(fresh.config_path.read_text(encoding="utf-8"))
+            config.update(cache_mode="record", cache_dir=str(cache), rate_limit_s=0,
+                          wikidata_api_url=api_url, wikidata_sparql_url=sparql_url)
+            fresh.config_path.write_text(json.dumps(config), encoding="utf-8")
+            assert fresh.run("run", "--concurrency", "3") == 0
+        assert [path.name for path in cache.iterdir()] == [wikidata.LOG_NAME]
+        recorded = [getattr(fresh, name).read_bytes() for name in ARTIFACTS]
+        assert recorded == [getattr(plain, name).read_bytes() for name in ARTIFACTS]
+        for name in ARTIFACTS:
+            getattr(fresh, name).unlink()
+        assert fresh.run("run", "--cache-mode", "replay", "--concurrency", "1") == 0
+        assert [getattr(fresh, name).read_bytes() for name in ARTIFACTS] == recorded
+
+    @pytest.mark.parametrize("mode", ["replay", "record"])
+    def test_a_cache_of_an_earlier_version_fails_link_in_one_line(
+        self, workspace, no_network, capsys, mode
+    ):
+        for stage in ("ingest", "train", "classify"):
+            assert workspace.run(stage) == 0
+        (workspace.cache_dir / wikidata.LOG_NAME).unlink()
+        (workspace.cache_dir / f"{'0f' * 32}.json").write_text('{"body": "{}"}', encoding="utf-8")
+        before = read_bytes(workspace.dataset)
+        capsys.readouterr()
+        assert workspace.run("link", "--cache-mode", mode) == 5
+        assert capsys.readouterr().err.splitlines() == [
+            f"link: {workspace.cache_dir} holds the per-request replay records of an earlier "
+            "version, which no longer replay; record into an empty cache directory"
+        ]
+        assert read_bytes(workspace.dataset) == before
+        assert not (workspace.cache_dir / wikidata.LOG_NAME).exists()
+
+
 class TestLiveRun:
     def test_request_starts_stay_spaced_across_stages(self, workspace, monkeypatch):
         rate_limit_s = 0.1
@@ -671,6 +719,23 @@ def test_importing_the_cli_leaves_out_the_http_stack():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                             env={**os.environ, "PYTHONPATH": path}, check=True, timeout=60)
     assert result.stdout.strip() == "[]"
+
+
+def test_a_replayed_run_never_imports_hashlib(workspace):
+    """hashlib maps OpenSSL's libcrypto; only an embedding cache needs it."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {name: value for name, value in os.environ.items()
+           if name not in ("EMBED_URL", "WD_CACHE_MODE", "WD_CACHE_DIR")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = ("import sys; from geolex import cli; code = cli.main(sys.argv[1:]); "
+             "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)), file=sys.stderr); "
+             "sys.exit(code)")
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "run", "--config", str(workspace.config_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == "[]"
 
 
 def test_outputs_do_not_depend_on_the_hash_seed(workspace):
@@ -737,18 +802,31 @@ class TestFixtureTraffic:
     def test_run_and_second_coords_read_every_recorded_response(
         self, workspace, no_network, monkeypatch
     ):
-        recorded = {path.name for path in workspace.cache_dir.iterdir()}
+        recorded = set(fx.recorded_keys(workspace.cache_dir))
         read: set[str] = set()
         real_send = wikidata.ReplayTransport.send
 
         def send(self, request):
-            read.add(self.path_for(request).name)
+            read.add(wikidata.canonical_request_key(request))
             return real_send(self, request)
 
         monkeypatch.setattr(wikidata.ReplayTransport, "send", send)
         assert workspace.run_all_stages() == 0
         assert workspace.run("coords") == 0  # re-asks for the ungeocoded Iowa item
         assert read == recorded
+
+    def test_a_replayed_run_opens_the_log_once(self, workspace, no_network, monkeypatch):
+        opened: list[str] = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if isinstance(file, (str, Path)) and Path(file).name == wikidata.LOG_NAME:
+                opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert workspace.run_all_stages() == 0
+        assert opened == [str(workspace.cache_dir / wikidata.LOG_NAME)]
 
     def test_a_cache_recorded_with_description_requests_replays_the_same(
         self, tmp_path, no_network, monkeypatch
@@ -1042,28 +1120,46 @@ class TestExitCodes:
         assert workspace.run("classify") == 0
         capsys.readouterr()
         labels = fx.build_replay_cache(workspace.cache_dir)
-        labels["search:Stockholm"].unlink()
+        fx.drop_row(workspace.cache_dir, labels["search:Stockholm"])
         assert workspace.run("link") == 5
         err = capsys.readouterr().err
         assert "link: entry 9:211:2: ReplayCacheMiss" in err
         assert "1 of 7 entries failed to link" in err
 
-    @pytest.mark.parametrize("stored", [
-        {"body": None},
-        {"body": "not base64!", "encoding": "base64"},
-    ])
-    def test_corrupt_replay_record_fails_link_with_entry_id(
-        self, workspace, no_network, capsys, stored
+    # An answer that is JSON, but not the object a search answers.
+    @pytest.mark.parametrize("body", ["[]", '{"search": 7}'], ids=["list", "search-number"])
+    def test_unusable_recorded_answer_fails_link_with_entry_id(
+        self, workspace, no_network, capsys, body
     ):
         for stage in ("ingest", "train", "classify"):
             assert workspace.run(stage) == 0
         capsys.readouterr()
         labels = fx.build_replay_cache(workspace.cache_dir)
-        labels["search:Stockholm"].write_text(json.dumps(stored), encoding="utf-8")
+        fx.answer_row(workspace.cache_dir, labels["search:Stockholm"], body)
         assert workspace.run("link") == 5
         err = capsys.readouterr().err
-        assert "link: entry 9:211:2: ProtocolError: corrupt cache file" in err
+        assert "link: entry 9:211:2: ProtocolError: " in err
         assert "1 of 7 entries failed to link" in err
+
+    # A row that is no JSON [key, body] of two strings.
+    @pytest.mark.parametrize("row", [b'{"body": "{}"}\n', b'["k", null]\n', b"}{\n"],
+                             ids=["object", "null-body", "bad"])
+    def test_corrupt_replay_row_fails_link_naming_its_line(
+        self, workspace, no_network, capsys, row
+    ):
+        for stage in ("ingest", "train", "classify"):
+            assert workspace.run(stage) == 0
+        labels = fx.build_replay_cache(workspace.cache_dir)
+        line = fx.recorded_keys(workspace.cache_dir).index(labels["search:Stockholm"]) + 2
+        fx.rewrite_row(workspace.cache_dir, labels["search:Stockholm"], row)
+        log = workspace.cache_dir / wikidata.LOG_NAME
+        before = read_bytes(log), read_bytes(workspace.dataset)
+        capsys.readouterr()
+        assert workspace.run("link") == 5
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"link: {log}:{line}: ")
+        assert (read_bytes(log), read_bytes(workspace.dataset)) == before
 
     @pytest.mark.parametrize("config, argv", [
         ('{"rate_limit_s": NaN}', ["link"]),
@@ -1103,7 +1199,7 @@ class TestExitCodes:
 
         save_dataset(entries, workspace.dataset)
         labels = fx.build_replay_cache(workspace.cache_dir)
-        labels["sparql:coordinates"].unlink()
+        fx.drop_row(workspace.cache_dir, labels["sparql:coordinates"])
         capsys.readouterr()
         assert workspace.run("coords") == 6
         assert "coords:" in capsys.readouterr().err
@@ -1190,21 +1286,20 @@ class TestLiveFailureTolerance:
         assert by_id["2:57:2"] is None  # Berlin lost its link
         assert by_id["9:211:2"] == "Q1754"  # everyone else linked
 
-    def test_unreadable_record_costs_only_its_entry_in_record_mode(
+    def test_unusable_record_costs_only_its_entry_in_record_mode(
         self, workspace, no_network, capsys
     ):
         for stage in ("ingest", "train", "classify"):
             assert workspace.run(stage) == 0
         labels = fx.build_replay_cache(workspace.cache_dir)
-        labels["search:Berlin"].unlink()
-        labels["search:Berlin"].mkdir()
+        fx.answer_row(workspace.cache_dir, labels["search:Berlin"], "[]")
         capsys.readouterr()
         assert workspace.run("link", "--cache-mode", "record") == 0
         failures = [line for line in capsys.readouterr().err.splitlines()
                     if line.startswith("link: entry ")]
         assert failures == [
-            f"link: entry 2:57:2: ProtocolError: {labels['search:Berlin']}: "
-            "cannot read: Is a directory"
+            f"link: entry 2:57:2: ProtocolError: unexpected response shape from "
+            f"{wikidata.DEFAULT_API_URL}"
         ]
         by_id = {e.id: e.qid for e in load_dataset(workspace.dataset)}
         assert by_id == {entry_id: None if entry_id == "2:57:2" else fx.EXPECTED_LINKS.get(entry_id)

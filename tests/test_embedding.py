@@ -816,3 +816,12 @@ class TestCachedEmbedder:
         import hashlib
 
         assert CachedEmbedder.text_key("abc") == hashlib.sha256(b"abc").hexdigest()
+
+    # The digests every cache file on disk is keyed by, pinned.
+    @pytest.mark.parametrize("text, digest", [
+        ("abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+        ("Åmål", "235a0ca5d92b3da2be8c26de63d5b39645c97a9100622687203d775a3e8ae41e"),
+        ("", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ])
+    def test_text_key_digests_are_unchanged(self, text, digest):
+        assert CachedEmbedder.text_key(text) == digest

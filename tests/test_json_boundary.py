@@ -25,8 +25,8 @@ from geolex.classifier import load_annotations, load_model
 from geolex.config import ConfigError, load_config
 from geolex.corpus import load_dataset
 from geolex.embedding import DEFAULT_DIM, CachedEmbedder, HashedTrigramEmbedder, RemoteEmbedder
-from geolex.errors import DatasetError, ProtocolError
-from geolex.wikidata import HttpRequest, ReplayTransport, WikidataClient
+from geolex.errors import DatasetError, ProtocolError, ReplayCacheMiss
+from geolex.wikidata import LOG_NAME, HttpRequest, ReplayTransport, WikidataClient
 
 REQUEST = HttpRequest("GET", "https://x.test/api")
 
@@ -63,10 +63,14 @@ def read_model(tmp_path, data):
     return load_model(put(tmp_path / "model.json", data)).weights.tolist()
 
 
-def read_replay_file(tmp_path, data):
-    transport = ReplayTransport(tmp_path)
-    put(transport.path_for(REQUEST), data)
-    return transport.send(REQUEST)
+def read_replay_log(tmp_path, data):
+    """The answer recorded for ``REQUEST``; None when the log has no
+    row for it."""
+    put(tmp_path / LOG_NAME, data)
+    try:
+        return ReplayTransport(tmp_path).send(REQUEST)
+    except ReplayCacheMiss:
+        return None
 
 
 def read_api_body(tmp_path, data):
@@ -125,9 +129,11 @@ READERS = {
         b'{"kind": "@S", "dim": 2, "weights": [@N, 0.25], "bias": 0.0, "threshold": 0.5}',
         b"0.5", b"logistic-location-classifier", [0.5, 0.25],
     ),
-    "replay file": Reader(
-        read_replay_file, ProtocolError, b'{"body": "@S", "encoding": @N}',
-        b'"utf-8"', b"{}", b"{}",
+    # ``@N`` is the row's key.
+    "replay log": Reader(
+        read_replay_log, ProtocolError,
+        b'geolex-replay-log 1 row=[request-key,utf-8-body]\n[@N, "@S"]\n',
+        b'"GET https://x.test/api? body:"', b"{}", b"{}", lines=True,
     ),
     "api body": Reader(
         read_api_body, ProtocolError, b'{"search": [{"id": "@S", "pageid": @N}]}',
@@ -179,6 +185,9 @@ ACCEPTED = {
     **{(name, "good"): reader.good for name, reader in READERS.items()},
     ("annotations", "empty"): [],
     ("dataset", "empty"): [],
+    # An empty log holds no rows, and a torn last line is never read.
+    ("replay log", "empty"): None,
+    ("replay log", "torn"): READERS["replay log"].good,
     # A string only matched against others: no entry id is a lone
     # surrogate, so the annotation fails train.
     ("annotations", "surrogate-escape"): [("\ud800", True)],

@@ -19,7 +19,7 @@ from geolex.corpus import Entry, RawPage, load_dataset, save_dataset, segment_pa
 from geolex.embedding import EMBED_CHUNK, HashedTrigramEmbedder, RemoteEmbedder
 from geolex.errors import ProtocolError, TransportError
 from geolex.linker import NO_MIN_SIMILARITY, link_batch, rank_candidates
-from geolex.wikidata import ReplayTransport, WikidataClient
+from geolex.wikidata import DEFAULT_API_URL, ReplayTransport, WikidataClient
 
 
 def fixture_entries():
@@ -33,6 +33,18 @@ def replay_client(tmp_path):
     labels = fx.build_replay_cache(cache_dir)
     client = WikidataClient(transport=ReplayTransport(cache_dir))
     return client, labels
+
+
+def client_with_row(tmp_path, label: str, body: str | None) -> WikidataClient:
+    """A replay client of the fixture's cache in which the row for
+    ``label`` answers ``body`` instead, or is gone when ``body`` is None."""
+    cache_dir = tmp_path / "wd_cache"
+    key = fx.build_replay_cache(cache_dir)[label]
+    if body is None:
+        fx.drop_row(cache_dir, key)
+    else:
+        fx.answer_row(cache_dir, key, body)
+    return WikidataClient(transport=ReplayTransport(cache_dir))
 
 
 @pytest.fixture()
@@ -273,11 +285,8 @@ class TestLinkBatch:
             (r.entry_id, r.chosen, r.similarity) for r in threaded
         ]
 
-    def test_one_bad_entry_does_not_sink_the_batch(
-        self, replay_client, no_network
-    ):
-        client, labels = replay_client
-        labels["search:Berlin"].unlink()  # puncture one response
+    def test_one_bad_entry_does_not_sink_the_batch(self, tmp_path, no_network):
+        client = client_with_row(tmp_path, "search:Berlin", None)  # puncture one response
         batch = self.location_entries()
         results = link_batch(batch, HashedTrigramEmbedder(), client)
         by_id = {r.entry_id: r for r in results}
@@ -290,18 +299,14 @@ class TestLinkBatch:
         assert by_id["9:211:2"].chosen == "Q1754"
         assert by_id["30:5:1"].chosen == "Q1741"
 
-    def test_unreadable_replay_file_marks_only_its_entries(self, replay_client, no_network):
-        client, labels = replay_client
-        labels["search:Berlin"].unlink()
-        labels["search:Berlin"].mkdir()  # a directory where the record should be
+    def test_unusable_recorded_answer_marks_only_its_entries(self, tmp_path, no_network):
+        client = client_with_row(tmp_path, "search:Berlin", "[]")
         entries = fixture_entries()
         berlin, aachen = link_batch(
             [entries["2:57:2"], entries["1:101:1"]], HashedTrigramEmbedder(), client
         )
         assert berlin.chosen is None
-        assert berlin.error == (
-            f"ProtocolError: {labels['search:Berlin']}: cannot read: Is a directory"
-        )
+        assert berlin.error == f"ProtocolError: unexpected response shape from {DEFAULT_API_URL}"
         assert (aachen.chosen, aachen.error) == (fx.EXPECTED_LINKS["1:101:1"], None)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -495,7 +500,7 @@ class TestLinkBatch:
         recorded = link_batch(
             entries, HashedTrigramEmbedder(), WikidataClient(transport=recorder), workers=3
         )
-        assert len(list(tmp_path.iterdir())) == 24
+        assert len(fx.recorded_keys(tmp_path)) == 24
         replayed = link_batch(
             entries,
             HashedTrigramEmbedder(),

@@ -163,7 +163,8 @@ class StageOrder(RuleBasedStateMachine):
     @rule(data=st.data())
     def delete_recorded_response(self, data):
         label = data.draw(st.sampled_from(sorted(self.recorded)))
-        self.recorded[label].unlink(missing_ok=True)
+        if self.recorded[label] in fx.recorded_keys(self.workspace.cache_dir):
+            fx.drop_row(self.workspace.cache_dir, self.recorded[label])
         self.punctured = True
 
     def check_report(self):

@@ -2,24 +2,29 @@
 
 from __future__ import annotations
 
-import hashlib
+import builtins
 import http.client
 import io
 import json
 import re
+import threading
 import urllib.error
 import urllib.parse
 import urllib.request
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pipeline_fixtures as fx
+from conftest import run_on_threads
+from geolex import corpus, wikidata
 from geolex.errors import ProtocolError, ReplayCacheMiss, TransportError
 from geolex.geo import GeoPoint
 from geolex.wikidata import (
     DEFAULT_USER_AGENT,
+    LOG_NAME,
     SPARQL_BATCH_SIZE,
     HttpRequest,
     RateLimiter,
@@ -157,13 +162,19 @@ class TestRequestKeyBytes:
            params=st.lists(st.tuples(param_text, param_text), max_size=6),
            body=st.none() | st.binary(max_size=8))
     def test_key_is_the_sorted_urlencode_key(self, method, url, params, body):
-        """The key a recorded cache is stored under: method, URL, the
-        ``urlencode`` of the sorted parameters and the body's hash."""
+        """The key a row is stored under: method, URL, the ``urlencode``
+        of the sorted parameters and the body read as Latin-1."""
         request = HttpRequest(method, url, params=tuple(params), body=body)
         query = urllib.parse.urlencode(sorted(params))
-        material = (f"{method.upper()} {url}?{query} "
-                    f"body:{hashlib.sha256(body or b'').hexdigest()}")
-        assert canonical_request_key(request) == hashlib.sha256(material.encode()).hexdigest()
+        text = (body or b"").decode("latin-1")
+        assert canonical_request_key(request) == f"{method.upper()} {url}?{query} body:{text}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.binary(max_size=8), b=st.binary(max_size=8))
+    def test_distinct_bodies_have_distinct_keys(self, a, b):
+        keys = {canonical_request_key(HttpRequest("POST", "https://x.test/sparql", body=body))
+                for body in (a, b)}
+        assert len(keys) == (1 if a == b else 2)
 
 
 class FakeTime:
@@ -295,6 +306,19 @@ class TestUrllibTransport:
             UrllibTransport(user_agent=user_agent)
 
 
+HEADER = b"geolex-replay-log 1 row=[request-key,utf-8-body]\n"
+REQUEST = HttpRequest("GET", "https://x.test/api", params=(("q", "v"),))
+KEY = "GET https://x.test/api?q=v body:"
+
+
+def log_of(cache_dir) -> bytes:
+    return (cache_dir / LOG_NAME).read_bytes()
+
+
+def row(key: str, body: str) -> bytes:
+    return json.dumps([key, body], ensure_ascii=False).encode("utf-8") + b"\n"
+
+
 class TestResponseCache:
     def test_round_trip(self, tmp_path):
         request = HttpRequest("GET", "https://x.test/api", params=(("a", "1"),))
@@ -310,61 +334,172 @@ class TestResponseCache:
         request = HttpRequest("GET", "https://x.test/blob")
         with pytest.raises(ProtocolError, match="non-JSON response from https://x.test/blob"):
             fx.record(tmp_path, request, body)
-        assert list(tmp_path.iterdir()) == []
+        assert [path.name for path in tmp_path.iterdir()] == [LOG_NAME]
+        assert log_of(tmp_path) == HEADER
 
-    def test_cache_file_records_request_metadata(self, tmp_path):
-        request = HttpRequest("GET", "https://x.test/api", params=(("q", "v"),))
-        path = fx.record(tmp_path, request, b"{}")
-        record = json.loads(path.read_text(encoding="utf-8"))
-        assert record["request_key"] == canonical_request_key(request)
-        assert record["url"] == "https://x.test/api?q=v"
-        assert record["method"] == "GET"
+    def test_the_log_is_a_header_then_one_key_body_row_per_response(self, tmp_path):
+        fx.record(tmp_path, REQUEST, '{"ort": "Åmål"}'.encode("utf-8"))
+        fx.record(tmp_path, HttpRequest("POST", "https://x.test/sparql", body=b"query=x"), b"[]")
+        assert log_of(tmp_path) == (
+            HEADER + row(KEY, '{"ort": "Åmål"}') + row("POST https://x.test/sparql? body:query=x", "[]")
+        )
 
-    @pytest.mark.parametrize("encoding", [{}, {"encoding": "utf-8"}])
-    def test_replays_a_hand_written_cache_file(self, tmp_path, encoding):
-        request = HttpRequest("GET", "https://x.test/api", params=(("q", "v"),))
-        key = canonical_request_key(request)
-        (tmp_path / f"{key}.json").write_text(json.dumps({
-            "request_key": key,
-            "method": "GET",
-            "url": "https://x.test/api?q=v",
-            "fetched_at": "2024-01-01T00:00:00+00:00",
-            "body": '{"ok": true}',
-            **encoding,
-        }), encoding="utf-8")
-        assert ReplayTransport(tmp_path).send(request) == b'{"ok": true}'
+    @pytest.mark.parametrize("line", [
+        row(KEY, '{"ok": true}'),
+        b'[ "GET https://x.test/api?q=v body:" ,"{\\"ok\\": true}"]\n',
+    ], ids=["as-written", "other-spacing"])
+    def test_replays_a_hand_written_log(self, tmp_path, line):
+        (tmp_path / LOG_NAME).write_bytes(HEADER + line)
+        assert ReplayTransport(tmp_path).send(REQUEST) == b'{"ok": true}'
 
-    # "[" * 100_000 nests past the recursion limit.
-    @pytest.mark.parametrize("content", ["}{ not json", "[" * 100_000], ids=["bad", "deep"])
-    def test_corrupt_file_raises_protocol_error(self, tmp_path, content):
-        request = HttpRequest("GET", "https://x.test/api")
-        path = fx.record(tmp_path, request, b"{}")
-        path.write_text(content, encoding="utf-8")
-        with pytest.raises(ProtocolError, match="corrupt"):
-            ReplayTransport(tmp_path).send(request)
-
-    @pytest.mark.parametrize("stored", [
-        {"body": None},
-        {"body": 7},
-        # Base64 records, which earlier versions wrote for a body that
-        # is not UTF-8, no longer replay.
-        {"body": "not base64!", "encoding": "base64"},
-        {"body": "QUJ", "encoding": "base64"},
-        {"body": "QUJD=", "encoding": "base64"},
-        {"body": "QUJD====", "encoding": "base64"},
-        {"body": "{}", "encoding": "gzip"},
-        {"body": "{}", "encoding": None},
-    ])
-    def test_bad_body_raises_protocol_error(self, tmp_path, stored):
-        request = HttpRequest("GET", "https://x.test/api")
-        path = fx.record(tmp_path, request, b"{}")
-        path.write_text(json.dumps(stored), encoding="utf-8")
-        with pytest.raises(ProtocolError, match=re.escape(f"corrupt cache file {path}")):
-            ReplayTransport(tmp_path).send(request)
+    def test_a_later_row_for_the_same_key_wins(self, tmp_path):
+        (tmp_path / LOG_NAME).write_bytes(HEADER + row(KEY, "1") + row(KEY, "2"))
+        assert ReplayTransport(tmp_path).send(REQUEST) == b"2"
 
     def test_no_stray_temp_files_left(self, tmp_path):
         fx.record(tmp_path, HttpRequest("GET", "https://x.test/api"), b"{}")
-        assert sorted(p.suffix for p in tmp_path.iterdir()) == [".json"]
+        assert [path.name for path in tmp_path.iterdir()] == [LOG_NAME]
+
+
+class TestReplayLog:
+    """The log's rules on open: what is trimmed, and what is refused."""
+
+    def recorded(self, cache_dir, count: int) -> list[HttpRequest]:
+        requests = [HttpRequest("GET", "https://x.test/api", params=(("n", str(n)),))
+                    for n in range(count)]
+        for n, request in enumerate(requests):
+            fx.record(cache_dir, request, str(n).encode())
+        return requests
+
+    def test_a_torn_last_row_is_never_served_and_record_cuts_it_off(self, tmp_path):
+        requests = self.recorded(tmp_path, 3)
+        whole = log_of(tmp_path)
+        torn = whole[: -len(fx.log_rows(tmp_path)[-1]) // 2]
+        (tmp_path / LOG_NAME).write_bytes(torn)
+        replay = ReplayTransport(tmp_path)
+        assert [replay.send(request) for request in requests[:2]] == [b"0", b"1"]
+        with pytest.raises(ReplayCacheMiss):
+            replay.send(requests[2])
+        assert log_of(tmp_path) == torn  # replay writes nothing
+        fx.record(tmp_path, requests[2], b"2")
+        assert log_of(tmp_path) == whole
+        assert [ReplayTransport(tmp_path).send(r) for r in requests] == [b"0", b"1", b"2"]
+
+    # Each put as the second of three rows.
+    @pytest.mark.parametrize("line", [
+        b"}{ not json\n",
+        b"[" * 100_000 + b"\n",
+        b"\xff\n",
+        b'{"body": "{}"}\n',
+        b'["GET https://x.test/api?n=1 body:", null]\n',
+        b'[7, "{}"]\n',
+        b'["k"]\n',
+        b'["k", "{}", "x"]\n',
+        b'["k", "\\ud800"]\n',
+        b"\n",
+    ], ids=["bad", "deep", "byte-ff", "object", "null-body", "number-key", "short", "long",
+            "surrogate", "blank"])
+    @pytest.mark.parametrize("record", [False, True], ids=["replay", "record"])
+    def test_a_bad_row_mid_file_is_refused_naming_its_line(self, tmp_path, line, record):
+        self.recorded(tmp_path, 3)
+        rows = fx.log_rows(tmp_path)
+        damaged = HEADER + rows[0] + line + rows[2]
+        (tmp_path / LOG_NAME).write_bytes(damaged)
+        live = FakeTransport(lambda r: b"{}") if record else None
+        with pytest.raises(ProtocolError) as caught:
+            ReplayTransport(tmp_path, live)
+        message = str(caught.value)
+        assert message.startswith(f"{tmp_path / LOG_NAME}:3: ")
+        assert "\n" not in message
+        assert log_of(tmp_path) == damaged
+
+    @pytest.mark.parametrize("content", [
+        HEADER.replace(b" 1 ", b" 2 ") + row(KEY, "{}"),
+        HEADER[:-1],
+        row(KEY, "{}"),
+        b'{"request_key": "00", "body": "{}"}',
+        b"\xef\xbb\xbf" + HEADER,
+    ], ids=["other-version", "header-without-newline", "no-header", "old-record", "bom"])
+    @pytest.mark.parametrize("record", [False, True], ids=["replay", "record"])
+    def test_a_wrong_header_is_refused_with_the_file_kept(self, tmp_path, content, record):
+        (tmp_path / LOG_NAME).write_bytes(content)
+        live = FakeTransport(lambda r: b"{}") if record else None
+        with pytest.raises(ProtocolError, match=re.escape(f"{tmp_path / LOG_NAME}: does not start")):
+            ReplayTransport(tmp_path, live)
+        assert log_of(tmp_path) == content
+        assert [path.name for path in tmp_path.iterdir()] == [LOG_NAME]
+
+    def test_an_empty_log_has_no_rows_and_record_gives_it_the_header(self, tmp_path):
+        (tmp_path / LOG_NAME).write_bytes(b"")
+        with pytest.raises(ReplayCacheMiss):
+            ReplayTransport(tmp_path).send(REQUEST)
+        assert log_of(tmp_path) == b""
+        fx.record(tmp_path, REQUEST, b"{}")
+        assert log_of(tmp_path) == HEADER + row(KEY, "{}")
+
+    @pytest.mark.parametrize("record", [False, True], ids=["replay", "record"])
+    def test_a_cache_of_an_earlier_version_is_refused(self, tmp_path, record):
+        old = tmp_path / f"{'ab' * 32}.json"
+        old.write_text('{"body": "{}"}', encoding="utf-8")
+        live = FakeTransport(lambda r: b"{}") if record else None
+        with pytest.raises(ProtocolError) as caught:
+            ReplayTransport(tmp_path, live)
+        assert str(caught.value) == (
+            f"{tmp_path} holds the per-request replay records of an earlier version, "
+            "which no longer replay; record into an empty cache directory"
+        )
+        assert [path.name for path in tmp_path.iterdir()] == [old.name]
+
+    def test_other_json_files_beside_the_log_are_no_old_cache(self, tmp_path):
+        (tmp_path / "notes.json").write_text("{}", encoding="utf-8")
+        fx.record(tmp_path, REQUEST, b"{}")
+        assert ReplayTransport(tmp_path).send(REQUEST) == b"{}"
+
+    def test_the_log_is_opened_once_for_every_hit(self, tmp_path, monkeypatch):
+        requests = self.recorded(tmp_path, 3)
+        opened = []
+        real_open = builtins.open
+
+        def counting(path, *args, **kwargs):
+            opened.append(Path(path).name)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(corpus, "open", counting, raising=False)
+        replay = ReplayTransport(tmp_path)
+        assert [replay.send(request) for request in requests * 2] == [b"0", b"1", b"2"] * 2
+        assert opened == [LOG_NAME]
+
+    def test_a_key_of_anothers_hash_is_never_served_its_answer(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wikidata, "hash", lambda key: 0, raising=False)
+        first, second = self.recorded(tmp_path, 2)
+        assert fx.recorded_keys(tmp_path) == [canonical_request_key(first),
+                                              canonical_request_key(second)]
+        replay = ReplayTransport(tmp_path)
+        assert replay.send(second) == b"1"  # the later row holds the slot
+        with pytest.raises(ReplayCacheMiss):
+            replay.send(first)
+
+    def test_threads_recording_one_request_append_one_row(self, tmp_path):
+        gate = threading.Barrier(4)
+
+        def answer(request):
+            gate.wait(timeout=10)  # every thread misses before any appends
+            return b"{}"
+
+        recorder = ReplayTransport(tmp_path, FakeTransport(answer))
+        run_on_threads(lambda slot: recorder.send(REQUEST), 4)
+        assert fx.log_rows(tmp_path) == [row(KEY, "{}")]
+
+    def test_threads_recording_many_requests_append_whole_rows(self, tmp_path):
+        recorder = ReplayTransport(tmp_path, FakeTransport(lambda r: json.dumps(
+            {"n": r.params[0][1], "pad": "x" * 5000}).encode()))
+        requests = [HttpRequest("GET", "https://x.test/api", params=(("n", str(n)),))
+                    for n in range(40)]
+        run_on_threads(lambda slot: [recorder.send(r) for r in requests[slot::8]], 8)
+        replay = ReplayTransport(tmp_path)
+        assert len(fx.log_rows(tmp_path)) == 40
+        for n, request in enumerate(requests):
+            assert json.loads(replay.send(request))["n"] == str(n)
 
 
 class TestRecordAndReplay:
@@ -379,14 +514,13 @@ class TestRecordAndReplay:
         replay = ReplayTransport(tmp_path)
         assert replay.send(request) == b'{"answer": 42}'
 
-    def test_record_mode_writes_a_file_on_a_miss(self, tmp_path):
+    def test_record_mode_appends_a_row_on_a_miss(self, tmp_path):
         cache_dir = tmp_path / "not-yet"
         request = HttpRequest("GET", "https://x.test/api", params=(("q", "Åmål"),))
         recorder = ReplayTransport(cache_dir, FakeTransport(lambda r: b'{"ok": 1}'))
         assert recorder.send(request) == b'{"ok": 1}'
-        path = recorder.path_for(request)
-        assert sorted(cache_dir.iterdir()) == [path]
-        assert json.loads(path.read_text(encoding="utf-8"))["body"] == '{"ok": 1}'
+        assert [path.name for path in cache_dir.iterdir()] == [LOG_NAME]
+        assert fx.log_rows(cache_dir) == [row(canonical_request_key(request), '{"ok": 1}')]
 
     def test_replay_finds_request_with_reordered_params(self, tmp_path):
         recorded = HttpRequest("GET", "https://x.test/api", params=(("a", "1"), ("b", "2")))
