@@ -232,8 +232,9 @@ def stage_train(command: Command) -> Counts:
 
 def stage_classify(command: Command) -> Counts:
     """Set every entry's location flag from the model.  Definitions go
-    to the provider ``EMBED_CHUNK`` at a time, and each chunk's vectors
-    are freed before the next chunk is embedded."""
+    to the provider ``EMBED_CHUNK`` (256) at a time, and each chunk's
+    vectors are freed before the next chunk is embedded.  No flag
+    depends on the chunk size: each score is one ``weights . vector``."""
     entries, provider = command.entries, command.provider
     model = classifier.load_model(command.config.model)
     if model.dim != provider.dim:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import logging
 import math
 import os
 import re
@@ -35,7 +34,15 @@ from typing import IO, Iterable, Iterator
 
 from .errors import DatasetError
 
-logger = logging.getLogger(__name__)
+
+def _logger():
+    """The ``geolex.corpus`` logger.  ``logging`` is imported at the
+    first message, not with the module: a corpus that warrants none
+    never loads it."""
+    import logging
+
+    return logging.getLogger(__name__)
+
 
 # Definition budget: keep this many characters, then cut back to the
 # last period inside the kept prefix (if any).
@@ -294,7 +301,7 @@ def segment_pages(pages: Iterable[RawPage], *, spill: IO[bytes] | None = None) -
         if current_start is not None:
             current_pieces.append(before)
         elif not before.isspace():
-            logger.debug(
+            _logger().debug(
                 "dropping pre-entry text on page %s:%s: %r",
                 page.volume, page.page_no, before.strip()[:60],
             )
@@ -332,12 +339,12 @@ def read_raw_pages(raw_dir: str | os.PathLike[str]) -> Iterator[RawPage]:
             continue
         volume = _number(vol_dir.name)
         if volume is None:
-            logger.warning("skipping non-volume directory %s", vol_dir)
+            _logger().warning("skipping non-volume directory %s", vol_dir)
             continue
         for page_file in sorted(vol_dir.glob("*.txt")):
             page_no = _number(page_file.stem)
             if page_no is None:
-                logger.warning("skipping non-page file %s", page_file)
+                _logger().warning("skipping non-page file %s", page_file)
                 continue
             located.append((volume, page_no, page_file))
     located.sort()

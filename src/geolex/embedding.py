@@ -42,8 +42,10 @@ from .wikidata import HttpRequest, RateLimiter, UrllibTransport
 DEFAULT_DIM = 384
 
 # Most texts a stage hands the provider in one call: peak memory holds
-# one chunk of vectors instead of one per text.
-EMBED_CHUNK = 1024
+# one chunk of vectors instead of one per text.  At 256 a chunk of
+# 384-dim float64 vectors is 0.75 MB, and a ``RemoteEmbedder`` request
+# from classify or link carries at most 256 texts.
+EMBED_CHUNK = 256
 
 # Texts ``HashedTrigramEmbedder`` hashes the trigrams of at a time.
 _SLICE_TEXTS = 64

@@ -14,23 +14,26 @@ It works in two steps.  It searches once per distinct headword, in
 first-seen order, each search sent when its result is needed: on the
 calling thread one at a time, on a pool a few per worker ahead.  An
 item keeps the description of the first search that found it.  Then
-the entries are embedded and ranked chunk by chunk, each distinct text
-of a chunk embedded once and its vector's norm taken once.  A batch
-never aborts on a single bad entry: a failed search marks every entry
-with that headword (a hit with a malformed description fails its
-search), a failed embedding call marks its chunk, and a blank
-headword, which cannot be searched, marks its entries.  A marked entry
-gets an unlinked result with an error note ("Type: message") and the
-batch carries on.
+the entries are embedded and ranked chunk by chunk, at most
+``EMBED_CHUNK // (1 + SEARCH_LIMIT)`` (42) entries a chunk, each
+distinct text of a chunk embedded once and its vector's norm taken
+once.  A batch never aborts on a single bad entry: a failed search
+marks every entry with that headword (a hit with a malformed
+description fails its search), a failed embedding call marks its
+chunk, and a blank headword, which cannot be searched, marks its
+entries.  A marked entry gets an unlinked result with an error note
+("Type: message") and the batch carries on.
+
+``concurrent.futures`` is imported only where a pool is built: it
+pulls in ``logging``, which a link on the calling thread never uses.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -38,6 +41,9 @@ from .corpus import Entry
 from .embedding import EMBED_CHUNK, cosine_from_norms, vector_norm
 from .errors import ProtocolError, ReplayCacheMiss, TransportError
 from .wikidata import SEARCH_LIMIT, WikidataClient, qid_number
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ThreadPoolExecutor
 
 # Similarity gate disabled by default: cosine never goes below -1.
 NO_MIN_SIMILARITY = -1.0
@@ -128,7 +134,7 @@ def link_batch(
     descriptions: dict[str, str | None] = {}
     with ExitStack() as stack:
         if workers > 1 and len(entries) > 1:
-            executor = ThreadPoolExecutor(max_workers=workers)
+            executor = thread_pool(workers)
             # Leaving early (a bug, Ctrl-C) cancels the queued searches
             # and waits only for those already sent.
             stack.callback(executor.shutdown, cancel_futures=True)
@@ -169,6 +175,13 @@ def link_batch(
         for i, result in zip(chunk, chunk_results):
             results[i] = result
     return results
+
+
+def thread_pool(workers: int) -> ThreadPoolExecutor:
+    """A pool of ``workers`` threads for link's searches."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=workers)
 
 
 def _failed(entry: Entry, err: Exception) -> LinkResult:

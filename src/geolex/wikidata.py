@@ -42,7 +42,6 @@ import os
 import re
 import threading
 import time
-import urllib.error
 import urllib.parse
 import weakref
 from dataclasses import dataclass
@@ -204,6 +203,7 @@ class UrllibTransport:
         # Imported here, not at module level: urllib.request pulls in
         # http.client and email, which replay runs never use.
         import http.client
+        import urllib.error
         import urllib.request
 
         self.rate_limiter.wait()

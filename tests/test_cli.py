@@ -553,7 +553,7 @@ class TestLinkThreads:
         def refuse(*args, **kwargs):
             raise AssertionError("replay link started a thread pool")
 
-        monkeypatch.setattr(linker, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(linker, "thread_pool", refuse)
         assert workspace.run("link", "--concurrency", "3") == 0
 
     def test_record_link_keeps_a_pool_of_concurrency_threads(
@@ -563,13 +563,13 @@ class TestLinkThreads:
         assert workspace.run("link") == 0
         replayed = read_bytes(workspace.dataset)
         sizes = []
-        pool = linker.ThreadPoolExecutor
+        pool = linker.thread_pool
 
-        def counting(max_workers):
-            sizes.append(max_workers)
-            return pool(max_workers=max_workers)
+        def counting(workers):
+            sizes.append(workers)
+            return pool(workers)
 
-        monkeypatch.setattr(linker, "ThreadPoolExecutor", counting)
+        monkeypatch.setattr(linker, "thread_pool", counting)
         assert workspace.run("link", "--cache-mode", "record", "--concurrency", "3") == 0
         assert sizes == [3]
         assert read_bytes(workspace.dataset) == replayed
@@ -721,15 +721,24 @@ def test_importing_the_cli_leaves_out_the_http_stack():
     assert result.stdout.strip() == "[]"
 
 
-def test_a_replayed_run_never_imports_hashlib(workspace):
-    """hashlib maps OpenSSL's libcrypto; only an embedding cache needs it."""
+# Modules a replayed ``run`` never calls: hashlib maps OpenSSL's
+# libcrypto (only an embedding cache needs it), logging comes with
+# concurrent.futures (only a live or record pool needs it), html loads
+# its entity table, and the HTTP stack serves only live requests.
+NEVER_IMPORTED_ON_REPLAY = (
+    "hashlib", "_hashlib", "logging", "html", "concurrent.futures",
+    "urllib.error", "urllib.request", "http.client",
+)
+
+
+def test_a_replayed_run_imports_no_module_it_never_calls(workspace):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {name: value for name, value in os.environ.items()
            if name not in ("EMBED_URL", "WD_CACHE_MODE", "WD_CACHE_DIR")}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = ("import sys; from geolex import cli; code = cli.main(sys.argv[1:]); "
-             "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)), file=sys.stderr); "
-             "sys.exit(code)")
+             f"print(sorted(set({NEVER_IMPORTED_ON_REPLAY!r}) & set(sys.modules)), "
+             "file=sys.stderr); sys.exit(code)")
     result = subprocess.run(
         [sys.executable, "-c", probe, "run", "--config", str(workspace.config_path)],
         env=env, capture_output=True, text=True, timeout=120,

@@ -304,6 +304,18 @@ class TestSegmentation:
         assert len(entries) == 1
         assert entries[0].headword == "Aal"
 
+    def test_dropped_pre_entry_text_is_logged_at_debug(self, caplog):
+        pages = [RawPage(3, 7, "tryckt i stockholm\nAal, tysk form.\n"),
+                 RawPage(4, 1, "  \nAachen, stad.\n")]
+        with caplog.at_level(logging.DEBUG, logger="geolex.corpus"):
+            entries = segment_pages(pages)
+        assert [e.headword for e in entries] == ["Aal", "Aachen"]
+        # Blank text before a volume's first entry is no message.
+        assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [(
+            "geolex.corpus", logging.DEBUG,
+            "dropping pre-entry text on page 3:7: 'tryckt i stockholm'",
+        )]
+
     def test_out_of_order_pages_rejected(self):
         pages = [RawPage(1, 2, "Aal, fisk.\n"), RawPage(1, 1, "Aachen, stad.\n")]
         with pytest.raises(ValueError, match="out of order"):

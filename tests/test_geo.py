@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import html
 import json
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import pipeline_fixtures as fx
@@ -16,6 +19,7 @@ from geolex.geo import (
     GeoPoint,
     LinkedPlace,
     distance_histogram,
+    escape_text,
     geojson_dumps,
     haversine_km,
     project_equirectangular,
@@ -311,6 +315,20 @@ class TestSvgMap:
                             GeoPoint(0.0, 0.0), 0.0)
         svg = render_svg_map([place])
         assert """<title>S:t "Eriks" &amp; 'Olofs' &lt;a&gt; (Q2)</title>""" in svg
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(),
+        # Markup-heavy text: entities already escaped, quotes, non-BMP.
+        st.lists(st.sampled_from(
+            ["&", "&amp;", "&lt;", "<", ">", '"', "'", "a", "\U0001F30D", "\U00010348", "å"]
+        )).map("".join),
+    ))
+    def test_title_escaping_is_html_escape_without_quotes(self, headword):
+        expected = html.escape(f"{headword} (Q1)", quote=False)
+        assert escape_text(f"{headword} (Q1)") == expected
+        place = LinkedPlace("1:1:1", headword, "Q1", GeoPoint(0.0, 0.0), 0.0)
+        assert f"<title>{expected}</title>" in render_svg_map([place])
 
     def test_graticule_lines_every_thirty_degrees(self):
         svg = render_svg_map([])

@@ -19,7 +19,7 @@ from geolex.corpus import Entry, RawPage, load_dataset, save_dataset, segment_pa
 from geolex.embedding import EMBED_CHUNK, HashedTrigramEmbedder, RemoteEmbedder
 from geolex.errors import ProtocolError, TransportError
 from geolex.linker import NO_MIN_SIMILARITY, link_batch, rank_candidates
-from geolex.wikidata import DEFAULT_API_URL, ReplayTransport, WikidataClient
+from geolex.wikidata import DEFAULT_API_URL, SEARCH_LIMIT, ReplayTransport, WikidataClient
 
 
 def fixture_entries():
@@ -446,7 +446,7 @@ class TestLinkBatch:
                 time.sleep(0.005)
                 return super().send(request)
 
-        monkeypatch.setattr(linker, "ThreadPoolExecutor", CountingPool)
+        monkeypatch.setattr(linker, "thread_pool", CountingPool)
         transport = SlowSearch(results)
         outcome = link_batch(
             entries, HashedTrigramEmbedder(), WikidataClient(transport=transport), workers=2
@@ -577,18 +577,19 @@ class TestLinkBatch:
 
     def test_failed_embedding_call_marks_its_chunk(self):
         # at five candidates an entry needs six texts, so a chunk holds
-        # 1024 // 6 = 170 entries
-        entries, results = places(175)
+        # EMBED_CHUNK // 6 entries
+        step = EMBED_CHUNK // (1 + SEARCH_LIMIT)
+        entries, results = places(step + 5)
         embedder = CountingEmbedder(fail_call=1)
         client = WikidataClient(transport=fx.FixtureTransport(results))
         outcome = link_batch(entries, embedder, client)
-        assert [len(call) for call in embedder.calls] == [170 * 6, 5 * 6]
+        assert [len(call) for call in embedder.calls] == [step * 6, 5 * 6]
         assert all(len(call) <= EMBED_CHUNK for call in embedder.calls)
         assert all(
             r.error == "ProtocolError: embedding service returned garbage"
-            for r in outcome[:170]
+            for r in outcome[:step]
         )
-        assert all(r.error is None and r.chosen is not None for r in outcome[170:])
+        assert all(r.error is None and r.chosen is not None for r in outcome[step:])
 
     @pytest.mark.parametrize("garbage", [
         ["a"] * 384,
@@ -610,9 +611,10 @@ class TestLinkBatch:
                 self.replies += 1
                 return json.dumps({"vectors": vectors}).encode()
 
-        entries, results = places(171)  # chunks of 170 and 1
+        step = EMBED_CHUNK // (1 + SEARCH_LIMIT)
+        entries, results = places(step + 1)  # chunks of step and 1
         embedder = RemoteEmbedder("http://embed.test", transport=GarbledService())
         client = WikidataClient(transport=fx.FixtureTransport(results))
         outcome = link_batch(entries, embedder, client)
-        assert all(r.error.startswith("ProtocolError: vector 0 ") for r in outcome[:170])
-        assert outcome[170].error is None and outcome[170].chosen is not None
+        assert all(r.error.startswith("ProtocolError: vector 0 ") for r in outcome[:step])
+        assert outcome[step].error is None and outcome[step].chosen is not None
