@@ -12,7 +12,7 @@ from .classifier import EvalReport, LogisticModel, evaluate, train
 from .corpus import Entry, RawPage, segment_pages
 from .embedding import HashedTrigramEmbedder, RemoteEmbedder
 from .errors import DatasetError, ProtocolError, ReplayCacheMiss, TransportError
-from .geo import GeoPoint, LinkedPlace, distance_histogram, haversine_km
+from .geo import GeoPoint, distance_histogram, haversine_km
 from .linker import LinkResult, link_batch, rank_candidates
 from .wikidata import WikidataClient, make_transport
 
@@ -23,6 +23,6 @@ __all__ = [
     "EvalReport", "LogisticModel", "evaluate", "train",
     "WikidataClient", "make_transport",
     "LinkResult", "link_batch", "rank_candidates",
-    "GeoPoint", "LinkedPlace", "distance_histogram", "haversine_km",
+    "GeoPoint", "distance_histogram", "haversine_km",
     "DatasetError", "ProtocolError", "ReplayCacheMiss", "TransportError",
 ]

@@ -83,34 +83,40 @@ class LogisticModel:
         return int(self.weights.shape[0])
 
 
-def _stack_examples(
-    examples: Sequence[tuple[Sequence[float], bool]]
-) -> tuple[np.ndarray, np.ndarray]:
-    if not examples:
-        raise ValueError("no training examples")
-    features = np.asarray([vector for vector, _ in examples], dtype=np.float64)
+def _checked_examples(features, labels: Sequence[bool]) -> tuple[np.ndarray, np.ndarray]:
+    """``features`` as a float64 matrix, one row per example (the
+    matrix itself when it is one, not a copy), and ``labels`` as 0.0
+    and 1.0.  Refuses an empty set, ragged rows, a label count that
+    differs from the row count and any value that is not finite."""
+    features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("feature vectors must all have the same dimension")
-    if not np.all(np.isfinite(features)):
+    if not len(features):
+        raise ValueError("no training examples")
+    if len(labels) != len(features):
+        raise ValueError(f"{len(labels)} labels for {len(features)} feature vectors")
+    if not np.isfinite(features).all():
         raise ValueError("feature vectors contain non-finite values")
-    labels = np.asarray([1.0 if label else 0.0 for _, label in examples])
-    return features, labels
+    return features, np.asarray([1.0 if label else 0.0 for label in labels])
 
 
 def train(
-    examples: Sequence[tuple[Sequence[float], bool]],
+    features,
+    labels: Sequence[bool],
     learning_rate: float = DEFAULT_LEARNING_RATE,
     l2_lambda: float = DEFAULT_L2_LAMBDA,
     epochs: int = DEFAULT_EPOCHS,
 ) -> LogisticModel:
-    """Fit a logistic model on (vector, is_location) pairs.
+    """Fit a logistic model on ``features``, an ``(n, dim)`` matrix
+    such as ``embed_batch`` returns, and the ``n`` is_location
+    ``labels`` of its rows.  The matrix is not copied.
 
     Requires at least one example of each class.  Training diverging
     (final loss above the zero-weight starting loss) means the step
     size is wrong for the data and raises rather than returning a bad
     model.
     """
-    features, labels = _stack_examples(examples)
+    features, labels = _checked_examples(features, labels)
     if labels.min() == labels.max():
         raise ValueError("training set has only one class; need both labels")
     if learning_rate <= 0 or epochs < 1 or l2_lambda < 0:
@@ -139,7 +145,7 @@ def train(
     return LogisticModel(
         weights=weights,
         bias=bias,
-        trained_on=len(examples),
+        trained_on=len(labels),
         hyperparams={
             "learning_rate": learning_rate,
             "l2_lambda": l2_lambda,
@@ -165,11 +171,12 @@ def classify(model: LogisticModel, vector: Sequence[float]) -> bool:
 
 def classify_batch(model: LogisticModel, vectors: Sequence[Sequence[float]]) -> list[bool]:
     """Whether each vector is a location, in order: a probability at or
-    above the threshold counts as one.
+    above the threshold counts as one.  ``vectors`` is the ``(n, dim)``
+    matrix ``embed_batch`` returns, or any sequence of vectors.
 
-    Each score ``weights . vector`` is written into one array without
-    stacking the vectors into a matrix (that would copy them); one
-    ``sigmoid`` then decides every flag, so no flag depends on the
+    Each vector is scored with its own ``weights . vector`` product,
+    not one matrix product, and the scores are written into one array;
+    one ``sigmoid`` then decides every flag, so no flag depends on the
     other vectors of the call.
     """
     scores = np.array([_score(model, vector) for vector in vectors], dtype=np.float64)
@@ -219,14 +226,16 @@ class EvalReport:
 
 
 def evaluate(
-    model: LogisticModel, examples: Sequence[tuple[Sequence[float], bool]]
+    model: LogisticModel, features, labels: Sequence[bool]
 ) -> EvalReport:
-    """Confusion counts and derived metrics on a labeled set."""
-    if not examples:
+    """Confusion counts and derived metrics of the model's flags for
+    the rows of ``features`` against their ``labels``."""
+    if not len(labels):
         raise ValueError("cannot evaluate on an empty set")
+    if len(labels) != len(features):
+        raise ValueError(f"{len(labels)} labels for {len(features)} feature vectors")
     tp = fp = fn = tn = 0
-    flags = classify_batch(model, [vector for vector, _ in examples])
-    for (_, label), predicted in zip(examples, flags):
+    for label, predicted in zip(labels, classify_batch(model, features)):
         if label and predicted:
             tp += 1
         elif label and not predicted:

@@ -41,6 +41,7 @@ import argparse
 import contextlib
 import functools
 import json
+import operator
 import os
 import sys
 import tempfile
@@ -212,15 +213,14 @@ def stage_train(command: Command) -> Counts:
     for entry_id, _ in annotations:
         if entry_id not in by_id:
             raise StageError(f"annotation for unknown entry {entry_id!r}")
-    vectors = command.provider.embed_batch(
+    features = command.provider.embed_batch(
         [by_id[entry_id].definition for entry_id, _ in annotations]
     )
     labels = [label for _, label in annotations]
-    examples = list(zip(vectors, labels))
-    model = classifier.train(examples)
+    model = classifier.train(features, labels)
     classifier.save_model(model, config.model)
     # Training-set quality: an under-trained model shows up here.
-    fit = classifier.evaluate(model, examples)
+    fit = classifier.evaluate(model, features, labels)
     return len(annotations), 1, 0, {
         "positive_fraction": sum(labels) / len(labels),
         "train_accuracy": fit.accuracy,
@@ -312,36 +312,44 @@ def stage_coords(command: Command) -> Counts:
 
 
 def stage_report(command: Command) -> Counts:
+    """Write the GeoJSON, the histogram and the SVG map of the plotted
+    entries: those marked as locations that have a ``qid`` and
+    coordinates.  Every plotted entry's coordinates are checked, and
+    the histogram counted, before any artifact is opened.  The GeoJSON
+    features and the SVG circles are then written one entry at a time,
+    in entry-id order.  Each artifact goes to its temporary file, and
+    none replaces its target until all three are written."""
     entries, config = command.entries, command.config
-    places = []
-    for entry in entries:
-        if not entry.is_location or entry.qid is None or entry.lat is None or entry.lon is None:
-            continue
-        try:
-            point = geo.GeoPoint(entry.lat, entry.lon)
-        except ValueError as err:
-            raise StageError(f"entry {entry.id!r}: {err}") from None
-        places.append(
-            geo.LinkedPlace(
-                entry_id=entry.id,
-                headword=entry.headword,
-                qid=entry.qid,
-                point=point,
-                similarity=entry.similarity or 0.0,
-            )
-        )
+    places: list[corpus.Entry] = []
+
+    def checked_points() -> Iterator[geo.GeoPoint]:
+        # Consumed by the histogram, which comes before any write.
+        for entry in entries:
+            if not entry.is_location or entry.qid is None or entry.lat is None or entry.lon is None:
+                continue
+            try:
+                point = geo.GeoPoint(entry.lat, entry.lon)
+            except ValueError as err:
+                raise StageError(f"entry {entry.id!r}: {err}") from None
+            places.append(entry)
+            yield point
+
     reference = geo.GeoPoint(config.ref_lat, config.ref_lon)
-    histogram = geo.distance_histogram(
-        [place.point for place in places], reference, config.bucket_km
+    histogram = geo.distance_histogram(checked_points(), reference, config.bucket_km)
+    places.sort(key=operator.attrgetter("id"))
+    artifacts = (
+        (config.geojson, lambda out: geo.geojson_dumps(geo.to_geojson(places), out)),
+        (config.histogram, lambda out: out.write(histogram.to_csv())),
+        (config.svg, lambda out: geo.render_svg_map(places, out, config.map_width_px)),
     )
-    artifacts = {
-        config.geojson: geo.geojson_dumps(geo.to_geojson(places)),
-        config.histogram: histogram.to_csv(),
-        config.svg: geo.render_svg_map(places, config.map_width_px),
-    }
-    for path, text in artifacts.items():
-        with corpus.atomic_writer(path) as handle:
-            handle.write(text)
+    with contextlib.ExitStack() as replace_when_all_written:
+        for path, write in artifacts:
+            try:
+                out = replace_when_all_written.enter_context(corpus.atomic_writer(path))
+                write(out)
+                out.flush()  # a full disk fails here, before any replace
+            except OSError as err:
+                raise StageError(f"cannot write {path}: {err.strerror or err}") from err
     print(
         f"report: histogram reference ({config.ref_lat}, {config.ref_lon}), "
         f"bucket {config.bucket_km} km",

@@ -1,9 +1,9 @@
 """Text-to-vector providers and the similarity math the linker runs on.
 
 Every provider exposes the same small surface: ``dim`` and
-``embed_batch(texts)``, one vector per text.  Output vectors are
-float64, L2-normalized, and the empty text maps to the all-zero
-vector (which cosine treats as similar-to-nothing).
+``embed_batch(texts)``, an ``(n, dim)`` float64 matrix with one row
+per text.  Rows are L2-normalized, and the empty text maps to the
+all-zero row (which cosine treats as similar-to-nothing).
 
 Two providers:
 
@@ -143,8 +143,8 @@ class HashedTrigramEmbedder:
         the benchmark's tracer still patches this method by name."""
         return self.embed_batch([text])[0]
 
-    def embed_batch(self, texts: Iterable[str]) -> list[np.ndarray]:
-        """One vector per text: the rows of a single ``(n, dim)`` matrix."""
+    def embed_batch(self, texts: Iterable[str]) -> np.ndarray:
+        """One vector per text, as the rows of one ``(n, dim)`` matrix."""
         texts = [self.normalize_text(text) for text in texts]
         matrix = np.zeros((len(texts), self.dim), dtype=np.float64)
         # A slice's hash arrays take about 30 bytes per character besides
@@ -159,7 +159,7 @@ class HashedTrigramEmbedder:
         norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
         norms[norms == 0.0] = 1.0
         matrix /= norms[:, None]
-        return list(matrix)
+        return matrix
 
     def _counts(self, texts: list[str]) -> np.ndarray:
         """Trigram bucket counts of normalized ``texts``, one row each."""
@@ -257,10 +257,10 @@ class RemoteEmbedder:
         self.dim = dim
         self.transport = transport or UrllibTransport(rate_limiter=RateLimiter(0.0))
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         texts = list(texts)
         if not texts:
-            return []
+            return np.zeros((0, self.dim))
         request = HttpRequest(
             "POST",
             self.url,
@@ -275,7 +275,7 @@ class RemoteEmbedder:
                 f"embedding service returned {0 if not isinstance(vectors, list) else len(vectors)} "
                 f"vectors for {len(texts)} texts"
             )
-        out: list[np.ndarray] = []
+        out = np.zeros((len(texts), self.dim))
         # A finite v . v can still overflow to inf; that case is handled.
         with np.errstate(over="ignore"):
             for i, raw in enumerate(vectors):
@@ -286,7 +286,8 @@ class RemoteEmbedder:
                     # magnitude to 1 first, so the norm is in [1, sqrt(dim)].
                     vector = vector / np.abs(vector).max()
                     norm = vector_norm(vector)
-                out.append(vector / norm if norm else np.zeros(self.dim))
+                if norm:
+                    out[i] = vector / norm
         return out
 
 
@@ -354,7 +355,7 @@ class CachedEmbedder:
 
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
-    def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
         texts = list(texts)
         keys = [self.text_key(text) for text in texts]
         with self._lock:
@@ -374,4 +375,5 @@ class CachedEmbedder:
                     with open(self._path, "ab") as handle:
                         handle.write(records.tobytes())
         with self._lock:
-            return [self._memory[key] for key in keys]
+            rows = [self._memory[key] for key in keys]
+        return np.array(rows, dtype=np.float64).reshape(len(keys), self.dim)

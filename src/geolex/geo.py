@@ -4,7 +4,10 @@ Distances use the haversine formula on a sphere of radius 6371 km.
 Artifacts: a GeoJSON FeatureCollection of linked places, a CSV
 histogram of distances from a reference point, and an SVG scatter map
 on an equirectangular projection.  All three are deterministic: same
-input, same bytes.
+input, same bytes.  A place on the GeoJSON or the map is a
+``corpus.Entry`` with a ``qid`` and coordinates; both artifacts are
+written to a handle one place at a time, so neither is built whole in
+memory.
 """
 
 from __future__ import annotations
@@ -12,7 +15,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from json.encoder import encode_basestring
+from typing import IO, TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from .corpus import Entry
 
 EARTH_RADIUS_KM = 6371.0
 DEFAULT_BUCKET_KM = 500.0
@@ -32,17 +39,6 @@ class GeoPoint:
             raise ValueError(f"latitude out of range: {self.lat}")
         if not (math.isfinite(self.lon) and -180.0 <= self.lon <= 180.0):
             raise ValueError(f"longitude out of range: {self.lon}")
-
-
-@dataclass(frozen=True)
-class LinkedPlace:
-    """A geocoded entry, ready for the report artifacts."""
-
-    entry_id: str
-    headword: str
-    qid: str
-    point: GeoPoint
-    similarity: float = 0.0
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -104,41 +100,55 @@ def distance_histogram(
     )
 
 
-def to_geojson(places: Sequence[LinkedPlace]) -> dict:
-    """GeoJSON FeatureCollection of places, ordered by entry id.
+def _json_number(value: float) -> str:
+    """``value`` as ``json.dumps`` writes it: a finite float as its
+    ``float.__repr__``, any other number through ``json.dumps``."""
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value)
+
+
+def to_geojson(places: Iterable[Entry]) -> Iterator[str]:
+    """Each place as the text of a GeoJSON Feature, in the order given:
+    what ``json.dumps`` writes for the feature's dict with sorted keys,
+    no spaces and UTF-8 kept, formatted here without building the dict.
+    An unset similarity is written as 0.0.  A feature is formatted only
+    when it is read.
 
     GeoJSON positions are [longitude, latitude] — the reverse of how
     this pipeline carries coordinates everywhere else.
     """
-    features = []
-    for place in sorted(places, key=lambda p: p.entry_id):
-        features.append(
-            {
-                "type": "Feature",
-                "geometry": {
-                    "type": "Point",
-                    "coordinates": [place.point.lon, place.point.lat],
-                },
-                "properties": {
-                    "entry_id": place.entry_id,
-                    "headword": place.headword,
-                    "qid": place.qid,
-                    "similarity": place.similarity,
-                },
-            }
+    for place in places:
+        yield (
+            f'{{"geometry":{{"coordinates":[{_json_number(place.lon)},'
+            f'{_json_number(place.lat)}],"type":"Point"}},"properties":{{'
+            f'"entry_id":{encode_basestring(place.id)},'
+            f'"headword":{encode_basestring(place.headword)},'
+            f'"qid":{encode_basestring(place.qid)},'
+            f'"similarity":{_json_number(place.similarity or 0.0)}}},"type":"Feature"}}'
         )
-    return {"type": "FeatureCollection", "features": features}
 
 
-def geojson_dumps(document: dict) -> str:
-    """Canonical serialization: sorted keys, no spaces, UTF-8 kept."""
-    return json.dumps(document, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+def geojson_dumps(features: Iterable[str], handle: IO[str]) -> None:
+    """Write the FeatureCollection of ``features``, as ``to_geojson``
+    yields them, to ``handle`` one feature at a time.  Canonical: the
+    text is ``json.dumps(document, sort_keys=True, separators=(",",
+    ":"), ensure_ascii=False)`` of the whole document, then "\\n"."""
+    write = handle.write
+    write('{"features":[')
+    separator = ""
+    for feature in features:
+        write(separator)
+        write(feature)
+        separator = ","
+    write('],"type":"FeatureCollection"}\n')
 
 
 def project_equirectangular(
-    point: GeoPoint, width_px: int
+    point: GeoPoint | Entry, width_px: int
 ) -> tuple[float, float]:
-    """Map lat/lon to pixel coordinates on a width x width/2 canvas.
+    """Map a point's lat/lon to pixel coordinates on a width x width/2
+    canvas.
 
     (lat 90, lon -180) is the top-left corner (0, 0); x grows eastward,
     y grows southward.
@@ -164,39 +174,43 @@ def escape_text(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_svg_map(places: Sequence[LinkedPlace], width_px: int = DEFAULT_MAP_WIDTH_PX) -> str:
-    """Scatter map of places as an SVG document.
+def render_svg_map(places: Iterable[Entry], handle: IO[str],
+                   width_px: int = DEFAULT_MAP_WIDTH_PX) -> None:
+    """Write a scatter map of places to ``handle`` as an SVG document,
+    one element per line, one place at a time.
 
     Equirectangular projection, one circle per place (hover text:
     headword and item id), over meridians and parallels 30 degrees
-    apart.  Output is byte-stable: places are drawn in entry-id order
-    and coordinates are formatted to fixed precision.
+    apart.  Places are drawn in the order given.  Output is
+    byte-stable: coordinates are formatted to fixed precision.  A
+    width ``check_map_width`` refuses raises ValueError before any
+    write.
     """
     width = check_map_width(width_px)
     height = width // 2
-    lines = [
+    write = handle.write
+    write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-    ]
+        f'viewBox="0 0 {width} {height}">\n'
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>\n'
+    )
     for lon in range(-180, 181, _GRID_STEP_DEG):
         x = (lon + 180.0) / 360.0 * width
-        lines.append(
+        write(
             f'<line x1="{x:.2f}" y1="0" x2="{x:.2f}" y2="{height}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
+            f'stroke="#dddddd" stroke-width="1"/>\n'
         )
     for lat in range(-90, 91, _GRID_STEP_DEG):
         y = (90.0 - lat) / 180.0 * height
-        lines.append(
+        write(
             f'<line x1="0" y1="{y:.2f}" x2="{width}" y2="{y:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
+            f'stroke="#dddddd" stroke-width="1"/>\n'
         )
-    for place in sorted(places, key=lambda p: p.entry_id):
-        x, y = project_equirectangular(place.point, width)
+    for place in places:
+        x, y = project_equirectangular(place, width)
         title = escape_text(f"{place.headword} ({place.qid})")
-        lines.append(
+        write(
             f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#c0392b" '
-            f'fill-opacity="0.7"><title>{title}</title></circle>'
+            f'fill-opacity="0.7"><title>{title}</title></circle>\n'
         )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    write("</svg>\n")

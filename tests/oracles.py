@@ -9,6 +9,7 @@ between package and oracle is then evidence, not tautology.
 
 from __future__ import annotations
 
+import html
 import json
 import math
 from functools import reduce
@@ -108,6 +109,56 @@ def haversine_atan2_km(lat1: float, lon1: float, lat2: float, lon2: float) -> fl
     a = math.sin(d_phi / 2) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(d_lam / 2) ** 2
     a = min(1.0, max(0.0, a))
     return 2.0 * EARTH_RADIUS_KM * math.atan2(math.sqrt(a), math.sqrt(1.0 - a))
+
+
+# ── Report artifacts, built whole ────────────────────────────────────────
+# How ``report`` built its GeoJSON and SVG before it wrote them one place
+# at a time: every feature as a dict, the document dumped by ``json.dumps``
+# in one call, and every SVG line joined into one string.  ``places`` are
+# entries, drawn in the order given.
+
+
+def geojson_document_text(places) -> str:
+    features = [
+        {
+            "type": "Feature",
+            "geometry": {"type": "Point", "coordinates": [place.lon, place.lat]},
+            "properties": {
+                "entry_id": place.id,
+                "headword": place.headword,
+                "qid": place.qid,
+                "similarity": place.similarity or 0.0,
+            },
+        }
+        for place in places
+    ]
+    document = {"type": "FeatureCollection", "features": features}
+    return json.dumps(document, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+
+
+def svg_joined_text(places, width: int = 1600) -> str:
+    height = width // 2
+    lines = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
+    ]
+    for lon in range(-180, 181, 30):
+        x = (lon + 180.0) / 360.0 * width
+        lines.append(f'<line x1="{x:.2f}" y1="0" x2="{x:.2f}" y2="{height}" '
+                     f'stroke="#dddddd" stroke-width="1"/>')
+    for lat in range(-90, 91, 30):
+        y = (90.0 - lat) / 180.0 * height
+        lines.append(f'<line x1="0" y1="{y:.2f}" x2="{width}" y2="{y:.2f}" '
+                     f'stroke="#dddddd" stroke-width="1"/>')
+    for place in places:
+        x = (place.lon + 180.0) / 360.0 * width
+        y = (90.0 - place.lat) / 180.0 * (width / 2.0)
+        title = html.escape(f"{place.headword} ({place.qid})", quote=False)
+        lines.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#c0392b" '
+                     f'fill-opacity="0.7"><title>{title}</title></circle>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
 
 
 # ── Text rules ───────────────────────────────────────────────────────────

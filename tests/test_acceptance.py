@@ -163,12 +163,10 @@ def test_3_separable_training(capsys):
         np.max(negative @ direction)
     )
 
-    examples = [(vector, True) for vector in positive] + [
-        (vector, False) for vector in negative
-    ]
-    model = train(examples)
-    report = evaluate(model, examples)
     features = np.vstack([positive, negative])
+    flags = [True] * per_class + [False] * per_class
+    model = train(features, flags)
+    report = evaluate(model, features, flags)
     labels = np.array([1.0] * per_class + [0.0] * per_class)
     final_loss = mean_loss(model.weights, model.bias, features, labels)
     elapsed = time.perf_counter() - started

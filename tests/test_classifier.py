@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,13 +33,14 @@ from geolex.errors import DatasetError
 
 
 def fixture_examples():
+    """The fixture's definitions as one embedded matrix, their labels,
+    and the entries by id."""
     pages = [RawPage(v, p, t) for v, p, t in fx.PAGES]
     entries = {e.id: e for e in segment_pages(pages)}
-    embedder = HashedTrigramEmbedder()
-    return [
-        (embedder.embed(entries[entry_id].definition), fx.IS_LOCATION[entry_id])
-        for entry_id in fx.ENTRY_IDS
-    ], entries
+    features = HashedTrigramEmbedder().embed_batch(
+        [entries[entry_id].definition for entry_id in fx.ENTRY_IDS]
+    )
+    return features, [fx.IS_LOCATION[entry_id] for entry_id in fx.ENTRY_IDS], entries
 
 
 class TestSigmoidAndProba:
@@ -93,8 +95,8 @@ class TestClassify:
             assert classify(model, x) == (z >= logit_t)
 
     def test_fixture_stockholm_is_location(self):
-        examples, entries = fixture_examples()
-        model = train(examples)
+        features, labels, entries = fixture_examples()
+        model = train(features, labels)
         embedder = HashedTrigramEmbedder()
         stockholm = entries["9:211:2"]
         assert stockholm.definition.startswith("Stockholm, Sveriges hufvudstad")
@@ -138,54 +140,69 @@ class TestTrain:
         b = np.zeros(4)
         a[0] = 1.0
         b[1] = 1.0
-        model = train([(a, True), (b, False)])
+        model = train(np.array([a, b]), [True, False])
         assert classify(model, a) is True
         assert classify(model, b) is False
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="one class"):
-            train([(np.ones(3), True), (np.zeros(3), True)])
+            train(np.array([np.ones(3), np.zeros(3)]), [True, True])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no training examples"):
-            train([])
+            train(np.empty((0, 3)), [])
 
     def test_nan_features_rejected(self):
         bad = np.array([1.0, float("nan")])
         with pytest.raises(ValueError, match="non-finite"):
-            train([(bad, True), (np.zeros(2), False)])
+            train(np.array([bad, np.zeros(2)]), [True, False])
 
     def test_mixed_dims_rejected(self):
         with pytest.raises(ValueError):
-            train([(np.ones(3), True), (np.ones(4), False)])
+            train([np.ones(3), np.ones(4)], [True, False])
+
+    def test_fits_the_matrix_without_copying_it(self):
+        # NumPy reports its buffers to tracemalloc.  Beyond the matrix,
+        # train may hold its finiteness mask (an eighth of the matrix)
+        # and per-epoch vectors of n or dim floats, never a copy.
+        rng = np.random.default_rng(500)
+        features = rng.normal(size=(500, 384)) / np.sqrt(384)
+        labels = (rng.random(500) < 0.22).tolist()
+        tracemalloc.start()
+        try:
+            train(features, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < features.nbytes / 2
+
+    def test_label_count_must_match_rows(self):
+        with pytest.raises(ValueError, match="1 labels for 2"):
+            train(np.eye(2), [True])
 
     def test_bad_hyperparams_rejected(self):
-        examples = [(np.array([1.0]), True), (np.array([-1.0]), False)]
+        features, labels = np.array([[1.0], [-1.0]]), [True, False]
         with pytest.raises(ValueError):
-            train(examples, learning_rate=0.0)
+            train(features, labels, learning_rate=0.0)
         with pytest.raises(ValueError):
-            train(examples, epochs=0)
+            train(features, labels, epochs=0)
 
     def test_divergence_raises(self):
-        examples = [
-            (np.array([100.0, 0.0]), True),
-            (np.array([-100.0, 1.0]), False),
-        ]
+        features = np.array([[100.0, 0.0], [-100.0, 1.0]])
         with pytest.raises(ValueError, match="diverged"):
-            train(examples, learning_rate=1e6)
+            train(features, [True, False], learning_rate=1e6)
 
     def test_final_loss_not_above_initial(self):
-        examples, _ = fixture_examples()
-        model = train(examples)
-        features = np.asarray([v for v, _ in examples])
-        labels = np.asarray([1.0 if l else 0.0 for _, l in examples])
+        features, flags, _ = fixture_examples()
+        model = train(features, flags)
+        labels = np.asarray([1.0 if flag else 0.0 for flag in flags])
         initial = mean_loss(np.zeros(features.shape[1]), 0.0, features, labels)
         final = mean_loss(model.weights, model.bias, features, labels)
         assert final <= initial
 
     def test_records_hyperparams_and_count(self):
-        examples, _ = fixture_examples()
-        model = train(examples)
+        features, labels, _ = fixture_examples()
+        model = train(features, labels)
         assert model.trained_on == 12
         assert model.hyperparams == {
             "learning_rate": 0.1,
@@ -194,18 +211,17 @@ class TestTrain:
         }
 
     def test_deterministic(self):
-        examples, _ = fixture_examples()
-        first = train(examples)
-        second = train(examples)
+        features, labels, _ = fixture_examples()
+        first = train(features, labels)
+        second = train(features, labels)
         np.testing.assert_array_equal(first.weights, second.weights)
         assert first.bias == second.bias
 
     def test_loss_non_increasing_per_epoch_small_lr(self):
         # step manually at learning rate 1e-2 over the fixture set and
         # watch the full-batch loss after every single update
-        examples, _ = fixture_examples()
-        features = np.asarray([v for v, _ in examples])
-        labels = np.asarray([1.0 if l else 0.0 for _, l in examples])
+        features, flags, _ = fixture_examples()
+        labels = np.asarray([1.0 if flag else 0.0 for flag in flags])
         w = np.zeros(features.shape[1])
         b = 0.0
         last = mean_loss(w, b, features, labels)
@@ -275,8 +291,7 @@ class TestEvaluate:
 
     def test_all_correct_gives_ones(self):
         model = LogisticModel(weights=np.array([10.0]), bias=0.0)
-        testset = [(np.array([1.0]), True), (np.array([-1.0]), False)]
-        report = evaluate(model, testset)
+        report = evaluate(model, np.array([[1.0], [-1.0]]), [True, False])
         assert (report.accuracy, report.precision, report.recall, report.f1) == (
             1.0, 1.0, 1.0, 1.0,
         )
@@ -284,13 +299,12 @@ class TestEvaluate:
     def test_random_labels_match_independent_recount(self):
         rng = np.random.default_rng(2026)
         model = LogisticModel(weights=rng.normal(size=6), bias=0.1)
-        testset = [
-            (rng.normal(size=6), bool(rng.integers(0, 2))) for _ in range(50)
-        ]
-        report = evaluate(model, testset)
+        features = rng.normal(size=(50, 6))
+        labels = [bool(rng.integers(0, 2)) for _ in range(50)]
+        report = evaluate(model, features, labels)
         # brute-force recount on a separate path
         tp = fp = fn = tn = 0
-        for vector, label in testset:
+        for vector, label in zip(features, labels):
             predicted = oracles.predict_proba(model, vector) >= 0.5
             tp += label and predicted
             fn += label and not predicted
@@ -316,7 +330,9 @@ class TestEvaluate:
     def test_empty_testset_rejected(self):
         model = LogisticModel(weights=np.zeros(2), bias=0.0)
         with pytest.raises(ValueError):
-            evaluate(model, [])
+            evaluate(model, np.empty((0, 2)), [])
+        with pytest.raises(ValueError, match="1 labels for 2"):
+            evaluate(model, np.zeros((2, 2)), [True])
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -325,8 +341,8 @@ class TestEvaluate:
 
 class TestModelPersistence:
     def test_round_trip(self, tmp_path):
-        examples, _ = fixture_examples()
-        model = train(examples)
+        features, labels, _ = fixture_examples()
+        model = train(features, labels)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
@@ -337,9 +353,9 @@ class TestModelPersistence:
         assert loaded.hyperparams == model.hyperparams
 
     def test_failed_replace_keeps_previous_model(self, tmp_path, monkeypatch):
-        examples, _ = fixture_examples()
+        features, labels, _ = fixture_examples()
         path = tmp_path / "model.json"
-        save_model(train(examples), path)
+        save_model(train(features, labels), path)
         before = path.read_bytes()
 
         def fail_replace(src, dst):
@@ -347,7 +363,7 @@ class TestModelPersistence:
 
         monkeypatch.setattr(os, "replace", fail_replace)
         with pytest.raises(OSError, match="disk full"):
-            save_model(train(examples, epochs=1), path)
+            save_model(train(features, labels, epochs=1), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import builtins
 import contextlib
+import errno
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import urllib.parse
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -19,8 +23,9 @@ import pytest
 
 import oracles
 import pipeline_fixtures as fx
-from geolex import cli, linker, wikidata
-from geolex.corpus import load_dataset, save_dataset
+from geolex import cli, geo, linker, wikidata
+from geolex.config import apply_overrides, load_config
+from geolex.corpus import Entry, load_dataset, save_dataset
 
 
 def parse_summaries(stdout: str) -> list[dict]:
@@ -909,11 +914,60 @@ class TestReportSelection:
         berlin = next(e for e in entries if e.id == "2:57:2")
         berlin.lat = 1000.0
         save_dataset(entries, workspace.dataset)
+        artifacts = (workspace.geojson, workspace.histogram, workspace.svg)
+        before = {path: path.read_bytes() for path in artifacts}
         capsys.readouterr()
         assert workspace.run("report") == 7
         assert capsys.readouterr().err == (
             "report: entry '2:57:2': latitude out of range: 1000.0\n"
         )
+        assert {path: path.read_bytes() for path in artifacts} == before
+        assert not list(workspace.root.glob("*.tmp"))
+
+    def test_artifacts_follow_entry_ids_not_dataset_order(self, workspace, no_network):
+        assert workspace.run_all_stages() == 0
+        artifacts = (workspace.geojson, workspace.histogram, workspace.svg)
+        before = {path: path.read_bytes() for path in artifacts}
+        lines = workspace.dataset.read_bytes().splitlines(keepends=True)
+        workspace.dataset.write_bytes(b"".join(reversed(lines)))
+        assert workspace.run("report") == 0
+        assert {path: path.read_bytes() for path in artifacts} == before
+
+    def test_artifacts_equal_the_documents_built_whole(self, workspace, no_network):
+        assert workspace.run_all_stages() == 0
+        plotted = sorted((e for e in load_dataset(workspace.dataset) if e.lat is not None),
+                         key=lambda e: e.id)
+        assert len(plotted) == 5
+        assert workspace.geojson.read_text(encoding="utf-8") == (
+            oracles.geojson_document_text(plotted))
+        assert workspace.svg.read_text(encoding="utf-8") == oracles.svg_joined_text(plotted)
+
+    def test_report_peaks_below_the_geojson_it_writes(self, tmp_path):
+        # Every Python object is traced by tracemalloc.  The
+        # entries exist before tracing starts; report itself may hold a
+        # list of the plotted ones and one feature or circle at a time,
+        # never an artifact or a feature per entry.
+        config = apply_overrides(
+            load_config(env={}),
+            dataset=str(tmp_path / "dataset.jsonl"),
+            geojson=str(tmp_path / "places.geojson"),
+            histogram=str(tmp_path / "distance_histogram.csv"),
+            svg=str(tmp_path / "map.svg"),
+        )
+        command = cli.Command(config)
+        rng = random.Random(5000)
+        command.entries = [
+            Entry(f"{i // 100 + 1}:{i % 100 + 1}:1", 1, 1, f"Ort{i}", "", None, True,
+                  f"Q{100_000 + i}", rng.random(), rng.uniform(-90, 90), rng.uniform(-180, 180))
+            for i in range(5000)
+        ]
+        tracemalloc.start()
+        try:
+            assert cli.stage_report(command)[1] == 5000
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "places.geojson").stat().st_size
 
 
 class TestClassifyOwnsLocationFields:
@@ -1030,6 +1084,75 @@ class TestAtomicArtifacts:
         assert workspace.run("train") == 3
         assert workspace.run("report") == 7
         assert {path: path.read_bytes() for path in before} == before
+        assert not list(workspace.root.glob("*.tmp"))
+
+    @pytest.mark.parametrize("failure", ["missing-directory", "full-disk"])
+    def test_report_replaces_no_artifact_until_all_three_are_written(
+        self, workspace, no_network, monkeypatch, capsys, failure
+    ):
+        assert workspace.run_all_stages() == 0
+        workspace.geojson.write_text("old geojson", encoding="utf-8")
+        workspace.histogram.write_text("old histogram", encoding="utf-8")
+        svg = workspace.svg
+        if failure == "missing-directory":
+            svg = workspace.root / "not-there" / "map.svg"
+            reason = "No such file or directory"
+        else:
+            def full_disk(places, out, width_px):
+                out.write("<svg")
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr(geo, "render_svg_map", full_disk)
+            reason = "No space left on device"
+        capsys.readouterr()
+        assert workspace.run("report", "--svg", str(svg)) == 7
+        assert capsys.readouterr().err == f"report: cannot write {svg}: {reason}\n"
+        assert workspace.geojson.read_text(encoding="utf-8") == "old geojson"
+        assert workspace.histogram.read_text(encoding="utf-8") == "old histogram"
+        assert not list(workspace.root.glob("*.tmp"))
+
+    def test_a_write_that_fails_only_on_flush_replaces_no_artifact(
+        self, workspace, no_network, monkeypatch, capsys
+    ):
+        # The fixture's GeoJSON fits in the handle's buffer, so a full
+        # disk under it shows only when the buffer is flushed.
+        from geolex import corpus
+
+        class FullDisk(io.RawIOBase):
+            def writable(self):
+                return True
+
+            def write(self, data):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_writer = corpus.atomic_writer
+
+        @contextlib.contextmanager
+        def full_disk_under_geojson(path, binary=False):
+            with real_writer(path, binary) as handle:
+                if Path(path) != workspace.geojson:
+                    yield handle
+                    return
+                full = io.TextIOWrapper(io.BufferedWriter(FullDisk()), encoding="utf-8")
+                try:
+                    yield full
+                finally:
+                    with contextlib.suppress(OSError):
+                        full.close()
+
+        assert workspace.run_all_stages() == 0
+        before = {path: path.read_bytes()
+                  for path in (workspace.geojson, workspace.histogram, workspace.svg)}
+        workspace.histogram.write_text("old histogram", encoding="utf-8")
+        workspace.svg.write_text("old svg", encoding="utf-8")
+        monkeypatch.setattr(corpus, "atomic_writer", full_disk_under_geojson)
+        capsys.readouterr()
+        assert workspace.run("report") == 7
+        assert capsys.readouterr().err == (
+            f"report: cannot write {workspace.geojson}: No space left on device\n")
+        assert workspace.geojson.read_bytes() == before[workspace.geojson]
+        assert workspace.histogram.read_text(encoding="utf-8") == "old histogram"
+        assert workspace.svg.read_text(encoding="utf-8") == "old svg"
         assert not list(workspace.root.glob("*.tmp"))
 
 

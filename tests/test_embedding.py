@@ -351,7 +351,8 @@ class TestBatchMatchesScalarReference:
             assert np.array_equal(vector, np.zeros(384))
 
     def test_empty_batch(self):
-        assert HashedTrigramEmbedder().embed_batch([]) == []
+        batch = HashedTrigramEmbedder().embed_batch([])
+        assert (batch.shape, batch.dtype) == ((0, 384), np.float64)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -561,8 +562,31 @@ class TestRemoteEmbedder:
     def test_empty_batch_sends_nothing(self):
         transport = FakeTransport([])
         embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
-        assert embedder.embed_batch([]) == []
+        batch = embedder.embed_batch([])
+        assert (batch.shape, batch.dtype) == ((0, 2), np.float64)
         assert transport.calls == []
+
+
+def every_provider(tmp_path):
+    """One of each provider, at dim 3, answering the texts "a", "bc", ""."""
+    remote = RemoteEmbedder("http://embed.test", dim=3, transport=FakeTransport(
+        [vectors_body([[3.0, 0.0, 4.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])]))
+    return {
+        "local": HashedTrigramEmbedder(dim=3),
+        "remote": remote,
+        "cached": CachedEmbedder(HashedTrigramEmbedder(dim=3), tmp_path / "cache.bin"),
+    }
+
+
+@pytest.mark.parametrize("name", ["local", "remote", "cached"])
+def test_every_provider_returns_one_float64_matrix(tmp_path, name):
+    provider = every_provider(tmp_path)[name]
+    batch = provider.embed_batch(["a", "bc", ""])
+    assert type(batch) is np.ndarray
+    assert (batch.shape, batch.dtype) == ((3, 3), np.float64)
+    assert np.array_equal(batch[2], np.zeros(3))
+    empty = provider.embed_batch([])
+    assert (type(empty), empty.shape, empty.dtype) == (np.ndarray, (0, 3), np.float64)
 
 
 class TestRemoteEmbedderHttp:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import html
+import io
 import json
 import math
 import random
@@ -13,11 +14,11 @@ from hypothesis import strategies as st
 
 import oracles
 import pipeline_fixtures as fx
+from geolex.corpus import Entry
 from geolex.geo import (
     EARTH_RADIUS_KM,
     DistanceHistogram,
     GeoPoint,
-    LinkedPlace,
     distance_histogram,
     escape_text,
     geojson_dumps,
@@ -35,20 +36,32 @@ def random_point(rng: random.Random) -> GeoPoint:
     return GeoPoint(rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0))
 
 
-def fixture_places() -> list[LinkedPlace]:
+def place(entry_id: str, headword: str, qid: str, lat, lon, similarity=0.0) -> Entry:
+    """A plotted entry: a location with a link and coordinates."""
+    return Entry(entry_id, 1, 1, headword, "", None, True, qid, similarity, lat, lon)
+
+
+def fixture_places() -> list[Entry]:
+    """The fixture's plotted entries, in entry-id order."""
     coordinates = fx.expected_coordinates()
     headword_by_id = dict(fx.HEADWORDS)
     qid_by_id = dict(fx.EXPECTED_LINKS)
     return [
-        LinkedPlace(
-            entry_id=entry_id,
-            headword=headword_by_id[entry_id],
-            qid=qid_by_id[entry_id],
-            point=GeoPoint(lat, lon),
-            similarity=0.5,
-        )
+        place(entry_id, headword_by_id[entry_id], qid_by_id[entry_id], lat, lon, 0.5)
         for entry_id, (lat, lon) in sorted(coordinates.items())
     ]
+
+
+def geojson_text(places) -> str:
+    out = io.StringIO()
+    geojson_dumps(to_geojson(places), out)
+    return out.getvalue()
+
+
+def svg_text(places, width_px: int = 1600) -> str:
+    out = io.StringIO()
+    render_svg_map(places, out, width_px)
+    return out.getvalue()
 
 
 class TestGeoPoint:
@@ -189,20 +202,20 @@ class TestDistanceHistogram:
 
 class TestGeoJson:
     def test_positions_are_longitude_first(self):
-        place = LinkedPlace("9:211:2", "Stockholm", "Q1754", STOCKHOLM, 0.51)
-        document = to_geojson([place])
+        stockholm = place("9:211:2", "Stockholm", "Q1754", STOCKHOLM.lat, STOCKHOLM.lon, 0.51)
+        document = json.loads(geojson_text([stockholm]))
         coordinates = document["features"][0]["geometry"]["coordinates"]
         assert coordinates == [18.068611, 59.329444]
 
-    def test_features_sorted_by_entry_id(self):
-        places = fixture_places()
-        document = to_geojson(list(reversed(places)))
+    def test_features_follow_the_order_given(self):
+        places = list(reversed(fixture_places()))
+        document = json.loads(geojson_text(places))
         ids = [f["properties"]["entry_id"] for f in document["features"]]
-        assert ids == sorted(ids)
+        assert ids == [p.id for p in places]
         assert len(ids) == 5
 
     def test_fixture_document_structure(self):
-        document = to_geojson(fixture_places())
+        document = json.loads(geojson_text(fixture_places()))
         assert document["type"] == "FeatureCollection"
         for feature in document["features"]:
             assert feature["type"] == "Feature"
@@ -213,16 +226,20 @@ class TestGeoJson:
             for key in ("entry_id", "headword", "qid", "similarity"):
                 assert key in feature["properties"]
 
-    def test_canonical_dumps(self):
-        document = {"b": 1, "a": [1, 2], "åäö": "behålls"}
-        text = geojson_dumps(document)
-        assert text == '{"a":[1,2],"b":1,"åäö":"behålls"}\n'
+    def test_collection_joins_the_features_canonically(self):
+        out = io.StringIO()
+        geojson_dumps(iter(['{"a":1}', '{"b":"å"}']), out)
+        assert out.getvalue() == '{"features":[{"a":1},{"b":"å"}],"type":"FeatureCollection"}\n'
 
-    def test_dumps_is_deterministic(self):
-        document = to_geojson(fixture_places())
-        assert geojson_dumps(document) == geojson_dumps(
-            to_geojson(list(reversed(fixture_places())))
-        )
+    def test_unset_similarity_is_written_as_zero(self):
+        unset = place("1:1:1", "Åmål", "Q54", 59.05, 12.7, None)
+        [feature] = json.loads(geojson_text([unset]))["features"]
+        assert feature["properties"]["similarity"] == 0.0
+
+    def test_features_are_made_only_as_they_are_written(self):
+        features = to_geojson(fixture_places())
+        assert next(features).startswith('{"geometry":')
+        assert len(list(features)) == 4
 
     def test_validates_against_feature_collection_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
@@ -257,8 +274,58 @@ class TestGeoJson:
                 },
             },
         }
-        document = json.loads(geojson_dumps(to_geojson(fixture_places())))
+        document = json.loads(geojson_text(fixture_places()))
         jsonschema.validate(document, schema)
+
+
+# Places whose text or numbers a hand-written writer could get wrong.
+HOSTILE_PLACES = {
+    "none": [],
+    "quotes-and-backslashes": [place('1:1:"1"', 'S:t "Eriks" \\ väg\\', 'Q"1\\', 10.0, 20.0, 0.5)],
+    "control-characters": [place("1:1:\x00", "tab\there\nnew\rline\x1f\x7f\x08\x0c", "Q\x01", 1.0, 2.0, 0.5)],
+    "markup": [place("<1&1>", "A<B & C> &amp; 'x'", "Q<&>", 3.0, 4.0, 0.5)],
+    "non-latin": [place("2:2:2", "東京 Москва Αθήνα القاهرة", "Q1490", 35.68, 139.69, 0.25)],
+    "astral": [place("\U0001F30D:1:1", "\U0001F30D\U00010348 \U0001D11E", "Q\U0001F600", -33.9, 18.4, 0.75)],
+    "integer-similarity": [place("3:3:3", "Ett", "Q3", 5.0, 6.0, 1)],
+    "float-similarity": [place("3:3:4", "Tre", "Q4", 5.0, 6.0, 0.30000000000000004)],
+    "negative-zero": [place("3:3:5", "Noll", "Q5", -0.0, -0.0, -0.0)],
+    "integer-coordinates": [place("3:3:6", "Heltal", "Q6", 59, 18, 0.5)],
+    "poles-and-antimeridian": [
+        place("4:1:1", "Nordpolen", "Q7", 90.0, 180.0, 0.5),
+        place("4:1:2", "Sydpolen", "Q8", -90.0, -180.0, 0.5),
+        place("4:1:3", "Kant", "Q9", 90, -180, 0.5),
+    ],
+}
+
+
+class TestStreamedArtifactsMatchTheBuiltOnes:
+    """The streamed GeoJSON and SVG are byte for byte what the document
+    built whole, then dumped or joined, gave."""
+
+    @pytest.mark.parametrize("places", HOSTILE_PLACES.values(), ids=HOSTILE_PLACES.keys())
+    def test_hostile_places(self, places):
+        assert geojson_text(places) == oracles.geojson_document_text(places)
+        assert svg_text(places) == oracles.svg_joined_text(places)
+        assert svg_text(places, 1000) == oracles.svg_joined_text(places, 1000)
+
+    def test_fixture_places(self):
+        places = fixture_places()
+        assert geojson_text(places) == oracles.geojson_document_text(places)
+        assert svg_text(places) == oracles.svg_joined_text(places)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(
+        place,
+        st.text(max_size=12),
+        st.text(max_size=20),
+        st.text(max_size=8),
+        st.one_of(st.floats(-90.0, 90.0), st.integers(-90, 90)),
+        st.one_of(st.floats(-180.0, 180.0), st.integers(-180, 180)),
+        st.one_of(st.none(), st.floats(-1.0, 1.0), st.integers(-1, 1)),
+    ), max_size=6))
+    def test_any_places(self, places):
+        assert geojson_text(places) == oracles.geojson_document_text(places)
+        assert svg_text(places) == oracles.svg_joined_text(places)
 
 
 class TestProjection:
@@ -283,37 +350,38 @@ class TestProjection:
 
 class TestSvgMap:
     def test_one_circle_per_place(self):
-        svg = render_svg_map(fixture_places())
+        svg = svg_text(fixture_places())
         assert svg.count("<circle") == 5
         assert svg.startswith("<svg ")
         assert svg.rstrip().endswith("</svg>")
 
-    def test_byte_stable_across_runs_and_input_order(self):
+    def test_byte_stable_across_runs(self):
         places = fixture_places()
-        first = render_svg_map(places)
-        second = render_svg_map(list(reversed(places)))
-        assert first.encode("utf-8") == second.encode("utf-8")
+        assert svg_text(places).encode("utf-8") == svg_text(places).encode("utf-8")
+
+    def test_circles_follow_the_order_given(self):
+        places = fixture_places()
+        svg = svg_text(list(reversed(places)))
+        titles = [line.split("<title>")[1] for line in svg.splitlines() if "<title>" in line]
+        assert titles == [f"{p.headword} ({p.qid})</title></circle>" for p in reversed(places)]
 
     def test_circle_position_matches_projection(self):
-        place = LinkedPlace("9:211:2", "Stockholm", "Q1754", STOCKHOLM, 0.5)
-        svg = render_svg_map([place], width_px=1600)
+        stockholm = place("9:211:2", "Stockholm", "Q1754", STOCKHOLM.lat, STOCKHOLM.lon, 0.5)
+        svg = svg_text([stockholm], width_px=1600)
         x, y = project_equirectangular(STOCKHOLM, 1600)
         assert f'cx="{x:.2f}" cy="{y:.2f}"' in svg
 
     def test_hover_text_names_headword_and_item(self):
-        svg = render_svg_map(fixture_places())
+        svg = svg_text(fixture_places())
         assert "<title>Stockholm (Q1754)</title>" in svg
         assert "<title>Wien (Q1741)</title>" in svg
 
     def test_hover_text_is_escaped(self):
-        place = LinkedPlace("1:1:1", "A<B & C", "Q1", GeoPoint(0.0, 0.0), 0.0)
-        svg = render_svg_map([place])
+        svg = svg_text([place("1:1:1", "A<B & C", "Q1", 0.0, 0.0)])
         assert "<title>A&lt;B &amp; C (Q1)</title>" in svg
         assert "<title>A<B" not in svg
         # Element text needs only &, < and > escaped; quotes stay as they are.
-        place = LinkedPlace("1:1:1", """S:t "Eriks" & 'Olofs' <a>""", "Q2",
-                            GeoPoint(0.0, 0.0), 0.0)
-        svg = render_svg_map([place])
+        svg = svg_text([place("1:1:1", """S:t "Eriks" & 'Olofs' <a>""", "Q2", 0.0, 0.0)])
         assert """<title>S:t "Eriks" &amp; 'Olofs' &lt;a&gt; (Q2)</title>""" in svg
 
     @settings(max_examples=300, deadline=None)
@@ -327,26 +395,25 @@ class TestSvgMap:
     def test_title_escaping_is_html_escape_without_quotes(self, headword):
         expected = html.escape(f"{headword} (Q1)", quote=False)
         assert escape_text(f"{headword} (Q1)") == expected
-        place = LinkedPlace("1:1:1", headword, "Q1", GeoPoint(0.0, 0.0), 0.0)
-        assert f"<title>{expected}</title>" in render_svg_map([place])
+        assert f"<title>{expected}</title>" in svg_text([place("1:1:1", headword, "Q1", 0.0, 0.0)])
 
     def test_graticule_lines_every_thirty_degrees(self):
-        svg = render_svg_map([])
+        svg = svg_text([])
         # 13 meridians (-180..180) + 7 parallels (-90..90)
         assert svg.count("<line") == 20
 
     def test_height_is_half_width(self):
-        svg = render_svg_map([], width_px=1000)
+        svg = svg_text([], width_px=1000)
         assert 'width="1000" height="500"' in svg
         assert 'viewBox="0 0 1000 500"' in svg
 
-    def test_odd_or_tiny_width_rejected(self):
-        with pytest.raises(ValueError):
-            render_svg_map([], width_px=1601)
-        with pytest.raises(ValueError):
-            render_svg_map([], width_px=0)
+    def test_odd_or_tiny_width_rejected_before_any_write(self):
+        for width in (1601, 0):
+            out = io.StringIO()
+            with pytest.raises(ValueError):
+                render_svg_map([], out, width_px=width)
+            assert out.getvalue() == ""
 
     def test_unicode_headwords_survive(self):
-        place = LinkedPlace("1:1:1", "Åmål", "Q54", GeoPoint(59.05, 12.7), 0.0)
-        svg = render_svg_map([place])
+        svg = svg_text([place("1:1:1", "Åmål", "Q54", 59.05, 12.7)])
         assert "<title>Åmål (Q54)</title>" in svg
