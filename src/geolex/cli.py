@@ -61,7 +61,7 @@ from .config import (
 )
 from .embedding import EMBED_CHUNK, CachedEmbedder, HashedTrigramEmbedder, RemoteEmbedder
 from .errors import DatasetError, ProtocolError, ReplayCacheMiss, TransportError
-from .wikidata import ReplayTransport, WikidataClient, make_transport
+from .wikidata import WikidataClient, make_transport
 
 STAGE_EXIT_CODES = {
     "config": 1,
@@ -136,8 +136,8 @@ class RunSummary:
 @dataclass
 class Command:
     """One CLI invocation.  Its parts are built on first use and kept;
-    ``cleanup`` closes the spill and the replay log after the dataset
-    write."""
+    ``cleanup`` closes the spill after the dataset write, and each cache
+    file closes with the command."""
 
     config: PipelineConfig
     cleanup: contextlib.ExitStack = field(default_factory=contextlib.ExitStack)
@@ -171,8 +171,6 @@ class Command:
         transport = make_transport(config.cache_mode, cache_dir=config.cache_dir,
                                    user_agent=config.user_agent,
                                    min_interval=config.rate_limit_s)
-        if isinstance(transport, ReplayTransport):
-            self.cleanup.callback(transport.close)
         return WikidataClient(transport, api_url=config.wikidata_api_url,
                               sparql_url=config.wikidata_sparql_url)
 

@@ -26,13 +26,13 @@ import json
 import math
 import os
 import re
-import tempfile
+import weakref
 from dataclasses import dataclass
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
-from .errors import DatasetError
+from .errors import DatasetError, ProtocolError
 
 
 def _logger():
@@ -572,12 +572,13 @@ def atomic_writer(path: str | os.PathLike[str], binary: bool = False) -> Iterato
     Writes go to a temporary ``*.tmp`` file in the same directory,
     which replaces the target only when the ``with`` block completes.
     On any error the temporary file is removed and the target is left
-    as it was.
+    as it was.  The file is created with mode 0666 less the umask.
     """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(
-        prefix=path.name + ".", suffix=".tmp", dir=path.parent or Path(".")
-    )
+    while True:
+        tmp_name = f"{path}.{os.urandom(6).hex()}.tmp"
+        with contextlib.suppress(FileExistsError):
+            fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
     try:
         with (os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8")) as handle:
             yield handle
@@ -586,6 +587,57 @@ def atomic_writer(path: str | os.PathLike[str], binary: bool = False) -> Iterato
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)
         raise
+
+
+class AppendFile:
+    """A file of records after a header line, written only at its end,
+    under the rules README *On-disk caches* states; both on-disk caches
+    keep their records in one.  As in Bitcask (Sheehy and Smith, Basho
+    2010), the owner keeps the index: ``load(handle)`` reads the records
+    after the header and returns where the whole ones end, and
+    ``on_new()`` runs when the file is missing or empty.  The file stays
+    open on ``fd`` until ``close()`` or collection; ``end`` is where the
+    next append lands.
+    """
+
+    def __init__(self, path: str | os.PathLike[str], header: bytes, writable: bool,
+                 load: Callable[[IO[bytes]], int], on_new: Callable[[], None] = lambda: None):
+        self.path, self.fd = Path(path), None
+        if not self.path.exists() or not self.path.stat().st_size:
+            on_new()
+            if not writable:
+                return
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with atomic_writer(self.path, binary=True) as handle:
+                handle.write(header)
+        with _input_file(self.path, ProtocolError, "a+b" if writable else "rb") as handle:
+            handle.seek(0)
+            if handle.read(len(header)) != header:
+                raise ProtocolError(f"{self.path}: does not start with {header!r}")
+            self.end = load(handle)
+            if writable and os.fstat(handle.fileno()).st_size > self.end:
+                handle.truncate(self.end)
+            self.fd = os.dup(handle.fileno())
+        self._release = weakref.finalize(self, os.close, self.fd)
+
+    def close(self) -> None:
+        """Close the file; one never closed closes when collected."""
+        if self.fd is not None:
+            self._release()
+
+    def append(self, data: bytes) -> int:
+        """Write ``data`` at the end and return its offset.  A write that
+        fails is cut off, so the next append starts on a record boundary.
+        The owner holds its own lock around the call."""
+        offset, view = self.end, memoryview(data)
+        try:
+            while view:
+                view = view[os.write(self.fd, view):]
+        except BaseException:
+            os.ftruncate(self.fd, offset)
+            raise
+        self.end = offset + len(data)
+        return offset
 
 
 def save_dataset(entries: Iterable[Entry], path: str | os.PathLike[str]) -> int:

@@ -30,12 +30,11 @@ from __future__ import annotations
 import json
 import os
 import threading
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import _input_file, atomic_writer, parse_json
+from .corpus import AppendFile, parse_json
 from .errors import ProtocolError
 from .wikidata import HttpRequest, RateLimiter, UrllibTransport
 
@@ -292,60 +291,46 @@ class RemoteEmbedder:
 
 
 class CachedEmbedder:
-    """On-disk cache in front of another provider.
+    """On-disk cache in front of another provider, in a ``corpus.AppendFile``.
 
-    The file starts with a one-line ASCII header that names the format
-    and ``dim``, then holds one fixed-size record per cached text: the
-    64 hex digits of ``text_key``, then ``dim`` little-endian float64.
-    Open reads the file into one buffer and views every record with one
-    ``np.frombuffer``, so each cached vector is a view of that buffer; a
-    missing or empty file gets the header, written atomically.  Thread-safe;
-    lookups hit memory, misses go to the wrapped provider and are
-    appended to the file, one write per batch.  A record cut short at
-    the end, as a crash mid-append leaves it, is cut off once the
-    records before it load.  A file without the header (another
-    format or ``dim``), a key that is not 64 hex digits (a record
-    shifted by damage mid-file shows as one) and a vector that is not
-    finite are each a ProtocolError naming the file, which is left as
-    it is.
+    After an ASCII header that names the format and ``dim``, each record
+    is the 64 hex digits of ``text_key``, then ``dim`` little-endian
+    float64.  Open views every record with one ``np.frombuffer``, so each
+    cached vector is a view of one buffer.  Thread-safe; lookups hit
+    memory, misses go to the wrapped provider and are appended, one
+    append per batch.  A key that is not 64 hex digits (a record shifted
+    by damage mid-file shows as one) or a vector that is not finite is a
+    ProtocolError naming the file and the record.
     """
 
     def __init__(self, provider, path: str | os.PathLike[str]):
         self.provider = provider
         self.dim = provider.dim
-        self._path = Path(path)
         self._lock = threading.Lock()
         self._record = np.dtype([("key", "S64"), ("vector", "<f8", (self.dim,))])
         name = f"geolex-embedding-cache 1 dim={self.dim} key=sha256-hex vector=float64-le"
-        # Padded to a multiple of 8 bytes, so every vector read is aligned.
+        # Padded to a multiple of 8 bytes, so every vector in the file is 8-byte aligned.
         header = f"{name}{' ' * (7 - len(name) % 8)}\n".encode("ascii")
-        try:
-            with _input_file(self._path, ProtocolError) as handle:
-                data = np.empty(os.fstat(handle.fileno()).st_size, np.uint8)
-                data = data[: handle.readinto(data)]
-        except FileNotFoundError:
-            data = np.empty(0, np.uint8)
-        if not data.size:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            with atomic_writer(self._path, binary=True) as handle:
-                handle.write(header)
-            data = np.frombuffer(header, np.uint8)
-        if data[: len(header)].tobytes() != header:
-            raise ProtocolError(f"{self._path}: does not start with {header!r}")
-        count, torn = divmod(data.size - len(header), self._record.itemsize)
-        records = np.frombuffer(data, self._record, count, len(header))
+        self._file = AppendFile(path, header, True, self._load)
+
+    def _load(self, handle) -> int:
+        """Take every record after the header into memory; return where they end."""
+        start = handle.tell()
+        data = np.empty(os.fstat(handle.fileno()).st_size - start, np.uint8)
+        data = data[: handle.readinto(data)]
+        count = data.size // self._record.itemsize
+        records = np.frombuffer(data, self._record, count)
         digits = np.frombuffer(records["key"].tobytes(), np.uint8).reshape(count, 64)
         bad_key = ~_HEX_DIGIT[digits].all(axis=1)
         bad_vector = ~np.isfinite(records["vector"]).all(axis=1)
         if (bad_key | bad_vector).any():
             at = int(np.argmax(bad_key | bad_vector))
             problem = "key is not 64 hex digits" if bad_key[at] else "vector is not finite"
-            raise ProtocolError(f"{self._path}: record {at + 1}: {problem}")
-        if torn:
-            os.truncate(self._path, data.size - torn)
+            raise ProtocolError(f"{handle.name}: record {at + 1}: {problem}")
         self._memory: dict[str, np.ndarray] = dict(
             zip(records["key"].astype("U64").tolist(), records["vector"])
         )
+        return start + records.nbytes
 
     @staticmethod
     def text_key(text: str) -> str:
@@ -367,13 +352,13 @@ class CachedEmbedder:
                 new = {}
                 for i, vector in zip(missing, fresh):
                     if keys[i] not in self._memory:
-                        self._memory[keys[i]] = new[keys[i]] = vector
+                        new.setdefault(keys[i], vector)
                 if new:
                     records = np.empty(len(new), self._record)
                     records["key"] = list(new)
                     records["vector"] = list(new.values())
-                    with open(self._path, "ab") as handle:
-                        handle.write(records.tobytes())
+                    self._file.append(records.tobytes())
+                    self._memory.update(new)
         with self._lock:
             rows = [self._memory[key] for key in keys]
         return np.array(rows, dtype=np.float64).reshape(len(keys), self.dim)

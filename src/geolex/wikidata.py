@@ -43,12 +43,11 @@ import re
 import threading
 import time
 import urllib.parse
-import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .corpus import _input_file, atomic_writer, parse_json
+from .corpus import AppendFile, parse_json
 from .errors import ProtocolError, ReplayCacheMiss, TransportError, http_status_error
 from .geo import GeoPoint
 
@@ -241,58 +240,35 @@ def _log_row(line: bytes, where: str) -> tuple[str, bytes]:
 class ReplayTransport:
     """Recorded responses, in one append-only log per cache directory.
 
-    The log, ``LOG_NAME``, is a header line that names the format, then
-    one line per recorded response: the JSON ``[key, body]`` of
-    ``canonical_request_key`` and the response text.  Open reads the log
-    once, checks every row and keeps an index from the key's ``hash`` to
-    the row's offset and length, so each hit is one ``os.pread`` on the
-    one open handle.  A row whose key is not the request's (two keys of
-    one 64-bit hash, some 2 chances in 10**11 at 26,000 rows) is no hit.
-    A miss raises ReplayCacheMiss and opens no connection, unless a
-    ``live`` transport is given (record mode): then the request goes
-    through ``live``, and a response that ``parse_json`` takes is
-    appended as one row, in one write under a lock; any other raises
-    ProtocolError.  Link's pool shares one transport safely, but only
-    one process may record into a cache directory at a time.
+    The log, ``LOG_NAME``, is a ``corpus.AppendFile`` of lines: after the
+    header, each is the JSON ``[key, body]`` of ``canonical_request_key``
+    and the response text.  Open reads the log once, row by row, checks
+    every row and keeps an index from the key's ``hash`` to the row's
+    offset and length, so each hit is one ``os.pread`` on the log's one
+    descriptor.  A row whose key is not the request's (two keys of one
+    64-bit hash, some 2 chances in 10**11 at 26,000 rows) is no hit.  A
+    miss raises ReplayCacheMiss and opens no connection, unless a
+    ``live`` transport is given (record mode, the one that writes the
+    log): then the request goes through ``live``, and a response that
+    ``parse_json`` takes is appended as one row under a lock; any other
+    raises ProtocolError.  Link's pool shares one transport safely, but
+    only one process may record into a cache directory at a time.
 
-    A last row without its newline, as a crash mid-append leaves it, is
-    never served; record mode cuts it off before its first append.  A
-    log that does not start with the header, a row that is not a JSON
-    ``[string, string]`` and a directory that holds an earlier version's
-    per-request ``<sha256>.json`` records but no log are each a
-    ProtocolError naming the file, its line or the directory, which is
-    left as it is.
+    A row that is not a JSON ``[string, string]`` and a directory that
+    holds an earlier version's per-request ``<sha256>.json`` records but
+    no log are each a ProtocolError naming the file and its line, or the
+    directory, which is left as it is.
     """
 
     def __init__(self, cache_dir: str | Path, live=None):
         self.cache_dir = Path(cache_dir)
         self.live = live
-        self._path = self.cache_dir / LOG_NAME
         # hash(key) -> offset << 32 | length: ints, not the keys, which
         # would cost several times more.
         self._index: dict[int, int] = {}
         self._lock = threading.Lock()
-        self._fd: int | None = None
-        try:
-            new = not os.stat(self._path).st_size
-        except FileNotFoundError:
-            new = True
-        if new:
-            self._refuse_old_records()
-            if live is None:
-                return  # no rows: every request misses
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            with atomic_writer(self._path, binary=True) as handle:
-                handle.write(_LOG_HEADER)
-        with _input_file(self._path, ProtocolError, "rb" if live is None else "a+b") as handle:
-            self._size = self._load_index(handle)
-            self._fd = os.dup(handle.fileno())
-        self._release = weakref.finalize(self, os.close, self._fd)
-
-    def close(self) -> None:
-        """Close the log; a transport never closed closes it when collected."""
-        if self._fd is not None:
-            self._release()
+        self._log = AppendFile(self.cache_dir / LOG_NAME, _LOG_HEADER, live is not None,
+                               self._load_index, self._refuse_old_records)
 
     def _refuse_old_records(self) -> None:
         with contextlib.suppress(FileNotFoundError):
@@ -303,16 +279,10 @@ class ReplayTransport:
                 )
 
     def _load_index(self, handle) -> int:
-        """Index every whole row; return the log's size without a torn tail."""
-        name = str(self._path)
-        handle.seek(0)
-        if handle.read(len(_LOG_HEADER)) != _LOG_HEADER:
-            raise ProtocolError(f"{name}: does not start with {_LOG_HEADER!r}")
-        offset = len(_LOG_HEADER)
+        """Index every whole row after the header; return where they end."""
+        name, offset = str(handle.name), handle.tell()
         for lineno, line in enumerate(handle, 2):
             if not line.endswith(b"\n"):  # only the last line can lack it
-                if self.live is not None:
-                    handle.truncate(offset)
                 break
             key, _ = _log_row(line, f"{name}:{lineno}")
             self._index[hash(key)] = offset << 32 | len(line)
@@ -325,8 +295,8 @@ class ReplayTransport:
         span = self._index.get(slot)
         if span is not None:
             offset, length = span >> 32, span & 0xFFFF_FFFF
-            found, body = _log_row(os.pread(self._fd, length, offset),
-                                   f"{self._path} at byte {offset}")
+            found, body = _log_row(os.pread(self._log.fd, length, offset),
+                                   f"{self._log.path} at byte {offset}")
             if found == key:
                 return body
         if self.live is None:
@@ -338,15 +308,7 @@ class ReplayTransport:
         row = (json.dumps([key, body.decode("utf-8")], ensure_ascii=False) + "\n").encode("utf-8")
         with self._lock:
             if self._index.get(slot) == span:  # no other thread stored it meanwhile
-                try:
-                    written = 0
-                    while written < len(row):
-                        written += os.write(self._fd, row[written:])
-                except BaseException:
-                    os.ftruncate(self._fd, self._size)  # no torn row before the next
-                    raise
-                self._index[slot] = self._size << 32 | len(row)
-                self._size += len(row)
+                self._index[slot] = self._log.append(row) << 32 | len(row)
         return body
 
 

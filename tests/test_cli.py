@@ -189,6 +189,27 @@ class TestFullRun:
             sizes.append(cache.stat().st_size)
         assert sizes[0] == sizes[1] > 0  # the warm run embedded nothing
 
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_written_files_follow_the_umask(self, tmp_path, no_network, umask, mode):
+        from conftest import make_workspace
+
+        previous = os.umask(umask)
+        try:
+            workspace = make_workspace(tmp_path)  # records the replay log
+            cache = tmp_path / "embeddings.bin"
+            payload = json.loads(workspace.config_path.read_text(encoding="utf-8"))
+            payload["embed_cache"] = str(cache)
+            workspace.config_path.write_text(json.dumps(payload), encoding="utf-8")
+            assert workspace.run_all_stages() == 0
+        finally:
+            os.umask(previous)
+        written = [workspace.dataset, workspace.model, workspace.geojson, workspace.histogram,
+                   workspace.svg, workspace.cache_dir / wikidata.LOG_NAME, cache]
+        assert {path.name: oct(path.stat().st_mode & 0o777) for path in written} == {
+            path.name: oct(mode) for path in written
+        }
+
 
 class TestStageByStage:
     def test_manual_stage_sequence_matches_run(

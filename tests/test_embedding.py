@@ -20,6 +20,7 @@ from conftest import run_on_threads
 from geolex import embedding
 from geolex.cli import Command
 from geolex.config import apply_overrides, load_config
+from geolex.corpus import AppendFile
 from geolex.embedding import (
     CachedEmbedder,
     HashedTrigramEmbedder,
@@ -683,23 +684,45 @@ class TestCachedEmbedder:
         cached.embed_batch(["abc", "defg", "abc"])
         assert provider.embed_calls == 2  # abc once, defg once
 
-    def test_misses_of_one_batch_are_appended_in_one_open(self, tmp_path, monkeypatch):
-        from geolex import embedding
+    def test_misses_of_one_batch_are_appended_in_one_append(self, tmp_path, monkeypatch):
+        appended: list[int] = []
+        real_append = AppendFile.append
 
-        appends: list[str] = []
+        def spy_append(file, data):
+            appended.append(len(data))
+            return real_append(file, data)
 
-        def spy_open(file, mode="r", *args, **kwargs):
-            if "a" in mode:
-                appends.append(str(file))
-            return open(file, mode, *args, **kwargs)
-
-        monkeypatch.setattr(embedding, "open", spy_open, raising=False)
+        monkeypatch.setattr(AppendFile, "append", spy_append)
         path = tmp_path / "cache.bin"
         cached = CachedEmbedder(CountingProvider(), path)
         header = path.stat().st_size
-        cached.embed_batch(["ab", "abc", "abcd"])
-        assert appends == [str(path)]
+        cached.embed_batch(["ab", "abc", "abcd", "abc"])
+        cached.embed_batch(["ab", "abcd"])
+        assert appended == [3 * RECORD]
         assert path.stat().st_size == header + 3 * RECORD
+
+    def test_loads_a_hand_written_cache(self, tmp_path):
+        # The format as the file holds it: an ASCII header space-padded to
+        # 72 bytes, then per text 64 hex digits and 16 little-endian float64.
+        path = tmp_path / "cache.bin"
+        header = b"geolex-embedding-cache 1 dim=16 key=sha256-hex vector=float64-le       \n"
+        vectors = {
+            "abc": [0.5] * 4 + [0.0] * 12,
+            "Åmål": [0.0] * 15 + [-1.0],
+        }
+        keys = {
+            "abc": b"ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            "Åmål": b"235a0ca5d92b3da2be8c26de63d5b39645c97a9100622687203d775a3e8ae41e",
+        }
+        content = header + b"".join(
+            keys[text] + np.array(vector, "<f8").tobytes() for text, vector in vectors.items()
+        )
+        path.write_bytes(content)
+        provider = CountingProvider(dim=16)
+        got = CachedEmbedder(provider, path).embed_batch(["Åmål", "abc"])
+        np.testing.assert_array_equal(got, [vectors["Åmål"], vectors["abc"]])
+        assert provider.embed_calls == 0
+        assert path.read_bytes() == content
 
     @pytest.mark.parametrize("kind", ["missing", "empty", "missing-directory"])
     def test_missing_or_empty_file_starts_a_cache(self, tmp_path, kind):
