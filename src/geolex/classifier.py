@@ -2,8 +2,9 @@
 
 Training is full-batch gradient descent on the mean binary
 cross-entropy plus an L2 penalty on the weights (the bias is never
-penalized).  Everything is deterministic: weights start at zero, the
-hyperparameters are fixed, no shuffling, no randomness.
+penalized).  The step is worked out from the training matrix, so
+that every epoch lowers the loss (see ``train``).  Everything is
+deterministic: weights start at zero, no shuffling, no randomness.
 
 The loss and gradient functions are module-level so they can be checked
 independently (e.g. against finite differences).
@@ -26,9 +27,8 @@ import numpy as np
 from .corpus import atomic_writer, iter_jsonl, read_json
 from .errors import DatasetError
 
-DEFAULT_LEARNING_RATE = 0.1
-DEFAULT_L2_LAMBDA = 1e-4
-DEFAULT_EPOCHS = 500
+L2_LAMBDA = 1e-4
+EPOCHS = 500
 DEFAULT_THRESHOLD = 0.5
 
 
@@ -44,7 +44,7 @@ def mean_loss(
     bias: float,
     features: np.ndarray,
     labels: np.ndarray,
-    l2_lambda: float = DEFAULT_L2_LAMBDA,
+    l2_lambda: float = L2_LAMBDA,
 ) -> float:
     """Mean binary cross-entropy plus ``l2_lambda * ||weights||^2``.
 
@@ -61,7 +61,7 @@ def loss_gradients(
     bias: float,
     features: np.ndarray,
     labels: np.ndarray,
-    l2_lambda: float = DEFAULT_L2_LAMBDA,
+    l2_lambda: float = L2_LAMBDA,
 ) -> tuple[np.ndarray, float]:
     """Exact gradient of ``mean_loss`` w.r.t. weights and bias."""
     residual = sigmoid(features @ weights + bias) - labels
@@ -83,11 +83,13 @@ class LogisticModel:
         return int(self.weights.shape[0])
 
 
-def _checked_examples(features, labels: Sequence[bool]) -> tuple[np.ndarray, np.ndarray]:
+def _checked_examples(features, labels: Sequence[bool]) -> tuple[np.ndarray, np.ndarray, float]:
     """``features`` as a float64 matrix, one row per example (the
-    matrix itself when it is one, not a copy), and ``labels`` as 0.0
-    and 1.0.  Refuses an empty set, ragged rows, a label count that
-    differs from the row count and any value that is not finite."""
+    matrix itself when it is one, not a copy), ``labels`` as 0.0 and
+    1.0, and the mean squared norm of the rows.  Refuses an empty set,
+    ragged rows, a label count that differs from the row count and any
+    value that is not finite or whose square overflows: any of these
+    makes the sum of the squares NaN or infinite."""
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("feature vectors must all have the same dimension")
@@ -95,61 +97,46 @@ def _checked_examples(features, labels: Sequence[bool]) -> tuple[np.ndarray, np.
         raise ValueError("no training examples")
     if len(labels) != len(features):
         raise ValueError(f"{len(labels)} labels for {len(features)} feature vectors")
-    if not np.isfinite(features).all():
-        raise ValueError("feature vectors contain non-finite values")
-    return features, np.asarray([1.0 if label else 0.0 for label in labels])
+    square_sum = float(np.einsum("ij,ij->", features, features))
+    if not math.isfinite(square_sum):
+        raise ValueError("feature vectors contain non-finite values or values too large to square")
+    labels = np.asarray([1.0 if label else 0.0 for label in labels])
+    return features, labels, square_sum / len(features)
 
 
-def train(
-    features,
-    labels: Sequence[bool],
-    learning_rate: float = DEFAULT_LEARNING_RATE,
-    l2_lambda: float = DEFAULT_L2_LAMBDA,
-    epochs: int = DEFAULT_EPOCHS,
-) -> LogisticModel:
+def train(features, labels: Sequence[bool]) -> LogisticModel:
     """Fit a logistic model on ``features``, an ``(n, dim)`` matrix
     such as ``embed_batch`` returns, and the ``n`` is_location
     ``labels`` of its rows.  The matrix is not copied.
 
-    Requires at least one example of each class.  Training diverging
-    (final loss above the zero-weight starting loss) means the step
-    size is wrong for the data and raises rather than returning a bad
-    model.
+    Requires at least one example of each class.  Runs ``EPOCHS``
+    full-batch steps of 1/L, where L = (mean ||x||^2 + 1) / 4 +
+    2 * ``L2_LAMBDA`` bounds the curvature of the loss: the trace of
+    the logistic Hessian bound X'X / (4n) of Böhning and Lindsay
+    (1988), the bias counting as a feature of 1.  A step of 1/L never
+    raises a loss whose gradient is L-Lipschitz, so every epoch lowers
+    the loss (or leaves it at the optimum), whatever the scale of the
+    features or the share of each class.  The step is recorded in the
+    model's ``hyperparams`` as ``learning_rate``.
     """
-    features, labels = _checked_examples(features, labels)
+    features, labels, mean_square_norm = _checked_examples(features, labels)
     if labels.min() == labels.max():
         raise ValueError("training set has only one class; need both labels")
-    if learning_rate <= 0 or epochs < 1 or l2_lambda < 0:
-        raise ValueError(
-            f"bad hyperparameters: learning_rate={learning_rate}, "
-            f"l2_lambda={l2_lambda}, epochs={epochs}"
-        )
+    step = 1.0 / ((mean_square_norm + 1.0) / 4.0 + 2.0 * L2_LAMBDA)
     weights = np.zeros(features.shape[1], dtype=np.float64)
     bias = 0.0
-    initial = mean_loss(weights, bias, features, labels, l2_lambda)
-    # an oversized step can overflow to inf/nan mid-loop; the divergence
-    # check below turns that into a clear error, so keep numpy quiet here
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(epochs):
-            grad_w, grad_b = loss_gradients(
-                weights, bias, features, labels, l2_lambda
-            )
-            weights = weights - learning_rate * grad_w
-            bias = bias - learning_rate * grad_b
-        final = mean_loss(weights, bias, features, labels, l2_lambda)
-    if not final <= initial:
-        raise ValueError(
-            f"training diverged: loss went {initial:.6f} -> {final:.6f}; "
-            "lower the learning rate"
-        )
+    for _ in range(EPOCHS):
+        grad_w, grad_b = loss_gradients(weights, bias, features, labels, L2_LAMBDA)
+        weights = weights - step * grad_w
+        bias = bias - step * grad_b
     return LogisticModel(
         weights=weights,
         bias=bias,
         trained_on=len(labels),
         hyperparams={
-            "learning_rate": learning_rate,
-            "l2_lambda": l2_lambda,
-            "epochs": epochs,
+            "learning_rate": step,
+            "l2_lambda": L2_LAMBDA,
+            "epochs": EPOCHS,
         },
     )
 
