@@ -146,8 +146,10 @@ class Command:
     def spill(self) -> IO[bytes]:
         """The unnamed file beside the dataset that holds each raw_text:
         not memory, nor a temporary directory that may be memory."""
-        return self.cleanup.enter_context(tempfile.TemporaryFile(
-            dir=Path(self.config.dataset).parent, buffering=SPILL_BUFFER))
+        directory = Path(self.config.dataset).parent
+        with corpus.failing_as(f"cannot create a temporary file in {directory}"):
+            spill = tempfile.TemporaryFile(dir=directory, buffering=SPILL_BUFFER)
+        return self.cleanup.enter_context(spill)
 
     @functools.cached_property
     def entries(self) -> list[corpus.Entry]:
@@ -342,12 +344,10 @@ def stage_report(command: Command) -> Counts:
     )
     with contextlib.ExitStack() as replace_when_all_written:
         for path, write in artifacts:
-            try:
-                out = replace_when_all_written.enter_context(corpus.atomic_writer(path))
+            out = replace_when_all_written.enter_context(corpus.atomic_writer(path))
+            with corpus.failing_as(f"cannot write {path}"):
                 write(out)
                 out.flush()  # a full disk fails here, before any replace
-            except OSError as err:
-                raise StageError(f"cannot write {path}: {err.strerror or err}") from err
     print(
         f"report: histogram reference ({config.ref_lat}, {config.ref_lon}), "
         f"bucket {config.bucket_km} km",

@@ -565,6 +565,16 @@ def load_dataset(path: str | os.PathLike[str], spill: IO[bytes] | None = None) -
 
 
 @contextlib.contextmanager
+def failing_as(message: str) -> Iterator[None]:
+    """Re-raise an OSError of the block as a plain OSError reading
+    ``message: reason``, for a file the user never named (a temporary one)."""
+    try:
+        yield
+    except OSError as err:
+        raise OSError(f"{message}: {err.strerror or err}") from err
+
+
+@contextlib.contextmanager
 def atomic_writer(path: str | os.PathLike[str], binary: bool = False) -> Iterator[IO]:
     """Open a UTF-8 text handle, or with ``binary`` a bytes handle,
     whose content replaces ``path`` whole.
@@ -572,17 +582,19 @@ def atomic_writer(path: str | os.PathLike[str], binary: bool = False) -> Iterato
     Writes go to a temporary ``*.tmp`` file in the same directory,
     which replaces the target only when the ``with`` block completes.
     On any error the temporary file is removed and the target is left
-    as it was.  The file is created with mode 0666 less the umask.
+    as it was; an OSError creating or replacing it names ``path``.  The
+    file is created with mode 0666 less the umask.
     """
     while True:
         tmp_name = f"{path}.{os.urandom(6).hex()}.tmp"
-        with contextlib.suppress(FileExistsError):
+        with failing_as(f"cannot write {path}"), contextlib.suppress(FileExistsError):
             fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
             break
     try:
         with (os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8")) as handle:
             yield handle
-        os.replace(tmp_name, path)
+        with failing_as(f"cannot write {path}"):
+            os.replace(tmp_name, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp_name)

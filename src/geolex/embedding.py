@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import AppendFile, parse_json
+from .corpus import AppendFile
 from .errors import ProtocolError
 from .wikidata import HttpRequest, RateLimiter, UrllibTransport
 
@@ -266,9 +266,8 @@ class RemoteEmbedder:
             body=json.dumps({"texts": texts}).encode("utf-8"),
             headers=(("Content-Type", "application/json"),),
         )
-        body = self.transport.send(request)
-        parsed = parse_json(body, ProtocolError, "embedding service returned non-JSON")
-        vectors = parsed.get("vectors") if isinstance(parsed, dict) else None
+        answer = self.transport.send(request)
+        vectors = answer.get("vectors") if isinstance(answer, dict) else None
         if not isinstance(vectors, list) or len(vectors) != len(texts):
             raise ProtocolError(
                 f"embedding service returned {0 if not isinstance(vectors, list) else len(vectors)} "

@@ -7,18 +7,19 @@ come back in a dict keyed by id.  A description whose ``display`` names
 another language is a fallback and counts as absent, as
 ``wbgetentities`` with ``languages=sv`` has no fallback.
 
-All HTTP goes through a transport object chosen by cache mode:
+All HTTP goes through a transport object chosen by cache mode, whose
+``send`` returns the answer's JSON document:
 
 * ``live``   — ``UrllibTransport``: straight to the network,
-  rate-limited.  It is the one place that opens a connection; the
-  remote embedder sends through it too.
+  rate-limited.  It is the one place that opens a connection and that
+  parses a response; the remote embedder sends through it too.
 * ``replay`` — ``ReplayTransport``: the cache directory's replay log
   only.  A miss raises ReplayCacheMiss; no network connection is ever
   opened.
 * ``record`` — ``ReplayTransport`` with a live fallback: serve hits
   from the log, send misses through ``UrllibTransport`` and append
-  each JSON response to the log as UTF-8 text for later replay; any
-  other is refused.  One process records into a cache at a time.
+  each answer to the log for later replay.  One process records into
+  a cache at a time.
 
 The log is keyed by the canonical request (method + URL + sorted query
 parameters + body), so a recorded response is found again even if
@@ -62,7 +63,7 @@ SEARCH_LIMIT = 5
 CACHE_MODES = ("live", "record", "replay")
 # The replay log in a cache directory, and the line it starts with.
 LOG_NAME = "replay.log"
-_LOG_HEADER = b"geolex-replay-log 1 row=[request-key,utf-8-body]\n"
+_LOG_HEADER = b"geolex-replay-log 2 row=[request-key,answer]\n"
 # A per-request record of earlier versions: <sha256 of the request>.json.
 _OLD_RECORD_RE = re.compile(r"[0-9a-f]{64}\.json")
 # Seconds a live request may wait on its connection.
@@ -198,7 +199,7 @@ class UrllibTransport:
         self.user_agent = check_user_agent(user_agent)
         self.rate_limiter = rate_limiter or RateLimiter()
 
-    def send(self, request: HttpRequest) -> bytes:
+    def send(self, request: HttpRequest) -> object:
         # Imported here, not at module level: urllib.request pulls in
         # http.client and email, which replay runs never use.
         import http.client
@@ -216,45 +217,43 @@ class UrllibTransport:
         )
         try:
             with urllib.request.urlopen(http_request, timeout=_TIMEOUT_S) as response:
-                return response.read()
+                body = response.read()
         except urllib.error.HTTPError as err:
             raise http_status_error(err.code, request.url) from err
         # HTTPException covers a response cut short (IncompleteRead),
         # which is no OSError.
         except (urllib.error.URLError, http.client.HTTPException, TimeoutError, OSError) as err:
             raise TransportError(f"{request.method} {request.url}: {err}") from err
+        return parse_json(body, ProtocolError, f"non-JSON response from {request.url}")
 
 
-def _log_row(line: bytes, where: str) -> tuple[str, bytes]:
-    """The key and the body of one replay-log row, a JSON ``[key, body]``
-    of two strings; anything else is a ProtocolError naming ``where``."""
+def _log_row(line: bytes, where: str) -> list:
+    """The ``[key, answer]`` of one replay-log row, a JSON string and any
+    JSON value; anything else is a ProtocolError naming ``where``."""
     row = parse_json(line, ProtocolError, where)
-    if not (isinstance(row, list) and len(row) == 2 and all(isinstance(part, str) for part in row)):
-        raise ProtocolError(f"{where}: not a JSON [key, body] row of two strings")
-    try:
-        return row[0], row[1].encode("utf-8")
-    except UnicodeEncodeError as err:
-        raise ProtocolError(f"{where}: body cannot be encoded as UTF-8") from err
+    if not (isinstance(row, list) and len(row) == 2 and isinstance(row[0], str)):
+        raise ProtocolError(f"{where}: not a JSON [key, answer] row with a string key")
+    return row
 
 
 class ReplayTransport:
     """Recorded responses, in one append-only log per cache directory.
 
     The log, ``LOG_NAME``, is a ``corpus.AppendFile`` of lines: after the
-    header, each is the JSON ``[key, body]`` of ``canonical_request_key``
-    and the response text.  Open reads the log once, row by row, checks
-    every row and keeps an index from the key's ``hash`` to the row's
-    offset and length, so each hit is one ``os.pread`` on the log's one
-    descriptor.  A row whose key is not the request's (two keys of one
-    64-bit hash, some 2 chances in 10**11 at 26,000 rows) is no hit.  A
-    miss raises ReplayCacheMiss and opens no connection, unless a
-    ``live`` transport is given (record mode, the one that writes the
-    log): then the request goes through ``live``, and a response that
-    ``parse_json`` takes is appended as one row under a lock; any other
-    raises ProtocolError.  Link's pool shares one transport safely, but
-    only one process may record into a cache directory at a time.
+    header, each is the JSON ``[key, answer]`` of ``canonical_request_key``
+    and the answer, written in ASCII so that any document a live transport
+    answers (a lone surrogate too) reads back the same.  Open checks every
+    row and keeps an index from the key's ``hash`` to the row's offset and
+    length, so each hit is one ``os.pread`` and one parse.  A row whose key
+    is not the request's (two keys of one 64-bit hash, some 2 chances in
+    10**11 at 26,000 rows) is no hit.  A miss raises ReplayCacheMiss and
+    opens no connection, unless a ``live`` transport is given (record
+    mode, the one that writes the log): then the request goes through
+    ``live``, and its answer is appended as one row under a lock.  Link's
+    pool shares one transport safely, but only one process may record
+    into a cache directory at a time.
 
-    A row that is not a JSON ``[string, string]`` and a directory that
+    A row that is not a JSON ``[string, answer]`` and a directory that
     holds an earlier version's per-request ``<sha256>.json`` records but
     no log are each a ProtocolError naming the file and its line, or the
     directory, which is left as it is.
@@ -289,27 +288,24 @@ class ReplayTransport:
             offset += len(line)
         return offset
 
-    def send(self, request: HttpRequest) -> bytes:
+    def send(self, request: HttpRequest) -> object:
         key = canonical_request_key(request)
         slot = hash(key)
         span = self._index.get(slot)
         if span is not None:
             offset, length = span >> 32, span & 0xFFFF_FFFF
-            found, body = _log_row(os.pread(self._log.fd, length, offset),
-                                   f"{self._log.path} at byte {offset}")
+            found, answer = _log_row(os.pread(self._log.fd, length, offset),
+                                     f"{self._log.path} at byte {offset}")
             if found == key:
-                return body
+                return answer
         if self.live is None:
-            raise ReplayCacheMiss(
-                f"no recorded response for {request.method} {request.full_url()}"
-            )
-        body = self.live.send(request)
-        parse_json(body, ProtocolError, f"non-JSON response from {request.url}")
-        row = (json.dumps([key, body.decode("utf-8")], ensure_ascii=False) + "\n").encode("utf-8")
+            raise ReplayCacheMiss(f"no recorded response for {request.method} {request.full_url()}")
+        answer = self.live.send(request)
+        row = (json.dumps([key, answer]) + "\n").encode("ascii")
         with self._lock:
             if self._index.get(slot) == span:  # no other thread stored it meanwhile
                 self._index[slot] = self._log.append(row) << 32 | len(row)
-        return body
+        return answer
 
 
 def make_transport(
@@ -330,13 +326,6 @@ def make_transport(
 
 
 # ── Client ───────────────────────────────────────────────────────────────
-
-
-def _parse_json_body(body: bytes, request: HttpRequest) -> dict:
-    parsed = parse_json(body, ProtocolError, f"non-JSON response from {request.url}")
-    if not isinstance(parsed, dict):
-        raise ProtocolError(f"unexpected response shape from {request.url}")
-    return parsed
 
 
 def _checked_description(value, where: str) -> str:
@@ -416,25 +405,28 @@ class WikidataClient:
         self._sleep = sleep
         self.warnings = 0
 
-    def _send(self, request: HttpRequest) -> bytes:
-        """Send with retries: transport errors back off 1s/2s/4s, then
-        give up; protocol errors and replay misses surface at once."""
-        attempts = len(self.backoff_s) + 1
-        for attempt in range(attempts):
+    def _send(self, request: HttpRequest) -> dict:
+        """The JSON object the transport answers.  Transport errors back
+        off 1s/2s/4s, then give up; protocol errors, replay misses and an
+        answer that is no object surface at once."""
+        for pause in (*self.backoff_s, None):
             try:
-                return self.transport.send(request)
+                answer = self.transport.send(request)
+                break
             except TransportError:
-                if attempt == attempts - 1:
+                if pause is None:
                     raise
-                self._sleep(self.backoff_s[attempt])
-        raise AssertionError("unreachable")
+                self._sleep(pause)
+        if not isinstance(answer, dict):
+            raise ProtocolError(f"unexpected response shape from {request.url}")
+        return answer
 
     def _get(self, action: str, *params: tuple[str, str]) -> dict:
         """The JSON object the API answers to ``action`` with ``params``;
         an ``error`` answer raises ProtocolError."""
         params = (("action", action), ("format", "json"), *params)
         request = HttpRequest("GET", self.api_url, params=params)
-        data = _parse_json_body(self._send(request), request)
+        data = self._send(request)
         if "error" in data:
             raise ProtocolError(f"{action} API error: {data['error']}")
         return data
@@ -504,12 +496,8 @@ class WikidataClient:
         points: dict[str, GeoPoint] = {}
         for start in range(0, len(unique), SPARQL_BATCH_SIZE):
             batch = unique[start : start + SPARQL_BATCH_SIZE]
-            values = " ".join(f"wd:{qid}" for qid in batch)
-            query = (
-                "SELECT ?item ?coords WHERE { VALUES ?item { "
-                + values
-                + " } ?item wdt:P625 ?coords }"
-            )
+            query = ("SELECT ?item ?coords WHERE { VALUES ?item { "
+                     + " ".join(f"wd:{qid}" for qid in batch) + " } ?item wdt:P625 ?coords }")
             request = HttpRequest(
                 "POST",
                 self.sparql_url,
@@ -519,7 +507,7 @@ class WikidataClient:
                     ("Content-Type", "application/x-www-form-urlencoded"),
                 ),
             )
-            data = _parse_json_body(self._send(request), request)
+            data = self._send(request)
             try:
                 bindings = data["results"]["bindings"]
             except (KeyError, TypeError) as err:

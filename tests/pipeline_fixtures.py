@@ -250,8 +250,8 @@ def write_annotations(path: Path) -> None:
             handle.write("\n")
 
 
-def _search_body(headword: str, hits) -> bytes:
-    payload = {
+def search_answer(headword: str, hits) -> dict:
+    return {
         "searchinfo": {"search": headword},
         "search": [
             {
@@ -263,10 +263,9 @@ def _search_body(headword: str, hits) -> bytes:
         ],
         "success": 1,
     }
-    return json.dumps(payload, ensure_ascii=False).encode("utf-8")
 
 
-def _entities_body(hits) -> bytes:
+def _entities_answer(hits) -> dict:
     entities = {}
     for qid, _label, description in hits:
         descriptions = (
@@ -275,10 +274,10 @@ def _entities_body(hits) -> bytes:
             else {}
         )
         entities[qid] = {"type": "item", "id": qid, "descriptions": descriptions}
-    return json.dumps({"entities": entities, "success": 1}, ensure_ascii=False).encode("utf-8")
+    return {"entities": entities, "success": 1}
 
 
-def _sparql_body(qids) -> bytes:
+def _sparql_answer(qids) -> dict:
     bindings = []
     for qid in qids:
         if qid not in COORD_WKT:
@@ -296,11 +295,10 @@ def _sparql_body(qids) -> bytes:
                 },
             }
         )
-    payload = {
+    return {
         "head": {"vars": ["item", "coords"]},
         "results": {"bindings": bindings},
     }
-    return json.dumps(payload).encode("utf-8")
 
 
 def search_request(headword: str) -> HttpRequest:
@@ -352,12 +350,12 @@ def sparql_request(qids) -> HttpRequest:
     )
 
 
-def record(cache_dir: Path, request: HttpRequest, body: bytes) -> str:
-    """Store ``body`` as the recorded answer to ``request`` by sending
-    it through a recording transport whose live side answers ``body``;
-    return the request's key in the cache's log.  A request already on
-    file keeps its answer."""
-    ReplayTransport(cache_dir, SimpleNamespace(send=lambda request: body)).send(request)
+def record(cache_dir: Path, request: HttpRequest, answer) -> str:
+    """Store the JSON document ``answer`` as the recorded answer to
+    ``request`` by sending it through a recording transport whose live
+    side answers ``answer``; return the request's key in the cache's
+    log.  A request already on file keeps its answer."""
+    ReplayTransport(cache_dir, SimpleNamespace(send=lambda request: answer)).send(request)
     return canonical_request_key(request)
 
 
@@ -386,9 +384,10 @@ def drop_row(cache_dir: Path, key: str) -> None:
     rewrite_row(cache_dir, key, b"")
 
 
-def answer_row(cache_dir: Path, key: str, body: str) -> None:
-    """Record ``body`` instead as the answer to the request of ``key``."""
-    rewrite_row(cache_dir, key, json.dumps([key, body]).encode("utf-8") + b"\n")
+def answer_row(cache_dir: Path, key: str, answer) -> None:
+    """Record the JSON document ``answer`` instead as the answer to the
+    request of ``key``."""
+    rewrite_row(cache_dir, key, json.dumps([key, answer]).encode("ascii") + b"\n")
 
 
 def record_descriptions(cache_dir: Path, headwords) -> str:
@@ -399,12 +398,12 @@ def record_descriptions(cache_dir: Path, headwords) -> str:
     hits = {qid: (qid, label, text)
             for headword in headwords
             for qid, label, text in SEARCH_RESULTS[headword]}
-    return record(cache_dir, entities_request(list(hits)), _entities_body(hits.values()))
+    return record(cache_dir, entities_request(list(hits)), _entities_answer(hits.values()))
 
 
 def record_coordinates(cache_dir: Path, qids) -> str:
     """Record the SPARQL coordinate query for ``qids``."""
-    return record(cache_dir, sparql_request(qids), _sparql_body(qids))
+    return record(cache_dir, sparql_request(qids), _sparql_answer(qids))
 
 
 def build_replay_cache(cache_dir: Path) -> dict[str, str]:
@@ -416,7 +415,7 @@ def build_replay_cache(cache_dir: Path) -> dict[str, str]:
     keys: dict[str, str] = {}
     for headword, hits in SEARCH_RESULTS.items():
         keys[f"search:{headword}"] = record(
-            cache_dir, search_request(headword), _search_body(headword, hits)
+            cache_dir, search_request(headword), search_answer(headword, hits)
         )
     keys["sparql:coordinates"] = record_coordinates(cache_dir, EXPECTED_SPARQL_QIDS)
 
@@ -439,11 +438,11 @@ class FixtureTransport:
         self.results = SEARCH_RESULTS if results is None else results
         self.requests: list[HttpRequest] = []
 
-    def send(self, request: HttpRequest) -> bytes:
+    def send(self, request: HttpRequest) -> dict:
         self.requests.append(request)
         params = dict(request.params)
         if params.get("action") == "wbsearchentities":
             term = params["search"]
             hits = self.results.get(term, [])[: int(params["limit"])]
-            return _search_body(term, hits)
+            return search_answer(term, hits)
         raise AssertionError(f"unexpected request {request.full_url()}")

@@ -411,10 +411,10 @@ def test_8_full_scale_statement_and_architecture(tmp_path, capsys):
         def __init__(self):
             self.batch_sizes: list[int] = []
 
-        def send(self, request: HttpRequest) -> bytes:
+        def send(self, request: HttpRequest) -> dict:
             body = request.body.decode("ascii")
             self.batch_sizes.append(body.count("wd%3AQ") or body.count("wd:Q"))
-            return b'{"results": {"bindings": []}}'
+            return {"results": {"bindings": []}}
 
     transport = CountingTransport()
     client = WikidataClient(transport=transport, sleep=lambda s: None)

@@ -20,8 +20,8 @@ class Echo:
 
     dim = 4
 
-    def send(self, request: HttpRequest) -> bytes:
-        return request.params[0][1].encode()
+    def send(self, request: HttpRequest) -> str:
+        return request.params[0][1]
 
     def embed_batch(self, texts):
         return np.eye(self.dim)[[len(text) % self.dim for text in texts]]
@@ -36,7 +36,7 @@ def replay_log(tmp_path):
 
     def loads(ns):
         replay = ReplayTransport(tmp_path)
-        return [replay.send(requests[n]) for n in ns] == [str(n).encode() for n in ns]
+        return [replay.send(requests[n]) for n in ns] == [str(n) for n in ns]
 
     return tmp_path / LOG_NAME, lambda n: recorder.send(requests[n]), loads
 

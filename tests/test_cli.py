@@ -376,7 +376,7 @@ class TestDatasetOwnership:
         assert workspace.run_all_stages() == 6
         captured = capsys.readouterr()
         assert [s["stage"] for s in parse_summaries(captured.out)] == list(cli.PIPELINE_STAGES)
-        assert "coords: disk full" in captured.err
+        assert f"coords: cannot write {workspace.dataset}: disk full" in captured.err
         assert read_bytes(workspace.dataset) == before
         assert not list(workspace.root.glob("*.tmp"))
 
@@ -389,7 +389,7 @@ class TestDatasetOwnership:
         assert workspace.run_all_stages() == 5
         err = capsys.readouterr().err
         assert "link: 1 of 7 entries failed to link" in err
-        assert "classify: disk full" in err
+        assert f"classify: cannot write {workspace.dataset}: disk full" in err
         assert not workspace.dataset.exists()
 
     def test_bug_in_a_stage_writes_no_dataset(self, workspace, no_network, monkeypatch):
@@ -604,7 +604,7 @@ class TestLinkThreads:
 @contextlib.contextmanager
 def serve_cache(cache_dir):
     """Serve a recorded cache over HTTP on 127.0.0.1: each request is
-    answered with the body recorded for the same request to the real
+    answered with the JSON recorded for the same request to the real
     Wikidata endpoints.  Yields the (api_url, sparql_url) to send to."""
     replay = wikidata.ReplayTransport(cache_dir)
     endpoints = {
@@ -625,9 +625,9 @@ def serve_cache(cache_dir):
         def answer(self, body: bytes | None) -> None:
             split = urllib.parse.urlsplit(self.path)
             params = tuple(urllib.parse.parse_qsl(split.query, keep_blank_values=True))
-            payload = replay.send(
+            payload = json.dumps(replay.send(
                 wikidata.HttpRequest(self.command, endpoints[split.path], params, body)
-            )
+            )).encode("ascii")
             self.send_response(200)
             self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
@@ -693,6 +693,26 @@ class TestRecordRun:
         ]
         assert read_bytes(workspace.dataset) == before
         assert not (workspace.cache_dir / wikidata.LOG_NAME).exists()
+
+    @pytest.mark.parametrize("mode", ["replay", "record"])
+    def test_a_log_of_the_first_version_fails_link_in_one_line(
+        self, workspace, no_network, capsys, mode
+    ):
+        for stage in ("ingest", "train", "classify"):
+            assert workspace.run(stage) == 0
+        # Its rows held each answer as a string of JSON.
+        log = workspace.cache_dir / wikidata.LOG_NAME
+        key = wikidata.canonical_request_key(fx.search_request("Stockholm"))
+        log.write_bytes(b"geolex-replay-log 1 row=[request-key,utf-8-body]\n"
+                        + json.dumps([key, '{"search": []}']).encode("utf-8") + b"\n")
+        before = read_bytes(log), read_bytes(workspace.dataset)
+        capsys.readouterr()
+        assert workspace.run("link", "--cache-mode", mode) == 5
+        assert capsys.readouterr().err.splitlines() == [
+            f"link: {log}: does not start with "
+            "b'geolex-replay-log 2 row=[request-key,answer]\\n'"
+        ]
+        assert (read_bytes(log), read_bytes(workspace.dataset)) == before
 
 
 class TestLiveRun:
@@ -1176,6 +1196,28 @@ class TestAtomicArtifacts:
         assert workspace.svg.read_text(encoding="utf-8") == "old svg"
         assert not list(workspace.root.glob("*.tmp"))
 
+    # A write into a directory that is not there names the file or the
+    # directory the command was given, not the temporary file it made.
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--model-out", "{missing}/model.json"],
+         "train: cannot write {missing}/model.json: No such file or directory"),
+        (["ingest", "--out", "{missing}/dataset.jsonl"],
+         "ingest: cannot create a temporary file in {missing}: No such file or directory"),
+        (["run", "--dataset", "{missing}/dataset.jsonl"],
+         "ingest: cannot create a temporary file in {missing}: No such file or directory"),
+    ], ids=["model", "dataset", "run"])
+    def test_a_write_into_a_missing_directory_names_what_was_asked_for(
+        self, workspace, no_network, capsys, argv, message
+    ):
+        assert workspace.run("ingest") == 0
+        missing = workspace.root / "not-there"
+        capsys.readouterr()
+        argv = [arg.format(missing=missing) for arg in argv]
+        assert workspace.run(*argv) == cli.STAGE_EXIT_CODES[message.split(":")[0]]
+        assert capsys.readouterr().err == message.format(missing=missing) + "\n"
+        assert not missing.exists()
+        assert not list(workspace.root.glob("*.tmp"))
+
 
 class TestExitCodes:
     def test_missing_config_file_exits_one(self, tmp_path, capsys):
@@ -1280,23 +1322,24 @@ class TestExitCodes:
         assert "1 of 7 entries failed to link" in err
 
     # An answer that is JSON, but not the object a search answers.
-    @pytest.mark.parametrize("body", ["[]", '{"search": 7}'], ids=["list", "search-number"])
+    @pytest.mark.parametrize("answer", [[], {"search": 7}, None, "\ud800"],
+                             ids=["list", "search-number", "null", "surrogate"])
     def test_unusable_recorded_answer_fails_link_with_entry_id(
-        self, workspace, no_network, capsys, body
+        self, workspace, no_network, capsys, answer
     ):
         for stage in ("ingest", "train", "classify"):
             assert workspace.run(stage) == 0
         capsys.readouterr()
         labels = fx.build_replay_cache(workspace.cache_dir)
-        fx.answer_row(workspace.cache_dir, labels["search:Stockholm"], body)
+        fx.answer_row(workspace.cache_dir, labels["search:Stockholm"], answer)
         assert workspace.run("link") == 5
         err = capsys.readouterr().err
         assert "link: entry 9:211:2: ProtocolError: " in err
         assert "1 of 7 entries failed to link" in err
 
-    # A row that is no JSON [key, body] of two strings.
-    @pytest.mark.parametrize("row", [b'{"body": "{}"}\n', b'["k", null]\n', b"}{\n"],
-                             ids=["object", "null-body", "bad"])
+    # A row that is no JSON [key, answer] with a string key.
+    @pytest.mark.parametrize("row", [b'{"body": "{}"}\n', b'[7, {}]\n', b"}{\n"],
+                             ids=["object", "number-key", "bad"])
     def test_corrupt_replay_row_fails_link_naming_its_line(
         self, workspace, no_network, capsys, row
     ):
@@ -1445,7 +1488,7 @@ class TestLiveFailureTolerance:
         for stage in ("ingest", "train", "classify"):
             assert workspace.run(stage) == 0
         labels = fx.build_replay_cache(workspace.cache_dir)
-        fx.answer_row(workspace.cache_dir, labels["search:Berlin"], "[]")
+        fx.answer_row(workspace.cache_dir, labels["search:Berlin"], [])
         capsys.readouterr()
         assert workspace.run("link", "--cache-mode", "record") == 0
         failures = [line for line in capsys.readouterr().err.splitlines()
@@ -1457,6 +1500,34 @@ class TestLiveFailureTolerance:
         by_id = {e.id: e.qid for e in load_dataset(workspace.dataset)}
         assert by_id == {entry_id: None if entry_id == "2:57:2" else fx.EXPECTED_LINKS.get(entry_id)
                          for entry_id in fx.ENTRY_IDS}
+
+    # Answers the log refused on open while it held each as a string of
+    # JSON; recorded now as documents, they fail their entry as they do
+    # live.
+    @pytest.mark.parametrize("answer", [None, "\ud800"], ids=["null", "surrogate"])
+    def test_an_unusable_answer_fails_its_entry_alike_replayed_and_live(
+        self, workspace, capsys, monkeypatch, answer
+    ):
+        for stage in ("ingest", "train", "classify"):
+            assert workspace.run(stage) == 0
+        labels = fx.build_replay_cache(workspace.cache_dir)
+        fx.answer_row(workspace.cache_dir, labels["search:Stockholm"], answer)
+        failures = {}
+        capsys.readouterr()
+        assert workspace.run("link") == 5
+        failures["replay"] = capsys.readouterr().err.splitlines()[0]
+        monkeypatch.setenv("no_proxy", "*")  # the fixture server is local
+        with serve_cache(workspace.cache_dir) as (api_url, sparql_url):
+            config = json.loads(workspace.config_path.read_text(encoding="utf-8"))
+            config.update(cache_mode="live", rate_limit_s=0,
+                          wikidata_api_url=api_url, wikidata_sparql_url=sparql_url)
+            workspace.config_path.write_text(json.dumps(config), encoding="utf-8")
+            assert workspace.run("link") == 0  # one live failure of seven
+        failures["live"] = capsys.readouterr().err.splitlines()[0]
+        assert failures == {
+            mode: f"link: entry 9:211:2: ProtocolError: unexpected response shape from {url}"
+            for mode, url in (("replay", wikidata.DEFAULT_API_URL), ("live", api_url))
+        }
 
     def test_total_failure_aborts_even_live(self, workspace, no_network, capsys, monkeypatch):
         assert workspace.run("ingest") == 0

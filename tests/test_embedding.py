@@ -48,7 +48,7 @@ class TestFnv1a:
 def remote_normalize(vector: np.ndarray) -> np.ndarray:
     """``vector`` as ``RemoteEmbedder`` hands it on when the service
     replies with it."""
-    transport = FakeTransport([vectors_body([vector.tolist()])])
+    transport = FakeTransport([vectors_answer([vector.tolist()])])
     embedder = RemoteEmbedder("http://embed.test", dim=len(vector), transport=transport)
     return embedder.embed_batch(["x"])[0]
 
@@ -483,13 +483,13 @@ class FakeTransport:
         return response
 
 
-def vectors_body(vectors) -> bytes:
-    return json.dumps({"vectors": vectors}).encode()
+def vectors_answer(vectors) -> dict:
+    return {"vectors": vectors}
 
 
 class TestRemoteEmbedder:
     def test_happy_path_renormalizes(self):
-        transport = FakeTransport([vectors_body([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])])
+        transport = FakeTransport([vectors_answer([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0]])])
         embedder = RemoteEmbedder(url="http://embed.test", dim=3, transport=transport)
         out = embedder.embed_batch(["a", "b"])
         np.testing.assert_allclose(out[0], [1.0, 0.0, 0.0])
@@ -511,19 +511,19 @@ class TestRemoteEmbedder:
             Command(apply_overrides(load_config(env={}), embed_provider="remote")).provider
 
     def test_wrong_vector_count_is_protocol_error(self):
-        transport = FakeTransport([vectors_body([[1.0, 0.0]])])
+        transport = FakeTransport([vectors_answer([[1.0, 0.0]])])
         embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
         with pytest.raises(ProtocolError, match="1 vectors for 2"):
             embedder.embed_batch(["a", "b"])
 
     def test_wrong_dim_is_protocol_error(self):
-        transport = FakeTransport([vectors_body([[1.0, 0.0, 0.0]])])
+        transport = FakeTransport([vectors_answer([[1.0, 0.0, 0.0]])])
         embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
         with pytest.raises(ProtocolError, match="shape"):
             embedder.embed_batch(["a"])
 
     def test_non_finite_vector_is_protocol_error(self):
-        transport = FakeTransport([vectors_body([[1.0, None]])])
+        transport = FakeTransport([vectors_answer([[1.0, None]])])
         embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
         with pytest.raises(ProtocolError):
             embedder.embed_batch(["a"])
@@ -538,7 +538,7 @@ class TestRemoteEmbedder:
         [[1.0, 2.0]],
     ])
     def test_malformed_vector_is_protocol_error_naming_it(self, raw):
-        transport = FakeTransport([vectors_body([[1.0, 0.0], raw])])
+        transport = FakeTransport([vectors_answer([[1.0, 0.0], raw])])
         embedder = RemoteEmbedder("http://embed.test", dim=2, transport=transport)
         with pytest.raises(ProtocolError, match="^vector 1 "):
             embedder.embed_batch(["a", "b"])
@@ -548,10 +548,11 @@ class TestRemoteEmbedder:
         "body", [b"<html>oops</html>", b"[" * 100_000, b"1" * 5000],
         ids=["html", "deep", "digits"],
     )
-    def test_non_json_is_protocol_error(self, body):
-        transport = FakeTransport([body])
-        embedder = RemoteEmbedder(url="http://embed.test", dim=2, transport=transport)
-        with pytest.raises(ProtocolError, match="non-JSON"):
+    def test_non_json_is_protocol_error(self, monkeypatch, body):
+        monkeypatch.setattr(urllib.request, "urlopen",
+                            lambda request, timeout=None: io.BytesIO(body))
+        embedder = RemoteEmbedder(url="http://embed.test", dim=2)
+        with pytest.raises(ProtocolError, match="^non-JSON response from http://embed.test: "):
             embedder.embed_batch(["a"])
 
     def test_transport_error_passes_through(self):
@@ -571,7 +572,7 @@ class TestRemoteEmbedder:
 def every_provider(tmp_path):
     """One of each provider, at dim 3, answering the texts "a", "bc", ""."""
     remote = RemoteEmbedder("http://embed.test", dim=3, transport=FakeTransport(
-        [vectors_body([[3.0, 0.0, 4.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])]))
+        [vectors_answer([[3.0, 0.0, 4.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.0]])]))
     return {
         "local": HashedTrigramEmbedder(dim=3),
         "remote": remote,
@@ -598,7 +599,7 @@ class TestRemoteEmbedderHttp:
 
         def fake_urlopen(request, timeout=None):
             sent.append((request, timeout))
-            return io.BytesIO(vectors_body([[1.0, 0.0], [0.0, 1.0]]))
+            return io.BytesIO(json.dumps(vectors_answer([[1.0, 0.0], [0.0, 1.0]])).encode())
 
         monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         embedder = RemoteEmbedder("http://embed.test/v1", dim=2)

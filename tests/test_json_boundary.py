@@ -7,14 +7,16 @@ code with one line on stderr.
 
 from __future__ import annotations
 
+import contextlib
 import errno
+import io
 import json
 import shutil
 import struct
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 import pytest
@@ -26,7 +28,14 @@ from geolex.config import ConfigError, load_config
 from geolex.corpus import load_dataset
 from geolex.embedding import DEFAULT_DIM, CachedEmbedder, HashedTrigramEmbedder, RemoteEmbedder
 from geolex.errors import DatasetError, ProtocolError, ReplayCacheMiss
-from geolex.wikidata import LOG_NAME, HttpRequest, ReplayTransport, WikidataClient
+from geolex.wikidata import (
+    LOG_NAME,
+    HttpRequest,
+    RateLimiter,
+    ReplayTransport,
+    UrllibTransport,
+    WikidataClient,
+)
 
 REQUEST = HttpRequest("GET", "https://x.test/api")
 
@@ -41,9 +50,13 @@ def put(path: Path, data: bytes | None) -> Path:
     return path
 
 
-def answering(data: bytes) -> SimpleNamespace:
-    """A transport that answers every request with ``data``."""
-    return SimpleNamespace(send=lambda request: data)
+@contextlib.contextmanager
+def answering(data: bytes) -> Iterator[UrllibTransport]:
+    """A live transport whose every request ``urlopen`` answers with
+    ``data``, while the block runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(urllib.request, "urlopen", lambda request, timeout=None: io.BytesIO(data))
+        yield UrllibTransport(rate_limiter=RateLimiter(0.0))
 
 
 def read_config(tmp_path, data):
@@ -74,19 +87,22 @@ def read_replay_log(tmp_path, data):
 
 
 def read_api_body(tmp_path, data):
-    return WikidataClient(answering(data)).search_candidates("Berlin")
+    with answering(data) as transport:
+        return WikidataClient(transport).search_candidates("Berlin")
 
 
 def read_sparql_body(tmp_path, data):
     """The coordinates found, and the rows skipped."""
-    client = WikidataClient(answering(data))
-    points = client.fetch_coordinates(["Q64"])
+    with answering(data) as transport:
+        client = WikidataClient(transport)
+        points = client.fetch_coordinates(["Q64"])
     return {qid: (point.lat, point.lon) for qid, point in points.items()}, client.warnings
 
 
 def read_remote_embedder_body(tmp_path, data):
-    embedder = RemoteEmbedder("https://x.test/embed", dim=2, transport=answering(data))
-    return [vector.tolist() for vector in embedder.embed_batch(["Aal"])]
+    with answering(data) as transport:
+        embedder = RemoteEmbedder("https://x.test/embed", dim=2, transport=transport)
+        return [vector.tolist() for vector in embedder.embed_batch(["Aal"])]
 
 
 @dataclass(frozen=True)
@@ -129,11 +145,11 @@ READERS = {
         b'{"kind": "@S", "dim": 2, "weights": [@N, 0.25], "bias": 0.0, "threshold": 0.5}',
         b"0.5", b"logistic-location-classifier", [0.5, 0.25],
     ),
-    # ``@N`` is the row's key.
+    # ``@N`` is the row's key, and ``@S`` its answer, a JSON string.
     "replay log": Reader(
         read_replay_log, ProtocolError,
-        b'geolex-replay-log 1 row=[request-key,utf-8-body]\n[@N, "@S"]\n',
-        b'"GET https://x.test/api? body:"', b"{}", b"{}", lines=True,
+        b'geolex-replay-log 2 row=[request-key,answer]\n[@N, "@S"]\n',
+        b'"GET https://x.test/api? body:"', b"ok", "ok", lines=True,
     ),
     "api body": Reader(
         read_api_body, ProtocolError, b'{"search": [{"id": "@S", "pageid": @N}]}',
@@ -188,6 +204,10 @@ ACCEPTED = {
     # An empty log holds no rows, and a torn last line is never read.
     ("replay log", "empty"): None,
     ("replay log", "torn"): READERS["replay log"].good,
+    # Any JSON value is a recorded answer, served as the live transport
+    # serves the same JSON; the client then refuses a string where it
+    # wants an object, and link fails on it as it does live.
+    ("replay log", "surrogate-escape"): "\ud800",
     # A string only matched against others: no entry id is a lone
     # surrogate, so the annotation fails train.
     ("annotations", "surrogate-escape"): [("\ud800", True)],

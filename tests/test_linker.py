@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import itertools
 import json
 import threading
 import time
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,7 +22,14 @@ from geolex.corpus import Entry, RawPage, load_dataset, save_dataset, segment_pa
 from geolex.embedding import EMBED_CHUNK, HashedTrigramEmbedder, RemoteEmbedder
 from geolex.errors import ProtocolError, TransportError
 from geolex.linker import NO_MIN_SIMILARITY, link_batch, rank_candidates
-from geolex.wikidata import DEFAULT_API_URL, SEARCH_LIMIT, ReplayTransport, WikidataClient
+from geolex.wikidata import (
+    DEFAULT_API_URL,
+    SEARCH_LIMIT,
+    RateLimiter,
+    ReplayTransport,
+    UrllibTransport,
+    WikidataClient,
+)
 
 
 def fixture_entries():
@@ -35,15 +45,16 @@ def replay_client(tmp_path):
     return client, labels
 
 
-def client_with_row(tmp_path, label: str, body: str | None) -> WikidataClient:
+def client_with_row(tmp_path, label: str, answer) -> WikidataClient:
     """A replay client of the fixture's cache in which the row for
-    ``label`` answers ``body`` instead, or is gone when ``body`` is None."""
+    ``label`` answers the JSON document ``answer`` instead, or is gone
+    when ``answer`` is None."""
     cache_dir = tmp_path / "wd_cache"
     key = fx.build_replay_cache(cache_dir)[label]
-    if body is None:
+    if answer is None:
         fx.drop_row(cache_dir, key)
     else:
-        fx.answer_row(cache_dir, key, body)
+        fx.answer_row(cache_dir, key, answer)
     return WikidataClient(transport=ReplayTransport(cache_dir))
 
 
@@ -80,12 +91,10 @@ class RewrittenHit(fx.FixtureTransport):
         self.headword, self.index, self.fields = headword, index, fields
 
     def send(self, request):
-        body = super().send(request)
-        if dict(request.params)["search"] != self.headword:
-            return body
-        payload = json.loads(body)
-        payload["search"][self.index].update(self.fields)
-        return json.dumps(payload).encode("utf-8")  # ASCII: "\ud800" stays escaped
+        answer = super().send(request)
+        if dict(request.params)["search"] == self.headword:
+            answer["search"][self.index].update(self.fields)
+        return answer
 
 
 class CountingEmbedder(HashedTrigramEmbedder):
@@ -300,7 +309,7 @@ class TestLinkBatch:
         assert by_id["30:5:1"].chosen == "Q1741"
 
     def test_unusable_recorded_answer_marks_only_its_entries(self, tmp_path, no_network):
-        client = client_with_row(tmp_path, "search:Berlin", "[]")
+        client = client_with_row(tmp_path, "search:Berlin", [])
         entries = fixture_entries()
         berlin, aachen = link_batch(
             [entries["2:57:2"], entries["1:101:1"]], HashedTrigramEmbedder(), client
@@ -370,15 +379,16 @@ class TestLinkBatch:
 
     # too deep to parse, and past Python's integer digit limit
     @pytest.mark.parametrize("body", [b"[" * 100_000, b"1" * 5000], ids=["deep", "digits"])
-    def test_unparsable_search_answer_fails_only_its_headword(self, body):
+    def test_unparsable_search_answer_fails_only_its_headword(self, monkeypatch, body):
         entries, results = places(3)
 
-        class Unparsable(fx.FixtureTransport):
-            def send(self, request):
-                answer = super().send(request)
-                return body if dict(request.params)["search"] == "Ort1" else answer
+        def urlopen(request, timeout=None):
+            term = dict(urllib.parse.parse_qsl(urllib.parse.urlsplit(request.full_url).query))["search"]
+            answer = json.dumps(fx.search_answer(term, results[term][:SEARCH_LIMIT]))
+            return io.BytesIO(body if term == "Ort1" else answer.encode("utf-8"))
 
-        client = WikidataClient(transport=Unparsable(results))
+        monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+        client = WikidataClient(transport=UrllibTransport(rate_limiter=RateLimiter(0.0)))
         outcome = link_batch(entries, HashedTrigramEmbedder(), client)
         assert [r.entry_id for r in outcome if r.error] == [entries[1].id]
         assert outcome[1].error.startswith("ProtocolError: non-JSON response from ")
@@ -609,7 +619,7 @@ class TestLinkBatch:
                 if not self.replies:
                     vectors[0] = garbage
                 self.replies += 1
-                return json.dumps({"vectors": vectors}).encode()
+                return {"vectors": vectors}
 
         step = EMBED_CHUNK // (1 + SEARCH_LIMIT)
         entries, results = places(step + 1)  # chunks of step and 1

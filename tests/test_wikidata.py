@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 
 import pipeline_fixtures as fx
 from conftest import run_on_threads
-from geolex import corpus, wikidata
+from geolex import corpus, embedding, wikidata
+from geolex.embedding import RemoteEmbedder
 from geolex.errors import ProtocolError, ReplayCacheMiss, TransportError
 from geolex.geo import GeoPoint
 from geolex.wikidata import (
+    DEFAULT_API_URL,
     DEFAULT_USER_AGENT,
     LOG_NAME,
     SPARQL_BATCH_SIZE,
@@ -46,16 +48,12 @@ class FakeTransport:
         self.handler = handler
         self.requests: list[HttpRequest] = []
 
-    def send(self, request: HttpRequest) -> bytes:
+    def send(self, request: HttpRequest):
         self.requests.append(request)
         result = self.handler(request)
         if isinstance(result, Exception):
             raise result
         return result
-
-
-def json_body(payload) -> bytes:
-    return json.dumps(payload).encode("utf-8")
 
 
 def make_client(handler, **kwargs) -> tuple[WikidataClient, FakeTransport]:
@@ -245,8 +243,8 @@ class TestUrllibTransport:
 
         monkeypatch.setattr(urllib.request, "urlopen", fake_urlopen)
         transport = self._transport()
-        body = transport.send(HttpRequest("GET", "https://x.test/api"))
-        assert body == b'{"ok": true}'
+        answer = transport.send(HttpRequest("GET", "https://x.test/api"))
+        assert answer == {"ok": True}
         assert captured["request"].get_header("User-agent") == DEFAULT_USER_AGENT
 
     def test_caller_headers_win_over_default(self, monkeypatch):
@@ -306,7 +304,9 @@ class TestUrllibTransport:
             UrllibTransport(user_agent=user_agent)
 
 
-HEADER = b"geolex-replay-log 1 row=[request-key,utf-8-body]\n"
+HEADER = b"geolex-replay-log 2 row=[request-key,answer]\n"
+# The log of earlier versions: each answer a string holding its JSON.
+V1_HEADER = b"geolex-replay-log 1 row=[request-key,utf-8-body]\n"
 REQUEST = HttpRequest("GET", "https://x.test/api", params=(("q", "v"),))
 KEY = "GET https://x.test/api?q=v body:"
 
@@ -315,50 +315,70 @@ def log_of(cache_dir) -> bytes:
     return (cache_dir / LOG_NAME).read_bytes()
 
 
-def row(key: str, body: str) -> bytes:
-    return json.dumps([key, body], ensure_ascii=False).encode("utf-8") + b"\n"
+def row(key: str, answer) -> bytes:
+    return json.dumps([key, answer]).encode("ascii") + b"\n"
+
+
+def answering(monkeypatch, data: bytes) -> UrllibTransport:
+    """A live transport whose every request ``urlopen`` answers with ``data``."""
+    monkeypatch.setattr(urllib.request, "urlopen", lambda request, timeout=None: io.BytesIO(data))
+    return UrllibTransport(rate_limiter=RateLimiter(0.0))
 
 
 class TestResponseCache:
     def test_round_trip(self, tmp_path):
         request = HttpRequest("GET", "https://x.test/api", params=(("a", "1"),))
-        body = '{"svensk": "beskrivning med åäö"}'.encode("utf-8")
-        fx.record(tmp_path, request, body)
-        assert ReplayTransport(tmp_path).send(request) == body
+        answer = {"svensk": "beskrivning med åäö"}
+        fx.record(tmp_path, request, answer)
+        assert ReplayTransport(tmp_path).send(request) == answer
 
     # Bytes that are not UTF-8, JSON in UTF-16, and JSON after a BOM.
     @pytest.mark.parametrize("body", [
         bytes(range(256)), '{"ok": 1}'.encode("utf-16"), b'\xef\xbb\xbf{"ok": 1}',
     ], ids=["binary", "utf-16", "bom"])
-    def test_record_mode_stores_only_a_json_body(self, tmp_path, body):
+    def test_record_mode_stores_only_a_json_body(self, tmp_path, monkeypatch, body):
         request = HttpRequest("GET", "https://x.test/blob")
+        recorder = ReplayTransport(tmp_path, answering(monkeypatch, body))
         with pytest.raises(ProtocolError, match="non-JSON response from https://x.test/blob"):
-            fx.record(tmp_path, request, body)
+            recorder.send(request)
         assert [path.name for path in tmp_path.iterdir()] == [LOG_NAME]
         assert log_of(tmp_path) == HEADER
 
-    def test_the_log_is_a_header_then_one_key_body_row_per_response(self, tmp_path):
-        fx.record(tmp_path, REQUEST, '{"ort": "Åmål"}'.encode("utf-8"))
-        fx.record(tmp_path, HttpRequest("POST", "https://x.test/sparql", body=b"query=x"), b"[]")
+    def test_the_log_is_a_header_then_one_key_answer_row_per_response(self, tmp_path):
+        fx.record(tmp_path, REQUEST, {"ort": "Åmål"})
+        fx.record(tmp_path, HttpRequest("POST", "https://x.test/sparql", body=b"query=x"), [])
         assert log_of(tmp_path) == (
-            HEADER + row(KEY, '{"ort": "Åmål"}') + row("POST https://x.test/sparql? body:query=x", "[]")
+            HEADER + b'["GET https://x.test/api?q=v body:", {"ort": "\\u00c5m\\u00e5l"}]\n'
+            + b'["POST https://x.test/sparql? body:query=x", []]\n'
         )
 
-    @pytest.mark.parametrize("line", [
-        row(KEY, '{"ok": true}'),
-        b'[ "GET https://x.test/api?q=v body:" ,"{\\"ok\\": true}"]\n',
-    ], ids=["as-written", "other-spacing"])
-    def test_replays_a_hand_written_log(self, tmp_path, line):
+    @pytest.mark.parametrize("line, answer", [
+        (row(KEY, {"ok": True}), {"ok": True}),
+        (b'[ "GET https://x.test/api?q=v body:" ,{"ok" :true}]\n', {"ok": True}),
+        ('["GET https://x.test/api?q=v body:", "Åmål"]\n'.encode("utf-8"), "Åmål"),
+    ], ids=["as-written", "other-spacing", "utf-8"])
+    def test_replays_a_hand_written_log(self, tmp_path, line, answer):
         (tmp_path / LOG_NAME).write_bytes(HEADER + line)
-        assert ReplayTransport(tmp_path).send(REQUEST) == b'{"ok": true}'
+        assert ReplayTransport(tmp_path).send(REQUEST) == answer
 
     def test_a_later_row_for_the_same_key_wins(self, tmp_path):
-        (tmp_path / LOG_NAME).write_bytes(HEADER + row(KEY, "1") + row(KEY, "2"))
-        assert ReplayTransport(tmp_path).send(REQUEST) == b"2"
+        (tmp_path / LOG_NAME).write_bytes(HEADER + row(KEY, 1) + row(KEY, 2))
+        assert ReplayTransport(tmp_path).send(REQUEST) == 2
 
     def test_no_stray_temp_files_left(self, tmp_path):
-        fx.record(tmp_path, HttpRequest("GET", "https://x.test/api"), b"{}")
+        fx.record(tmp_path, HttpRequest("GET", "https://x.test/api"), {})
         assert [path.name for path in tmp_path.iterdir()] == [LOG_NAME]
+
+    # Documents ``parse_json`` returns that only an ASCII row keeps
+    # whole: a lone surrogate, and the numbers JSON itself lacks.
+    @pytest.mark.parametrize("answer", [
+        None, "\ud800", {"\udfff": ["\ud83c", 1e308, -0.0, 10**400]}, float("inf"),
+    ], ids=["null", "surrogate", "nested", "infinity"])
+    def test_any_answer_is_served_as_recorded(self, tmp_path, answer):
+        fx.record(tmp_path, REQUEST, answer)
+        assert log_of(tmp_path).isascii()
+        served = ReplayTransport(tmp_path).send(REQUEST)
+        assert json.dumps(served) == json.dumps(answer)
 
 
 class TestReplayLog:
@@ -368,7 +388,7 @@ class TestReplayLog:
         requests = [HttpRequest("GET", "https://x.test/api", params=(("n", str(n)),))
                     for n in range(count)]
         for n, request in enumerate(requests):
-            fx.record(cache_dir, request, str(n).encode())
+            fx.record(cache_dir, request, n)
         return requests
 
     def test_a_torn_last_row_is_never_served_and_record_cuts_it_off(self, tmp_path):
@@ -377,13 +397,13 @@ class TestReplayLog:
         torn = whole[: -len(fx.log_rows(tmp_path)[-1]) // 2]
         (tmp_path / LOG_NAME).write_bytes(torn)
         replay = ReplayTransport(tmp_path)
-        assert [replay.send(request) for request in requests[:2]] == [b"0", b"1"]
+        assert [replay.send(request) for request in requests[:2]] == [0, 1]
         with pytest.raises(ReplayCacheMiss):
             replay.send(requests[2])
         assert log_of(tmp_path) == torn  # replay writes nothing
-        fx.record(tmp_path, requests[2], b"2")
+        fx.record(tmp_path, requests[2], 2)
         assert log_of(tmp_path) == whole
-        assert [ReplayTransport(tmp_path).send(r) for r in requests] == [b"0", b"1", b"2"]
+        assert [ReplayTransport(tmp_path).send(r) for r in requests] == [0, 1, 2]
 
     # Each put as the second of three rows.
     @pytest.mark.parametrize("line", [
@@ -391,21 +411,20 @@ class TestReplayLog:
         b"[" * 100_000 + b"\n",
         b"\xff\n",
         b'{"body": "{}"}\n',
-        b'["GET https://x.test/api?n=1 body:", null]\n',
         b'[7, "{}"]\n',
+        b'[null, "{}"]\n',
         b'["k"]\n',
         b'["k", "{}", "x"]\n',
-        b'["k", "\\ud800"]\n',
         b"\n",
-    ], ids=["bad", "deep", "byte-ff", "object", "null-body", "number-key", "short", "long",
-            "surrogate", "blank"])
+    ], ids=["bad", "deep", "byte-ff", "object", "number-key", "null-key", "short", "long",
+            "blank"])
     @pytest.mark.parametrize("record", [False, True], ids=["replay", "record"])
     def test_a_bad_row_mid_file_is_refused_naming_its_line(self, tmp_path, line, record):
         self.recorded(tmp_path, 3)
         rows = fx.log_rows(tmp_path)
         damaged = HEADER + rows[0] + line + rows[2]
         (tmp_path / LOG_NAME).write_bytes(damaged)
-        live = FakeTransport(lambda r: b"{}") if record else None
+        live = FakeTransport(lambda r: {}) if record else None
         with pytest.raises(ProtocolError) as caught:
             ReplayTransport(tmp_path, live)
         message = str(caught.value)
@@ -413,17 +432,41 @@ class TestReplayLog:
         assert "\n" not in message
         assert log_of(tmp_path) == damaged
 
+    # A row an earlier version refused is a recorded answer now, served
+    # as the live transport serves the same answer; the client refuses
+    # both alike, as neither is a JSON object.
+    @pytest.mark.parametrize("answer", [None, "\ud800"], ids=["null-body", "surrogate"])
+    def test_a_row_of_any_json_answer_is_served_and_fails_as_the_live_answer(
+        self, tmp_path, monkeypatch, answer
+    ):
+        self.recorded(tmp_path, 3)
+        rows = fx.log_rows(tmp_path)
+        search = fx.search_request("Berlin")
+        line = row(canonical_request_key(search), answer)
+        (tmp_path / LOG_NAME).write_bytes(HEADER + rows[0] + line + rows[2])
+        failures = []
+        for transport in (ReplayTransport(tmp_path),
+                          answering(monkeypatch, json.dumps(answer).encode("ascii"))):
+            assert transport.send(search) == answer
+            with pytest.raises(ProtocolError) as caught:
+                WikidataClient(transport).search_candidates("Berlin")
+            failures.append(str(caught.value))
+        assert failures == [f"unexpected response shape from {DEFAULT_API_URL}"] * 2
+
     @pytest.mark.parametrize("content", [
-        HEADER.replace(b" 1 ", b" 2 ") + row(KEY, "{}"),
+        HEADER.replace(b" 2 ", b" 3 ") + row(KEY, {}),
+        V1_HEADER + json.dumps([KEY, "{}"]).encode("ascii") + b"\n",
+        V1_HEADER,
         HEADER[:-1],
-        row(KEY, "{}"),
+        row(KEY, {}),
         b'{"request_key": "00", "body": "{}"}',
         b"\xef\xbb\xbf" + HEADER,
-    ], ids=["other-version", "header-without-newline", "no-header", "old-record", "bom"])
+    ], ids=["other-version", "version-1", "version-1-empty", "header-without-newline",
+            "no-header", "old-record", "bom"])
     @pytest.mark.parametrize("record", [False, True], ids=["replay", "record"])
     def test_a_wrong_header_is_refused_with_the_file_kept(self, tmp_path, content, record):
         (tmp_path / LOG_NAME).write_bytes(content)
-        live = FakeTransport(lambda r: b"{}") if record else None
+        live = FakeTransport(lambda r: {}) if record else None
         with pytest.raises(ProtocolError, match=re.escape(f"{tmp_path / LOG_NAME}: does not start")):
             ReplayTransport(tmp_path, live)
         assert log_of(tmp_path) == content
@@ -434,14 +477,14 @@ class TestReplayLog:
         with pytest.raises(ReplayCacheMiss):
             ReplayTransport(tmp_path).send(REQUEST)
         assert log_of(tmp_path) == b""
-        fx.record(tmp_path, REQUEST, b"{}")
-        assert log_of(tmp_path) == HEADER + row(KEY, "{}")
+        fx.record(tmp_path, REQUEST, {})
+        assert log_of(tmp_path) == HEADER + row(KEY, {})
 
     @pytest.mark.parametrize("record", [False, True], ids=["replay", "record"])
     def test_a_cache_of_an_earlier_version_is_refused(self, tmp_path, record):
         old = tmp_path / f"{'ab' * 32}.json"
         old.write_text('{"body": "{}"}', encoding="utf-8")
-        live = FakeTransport(lambda r: b"{}") if record else None
+        live = FakeTransport(lambda r: {}) if record else None
         with pytest.raises(ProtocolError) as caught:
             ReplayTransport(tmp_path, live)
         assert str(caught.value) == (
@@ -452,8 +495,8 @@ class TestReplayLog:
 
     def test_other_json_files_beside_the_log_are_no_old_cache(self, tmp_path):
         (tmp_path / "notes.json").write_text("{}", encoding="utf-8")
-        fx.record(tmp_path, REQUEST, b"{}")
-        assert ReplayTransport(tmp_path).send(REQUEST) == b"{}"
+        fx.record(tmp_path, REQUEST, {})
+        assert ReplayTransport(tmp_path).send(REQUEST) == {}
 
     def test_the_log_is_opened_once_for_every_hit(self, tmp_path, monkeypatch):
         requests = self.recorded(tmp_path, 3)
@@ -466,7 +509,7 @@ class TestReplayLog:
 
         monkeypatch.setattr(corpus, "open", counting, raising=False)
         replay = ReplayTransport(tmp_path)
-        assert [replay.send(request) for request in requests * 2] == [b"0", b"1", b"2"] * 2
+        assert [replay.send(request) for request in requests * 2] == [0, 1, 2] * 2
         assert opened == [LOG_NAME]
 
     def test_a_key_of_anothers_hash_is_never_served_its_answer(self, tmp_path, monkeypatch):
@@ -475,7 +518,7 @@ class TestReplayLog:
         assert fx.recorded_keys(tmp_path) == [canonical_request_key(first),
                                               canonical_request_key(second)]
         replay = ReplayTransport(tmp_path)
-        assert replay.send(second) == b"1"  # the later row holds the slot
+        assert replay.send(second) == 1  # the later row holds the slot
         with pytest.raises(ReplayCacheMiss):
             replay.send(first)
 
@@ -484,49 +527,103 @@ class TestReplayLog:
 
         def answer(request):
             gate.wait(timeout=10)  # every thread misses before any appends
-            return b"{}"
+            return {}
 
         recorder = ReplayTransport(tmp_path, FakeTransport(answer))
         run_on_threads(lambda slot: recorder.send(REQUEST), 4)
-        assert fx.log_rows(tmp_path) == [row(KEY, "{}")]
+        assert fx.log_rows(tmp_path) == [row(KEY, {})]
 
     def test_threads_recording_many_requests_append_whole_rows(self, tmp_path):
-        recorder = ReplayTransport(tmp_path, FakeTransport(lambda r: json.dumps(
-            {"n": r.params[0][1], "pad": "x" * 5000}).encode()))
+        recorder = ReplayTransport(tmp_path, FakeTransport(
+            lambda r: {"n": r.params[0][1], "pad": "x" * 5000}))
         requests = [HttpRequest("GET", "https://x.test/api", params=(("n", str(n)),))
                     for n in range(40)]
         run_on_threads(lambda slot: [recorder.send(r) for r in requests[slot::8]], 8)
         replay = ReplayTransport(tmp_path)
         assert len(fx.log_rows(tmp_path)) == 40
         for n, request in enumerate(requests):
-            assert json.loads(replay.send(request))["n"] == str(n)
+            assert replay.send(request)["n"] == str(n)
+
+
+class TestOneParse:
+    """Each answer is parsed once: by the live transport as it arrives,
+    or as its row when the replay log serves it."""
+
+    @pytest.fixture
+    def parses(self, monkeypatch) -> list[str]:
+        """What every ``parse_json`` call from ``wikidata`` or
+        ``embedding`` parsed, named as the call names it."""
+        calls: list[str] = []
+
+        def counting(data, error_type, where):
+            calls.append(where)
+            return corpus.parse_json(data, error_type, where)
+
+        monkeypatch.setattr(wikidata, "parse_json", counting)
+        monkeypatch.setattr(embedding, "parse_json", counting, raising=False)
+        return calls
+
+    @pytest.fixture
+    def live(self, monkeypatch) -> UrllibTransport:
+        return answering(monkeypatch, b'{"search": [{"id": "Q64", "description": "stad"}]}')
+
+    HEADWORDS = ("Berlin", "Bonn", "Aachen")
+
+    def test_one_parse_per_live_answer(self, parses, live):
+        client = WikidataClient(live)
+        for headword in self.HEADWORDS:
+            assert client.search_candidates(headword) == [("Q64", "stad")]
+        assert len(parses) == len(self.HEADWORDS)
+
+    def test_one_parse_per_recorded_miss(self, tmp_path, parses, live):
+        client = WikidataClient(ReplayTransport(tmp_path, live))
+        for headword in self.HEADWORDS:
+            assert client.search_candidates(headword) == [("Q64", "stad")]
+        assert len(parses) == len(self.HEADWORDS)
+
+    def test_one_parse_per_replayed_search(self, tmp_path, parses, live):
+        recorder = WikidataClient(ReplayTransport(tmp_path, live))
+        for headword in self.HEADWORDS:
+            recorder.search_candidates(headword)
+        client = WikidataClient(ReplayTransport(tmp_path))
+        parses.clear()  # open checks every row once
+        for headword in self.HEADWORDS * 2:
+            assert client.search_candidates(headword) == [("Q64", "stad")]
+        assert len(parses) == 2 * len(self.HEADWORDS)
+
+    def test_one_parse_per_remote_embedding(self, parses, monkeypatch):
+        embedder = RemoteEmbedder("https://x.test/embed", dim=2,
+                                  transport=answering(monkeypatch, b'{"vectors": [[3, 4]]}'))
+        for _ in range(2):
+            assert embedder.embed_batch(["Aal"]).tolist() == [[0.6, 0.8]]
+        assert len(parses) == 2
 
 
 class TestRecordAndReplay:
     def test_record_then_replay_is_byte_identical(self, tmp_path):
         request = HttpRequest("GET", "https://x.test/api", params=(("a", "1"),))
-        live = FakeTransport(lambda r: b'{"answer": 42}')
+        live = FakeTransport(lambda r: {"answer": 42})
         recorder = ReplayTransport(tmp_path, live)
         first = recorder.send(request)
         second = recorder.send(request)  # second hit served from disk
-        assert first == second == b'{"answer": 42}'
+        assert first == second == {"answer": 42}
         assert len(live.requests) == 1
         replay = ReplayTransport(tmp_path)
-        assert replay.send(request) == b'{"answer": 42}'
+        assert replay.send(request) == {"answer": 42}
 
     def test_record_mode_appends_a_row_on_a_miss(self, tmp_path):
         cache_dir = tmp_path / "not-yet"
         request = HttpRequest("GET", "https://x.test/api", params=(("q", "Åmål"),))
-        recorder = ReplayTransport(cache_dir, FakeTransport(lambda r: b'{"ok": 1}'))
-        assert recorder.send(request) == b'{"ok": 1}'
+        recorder = ReplayTransport(cache_dir, FakeTransport(lambda r: {"ok": 1}))
+        assert recorder.send(request) == {"ok": 1}
         assert [path.name for path in cache_dir.iterdir()] == [LOG_NAME]
-        assert fx.log_rows(cache_dir) == [row(canonical_request_key(request), '{"ok": 1}')]
+        assert fx.log_rows(cache_dir) == [row(canonical_request_key(request), {"ok": 1})]
 
     def test_replay_finds_request_with_reordered_params(self, tmp_path):
         recorded = HttpRequest("GET", "https://x.test/api", params=(("a", "1"), ("b", "2")))
-        ReplayTransport(tmp_path, FakeTransport(lambda r: b"{}")).send(recorded)
+        ReplayTransport(tmp_path, FakeTransport(lambda r: {})).send(recorded)
         reordered = HttpRequest("GET", "https://x.test/api", params=(("b", "2"), ("a", "1")))
-        assert ReplayTransport(tmp_path).send(reordered) == b"{}"
+        assert ReplayTransport(tmp_path).send(reordered) == {}
 
     def test_replay_miss_raises_and_never_touches_network(self, tmp_path, no_network):
         replay = ReplayTransport(tmp_path)
@@ -556,7 +653,7 @@ class TestRetries:
         outcomes = [
             TransportError("one"),
             TransportError("two"),
-            b'{"search": [], "success": 1}',
+            {"search": [], "success": 1},
         ]
         client, transport = make_client(lambda r: outcomes[len(transport.requests) - 1])
         transport.handler = lambda r: outcomes[len(transport.requests) - 1]
@@ -596,14 +693,14 @@ class TestSearchCandidates:
         }
 
     def test_parses_hits_in_api_order(self):
-        client, _ = make_client(lambda r: json_body(self._payload()))
+        client, _ = make_client(lambda r: self._payload())
         assert client.search_candidates("Berlin") == [
             ("Q64", "Tysklands huvudstad"), ("Q614184", None)
         ]
 
     def test_keeps_the_first_five_hits(self):
         payload = {"search": [{"id": f"Q{n}"} for n in (7, 3, 9, 1, 8, 2, 5)]}
-        client, _ = make_client(lambda r: json_body(payload))
+        client, _ = make_client(lambda r: payload)
         assert client.search_candidates("Berlin") == [
             (f"Q{n}", None) for n in (7, 3, 9, 1, 8)
         ]
@@ -618,7 +715,7 @@ class TestSearchCandidates:
     ])
     def test_a_description_counts_only_in_swedish(self, display, described):
         payload = {"search": [{"id": "Q64", "description": "huvudstad", "display": display}]}
-        client, _ = make_client(lambda r: json_body(payload))
+        client, _ = make_client(lambda r: payload)
         assert client.search_candidates("Berlin") == [("Q64", described)]
 
     @pytest.mark.parametrize("hit", [
@@ -628,12 +725,12 @@ class TestSearchCandidates:
         {"id": "Q64", "description": "huvudstad", "display": {"description": "sv"}},
     ])
     def test_malformed_description_raises_naming_the_item(self, hit):
-        client, _ = make_client(lambda r: json_body({"search": [hit]}))
+        client, _ = make_client(lambda r: {"search": [hit]})
         with pytest.raises(ProtocolError, match="search hit Q64: "):
             client.search_candidates("Berlin")
 
     def test_request_matches_recorded_fixture_shape(self):
-        client, transport = make_client(lambda r: json_body({"search": []}))
+        client, transport = make_client(lambda r: {"search": []})
         client.search_candidates("Iowa")
         sent = transport.requests[0]
         expected = fx.search_request("Iowa")
@@ -644,26 +741,26 @@ class TestSearchCandidates:
         assert params["limit"] == "5"
 
     def test_empty_headword_rejected_before_any_request(self):
-        client, transport = make_client(lambda r: json_body({"search": []}))
+        client, transport = make_client(lambda r: {"search": []})
         with pytest.raises(ValueError):
             client.search_candidates("   ")
         assert transport.requests == []
 
     def test_api_error_field_raises(self):
         client, _ = make_client(
-            lambda r: json_body({"error": {"code": "badsearch"}})
+            lambda r: {"error": {"code": "badsearch"}}
         )
         with pytest.raises(ProtocolError, match="badsearch"):
             client.search_candidates("Berlin")
 
     def test_missing_search_list_raises(self):
-        client, _ = make_client(lambda r: json_body({"searchinfo": {}}))
+        client, _ = make_client(lambda r: {"searchinfo": {}})
         with pytest.raises(ProtocolError):
             client.search_candidates("Berlin")
 
     def test_invalid_hit_id_raises(self):
         client, _ = make_client(
-            lambda r: json_body({"search": [{"id": "P31", "label": "x"}]})
+            lambda r: {"search": [{"id": "P31", "label": "x"}]}
         )
         with pytest.raises(ProtocolError):
             client.search_candidates("Berlin")
@@ -674,9 +771,9 @@ class TestSearchCandidates:
         "body", [b"<html>rate limited</html>", b"[" * 100_000, b"1" * 5000],
         ids=["html", "deep", "digits"],
     )
-    def test_non_json_response_raises(self, body):
-        client, _ = make_client(lambda r: body)
-        with pytest.raises(ProtocolError, match="non-JSON response"):
+    def test_non_json_response_raises(self, monkeypatch, body):
+        client = WikidataClient(answering(monkeypatch, body))
+        with pytest.raises(ProtocolError, match=f"^non-JSON response from {DEFAULT_API_URL}: "):
             client.search_candidates("Berlin")
 
 
@@ -691,7 +788,7 @@ class TestFetchDescriptions:
                 "Q99999999": {"missing": ""},
             }
         }
-        client, _ = make_client(lambda r: json_body(payload))
+        client, _ = make_client(lambda r: payload)
         result = client.fetch_descriptions(["Q64", "Q1754", "Q99999999"])
         assert result == {
             "Q64": "Tysklands huvudstad",
@@ -701,7 +798,7 @@ class TestFetchDescriptions:
 
     def fetch_malformed(self, entity):
         payload = {"entities": {"Q64": {"descriptions": {}}, "Q1754": entity}}
-        client, _ = make_client(lambda r: json_body(payload))
+        client, _ = make_client(lambda r: payload)
         return client.fetch_descriptions(["Q64", "Q1754"])
 
     def test_descriptions_not_an_object_raises_naming_the_item(self):
@@ -718,7 +815,7 @@ class TestFetchDescriptions:
 
     def test_batches_of_fifty_ids(self):
         qids = [f"Q{i}" for i in range(1, 121)]
-        client, transport = make_client(lambda r: json_body({"entities": {}}))
+        client, transport = make_client(lambda r: {"entities": {}})
         client.fetch_descriptions(qids)
         assert len(transport.requests) == 3
         sizes = [
@@ -728,30 +825,30 @@ class TestFetchDescriptions:
         assert sizes == [50, 50, 20]
 
     def test_duplicates_collapsed(self):
-        client, transport = make_client(lambda r: json_body({"entities": {}}))
+        client, transport = make_client(lambda r: {"entities": {}})
         client.fetch_descriptions(["Q64", "Q64", "Q1"])
         assert dict(transport.requests[0].params)["ids"] == "Q64|Q1"
 
     def test_request_matches_recorded_fixture_shape(self):
-        client, transport = make_client(lambda r: json_body({"entities": {}}))
+        client, transport = make_client(lambda r: {"entities": {}})
         client.fetch_descriptions(["Q1017", "Q896929"])
         sent = transport.requests[0]
         expected = fx.entities_request(["Q1017", "Q896929"])
         assert canonical_request_key(sent) == canonical_request_key(expected)
 
     def test_empty_input_rejected(self):
-        client, _ = make_client(lambda r: json_body({"entities": {}}))
+        client, _ = make_client(lambda r: {"entities": {}})
         with pytest.raises(ValueError):
             client.fetch_descriptions([])
 
     def test_invalid_qid_rejected_before_any_request(self):
-        client, transport = make_client(lambda r: json_body({"entities": {}}))
+        client, transport = make_client(lambda r: {"entities": {}})
         with pytest.raises(ValueError):
             client.fetch_descriptions(["Q64", "banana"])
         assert transport.requests == []
 
 
-def sparql_rows(*pairs) -> bytes:
+def sparql_rows(*pairs) -> dict:
     bindings = [
         {
             "item": {"type": "uri", "value": f"http://www.wikidata.org/entity/{qid}"},
@@ -759,7 +856,7 @@ def sparql_rows(*pairs) -> bytes:
         }
         for qid, wkt in pairs
     ]
-    return json_body({"results": {"bindings": bindings}})
+    return {"results": {"bindings": bindings}}
 
 
 class TestFetchCoordinates:
@@ -799,31 +896,29 @@ class TestFetchCoordinates:
 
     def test_unparseable_rows_counted_not_fatal(self):
         def handler(request):
-            return json_body(
-                {
-                    "results": {
-                        "bindings": [
-                            {
-                                "item": {"value": "http://www.wikidata.org/entity/Q64"},
-                                "coords": {"value": "Point(13.383333 52.516667)"},
-                            },
-                            {
-                                "item": {"value": "http://www.wikidata.org/entity/Q1"},
-                                "coords": {"value": "somewhere nice"},
-                            },
-                            {"item": {"value": "not-an-entity-uri"}},
-                            {
-                                "item": {"value": "http://example.org/entity/Q1"},
-                                "coords": {"value": "Point(18.07 59.33)"},
-                            },
-                            {
-                                "item": {"value": "http://www.wikidata.org/entity/P625"},
-                                "coords": {"value": "Point(18.07 59.33)"},
-                            },
-                        ]
-                    }
+            return {
+                "results": {
+                    "bindings": [
+                        {
+                            "item": {"value": "http://www.wikidata.org/entity/Q64"},
+                            "coords": {"value": "Point(13.383333 52.516667)"},
+                        },
+                        {
+                            "item": {"value": "http://www.wikidata.org/entity/Q1"},
+                            "coords": {"value": "somewhere nice"},
+                        },
+                        {"item": {"value": "not-an-entity-uri"}},
+                        {
+                            "item": {"value": "http://example.org/entity/Q1"},
+                            "coords": {"value": "Point(18.07 59.33)"},
+                        },
+                        {
+                            "item": {"value": "http://www.wikidata.org/entity/P625"},
+                            "coords": {"value": "Point(18.07 59.33)"},
+                        },
+                    ]
                 }
-            )
+            }
 
         client, _ = make_client(handler)
         assert list(client.fetch_coordinates(["Q64", "Q1", "Q2"])) == ["Q64"]
@@ -831,7 +926,7 @@ class TestFetchCoordinates:
 
     def test_non_string_item_is_counted_not_fatal(self):
         row = {"item": {"value": 64}, "coords": {"value": "Point(13.38 52.52)"}}
-        client, _ = make_client(lambda r: json_body({"results": {"bindings": [row]}}))
+        client, _ = make_client(lambda r: {"results": {"bindings": [row]}})
         assert client.fetch_coordinates(["Q64"]) == {}
         assert client.warnings == 1
 
@@ -846,7 +941,7 @@ class TestFetchCoordinates:
         assert points == {"Q64": GeoPoint(52.516667, 13.383333)}
 
     def test_missing_bindings_raises(self):
-        client, _ = make_client(lambda r: json_body({"head": {}}))
+        client, _ = make_client(lambda r: {"head": {}})
         with pytest.raises(ProtocolError, match="bindings"):
             client.fetch_coordinates(["Q64"])
 
